@@ -165,12 +165,6 @@ def _fractions(clients: list[ClientRuntime]) -> np.ndarray:
     return np.array([c.n_k / n for c in clients], dtype=np.float64)
 
 
-def _skipped(server: ModelWeights, round_index: int, algorithm: str) -> RoundOutcome:
-    return RoundOutcome(server=server,
-                        ledger=CommLedger(round_index, algorithm),
-                        client_models={}, skipped=True)
-
-
 def _fan_out(executor, update, jobs) -> list[ModelWeights]:
     """Run client updates, concurrently when an executor is given; results
     come back in job order so scheduling never affects the reduction."""
@@ -183,7 +177,8 @@ def _fan_out(executor, update, jobs) -> list[ModelWeights]:
 def _plain_round(server, arch, clients, *, algorithm, round_index,
                  proximal, client_update, executor) -> RoundOutcome:
     if not clients:
-        return _skipped(server, round_index, algorithm)
+        return RoundOutcome(server=server, ledger=CommLedger(round_index, algorithm),
+                            client_models={}, skipped=True)
     clients = sorted(clients, key=lambda c: c.id)
     fractions = _fractions(clients)
     update = client_update or _default_client_update
@@ -300,24 +295,23 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
                   executor=None) -> RoundOutcome:
     """One full FedDist round (main phase, per-layer growth, layer-wise
     retraining sub-rounds).  See the module docstring for the phases."""
-    if not clients:
-        return _skipped(server, round_index, "feddist")
+    main = _plain_round(server, arch, clients, algorithm="feddist",
+                        round_index=round_index, proximal=False,
+                        client_update=client_update, executor=executor)
+    if main.skipped:
+        return main
     clients = sorted(clients, key=lambda c: c.id)
     fractions = _fractions(clients)
     update = client_update or _default_client_update
-    ledger = CommLedger(round_index, "feddist")
+    ledger = main.ledger
     cap = fcfg.max_new_units_per_layer_per_round
 
     # Shape broadcast: a growing model's geometry is re-announced every round.
     ledger.shape_metadata_bytes = len(clients) * shape_metadata_size(server)
     ledger.bytes_down += ledger.shape_metadata_bytes
 
-    size = byte_size(server)
-    ledger.bytes_down += size * len(clients)
-    models = _fan_out(executor, update,
-                      [(c, server, arch, c.cfg, c.seed, PHASE_MAIN) for c in clients])
-    ledger.bytes_up += sum(byte_size(m) for m in models)
-    w = weighted_average(models, fractions)
+    models = list(main.client_models.values())
+    w = main.server
 
     growth: list[GrowthEvent] = []
     n_layers = len(w.layers)

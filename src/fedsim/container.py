@@ -10,8 +10,8 @@ Layout (little-endian):
         layers   u32
 
     per-layer record:
-        kind     u8   (0 = dense, 1 = conv1d)
-        ndim     u8   (2 or 3)
+        kind     u8   (0 = dense, 1 = conv1d; must match ndim)
+        ndim     u8   (2 for dense, 3 for conv1d)
         dims     u32 * ndim       incoming shape
         bias_len u32
         incoming floats, C order
@@ -37,7 +37,6 @@ HEADER_SIZE = 12
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
 _KIND_CODES = {"dense": 0, "conv1d": 1}
-_CODE_KINDS = {0: "dense", 1: "conv1d"}
 
 
 class ContainerError(ValueError):
@@ -114,8 +113,6 @@ def deserialize_model(blob: bytes) -> ModelWeights:
             offset += 4
         except struct.error as exc:
             raise ContainerError(f"layer {i}: truncated record") from exc
-        if kind_code not in _CODE_KINDS:
-            raise ContainerError(f"layer {i}: unknown kind code {kind_code}")
         n_in = int(np.prod(dims))
         need = (n_in + bias_len) * dtype.itemsize
         if offset + need > len(blob):
@@ -125,7 +122,11 @@ def deserialize_model(blob: bytes) -> ModelWeights:
         offset += n_in * dtype.itemsize
         bias = np.frombuffer(blob, dtype=dtype, count=bias_len, offset=offset).copy()
         offset += bias_len * dtype.itemsize
-        layers.append(LayerWeights(incoming, bias))
+        layer = LayerWeights(incoming, bias)
+        if _KIND_CODES[layer.kind] != kind_code:
+            raise ContainerError(f"layer {i}: kind code {kind_code} does not "
+                                 f"match {ndim}-D {layer.kind} weights")
+        layers.append(layer)
     if offset != len(blob):
         raise ContainerError(f"{len(blob) - offset} trailing bytes")
     return ModelWeights(tuple(layers))

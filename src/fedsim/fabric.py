@@ -5,10 +5,16 @@ this module returns a new value and never mutates its inputs, so models can
 be shared freely across concurrently training clients.
 
 Unit/filter growth always appends at the tail of a layer, so pre-existing
-coordinates keep their identity.  Across a conv -> dense boundary the dense
-input is flattened channel-major, which means one appended conv filter maps
-to a contiguous block of (pooled time length) rows at the tail of the dense
-incoming matrix.
+coordinates keep their identity.
+
+Unit-axis rule: a layer's own units are the last axis of its incoming array
+(dense [fan_in, out], conv1d [kernel, in_channels, out]); the units of its
+predecessor are axis ndim-2 (dense rows, conv input channels).  Growing a
+layer appends along the former and widens its successor along the latter,
+whatever the two kinds are.  Each predecessor unit owns a contiguous block
+of rows on that axis: one conv input channel, one dense row after a dense
+layer, or (pooled time length) dense rows after a conv layer, because the
+dense input is flattened channel-major.
 """
 
 from __future__ import annotations
@@ -202,19 +208,23 @@ def weighted_average(models, fractions) -> ModelWeights:
     return ModelWeights(tuple(layers))
 
 
-def successor_rows_per_unit(model: ModelWeights, layer: int) -> int:
-    """How many successor-incoming rows one unit of `layer` feeds.
+# Axis of an incoming array indexed by the predecessor's units (the unit-axis
+# rule in the module docstring), the one `[..., lo:hi, :]` slices; the
+# layer's own units are axis -1.
+_UNIT_AXIS = -2
 
-    1 for dense -> dense; the pooled time length for conv -> dense (the
-    flatten is channel-major so each filter owns a contiguous row block).
-    Only meaningful for dense successors; conv successors grow along the
-    channel axis instead.
+
+def successor_rows_per_unit(model: ModelWeights, layer: int) -> int:
+    """How many successor-incoming rows one unit of `layer` feeds, along
+    the successor's unit axis.
+
+    1 for dense -> dense and for a conv successor (one input channel); the
+    pooled time length for conv -> dense (the flatten is channel-major so
+    each filter owns a contiguous row block).
     """
     succ = model.layers[layer + 1]
     width = model.layers[layer].out_width
-    if succ.kind == CONV1D:
-        return 1
-    rows = succ.incoming.shape[0]
+    rows = succ.incoming.shape[_UNIT_AXIS]
     if rows % width != 0:
         raise ShapeError(
             f"layer {layer + 1}: {rows} incoming rows not divisible by "
@@ -227,24 +237,24 @@ def donor_successor_rows(model: ModelWeights, layer: int, unit: int) -> np.ndarr
     """Extract the successor-layer weights fed by unit `unit` of `layer`.
 
     These are the outgoing weights copied alongside a donated neuron so the
-    appended unit is functional immediately.  Dense successor: a [rows, out]
-    block; conv successor: the [kernel, out] channel slice.
+    appended unit is functional immediately: the unit's row block on the
+    successor's unit axis, a [rows, out] block for a dense successor and a
+    [kernel, 1, out] channel slice for a conv successor.
     """
     succ = model.layers[layer + 1]
-    if succ.kind == CONV1D:
-        return succ.incoming[:, unit, :].copy()
     r = successor_rows_per_unit(model, layer)
-    return succ.incoming[unit * r:(unit + 1) * r, :].copy()
+    return succ.incoming[..., unit * r:(unit + 1) * r, :].copy()
 
 
 def append_neuron(model: ModelWeights, layer: int, source: NeuronVector,
                   successor_rows: np.ndarray) -> ModelWeights:
     """Append one unit (from `source`) at the tail of `layer`.
 
-    The successor layer's incoming matrix gains `successor_rows` at the
-    matching tail position so the widened model stays well-formed.  All
-    pre-existing parameters are untouched.  The output layer can never be
-    grown.
+    The successor layer's incoming array gains `successor_rows` at the tail
+    of its unit axis so the widened model stays well-formed; with one row
+    per unit that axis may be left out of `successor_rows` (a dense [out]
+    row, a conv [kernel, out] slice).  All pre-existing parameters are
+    untouched.  The output layer can never be grown.
     """
     if not 0 <= layer < len(model.layers) - 1:
         raise ShapeError(
@@ -257,33 +267,20 @@ def append_neuron(model: ModelWeights, layer: int, source: NeuronVector,
         )
     new_in = source.values[:-1].reshape(target.incoming.shape[:-1])
     dtype = target.incoming.dtype
-    if target.kind == DENSE:
-        incoming = np.concatenate(
-            [target.incoming, new_in[:, None].astype(dtype)], axis=1)
-    else:
-        incoming = np.concatenate(
-            [target.incoming, new_in[..., None].astype(dtype)], axis=2)
+    incoming = np.concatenate(
+        [target.incoming, new_in[..., None].astype(dtype)], axis=-1)
     bias = np.concatenate([target.bias, np.asarray([source.values[-1]], dtype=dtype)])
     grown = LayerWeights(incoming, bias)
 
     succ = model.layers[layer + 1]
+    r = successor_rows_per_unit(model, layer)
+    block = succ.incoming.shape[:_UNIT_AXIS] + (r, succ.out_width)
     rows = np.asarray(successor_rows, dtype=succ.incoming.dtype)
-    if succ.kind == CONV1D:
-        if rows.shape != (succ.incoming.shape[0], succ.out_width):
-            raise ShapeError(
-                f"successor slice shape {rows.shape} != "
-                f"{(succ.incoming.shape[0], succ.out_width)}"
-            )
-        succ_in = np.concatenate([succ.incoming, rows[:, None, :]], axis=1)
-    else:
-        r = successor_rows_per_unit(model, layer)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        if rows.shape != (r, succ.out_width):
-            raise ShapeError(
-                f"successor rows shape {rows.shape} != {(r, succ.out_width)}"
-            )
-        succ_in = np.concatenate([succ.incoming, rows], axis=0)
+    if r == 1 and rows.shape == block[:_UNIT_AXIS] + block[-1:]:
+        rows = np.expand_dims(rows, _UNIT_AXIS)
+    if rows.shape != block:
+        raise ShapeError(f"successor rows shape {rows.shape} != {block}")
+    succ_in = np.concatenate([succ.incoming, rows], axis=_UNIT_AXIS)
     new_succ = LayerWeights(succ_in, succ.bias)
 
     layers = list(model.layers)
@@ -325,30 +322,16 @@ def conform_to_shape(client: ModelWeights, server: ModelWeights,
 
     s = upto_layer + 1
     succ_c, succ_s = client.layers[s], server.layers[s]
-    if succ_c.kind == CONV1D:
-        have = succ_c.incoming.shape[1]
-        want = succ_s.incoming.shape[1]
-        if want > have:
-            widened = np.concatenate(
-                [succ_c.incoming, succ_s.incoming[:, have:, :]], axis=1)
-            layers[s] = LayerWeights(widened, succ_c.bias)
-    else:
-        have = succ_c.incoming.shape[0]
-        want = succ_s.incoming.shape[0]
-        if want > have:
-            widened = np.concatenate(
-                [succ_c.incoming, succ_s.incoming[have:, :]], axis=0)
-            layers[s] = LayerWeights(widened, succ_c.bias)
+    have = succ_c.incoming.shape[_UNIT_AXIS]
+    if succ_s.incoming.shape[_UNIT_AXIS] > have:
+        widened = np.concatenate(
+            [succ_c.incoming, succ_s.incoming[..., have:, :]], axis=_UNIT_AXIS)
+        layers[s] = LayerWeights(widened, succ_c.bias)
     return ModelWeights(tuple(layers))
 
 
 def shape_lines(model: ModelWeights) -> list[str]:
-    """Human-readable shape dump: one line per layer (kind, in, out)."""
-    lines = []
-    for layer in model.layers:
-        if layer.kind == CONV1D:
-            k, cin, _ = layer.incoming.shape
-            lines.append(f"conv1d {k}x{cin} {layer.out_width}")
-        else:
-            lines.append(f"dense {layer.incoming.shape[0]} {layer.out_width}")
-    return lines
+    """Human-readable shape dump: one line per layer (kind, in, out), where
+    a conv layer's in is kernel x in_channels."""
+    return [f"{layer.kind} {'x'.join(map(str, layer.incoming.shape[:-1]))} "
+            f"{layer.out_width}" for layer in model.layers]

@@ -14,7 +14,7 @@ bundles for comparison.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -205,32 +205,14 @@ class RoundReport:
         return [fmt(getattr(self, col)) for col in CSV_COLUMNS]
 
     def record(self) -> dict:
-        """Structured per-round record for the JSONL stream."""
-        rec = {
-            "round": self.round,
-            "algorithm": self.algorithm,
-            "global_f1": self.global_f1,
-            "pers_mean": self.pers_mean,
-            "pers_std": self.pers_std,
-            "gen_mean": self.gen_mean,
-            "gen_std": self.gen_std,
-            "params": self.params,
-            "bytes_up": self.bytes_up,
-            "bytes_down": self.bytes_down,
-            "units_added": self.units_added,
-            "sub_rounds": self.sub_rounds,
-            "shape_signature": list(self.shape_signature),
-            "per_client_personalization": _str_keys(self.per_client_personalization),
-            "per_client_generalization": _str_keys(self.per_client_generalization),
-        }
-        if self.global_scores is not None:
-            rec["global_scores"] = {
-                "accuracy": self.global_scores.accuracy,
-                "precision": self.global_scores.precision,
-                "recall": self.global_scores.recall,
-                "macro_f1": self.global_scores.macro_f1,
-                "weighted_f1": self.global_scores.weighted_f1,
-            }
+        """Structured per-round record for the JSONL stream: every field,
+        with per-client keys as strings and global_scores only when
+        present."""
+        rec = asdict(self)
+        for key in ("per_client_personalization", "per_client_generalization"):
+            rec[key] = _str_keys(rec[key])
+        if rec["global_scores"] is None:
+            del rec["global_scores"]
         return rec
 
 

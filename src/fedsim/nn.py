@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import CONV1D, DENSE, MAXPOOL1D, SOFTMAX_OUTPUT, ModelArch
+from .arch import CONV1D, DENSE, MAXPOOL1D, PARAM_KINDS, SOFTMAX_OUTPUT, ModelArch
 from .fabric import LayerWeights, ModelWeights, ShapeError
 
 LOG_CLAMP = 1e-12  # probability floor inside cross-entropy, avoids -inf
@@ -101,102 +101,118 @@ def _as_batch_array(inputs: np.ndarray, arch: ModelArch, dtype) -> np.ndarray:
     return x
 
 
-def _flatten(x: np.ndarray) -> np.ndarray:
-    # channel-major: [N, T, C] -> [N, C*T]
-    n, t, c = x.shape
-    return x.transpose(0, 2, 1).reshape(n, c * t)
-
-
-def _unflatten(dx: np.ndarray, t: int, c: int) -> np.ndarray:
-    n = dx.shape[0]
-    return dx.reshape(n, c, t).transpose(0, 2, 1)
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _activate(spec, z, backward):
+    """Apply the layer's activation to the pre-activation z; the backward
+    closure (None in forward-only mode) gains the activation's derivative."""
+    if spec.activation != "relu":
+        return z, backward
+    return np.maximum(z, 0), (lambda da: backward(da * (z > 0))) if backward else None
+
+
+def _maxpool1d(spec, layer, a, where, keep):
+    if a.ndim != 3:
+        raise ShapeError(f"{where}: needs spatial input")
+    k = spec.kernel
+    n, t, c = a.shape
+    t_out = t // k
+    if t_out < 1:
+        raise ShapeError(f"{where}: pool kernel {k} exceeds length {t}")
+    blocks = a[:, :t_out * k, :].reshape(n, t_out, k, c)
+    idx = blocks.argmax(axis=2)
+    out = np.take_along_axis(blocks, idx[:, :, None, :], axis=2)[:, :, 0, :]
+
+    def backward(da):
+        dblocks = np.zeros((n, t_out, k, c), dtype=da.dtype)
+        np.put_along_axis(dblocks, idx[:, :, None, :], da[:, :, None, :], axis=2)
+        full = np.zeros((n, t, c), dtype=da.dtype)
+        full[:, :t_out * k, :] = dblocks.reshape(n, t_out * k, c)
+        return full, None
+
+    return out, backward if keep else None
+
+
+def _conv1d(spec, layer, a, where, keep):
+    if a.ndim != 3:
+        raise ShapeError(f"{where}: needs spatial input")
+    if layer.kind != CONV1D:
+        raise ShapeError(f"{where}: weights are {layer.kind}")
+    k, c_in, c_out = layer.incoming.shape
+    n, t, c = a.shape
+    if c != c_in:
+        raise ShapeError(f"{where}: {c} input channels, weights expect {c_in}")
+    if t < k:
+        raise ShapeError(f"{where}: kernel {k} exceeds length {t}")
+    t_out = t - k + 1
+    win = np.lib.stride_tricks.sliding_window_view(a, k, axis=1)  # [N,T_out,C,k]
+    cols = win.transpose(0, 1, 3, 2).reshape(n, t_out, k * c_in)
+    z = cols @ layer.incoming.reshape(k * c_in, c_out) + layer.bias
+
+    def backward(dzl):
+        dw = np.einsum("ntf,nto->fo", cols, dzl).reshape(k, c_in, c_out)
+        db = dzl.sum(axis=(0, 1))
+        dcols = dzl @ layer.incoming.reshape(k * c_in, c_out).T
+        dcols = dcols.reshape(n, t_out, k, c_in)
+        dx = np.zeros((n, t, c_in), dtype=dcols.dtype)
+        for i in range(k):
+            dx[:, i:i + t_out, :] += dcols[:, :, i, :]
+        return dx, (dw, db)
+
+    return _activate(spec, z, backward if keep else None)
+
+
+def _dense(spec, layer, a, where, keep):
+    # Also the softmax-output layer: its activation is "none", and _walk
+    # applies the softmax to the logits this returns.
+    spatial = a.ndim == 3
+    if spatial:  # channel-major flatten: [N, T, C] -> [N, C*T]
+        n, t, c = a.shape
+        a = a.transpose(0, 2, 1).reshape(n, c * t)
+    if layer.kind != DENSE:
+        raise ShapeError(f"{where}: weights are {layer.kind}")
+    if a.shape[1] != layer.incoming.shape[0]:
+        raise ShapeError(
+            f"{where}: {a.shape[1]} inputs, weights expect "
+            f"{layer.incoming.shape[0]}"
+        )
+    z = a @ layer.incoming + layer.bias
+
+    def backward(dzl):
+        dx = dzl @ layer.incoming.T
+        if spatial:
+            dx = dx.reshape(n, c, t).transpose(0, 2, 1)
+        return dx, (a.T @ dzl, dzl.sum(axis=0))
+
+    return _activate(spec, z, backward if keep else None)
+
+
+# The one dispatch on layer kind: forward(spec, layer, a, where, keep) returns
+# the layer output and, when keep is true, a closure mapping the gradient of
+# that output to (gradient of the input, (dW, db) or None).
+_FORWARD = {DENSE: _dense, CONV1D: _conv1d, MAXPOOL1D: _maxpool1d,
+            SOFTMAX_OUTPUT: _dense}
+
+
 def _walk(model: ModelWeights, arch: ModelArch, x: np.ndarray, keep: bool):
-    """Run the stack; returns (probabilities, caches) where caches hold what
-    backward() needs (None when keep is False)."""
-    caches: list[dict] | None = [] if keep else None
+    """Run the stack; returns (probabilities, backward closures in layer
+    order), the closures being None when keep is False."""
+    backwards = []
     a = x
     li = 0
     for i, spec in enumerate(arch.layers):
-        where = f"layer {i} ({spec.kind})"
-        if spec.kind == MAXPOOL1D:
-            if a.ndim != 3:
-                raise ShapeError(f"{where}: needs spatial input")
-            k = spec.kernel
-            n, t, c = a.shape
-            t_out = t // k
-            if t_out < 1:
-                raise ShapeError(f"{where}: pool kernel {k} exceeds length {t}")
-            blocks = a[:, :t_out * k, :].reshape(n, t_out, k, c)
-            idx = blocks.argmax(axis=2)
-            a_next = np.take_along_axis(blocks, idx[:, :, None, :], axis=2)[:, :, 0, :]
-            if keep:
-                caches.append({"kind": MAXPOOL1D, "idx": idx, "t": t, "k": k})
-            a = a_next
-            continue
-
-        layer = model.layers[li]
-        li += 1
-        if spec.kind == CONV1D:
-            if a.ndim != 3:
-                raise ShapeError(f"{where}: needs spatial input")
-            if layer.kind != CONV1D:
-                raise ShapeError(f"{where}: weights are {layer.kind}")
-            k, c_in, c_out = layer.incoming.shape
-            n, t, c = a.shape
-            if c != c_in:
-                raise ShapeError(f"{where}: {c} input channels, weights expect {c_in}")
-            if t < k:
-                raise ShapeError(f"{where}: kernel {k} exceeds length {t}")
-            t_out = t - k + 1
-            win = np.lib.stride_tricks.sliding_window_view(a, k, axis=1)  # [N,T_out,C,k]
-            cols = win.transpose(0, 1, 3, 2).reshape(n, t_out, k * c_in)
-            z = cols @ layer.incoming.reshape(k * c_in, c_out) + layer.bias
-            out = np.maximum(z, 0) if spec.activation == "relu" else z
-            if keep:
-                caches.append({"kind": CONV1D, "cols": cols, "z": z,
-                               "t": t, "shape": (k, c_in, c_out),
-                               "activation": spec.activation, "li": li - 1})
-            a = out
-            continue
-
-        # dense or softmax-output
-        was_spatial = a.ndim == 3
-        if was_spatial:
-            n, t, c = a.shape
-            a2 = _flatten(a)
-        else:
-            t = c = 0
-            a2 = a
-        if layer.kind != DENSE:
-            raise ShapeError(f"{where}: weights are {layer.kind}")
-        if a2.shape[1] != layer.incoming.shape[0]:
-            raise ShapeError(
-                f"{where}: {a2.shape[1]} inputs, weights expect "
-                f"{layer.incoming.shape[0]}"
-            )
-        z = a2 @ layer.incoming + layer.bias
-        if spec.kind == SOFTMAX_OUTPUT:
-            probs = _softmax(z)
-            if keep:
-                caches.append({"kind": SOFTMAX_OUTPUT, "a2": a2, "probs": probs,
-                               "spatial": (t, c) if was_spatial else None,
-                               "li": li - 1})
-            return probs, caches
-        out = np.maximum(z, 0) if spec.activation == "relu" else z
-        if keep:
-            caches.append({"kind": DENSE, "a2": a2, "z": z,
-                           "spatial": (t, c) if was_spatial else None,
-                           "activation": spec.activation, "li": li - 1})
-        a = out
-    raise ShapeError("architecture has no softmax-output layer")
+        layer = None
+        if spec.kind in PARAM_KINDS:
+            layer = model.layers[li]
+            li += 1
+        a, backward = _FORWARD[spec.kind](spec, layer, a,
+                                          f"layer {i} ({spec.kind})", keep)
+        backwards.append(backward)
+    return _softmax(a), backwards
 
 
 def forward(model: ModelWeights, arch: ModelArch, inputs: np.ndarray) -> np.ndarray:
@@ -236,7 +252,7 @@ def _gradients(model: ModelWeights, arch: ModelArch, x: np.ndarray,
 
     Returns (loss_value, [(dW, db), ...]) ordered like model.layers.
     """
-    probs, caches = _walk(model, arch, x, keep=True)
+    probs, backwards = _walk(model, arch, x, keep=True)
     labels = np.asarray(labels, dtype=np.intp)
     n = len(labels)
     if n and (labels.min() < 0 or labels.max() >= probs.shape[1]):
@@ -254,54 +270,12 @@ def _gradients(model: ModelWeights, arch: ModelArch, x: np.ndarray,
     dz[np.arange(n), labels] -= 1.0
     dz *= (w_ex / n)[:, None]
 
-    grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(model.layers)
-    da = None
-    for cache in reversed(caches):
-        kind = cache["kind"]
-        if kind == SOFTMAX_OUTPUT:
-            layer = model.layers[cache["li"]]
-            a2 = cache["a2"]
-            grads[cache["li"]] = (a2.T @ dz, dz.sum(axis=0))
-            da = dz @ layer.incoming.T
-            if cache["spatial"] is not None:
-                t, c = cache["spatial"]
-                da = _unflatten(da, t, c)
-        elif kind == DENSE:
-            layer = model.layers[cache["li"]]
-            dzl = da
-            if cache["activation"] == "relu":
-                dzl = dzl * (cache["z"] > 0)
-            a2 = cache["a2"]
-            grads[cache["li"]] = (a2.T @ dzl, dzl.sum(axis=0))
-            da = dzl @ layer.incoming.T
-            if cache["spatial"] is not None:
-                t, c = cache["spatial"]
-                da = _unflatten(da, t, c)
-        elif kind == CONV1D:
-            layer = model.layers[cache["li"]]
-            k, c_in, c_out = cache["shape"]
-            dzl = da
-            if cache["activation"] == "relu":
-                dzl = dzl * (cache["z"] > 0)
-            cols = cache["cols"]  # [N, T_out, k*C_in]
-            dw = np.einsum("ntf,nto->fo", cols, dzl).reshape(k, c_in, c_out)
-            db = dzl.sum(axis=(0, 1))
-            grads[cache["li"]] = (dw, db)
-            dcols = dzl @ layer.incoming.reshape(k * c_in, c_out).T
-            dcols = dcols.reshape(dcols.shape[0], dcols.shape[1], k, c_in)
-            da = np.zeros((dcols.shape[0], cache["t"], c_in), dtype=dcols.dtype)
-            t_out = dcols.shape[1]
-            for i in range(k):
-                da[:, i:i + t_out, :] += dcols[:, :, i, :]
-        elif kind == MAXPOOL1D:
-            idx, t, k = cache["idx"], cache["t"], cache["k"]
-            n_ex, t_out, c = da.shape
-            dblocks = np.zeros((n_ex, t_out, k, c), dtype=da.dtype)
-            np.put_along_axis(dblocks, idx[:, :, None, :], da[:, :, None, :], axis=2)
-            full = np.zeros((n_ex, t, c), dtype=da.dtype)
-            full[:, :t_out * k, :] = dblocks.reshape(n_ex, t_out * k, c)
-            da = full
-    return data_loss, [g for g in grads if g is not None]
+    grads = []
+    for backward in reversed(backwards):
+        dz, grad = backward(dz)
+        if grad is not None:
+            grads.append(grad)
+    return data_loss, grads[::-1]
 
 
 def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,

@@ -26,9 +26,11 @@ from .aggregation import (
     ClientRuntime,
     CommLedger,
     FedDistConfig,
+    LedgerSummary,
     fedavg_round,
     feddist_round,
     fedprox_round,
+    ledger_totals,
 )
 from .arch import ModelArch
 from .container import serialize_model
@@ -263,19 +265,52 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
     executor = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
     try:
         if cfg.algorithm == "centralized":
-            return _run_centralized(cfg, arch, states, global_test, init, on_report)
-        if cfg.algorithm == "local-only":
-            return _run_local_only(cfg, arch, states, global_test, on_report)
-        return _run_federated(cfg, arch, states, global_test, init, on_report,
-                              executor)
+            rounds = _centralized_rounds(cfg, arch, states, init)
+        elif cfg.algorithm == "local-only":
+            rounds = _local_only_rounds(cfg, arch, states)
+        else:
+            rounds = _federated_rounds(cfg, arch, states, init, executor)
+        reports: list[RoundReport] = []
+        ledgers: list[CommLedger] = []
+        for t, (ledger, model, active) in enumerate(rounds, start=1):
+            ledgers.append(ledger)
+            if t % cfg.eval_every == 0:
+                # Report columns total every round since the previous tick.
+                totals = ledger_totals(ledgers[-cfg.eval_every:])
+                report = _evaluate_tick(arch, states, active, model, global_test,
+                                        t, totals, cfg.algorithm)
+                reports.append(report)
+                if on_report:
+                    on_report(report)
+        return ExperimentResult(tuple(reports), tuple(ledgers), model,
+                                tuple(states), global_test)
     finally:
         if executor is not None:
             executor.shutdown()
 
 
 def _evaluate_tick(arch, states, active, server, global_test, t,
-                   ledger: CommLedger, algorithm: str) -> RoundReport:
+                   totals: LedgerSummary, algorithm: str) -> RoundReport:
+    """Score round t.  The global view needs a server model; the
+    personalization and generalization views need active clients, so a
+    centralized run (no clients) reports only the global view."""
     bundle = evaluate_global(server, arch, global_test) if server is not None else None
+    model = server if server is not None else states[0].model
+    report = RoundReport(
+        round=t,
+        algorithm=algorithm,
+        global_f1=bundle.macro_f1 if bundle else None,
+        pers_mean=None, pers_std=None, gen_mean=None, gen_std=None,
+        params=model.parameter_count,
+        bytes_up=totals.bytes_up,
+        bytes_down=totals.bytes_down,
+        units_added=sum(totals.growth_trajectory),
+        shape_signature=model.shape_signature,
+        global_scores=bundle,
+        sub_rounds=totals.sub_rounds,
+    )
+    if not active:
+        return report
 
     scored = [states[k] for k in active]
     _, _, pers_scores = evaluate_personalization(
@@ -289,33 +324,22 @@ def _evaluate_tick(arch, states, active, server, global_test, t,
         [st.best_model for st in evaluated], arch, global_test)
 
     pers = np.asarray(pers_scores)
-    params = server.parameter_count if server is not None else states[0].model.parameter_count
-    shape = server.shape_signature if server is not None else states[0].model.shape_signature
-    return RoundReport(
-        round=t,
-        algorithm=algorithm,
-        global_f1=bundle.macro_f1 if bundle else None,
+    return replace(
+        report,
         pers_mean=float(pers.mean()),
         pers_std=float(pers.std()),
         gen_mean=gen_mean,
         gen_std=gen_std,
-        params=params,
-        bytes_up=ledger.bytes_up,
-        bytes_down=ledger.bytes_down,
-        units_added=ledger.total_units_added,
-        shape_signature=shape,
-        global_scores=bundle,
         per_client_personalization={st.id: s for st, s in zip(scored, pers_scores)},
         per_client_generalization={st.id: s for st, s in zip(evaluated, gen_scores)},
-        sub_rounds=ledger.sub_rounds,
     )
 
 
-def _run_federated(cfg, arch, states, global_test, init, on_report,
-                   executor) -> ExperimentResult:
-    server = init
-    reports: list[RoundReport] = []
-    ledgers: list[CommLedger] = []
+# Round generators: each yields (ledger, model, active client ids) once per
+# round, where model is the server model (None when there is none).
+
+
+def _federated_rounds(cfg, arch, states, server, executor):
     for t in range(1, cfg.rounds + 1):
         rng = np.random.default_rng(_seq(cfg.seed, 3, t))
         active = active_clients(cfg.scenario, t, len(states), rng)
@@ -342,71 +366,34 @@ def _run_federated(cfg, arch, states, global_test, init, on_report,
         server = outcome.server
         for k, model in outcome.client_models.items():
             states[k].model = model
-        ledgers.append(outcome.ledger)
-
-        if t % cfg.eval_every == 0:
-            report = _evaluate_tick(arch, states, active, server,
-                                    global_test, t, outcome.ledger, cfg.algorithm)
-            reports.append(report)
-            if on_report:
-                on_report(report)
-    return ExperimentResult(tuple(reports), tuple(ledgers), server,
-                            tuple(states), global_test)
+        yield outcome.ledger, server, active
 
 
-def _run_local_only(cfg, arch, states, global_test, on_report) -> ExperimentResult:
+def _local_only_rounds(cfg, arch, states):
     """No aggregation: every client trains its own model for E epochs per
     round (T*E local epochs in total, matching FL gradient budgets)."""
-    reports: list[RoundReport] = []
-    ledgers: list[CommLedger] = []
     everyone = tuple(range(len(states)))
     for t in range(1, cfg.rounds + 1):
         for st in states:
             st.model, _ = train_local(st.model, arch,
                                       Batch(st.train.windows, st.train.labels),
                                       st.cfg, _train_seed(cfg.seed, t, st.id))
-        ledger = CommLedger(t, "local-only")
-        ledgers.append(ledger)
-        if t % cfg.eval_every == 0:
-            report = _evaluate_tick(arch, states, everyone, None,
-                                    global_test, t, ledger, "local-only")
-            reports.append(report)
-            if on_report:
-                on_report(report)
-    return ExperimentResult(tuple(reports), tuple(ledgers), None,
-                            tuple(states), global_test)
+        yield CommLedger(t, "local-only"), None, everyone
 
 
-def _run_centralized(cfg, arch, states, global_test, init, on_report) -> ExperimentResult:
+def _centralized_rounds(cfg, arch, states, init):
     """Conventional training on the pooled client data; personalization and
-    generalization views do not apply."""
+    generalization views do not apply, so no client is active."""
     pooled = concat_window_sets(st.train for st in states)
     central_cfg = replace(cfg.training,
                           class_weights=balanced_class_weights(pooled.labels,
                                                                arch.classes),
                           proximal_coefficient=0.0, reference_weights=None)
     model = init
-    reports: list[RoundReport] = []
-    ledgers: list[CommLedger] = []
     for t in range(1, cfg.rounds + 1):
         model, _ = train_local(model, arch, Batch(pooled.windows, pooled.labels),
                                central_cfg, _train_seed(cfg.seed, t, 0))
-        ledger = CommLedger(t, "centralized")
-        ledgers.append(ledger)
-        if t % cfg.eval_every == 0:
-            bundle = evaluate_global(model, arch, global_test)
-            report = RoundReport(
-                round=t, algorithm="centralized",
-                global_f1=bundle.macro_f1,
-                pers_mean=None, pers_std=None, gen_mean=None, gen_std=None,
-                params=model.parameter_count,
-                bytes_up=0, bytes_down=0, units_added=0,
-                shape_signature=model.shape_signature, global_scores=bundle)
-            reports.append(report)
-            if on_report:
-                on_report(report)
-    return ExperimentResult(tuple(reports), tuple(ledgers), model,
-                            tuple(states), global_test)
+        yield CommLedger(t, "centralized"), model, ()
 
 
 def rerun_with_final_shape(cfg: ExperimentConfig,

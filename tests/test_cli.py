@@ -142,14 +142,21 @@ class TestRunCommand:
         assert (out1 / "rounds.jsonl").read_bytes() == (out2 / "rounds.jsonl").read_bytes()
         assert (out1 / "model.bin").read_bytes() == (out2 / "model.bin").read_bytes()
 
-    def test_shape_dump_consistent_with_csv_growth(self, tmp_path):
-        cfg = write(tmp_path, TINY_RUN % "feddist")
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    def test_shape_dump_consistent_with_csv_growth(self, tmp_path, eval_every):
+        # Rows total the growth of every round since the previous row, so the
+        # invariant holds whatever the evaluation cadence.  A low threshold
+        # makes this config grow in rounds that are not evaluated.
+        text = (TINY_RUN % "feddist").replace("rounds: 3\n", "rounds: 6\n")
+        cfg = write(tmp_path, text + f"eval_every: {eval_every}\n"
+                    "feddist:\n  base_sigma_multiplier: 1.0\n")
         out = tmp_path / "fd"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         with open(out / "rounds.csv") as fh:
             rows = list(csv.DictReader(fh))
         total_added = sum(int(r["units_added"]) for r in rows)
         first_width = int((out / "shape.txt").read_text().split("\n")[0].split()[-1])
+        assert first_width > 8
         assert first_width == 8 + total_added
 
     def test_failed_run_marks_manifest(self, tmp_path, monkeypatch):

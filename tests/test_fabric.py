@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim import (
+    LayerSpec,
+    ModelArch,
     ModelWeights,
     append_neuron,
     byte_size,
@@ -184,6 +186,55 @@ class TestAppendNeuron:
         # donor block lands at the tail
         assert np.array_equal(grown.layers[1].incoming[6 * pooled:, :], rows)
 
+    def test_conv_to_conv_channel_growth(self, rng):
+        arch = ModelArch(24, 2, (
+            LayerSpec("conv1d", width=3, kernel=3, activation="relu"),
+            LayerSpec("conv1d", width=4, kernel=5, activation="relu"),
+            LayerSpec("maxpool1d", kernel=2),
+            LayerSpec("dense", width=5, activation="relu"),
+            LayerSpec("softmax-output", width=3),
+        ))
+        model = init_model(arch, 21)
+        donor = init_model(arch, 22)
+        assert successor_rows_per_unit(model, 0) == 1
+        nv = neuron_vector(donor.layers[0], 1)
+        rows = donor_successor_rows(donor, 0, 1)
+        grown = append_neuron(model, 0, nv, rows)
+        assert grown.shape_signature == (4, 4, 5, 3)
+        assert grown.layers[0].incoming.shape == (3, 2, 4)
+        assert grown.layers[1].incoming.shape == (5, 4, 4)
+        # existing coordinates are untouched
+        assert np.array_equal(grown.layers[0].incoming[..., :3],
+                              model.layers[0].incoming)
+        assert np.array_equal(grown.layers[0].bias[:3], model.layers[0].bias)
+        assert np.array_equal(grown.layers[1].incoming[:, :3, :],
+                              model.layers[1].incoming)
+        assert np.array_equal(grown.layers[1].bias, model.layers[1].bias)
+        for i in (2, 3):
+            assert np.array_equal(grown.layers[i].incoming, model.layers[i].incoming)
+        # the donor filter and its channel slice land at the tail
+        assert np.array_equal(grown.layers[0].incoming[..., 3],
+                              donor.layers[0].incoming[..., 1])
+        assert grown.layers[0].bias[3] == donor.layers[0].bias[1]
+        assert np.array_equal(grown.layers[1].incoming[:, 3, :],
+                              donor.layers[1].incoming[:, 1, :])
+        # the [kernel, out] slice without the unit axis is accepted too
+        assert models_bit_equal(
+            append_neuron(model, 0, nv, donor.layers[1].incoming[:, 1, :]), grown)
+        x = rng.normal(size=(6, 24, 2))
+        assert np.abs(forward(grown, arch, x).sum(axis=1) - 1).max() < 1e-12
+
+        client = init_model(arch, 23)
+        conformed = conform_to_shape(client, grown, upto_layer=0)
+        assert conformed.shape_signature == grown.shape_signature
+        assert np.array_equal(conformed.layers[0].incoming, grown.layers[0].incoming)
+        assert np.array_equal(conformed.layers[1].incoming[:, :3, :],
+                              client.layers[1].incoming)
+        assert np.array_equal(conformed.layers[1].incoming[:, 3, :],
+                              grown.layers[1].incoming[:, 3, :])
+        assert np.array_equal(conformed.layers[1].bias, client.layers[1].bias)
+        assert np.abs(forward(conformed, arch, x).sum(axis=1) - 1).max() < 1e-12
+
     def test_output_layer_growth_rejected(self):
         model, _ = small_dense_model()
         nv = NeuronVector(np.zeros(3))
@@ -300,6 +351,12 @@ class TestContainer:
             deserialize_model(blob[:-4])
         with pytest.raises(ContainerError, match="trailing"):
             deserialize_model(blob + b"\x00")
+        # a conv record relabelled as dense (kind byte 0) must not load as conv
+        conv_blob = serialize_model(init_model(conv_arch(), 0))
+        assert conv_blob[HEADER_SIZE] == 1
+        relabelled = conv_blob[:HEADER_SIZE] + b"\x00" + conv_blob[HEADER_SIZE + 1:]
+        with pytest.raises(ContainerError, match="kind code 0"):
+            deserialize_model(relabelled)
 
     def test_shape_metadata_is_fixed_size(self):
         a, _ = small_dense_model(1)
