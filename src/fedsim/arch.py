@@ -50,8 +50,10 @@ class LayerSpec:
                 raise ArchError(f"{self.kind} layer needs kernel >= 1")
         if self.activation not in ACTIVATIONS:
             raise ArchError(f"unknown activation {self.activation!r}")
-        if self.kind == SOFTMAX_OUTPUT and self.activation != "none":
-            raise ArchError("softmax-output applies softmax; no extra activation")
+        # A relu after a max pool equals one before it (relu commutes with
+        # max), so the pool takes none; softmax-output applies its own.
+        if self.kind in (MAXPOOL1D, SOFTMAX_OUTPUT) and self.activation != "none":
+            raise ArchError(f"{self.kind} layer takes no activation")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Experiment configuration: YAML schema, strict validation, defaults.
 
-The file format is one experiment per file.  Unknown keys are rejected with
-their full key path so a misspelled option can never silently fall back to
-a default.  Defaults fill in 200 communication rounds and 5 local epochs.
+One experiment per file.  A key is a field of the dataclass its section
+builds, with that field's type and default, so a new field is a new key
+with no edit here.  Unknown keys are rejected with their full key path so a
+misspelled option can never silently fall back to a default.  Defaults fill
+in 200 communication rounds and 5 local epochs.
 
 A minimal config:
 
@@ -25,24 +27,46 @@ See README.md for the full key reference.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import types
+import typing
+
 import yaml
 
-from .aggregation import FedDistConfig
-from .arch import LayerSpec, ModelArch
-from .data import DeviceTransform, SyntheticSpec
+from .arch import ModelArch
+from .data import SyntheticSpec
 from .nn import TrainingConfig
-from .scheduler import CsvDataSpec, ExperimentConfig, ScenarioSpec
+from .scheduler import CsvDataSpec, ExperimentConfig
 
 
 class ConfigError(ValueError):
     """Raised for unparsable or invalid configuration."""
 
 
+# Where the file's layout departs from the dataclasses.  local_epochs sits at
+# the top level but lives in TrainingConfig, whose other keys are these three
+# (the rest of it is set per round by the algorithms); data holds exactly one
+# of the sources below; init_variant is set by rerun_with_final_shape, never
+# by a file.
+_TRAINING_KEYS = ("learning_rate", "batch_size", "proximal_coefficient")
+_DATA_KINDS = {"synthetic": SyntheticSpec, "csv": CsvDataSpec}
+_SECTIONS = ("model", "data", "training")
+_PLAIN_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig)
+                    if f.name not in (*_SECTIONS, "init_variant"))
+
+# Resolving the annotations is most of the cost of a parse: once per class.
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
 def _check_keys(mapping: dict, allowed, path: str) -> None:
     for key in mapping:
         if key not in allowed:
-            where = f"{path}.{key}" if path else str(key)
-            raise ConfigError(f"unknown key {key!r} at {where}")
+            raise ConfigError(f"unknown key {key!r} at {_join(path, key)}")
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -51,120 +75,84 @@ def _require_mapping(value, path: str) -> dict:
     return value
 
 
-def _get(mapping: dict, key: str, path: str, kind, default):
+def _required(mapping: dict, key: str, path: str):
     if key not in mapping:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key {path}.{key}")
-        return default
-    value = mapping[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise ConfigError(f"missing required key {_join(path, key)}")
+    return mapping[key]
+
+
+def _typed(value, hint, path: str):
+    """value checked against the resolved annotation hint.  An int is taken
+    for a float, a bool is never taken for an int, a list is read as a tuple
+    element by element, and a mapping as a nested dataclass."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        return _typed(value, hint, path)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list, got {type(value).__name__}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{path} must hold {len(args)} items, got {len(value)}")
+        return tuple(_typed(v, a, f"{path}[{i}]")
+                     for i, (v, a) in enumerate(zip(value, args)))
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, _values(hint, value, path), path)
+    if hint is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, hint) or isinstance(value, bool) and hint is not bool:
         raise ConfigError(
-            f"{path}.{key} must be {getattr(kind, '__name__', kind)}, "
-            f"got {type(value).__name__}"
-        )
+            f"{path} must be {hint.__name__}, got {type(value).__name__}")
     return value
 
 
-_REQUIRED = object()
-
-
-def _pair(value, path: str, kind=float) -> tuple:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path} must be a [low, high] pair")
-    return tuple(kind(v) for v in value)
-
-
-def _parse_model(section, path: str) -> ModelArch:
+def _values(cls, section, path: str, keys=None) -> dict:
+    """Each key of section read as its field of cls; keys narrows the fields."""
     section = _require_mapping(section, path)
-    _check_keys(section, {"input", "layers"}, path)
-    if "input" not in section:
-        raise ConfigError(f"missing required key {path}.input")
-    length, channels = _pair(section["input"], f"{path}.input", int)
-    layers_raw = section.get("layers")
-    if not isinstance(layers_raw, list) or not layers_raw:
-        raise ConfigError(f"{path}.layers must be a non-empty list")
-    layers = []
-    for i, entry in enumerate(layers_raw):
-        lp = f"{path}.layers[{i}]"
-        entry = _require_mapping(entry, lp)
-        _check_keys(entry, {"kind", "width", "kernel", "activation"}, lp)
-        kind = _get(entry, "kind", lp, str, _REQUIRED)
-        try:
-            layers.append(LayerSpec(
-                kind=kind,
-                width=_get(entry, "width", lp, int, None),
-                kernel=_get(entry, "kernel", lp, int, None),
-                activation=_get(entry, "activation", lp, str, "none"),
-            ))
-        except ValueError as exc:
-            raise ConfigError(f"{lp}: {exc}") from None
+    hints = _hints(cls)
+    _check_keys(section, keys or [f.name for f in dataclasses.fields(cls)], path)
+    return {key: _typed(value, hints[key], _join(path, key))
+            for key, value in section.items()}
+
+
+def _build(cls, values: dict, path: str):
+    """cls(**values); a field with no default must be among values."""
+    for f in dataclasses.fields(cls):
+        if (f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING):
+            _required(values, f.name, path)
     try:
-        return ModelArch(length, channels, tuple(layers))
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
 
 
-def _parse_synthetic(section, path: str, default_seed: int) -> SyntheticSpec:
-    section = _require_mapping(section, path)
-    _check_keys(section, {"clients", "classes", "dirichlet_alpha",
-                          "samples_per_client", "device", "channels",
-                          "sample_rate", "segment_range", "noise",
-                          "train_fraction", "seed"}, path)
-    device = DeviceTransform()
-    if "device" in section:
-        dp = f"{path}.device"
-        dsec = _require_mapping(section["device"], dp)
-        _check_keys(dsec, {"scale_range", "offset_range", "rotation"}, dp)
-        device = DeviceTransform(
-            scale_range=_pair(dsec["scale_range"], f"{dp}.scale_range")
-            if "scale_range" in dsec else DeviceTransform.scale_range,
-            offset_range=_pair(dsec["offset_range"], f"{dp}.offset_range")
-            if "offset_range" in dsec else DeviceTransform.offset_range,
-            rotation=_get(dsec, "rotation", dp, bool, True),
-        )
-    try:
-        return SyntheticSpec(
-            clients=_get(section, "clients", path, int, _REQUIRED),
-            classes=_get(section, "classes", path, int, _REQUIRED),
-            dirichlet_alpha=_get(section, "dirichlet_alpha", path, float, _REQUIRED),
-            samples_per_client=_pair(section["samples_per_client"],
-                                     f"{path}.samples_per_client", int)
-            if "samples_per_client" in section else (3000, 6000),
-            device=device,
-            channels=_get(section, "channels", path, int, 6),
-            sample_rate=_get(section, "sample_rate", path, float, 50.0),
-            segment_range=_pair(section["segment_range"],
-                                f"{path}.segment_range", int)
-            if "segment_range" in section else (160, 320),
-            noise=_get(section, "noise", path, float, 0.3),
-            train_fraction=_get(section, "train_fraction", path, float, 0.8),
-            seed=_get(section, "seed", path, int, default_seed),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+def _read_model(section) -> ModelArch:
+    section = _require_mapping(section, "model")
+    _check_keys(section, ("input", "layers"), "model")
+    length, channels = _typed(_required(section, "input", "model"),
+                              tuple[int, int], "model.input")
+    layers = _typed(_required(section, "layers", "model"),
+                    _hints(ModelArch)["layers"], "model.layers")
+    return _build(ModelArch, {"input_length": length, "input_channels": channels,
+                              "layers": layers}, "model")
 
 
-def _parse_csv(section, path: str) -> CsvDataSpec:
-    section = _require_mapping(section, path)
-    _check_keys(section, {"paths", "classes", "sample_rate_hz", "target_hz",
-                          "train_fraction", "window_length", "window_step"}, path)
-    paths = section.get("paths")
-    if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
-        raise ConfigError(f"{path}.paths must be a list of file paths")
-    target = section.get("target_hz", 50.0)
-    if target is not None and not isinstance(target, (int, float)):
-        raise ConfigError(f"{path}.target_hz must be a number or null")
-    return CsvDataSpec(
-        paths=tuple(paths),
-        classes=_get(section, "classes", path, int, _REQUIRED),
-        sample_rate_hz=_get(section, "sample_rate_hz", path, float, 50.0),
-        target_hz=float(target) if target is not None else None,
-        train_fraction=_get(section, "train_fraction", path, float, 0.8),
-        window_length=_get(section, "window_length", path, int, 128),
-        window_step=_get(section, "window_step", path, int, 64),
-    )
+def _read_data(section, seed: int) -> SyntheticSpec | CsvDataSpec:
+    section = _require_mapping(section, "data")
+    _check_keys(section, _DATA_KINDS, "data")
+    if len(section) != 1:
+        raise ConfigError("data needs exactly one of: synthetic, csv")
+    ((kind, body),) = section.items()
+    cls, path = _DATA_KINDS[kind], f"data.{kind}"
+    values = _values(cls, body, path)
+    if cls is SyntheticSpec:  # the generator's seed follows the experiment's
+        values.setdefault("seed", seed)
+    return _build(cls, values, path)
 
 
 def parse_config_dict(raw: dict) -> ExperimentConfig:
@@ -173,88 +161,19 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     if "resolved_config" in raw:  # a manifest: rerun its embedded config
         return parse_config_dict(_require_mapping(raw["resolved_config"],
                                                   "resolved_config"))
-    top = {"algorithm", "rounds", "clients", "local_epochs", "seed", "precision",
-           "eval_every", "threads", "model", "data", "training", "feddist",
-           "scenario"}
-    _check_keys(raw, top, "")
-
-    algorithm = _get(raw, "algorithm", "", str, _REQUIRED)
-    seed = _get(raw, "seed", "", int, 0)
-    local_epochs = _get(raw, "local_epochs", "", int, 5)
-
-    model = _parse_model(raw.get("model"), "model")
-
-    if "data" not in raw:
-        raise ConfigError("missing required key data")
-    dsec = _require_mapping(raw["data"], "data")
-    _check_keys(dsec, {"synthetic", "csv"}, "data")
-    if ("synthetic" in dsec) == ("csv" in dsec):
-        raise ConfigError("data needs exactly one of: synthetic, csv")
-    if "synthetic" in dsec:
-        data = _parse_synthetic(dsec["synthetic"], "data.synthetic", seed)
-    else:
-        data = _parse_csv(dsec["csv"], "data.csv")
-
-    tsec = _require_mapping(raw.get("training", {}), "training")
-    _check_keys(tsec, {"learning_rate", "batch_size", "proximal_coefficient"},
-                "training")
-    try:
-        training = TrainingConfig(
-            local_epochs=local_epochs,
-            learning_rate=_get(tsec, "learning_rate", "training", float, 0.05),
-            batch_size=_get(tsec, "batch_size", "training", int, 16),
-            proximal_coefficient=_get(tsec, "proximal_coefficient", "training",
-                                      float, 0.01),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"training: {exc}") from None
-
-    fsec = _require_mapping(raw.get("feddist", {}), "feddist")
-    _check_keys(fsec, {"beta", "base_sigma_multiplier",
-                       "max_new_units_per_layer_per_round", "layerwise_epochs"},
-                "feddist")
-    try:
-        feddist = FedDistConfig(
-            beta=_get(fsec, "beta", "feddist", float, 0.1),
-            base_sigma_multiplier=_get(fsec, "base_sigma_multiplier", "feddist",
-                                       float, 3.0),
-            max_new_units_per_layer_per_round=_get(
-                fsec, "max_new_units_per_layer_per_round", "feddist", int, 8),
-            layerwise_epochs=_get(fsec, "layerwise_epochs", "feddist", int, None),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"feddist: {exc}") from None
-
-    ssec = _require_mapping(raw.get("scenario", {}), "scenario")
-    _check_keys(ssec, {"kind", "start_count", "interval_rounds", "sample_size"},
-                "scenario")
-    try:
-        scenario = ScenarioSpec(
-            kind=_get(ssec, "kind", "scenario", str, "full"),
-            start_count=_get(ssec, "start_count", "scenario", int, 2),
-            interval_rounds=_get(ssec, "interval_rounds", "scenario", int, 14),
-            sample_size=_get(ssec, "sample_size", "scenario", int, 8),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from None
-
-    try:
-        return ExperimentConfig(
-            algorithm=algorithm,
-            model=model,
-            data=data,
-            rounds=_get(raw, "rounds", "", int, 200),
-            clients=_get(raw, "clients", "", int, None),
-            scenario=scenario,
-            training=training,
-            feddist=feddist,
-            seed=seed,
-            precision=_get(raw, "precision", "", str, "float64"),
-            eval_every=_get(raw, "eval_every", "", int, 1),
-            threads=_get(raw, "threads", "", int, 1),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    _check_keys(raw, (*_PLAIN_KEYS, *_SECTIONS, "local_epochs"), "")
+    values = _values(ExperimentConfig,
+                     {k: v for k, v in raw.items() if k in _PLAIN_KEYS}, "")
+    training = _values(TrainingConfig, raw.get("training", {}), "training",
+                       _TRAINING_KEYS)
+    training.setdefault("proximal_coefficient", 0.01)
+    if "local_epochs" in raw:
+        training["local_epochs"] = _typed(raw["local_epochs"], int, "local_epochs")
+    values["training"] = _build(TrainingConfig, training, "training")
+    values["model"] = _read_model(_required(raw, "model", ""))
+    values["data"] = _read_data(_required(raw, "data", ""),
+                                values.get("seed", ExperimentConfig.seed))
+    return _build(ExperimentConfig, values, "")
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -271,69 +190,26 @@ def parse_config(path) -> ExperimentConfig:
     return parse_config_dict(raw)
 
 
+def _dump(value):
+    """value as plain YAML data: a dataclass as the mapping of its fields,
+    without a None that sits at a None default, and a tuple as a list."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _dump(getattr(value, f.name))
+                for f in dataclasses.fields(value)
+                if not (f.default is None and getattr(value, f.name) is None)}
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    return value
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Round-trippable plain mapping of a resolved config (all defaults
     expanded); parse_config_dict(config_to_dict(cfg)) == cfg."""
-    model = {
-        "input": [cfg.model.input_length, cfg.model.input_channels],
-        "layers": [
-            {k: v for k, v in (("kind", s.kind), ("width", s.width),
-                               ("kernel", s.kernel), ("activation", s.activation))
-             if v is not None}
-            for s in cfg.model.layers
-        ],
-    }
-    if isinstance(cfg.data, SyntheticSpec):
-        d = cfg.data
-        data = {"synthetic": {
-            "clients": d.clients, "classes": d.classes,
-            "dirichlet_alpha": d.dirichlet_alpha,
-            "samples_per_client": list(d.samples_per_client),
-            "device": {"scale_range": list(d.device.scale_range),
-                       "offset_range": list(d.device.offset_range),
-                       "rotation": d.device.rotation},
-            "channels": d.channels, "sample_rate": d.sample_rate,
-            "segment_range": list(d.segment_range), "noise": d.noise,
-            "train_fraction": d.train_fraction, "seed": d.seed,
-        }}
-    else:
-        c = cfg.data
-        data = {"csv": {
-            "paths": list(c.paths), "classes": c.classes,
-            "sample_rate_hz": c.sample_rate_hz, "target_hz": c.target_hz,
-            "train_fraction": c.train_fraction,
-            "window_length": c.window_length, "window_step": c.window_step,
-        }}
-    out = {
-        "algorithm": cfg.algorithm,
-        "rounds": cfg.rounds,
-        "local_epochs": cfg.training.local_epochs,
-        "seed": cfg.seed,
-        "precision": cfg.precision,
-        "eval_every": cfg.eval_every,
-        "threads": cfg.threads,
-        "model": model,
-        "data": data,
-        "training": {
-            "learning_rate": cfg.training.learning_rate,
-            "batch_size": cfg.training.batch_size,
-            "proximal_coefficient": cfg.training.proximal_coefficient,
-        },
-        "feddist": {
-            "beta": cfg.feddist.beta,
-            "base_sigma_multiplier": cfg.feddist.base_sigma_multiplier,
-            "max_new_units_per_layer_per_round":
-                cfg.feddist.max_new_units_per_layer_per_round,
-        },
-        "scenario": {
-            "kind": cfg.scenario.kind,
-            "start_count": cfg.scenario.start_count,
-            "interval_rounds": cfg.scenario.interval_rounds,
-            "sample_size": cfg.scenario.sample_size,
-        },
-    }
-    if cfg.feddist.layerwise_epochs is not None:
-        out["feddist"]["layerwise_epochs"] = cfg.feddist.layerwise_epochs
-    if cfg.clients is not None:
-        out["clients"] = cfg.clients
+    out = {key: _dump(getattr(cfg, key)) for key in _PLAIN_KEYS}
+    out["local_epochs"] = cfg.training.local_epochs
+    out["model"] = {"input": [cfg.model.input_length, cfg.model.input_channels],
+                    "layers": _dump(cfg.model.layers)}
+    (kind,) = (k for k, cls in _DATA_KINDS.items() if isinstance(cfg.data, cls))
+    out["data"] = {kind: _dump(cfg.data)}
+    out["training"] = {key: getattr(cfg.training, key) for key in _TRAINING_KEYS}
     return out

@@ -118,6 +118,20 @@ class CsvDataSpec:
     window_length: int = 128
     window_step: int = 64
 
+    def __post_init__(self) -> None:
+        if self.classes < 2:
+            raise ValueError("classes must be >= 2")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError("train_fraction must lie in (0, 1)")
+        if self.window_length < 1:
+            raise ValueError("window_length must be >= 1")
+        if self.window_step < 1:
+            raise ValueError("window_step must be >= 1")
+        if self.sample_rate_hz <= 0:
+            raise ValueError("sample_rate_hz must be positive")
+        if self.target_hz is not None and self.target_hz <= 0:
+            raise ValueError("target_hz must be positive or null")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -125,7 +139,6 @@ class ExperimentConfig:
     model: ModelArch
     data: SyntheticSpec | CsvDataSpec
     rounds: int = 200
-    clients: int | None = None  # None: derived from the data spec
     scenario: ScenarioSpec = ScenarioSpec()
     training: TrainingConfig = TrainingConfig()
     feddist: FedDistConfig = FedDistConfig()
@@ -149,11 +162,6 @@ class ExperimentConfig:
         pool = self.pool_size
         if pool < 1:
             raise ValueError("need at least one client")
-        if self.clients is not None and self.clients != pool and isinstance(
-                self.data, SyntheticSpec):
-            raise ValueError(
-                f"clients {self.clients} != synthetic spec clients {self.data.clients}"
-            )
         self.scenario.check_pool(pool)
         if self.model.classes != self.data.classes:
             raise ValueError(
@@ -165,8 +173,6 @@ class ExperimentConfig:
     def pool_size(self) -> int:
         if isinstance(self.data, SyntheticSpec):
             return self.data.clients
-        if self.clients is not None:
-            return self.clients
         return len(self.data.paths)
 
     @property

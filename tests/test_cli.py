@@ -5,15 +5,22 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from fedsim.arch import ArchError, LayerSpec
 from fedsim.cli import main, summarize_run, _load_run
 from fedsim.config import ConfigError, config_to_dict, parse_config, parse_config_dict
 from fedsim.container import deserialize_model
 from fedsim.metrics import CSV_COLUMNS
+from fedsim.scheduler import CsvDataSpec
+
+REPO = Path(__file__).resolve().parents[1]
 
 MINIMAL = """
 algorithm: fedavg
@@ -107,6 +114,134 @@ class TestParseConfig:
     def test_resolved_config_round_trips(self, tmp_path):
         cfg = parse_config(write(tmp_path, TINY_RUN % "feddist"))
         assert parse_config_dict(config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("[128, 6]", "[128.9, 6]", "model.input[0] must be int, got float"),
+        ("[128, 6]", "[128, true]", "model.input[1] must be int, got bool"),
+        ("[128, 6]", "[abc, 6]", "model.input[0] must be int, got str"),
+        ("alpha: 0.5\n", "alpha: 0.5\n    samples_per_client: [1500.7, 2000.2]\n",
+         "data.synthetic.samples_per_client[0] must be int, got float"),
+        ("alpha: 0.5\n", "alpha: 0.5\n    device:\n      scale_range: [x, 1]\n",
+         "data.synthetic.device.scale_range[0] must be float, got str"),
+        ("fedavg\n", "fedavg\nrounds: abc\n", "rounds must be int, got str"),
+    ])
+    def test_elements_typed_strictly(self, tmp_path, capsys, old, new, message):
+        path = write(tmp_path, MINIMAL.replace(old, new))
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            parse_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_pool_activation_rejected(self, tmp_path):
+        with pytest.raises(ArchError, match="maxpool1d"):
+            LayerSpec("maxpool1d", kernel=2, activation="relu")
+        pool = "    - {kind: maxpool1d, kernel: 4, activation: relu}\n"
+        text = MINIMAL.replace("    - {kind: dense", pool + "    - {kind: dense")
+        with pytest.raises(ConfigError, match=re.escape("model.layers[0]: maxpool1d")):
+            parse_config(write(tmp_path, text))
+
+    def test_csv_clients_key_is_unknown(self, tmp_path):
+        # The pool size of a csv source is its number of paths; there is no
+        # separate key that could disagree with it.
+        with pytest.raises(ConfigError, match="unknown key 'clients'"):
+            parse_config(write(tmp_path, CSV_CONFIG + "clients: 3\n"))
+
+
+CSV_CONFIG = """
+algorithm: fedavg
+model:
+  input: [128, 6]
+  layers:
+    - {kind: dense, width: 8, activation: relu}
+    - {kind: softmax-output, width: 4}
+data:
+  csv:
+    paths: [a.csv]
+    classes: 4
+"""
+
+
+@pytest.mark.parametrize("key, value", [
+    ("train_fraction", 1.5), ("train_fraction", 0.0), ("window_step", 0),
+    ("window_length", -3), ("sample_rate_hz", 0), ("target_hz", 0.0),
+    ("classes", 1),
+])
+def test_csv_section_validated(tmp_path, key, value):
+    with pytest.raises(ValueError, match=key):
+        CsvDataSpec(**{"paths": ("a.csv",), "classes": 4, key: value})
+    line = f"    {key}: {value}\n"
+    keep = "" if key == "classes" else "    classes: 4\n"
+    path = write(tmp_path, CSV_CONFIG.replace("    classes: 4\n", keep + line))
+    with pytest.raises(ConfigError, match=f"data.csv: {key}"):
+        parse_config(path)
+    assert main(["validate", "--config", str(path)]) == 2
+
+
+def key_paths(mapping, prefix=""):
+    """Dotted paths of every key of nested mappings (not into lists)."""
+    paths = set()
+    for key, value in mapping.items():
+        paths.add(prefix + key)
+        if isinstance(value, dict):
+            paths |= key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+EVERY_KEY = {
+    "algorithm": "fedprox", "rounds": 7, "local_epochs": 3, "seed": 9,
+    "precision": "float32", "eval_every": 2, "threads": 2,
+    "model": {"input": [64, 3], "layers": [
+        {"kind": "conv1d", "width": 5, "kernel": 4, "activation": "relu"},
+        {"kind": "maxpool1d", "kernel": 2, "activation": "none"},
+        {"kind": "dense", "width": 7, "activation": "relu"},
+        {"kind": "softmax-output", "width": 3, "activation": "none"},
+    ]},
+    "training": {"learning_rate": 0.02, "batch_size": 8, "proximal_coefficient": 0.5},
+    "feddist": {"beta": 0.2, "base_sigma_multiplier": 2.5,
+                "max_new_units_per_layer_per_round": 3, "layerwise_epochs": 4},
+    "scenario": {"kind": "interchanging", "start_count": 3, "interval_rounds": 5,
+                 "sample_size": 2},
+    "data": {"synthetic": {
+        "clients": 4, "classes": 3, "dirichlet_alpha": 2.0,
+        "samples_per_client": [100, 200],
+        "device": {"scale_range": [0.5, 2.0], "offset_range": [-1.0, 1.5],
+                   "rotation": False},
+        "channels": 3, "sample_rate": 25.0, "segment_range": [10, 20],
+        "noise": 0.1, "train_fraction": 0.7, "seed": 42,
+    }},
+}
+
+CSV_NULL_TARGET = {
+    "algorithm": "fedavg", "rounds": 4, "local_epochs": 2, "seed": 3,
+    "precision": "float64", "eval_every": 1, "threads": 1,
+    "model": EVERY_KEY["model"],
+    "training": {"learning_rate": 0.05, "batch_size": 16, "proximal_coefficient": 0.01},
+    "feddist": {"beta": 0.1, "base_sigma_multiplier": 3.0,
+                "max_new_units_per_layer_per_round": 8},
+    "scenario": {"kind": "full", "start_count": 2, "interval_rounds": 14,
+                 "sample_size": 1},
+    "data": {"csv": {"paths": ["a.csv", "b.csv"], "classes": 3,
+                     "sample_rate_hz": 100.0, "target_hz": None,
+                     "train_fraction": 0.6, "window_length": 64, "window_step": 32}},
+}
+
+
+@pytest.mark.parametrize("raw", [EVERY_KEY, CSV_NULL_TARGET], ids=["synthetic", "csv"])
+def test_every_key_round_trips(raw):
+    cfg = parse_config_dict(raw)
+    dumped = config_to_dict(cfg)
+    assert parse_config_dict(dumped) == cfg
+    assert key_paths(dumped) == key_paths(raw)
+    assert dumped == raw
+
+
+def test_readme_config_reference_matches_schema(capsys):
+    readme = (REPO / "README.md").read_text().split("## Config reference", 1)[1]
+    block = yaml.safe_load(readme.split("```yaml\n", 1)[1].split("```", 1)[0])
+    assert key_paths(config_to_dict(parse_config_dict(block))) == key_paths(block)
+    desk = REPO / "configs" / "feddist-desk.yaml"
+    assert main(["validate", "--config", str(desk)]) == 0
+    assert "feddist" in capsys.readouterr().out
 
 
 class TestRunCommand:
