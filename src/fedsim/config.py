@@ -166,7 +166,6 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
                      {k: v for k, v in raw.items() if k in _PLAIN_KEYS}, "")
     training = _values(TrainingConfig, raw.get("training", {}), "training",
                        _TRAINING_KEYS)
-    training.setdefault("proximal_coefficient", 0.01)
     if "local_epochs" in raw:
         training["local_epochs"] = _typed(raw["local_epochs"], int, "local_epochs")
     values["training"] = _build(TrainingConfig, training, "training")

@@ -23,6 +23,7 @@ import numpy as np
 DEFAULT_WINDOW = 128
 DEFAULT_STEP = 64  # 50% overlap
 CSV_HEADER = ["timestamp", "ax", "ay", "az", "gx", "gy", "gz", "label"]
+CSV_CHANNELS = len(CSV_HEADER) - 2  # the columns between timestamp and label
 
 
 class CsvFormatError(ValueError):
@@ -287,7 +288,7 @@ def ingest_csv(path, schema: CsvSchema) -> SensorSeries:
                     f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}"
                 )
             try:
-                values = [float(v) for v in row[1:7]]
+                values = [float(v) for v in row[1:1 + CSV_CHANNELS]]
             except ValueError as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from None
             raw_label = row[7]
@@ -305,7 +306,7 @@ def ingest_csv(path, schema: CsvSchema) -> SensorSeries:
             rows.append(values)
             labels.append(label)
 
-    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), 6)
+    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), CSV_CHANNELS)
     label_arr = np.asarray(labels, dtype=np.intp)
     rate = schema.sample_rate_hz
     if schema.target_hz is not None and rate != schema.target_hz:

@@ -99,12 +99,6 @@ class ModelWeights:
     def layer_shapes(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         return tuple((layer.incoming.shape, layer.bias.shape[0]) for layer in self.layers)
 
-    def astype(self, dtype) -> "ModelWeights":
-        return ModelWeights(tuple(
-            LayerWeights(l.incoming.astype(dtype), l.bias.astype(dtype))
-            for l in self.layers
-        ))
-
 
 @dataclass(frozen=True)
 class NeuronVector:
@@ -250,10 +244,9 @@ def append_neuron(model: ModelWeights, layer: int, source: NeuronVector,
                   successor_rows: np.ndarray) -> ModelWeights:
     """Append one unit (from `source`) at the tail of `layer`.
 
-    The successor layer's incoming array gains `successor_rows` at the tail
-    of its unit axis so the widened model stays well-formed; with one row
-    per unit that axis may be left out of `successor_rows` (a dense [out]
-    row, a conv [kernel, out] slice).  All pre-existing parameters are
+    The successor layer's incoming array gains `successor_rows` (the block
+    donor_successor_rows returns) at the tail of its unit axis so the
+    widened model stays well-formed.  All pre-existing parameters are
     untouched.  The output layer can never be grown.
     """
     if not 0 <= layer < len(model.layers) - 1:
@@ -276,8 +269,6 @@ def append_neuron(model: ModelWeights, layer: int, source: NeuronVector,
     r = successor_rows_per_unit(model, layer)
     block = succ.incoming.shape[:_UNIT_AXIS] + (r, succ.out_width)
     rows = np.asarray(successor_rows, dtype=succ.incoming.dtype)
-    if r == 1 and rows.shape == block[:_UNIT_AXIS] + block[-1:]:
-        rows = np.expand_dims(rows, _UNIT_AXIS)
     if rows.shape != block:
         raise ShapeError(f"successor rows shape {rows.shape} != {block}")
     succ_in = np.concatenate([succ.incoming, rows], axis=_UNIT_AXIS)

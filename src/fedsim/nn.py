@@ -43,8 +43,10 @@ class TrainingConfig:
     """Client-side training knobs.
 
     frozen_prefix counts leading parameterized layers excluded from updates.
-    A positive proximal_coefficient adds (mu/2)*||w - reference||^2 over the
-    trainable parameters to the objective.
+    Setting reference_weights adds FedProx's proximal term
+    (mu/2)*||w - reference||^2, mu = proximal_coefficient, over the
+    trainable parameters to the objective; fedprox_round sets it to the
+    server model it distributes, and without it mu is unused.
     """
 
     local_epochs: int = 5
@@ -52,7 +54,7 @@ class TrainingConfig:
     batch_size: int = 16
     class_weights: np.ndarray | None = None
     frozen_prefix: int = 0
-    proximal_coefficient: float = 0.0
+    proximal_coefficient: float = 0.01
     reference_weights: ModelWeights | None = None
 
     def __post_init__(self) -> None:
@@ -237,33 +239,43 @@ def loss(probs: np.ndarray, labels: np.ndarray,
     return float(ce.mean())
 
 
-def _proximal_value(layers, ref: ModelWeights, mu: float, start: int) -> float:
-    acc = 0.0
-    for i in range(start, len(layers)):
-        w, b = layers[i]
-        r = ref.layers[i]
-        acc += float(np.sum((w - r.incoming) ** 2)) + float(np.sum((b - r.bias) ** 2))
-    return 0.5 * mu * acc
+def _working_copy(model: ModelWeights, start: int) -> ModelWeights:
+    """model with the layers from `start` on copied, for in-place updates."""
+    return ModelWeights(tuple(
+        layer if i < start else LayerWeights(layer.incoming.copy(), layer.bias.copy())
+        for i, layer in enumerate(model.layers)))
 
 
-def _gradients(model: ModelWeights, arch: ModelArch, x: np.ndarray,
-               labels: np.ndarray, class_weights: np.ndarray | None):
-    """Analytic gradients of the data loss for every parameterized layer.
+def _objective(model: ModelWeights, arch: ModelArch, x: np.ndarray,
+               labels: np.ndarray, cfg: TrainingConfig, keep: bool):
+    """The training objective on one batch: the weighted cross-entropy plus,
+    when cfg.reference_weights is set, the proximal term over the trainable
+    layers (model.layers[cfg.frozen_prefix:]).
 
-    Returns (loss_value, [(dW, db), ...]) ordered like model.layers.
+    Returns (value, grads): grads is None unless keep, else the (dW, db) of
+    each trainable layer in order, the proximal gradient included.
     """
-    probs, backwards = _walk(model, arch, x, keep=True)
-    labels = np.asarray(labels, dtype=np.intp)
+    probs, backwards = _walk(model, arch, x, keep)
     n = len(labels)
     if n and (labels.min() < 0 or labels.max() >= probs.shape[1]):
         raise ValueError(
             f"labels must lie in [0, {probs.shape[1]}), got "
             f"[{labels.min()}, {labels.max()}]"
         )
-    data_loss = loss(probs, labels, class_weights)
+    value = loss(probs, labels, cfg.class_weights)
+    start, mu, ref = cfg.frozen_prefix, cfg.proximal_coefficient, cfg.reference_weights
+    trainable = model.layers[start:]
+    if ref is not None:
+        acc = 0.0
+        for layer, r in zip(trainable, ref.layers[start:]):
+            acc += (float(np.sum((layer.incoming - r.incoming) ** 2))
+                    + float(np.sum((layer.bias - r.bias) ** 2)))
+        value += 0.5 * mu * acc
+    if not keep:
+        return value, None
 
-    if class_weights is not None:
-        w_ex = np.asarray(class_weights, dtype=probs.dtype)[labels]
+    if cfg.class_weights is not None:
+        w_ex = np.asarray(cfg.class_weights, dtype=probs.dtype)[labels]
     else:
         w_ex = np.ones(n, dtype=probs.dtype)
     dz = probs.copy()
@@ -275,7 +287,11 @@ def _gradients(model: ModelWeights, arch: ModelArch, x: np.ndarray,
         dz, grad = backward(dz)
         if grad is not None:
             grads.append(grad)
-    return data_loss, grads[::-1]
+    grads = grads[::-1][start:]
+    if ref is not None:
+        grads = [(dw + mu * (layer.incoming - r.incoming), db + mu * (layer.bias - r.bias))
+                 for (dw, db), layer, r in zip(grads, trainable, ref.layers[start:])]
+    return value, grads
 
 
 def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
@@ -284,9 +300,10 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
     plus the mean objective per epoch.
 
     Layers below cfg.frozen_prefix are returned bit-identical to the input.
-    An empty dataset is an explicit no-op: (input model, []).  With a
-    positive proximal coefficient the optimized objective is
+    An empty dataset is an explicit no-op: (input model, []).  With
+    cfg.reference_weights set the optimized objective is
     loss + (mu/2)*||w - reference||^2 over the trainable parameters.
+    Non-finite trained weights raise ShapeError.
     """
     if cfg.frozen_prefix > len(model.layers):
         raise ValueError(
@@ -294,19 +311,15 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
         )
     if len(batch) == 0:
         return model, []
-    mu = cfg.proximal_coefficient
     ref = cfg.reference_weights
-    if mu > 0:
-        if ref is None:
-            raise ValueError("proximal_coefficient > 0 needs reference_weights")
-        if ref.layer_shapes() != model.layer_shapes():
-            raise ShapeError("reference_weights shape does not match the model")
+    if ref is not None and ref.layer_shapes() != model.layer_shapes():
+        raise ShapeError("reference_weights shape does not match the model")
 
     x = _as_batch_array(batch.inputs, arch, model.dtype)
     labels = np.asarray(batch.labels, dtype=np.intp)
     start = cfg.frozen_prefix
-    params = [(l.incoming, l.bias) if i < start else (l.incoming.copy(), l.bias.copy())
-              for i, l in enumerate(model.layers)]
+    work = _working_copy(model, start)
+    params = [(layer.incoming, layer.bias) for layer in work.layers[start:]]
 
     rng = np.random.default_rng(seed)
     lr = cfg.learning_rate
@@ -316,24 +329,16 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
         batch_losses = []
         for lo in range(0, len(order), cfg.batch_size):
             sel = order[lo:lo + cfg.batch_size]
-            current = ModelWeights(tuple(LayerWeights(w, b) for w, b in params))
-            value, grads = _gradients(current, arch, x[sel], labels[sel],
-                                      cfg.class_weights)
-            if mu > 0:
-                value += _proximal_value(params, ref, mu, start)
+            value, grads = _objective(work, arch, x[sel], labels[sel], cfg, keep=True)
             batch_losses.append(value)
             if lr != 0:
-                for i in range(start, len(params)):
-                    w, b = params[i]
-                    dw, db = grads[i]
-                    if mu > 0:
-                        dw = dw + mu * (w - ref.layers[i].incoming)
-                        db = db + mu * (b - ref.layers[i].bias)
+                for (w, b), (dw, db) in zip(params, grads):
                     w -= lr * dw
                     b -= lr * db
         epoch_losses.append(float(np.mean(batch_losses)))
-    result = ModelWeights(tuple(LayerWeights(w, b) for w, b in params))
-    return result, epoch_losses
+    # Rebuilt so that LayerWeights checks the trained values are finite.
+    trained = tuple(LayerWeights(w, b) for w, b in params)
+    return ModelWeights(work.layers[:start] + trained), epoch_losses
 
 
 def evaluate(model: ModelWeights, arch: ModelArch, inputs: np.ndarray,
@@ -347,66 +352,46 @@ def evaluate(model: ModelWeights, arch: ModelArch, inputs: np.ndarray,
     return np.concatenate(out) if out else np.zeros(0, dtype=np.intp)
 
 
-def _objective(model: ModelWeights, arch: ModelArch, x, labels, cfg) -> float:
-    probs, _ = _walk(model, arch, x, keep=False)
-    value = loss(probs, labels, cfg.class_weights)
-    if cfg.proximal_coefficient > 0:
-        layers = [(l.incoming, l.bias) for l in model.layers]
-        value += _proximal_value(layers, cfg.reference_weights,
-                                 cfg.proximal_coefficient, cfg.frozen_prefix)
-    return value
-
-
 def gradient_check(model: ModelWeights, arch: ModelArch, batch: Batch,
                    cfg: TrainingConfig, epsilon: float = 1e-5,
-                   max_params_per_tensor: int | None = None,
-                   sample_seed: int = 0) -> float:
-    """Max guarded relative error between analytic and central
-    finite-difference gradients of the training objective.
+                   max_params_per_tensor: int | None = None) -> float:
+    """Max guarded relative error between the gradients train_local steps
+    along and central finite differences of the same training objective.
 
     Error per coordinate is |a - n| / max(1, max|a|, max|n|) within its
     tensor.  Checks trainable tensors only; set max_params_per_tensor to
-    probe a deterministic subsample on large models.
+    probe a fixed pseudo-random subsample on large models.
     """
     if not 1e-7 < epsilon < 1e-3:
         raise ValueError("epsilon must lie in (1e-7, 1e-3)")
     x = _as_batch_array(batch.inputs, arch, model.dtype)
     labels = np.asarray(batch.labels, dtype=np.intp)
-    _, grads = _gradients(model, arch, x, labels, cfg.class_weights)
-    mu, ref = cfg.proximal_coefficient, cfg.reference_weights
+    start = cfg.frozen_prefix
+    work = _working_copy(model, start)
+    _, grads = _objective(work, arch, x, labels, cfg, keep=True)
 
-    arrays = [(l.incoming.copy(), l.bias.copy()) for l in model.layers]
-
-    def rebuild() -> ModelWeights:
-        return ModelWeights(tuple(LayerWeights(w, b) for w, b in arrays))
-
-    rng = np.random.default_rng(sample_seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for li in range(cfg.frozen_prefix, len(model.layers)):
-        analytic = list(grads[li])
-        if mu > 0:
-            analytic[0] = analytic[0] + mu * (arrays[li][0] - ref.layers[li].incoming)
-            analytic[1] = analytic[1] + mu * (arrays[li][1] - ref.layers[li].bias)
-        for slot, name in ((0, "weights"), (1, "bias")):
-            a = analytic[slot]
+    for li, (layer, analytic) in enumerate(zip(work.layers[start:], grads), start):
+        for tensor, a, name in ((layer.incoming, analytic[0], "weights"),
+                                (layer.bias, analytic[1], "bias")):
             if not np.isfinite(a).all():
                 raise FloatingPointError(
                     f"non-finite gradient in layer {li} {name}"
                 )
-            tensor = arrays[li][slot]
             flat_idx = np.arange(tensor.size)
             if max_params_per_tensor is not None and tensor.size > max_params_per_tensor:
                 flat_idx = np.sort(rng.choice(tensor.size, max_params_per_tensor,
                                               replace=False))
             scale = max(1.0, float(np.abs(a).max()))
-            view = tensor.reshape(-1)
+            view = tensor.reshape(-1)  # the copy is contiguous: a view
             a_flat = a.reshape(-1)
             for j in flat_idx:
                 orig = view[j]
                 view[j] = orig + epsilon
-                hi = _objective(rebuild(), arch, x, labels, cfg)
+                hi, _ = _objective(work, arch, x, labels, cfg, keep=False)
                 view[j] = orig - epsilon
-                lo = _objective(rebuild(), arch, x, labels, cfg)
+                lo, _ = _objective(work, arch, x, labels, cfg, keep=False)
                 view[j] = orig
                 numeric = (hi - lo) / (2 * epsilon)
                 err = abs(float(a_flat[j]) - numeric) / max(scale, abs(numeric))

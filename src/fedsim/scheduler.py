@@ -35,6 +35,8 @@ from .aggregation import (
 from .arch import ModelArch
 from .container import serialize_model
 from .data import (
+    CSV_CHANNELS,
+    DEFAULT_WINDOW,
     CsvSchema,
     SyntheticSpec,
     WindowSet,
@@ -168,6 +170,16 @@ class ExperimentConfig:
                 f"model outputs {self.model.classes} classes, "
                 f"data has {self.data.classes}"
             )
+        if isinstance(self.data, SyntheticSpec):
+            windows = (DEFAULT_WINDOW, self.data.channels)
+        else:
+            windows = (self.data.window_length, CSV_CHANNELS)
+        model_input = (self.model.input_length, self.model.input_channels)
+        if model_input != windows:
+            raise ValueError(
+                f"model input {list(model_input)} does not match the data's "
+                f"{list(windows)} windows (length, channels)"
+            )
 
     @property
     def pool_size(self) -> int:
@@ -256,14 +268,11 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
     global_test = concat_window_sets(test for _train, test in datasets)
     init = init_model(arch, _seq(cfg.seed, 0, cfg.init_variant), cfg.dtype)
 
-    proximal = cfg.training.proximal_coefficient if cfg.algorithm == "fedprox" else 0.0
     states = []
     for k, (train, test) in enumerate(datasets):
         client_cfg = replace(
             cfg.training,
             class_weights=balanced_class_weights(train.labels, arch.classes),
-            proximal_coefficient=proximal,
-            reference_weights=None,
         )
         states.append(ClientState(id=k, train=train, test=test,
                                   cfg=client_cfg, model=init))
@@ -319,7 +328,7 @@ def _evaluate_tick(arch, states, active, server, global_test, t,
         return report
 
     scored = [states[k] for k in active]
-    _, _, pers_scores = evaluate_personalization(
+    pers_mean, pers_std, pers_scores = evaluate_personalization(
         [(st.model, st.test) for st in scored], arch)
     for st, score in zip(scored, pers_scores):
         if st.best_score is None or score > st.best_score:
@@ -329,11 +338,10 @@ def _evaluate_tick(arch, states, active, server, global_test, t,
     gen_mean, gen_std, gen_scores = evaluate_generalization(
         [st.best_model for st in evaluated], arch, global_test)
 
-    pers = np.asarray(pers_scores)
     return replace(
         report,
-        pers_mean=float(pers.mean()),
-        pers_std=float(pers.std()),
+        pers_mean=pers_mean,
+        pers_std=pers_std,
         gen_mean=gen_mean,
         gen_std=gen_std,
         per_client_personalization={st.id: s for st, s in zip(scored, pers_scores)},
@@ -393,8 +401,7 @@ def _centralized_rounds(cfg, arch, states, init):
     pooled = concat_window_sets(st.train for st in states)
     central_cfg = replace(cfg.training,
                           class_weights=balanced_class_weights(pooled.labels,
-                                                               arch.classes),
-                          proximal_coefficient=0.0, reference_weights=None)
+                                                               arch.classes))
     model = init
     for t in range(1, cfg.rounds + 1):
         model, _ = train_local(model, arch, Batch(pooled.windows, pooled.labels),

@@ -190,7 +190,7 @@ def key_paths(mapping, prefix=""):
 EVERY_KEY = {
     "algorithm": "fedprox", "rounds": 7, "local_epochs": 3, "seed": 9,
     "precision": "float32", "eval_every": 2, "threads": 2,
-    "model": {"input": [64, 3], "layers": [
+    "model": {"input": [128, 3], "layers": [
         {"kind": "conv1d", "width": 5, "kernel": 4, "activation": "relu"},
         {"kind": "maxpool1d", "kernel": 2, "activation": "none"},
         {"kind": "dense", "width": 7, "activation": "relu"},
@@ -214,7 +214,7 @@ EVERY_KEY = {
 CSV_NULL_TARGET = {
     "algorithm": "fedavg", "rounds": 4, "local_epochs": 2, "seed": 3,
     "precision": "float64", "eval_every": 1, "threads": 1,
-    "model": EVERY_KEY["model"],
+    "model": {**EVERY_KEY["model"], "input": [64, 6]},
     "training": {"learning_rate": 0.05, "batch_size": 16, "proximal_coefficient": 0.01},
     "feddist": {"beta": 0.1, "base_sigma_multiplier": 3.0,
                 "max_new_units_per_layer_per_round": 8},
@@ -325,6 +325,21 @@ class TestValidateCommand:
     def test_invalid(self, tmp_path):
         cfg = write(tmp_path, MINIMAL + "rounds: 0\n")
         assert main(["validate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("text, model_input, windows", [
+        (MINIMAL, "[64, 6]", "[128, 6]"),
+        (MINIMAL.replace("alpha: 0.5\n", "alpha: 0.5\n    channels: 3\n"),
+         "[128, 6]", "[128, 3]"),
+        (CSV_CONFIG, "[128, 3]", "[128, 6]"),
+        (CSV_CONFIG + "    window_length: 64\n", "[128, 6]", "[64, 6]"),
+    ], ids=["synthetic-length", "synthetic-channels", "csv-channels", "csv-length"])
+    def test_model_input_must_match_windows(self, tmp_path, capsys, text,
+                                            model_input, windows):
+        text = text.replace("input: [128, 6]", f"input: {model_input}")
+        assert main(["validate", "--config", str(write(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert f"model input {model_input}" in err
+        assert f"data's {windows} windows" in err
 
 
 class TestCompareCommand:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fedsim import (
     train_local,
 )
 from fedsim.fabric import LayerWeights, ShapeError
-from fedsim.nn import Batch, _gradients
+from fedsim.nn import Batch, _as_batch_array, _objective
 
 from conftest import conv_arch, dense_arch, models_bit_equal
 
@@ -226,13 +227,54 @@ class TestTrainLocal:
         b, _ = train_local(model, arch, batch, prox, 3)
         assert models_bit_equal(a, b)
 
-    def test_proximal_requires_reference(self):
-        arch = dense_arch(3, 5, 2)
+    def test_proximal_without_reference_is_plain_sgd(self):
+        # the term applies only once fedprox_round attaches a reference
+        arch = conv_arch()
         model = init_model(arch, 8)
-        batch = Batch(np.zeros((4, 3)), np.zeros(4, dtype=int))
-        cfg = TrainingConfig(proximal_coefficient=1.0)
-        with pytest.raises(ValueError, match="reference_weights"):
-            train_local(model, arch, batch, cfg, 0)
+        rng = np.random.default_rng(2)
+        batch = Batch(rng.normal(size=(10, 20, 2)), rng.integers(0, 4, 10))
+        plain = TrainingConfig(local_epochs=2, learning_rate=0.1, batch_size=4,
+                               proximal_coefficient=0.0)
+        unset = replace(plain, proximal_coefficient=1.0)
+        a, la = train_local(model, arch, batch, plain, 3)
+        b, lb = train_local(model, arch, batch, unset, 3)
+        assert models_bit_equal(a, b)
+        assert la == lb
+
+    def test_step_follows_objective_gradient(self):
+        # one full-batch step moves each trainable tensor by exactly
+        # -lr * the gradient _objective returns, proximal part included
+        arch = conv_arch()
+        model = init_model(arch, 10)
+        ref = init_model(arch, 11)
+        rng = np.random.default_rng(12)
+        batch = Batch(rng.normal(size=(6, 20, 2)), rng.integers(0, 4, 6))
+        cfg = TrainingConfig(local_epochs=1, learning_rate=0.1, batch_size=6,
+                             frozen_prefix=1, proximal_coefficient=0.5,
+                             reference_weights=ref)
+        out, _ = train_local(model, arch, batch, cfg, 13)
+        order = np.random.default_rng(13).permutation(6)  # train_local's shuffle
+        x = _as_batch_array(batch.inputs, arch, model.dtype)[order]
+        _, grads = _objective(model, arch, x, batch.labels[order], cfg, keep=True)
+        assert np.array_equal(out.layers[0].incoming, model.layers[0].incoming)
+        assert np.array_equal(out.layers[0].bias, model.layers[0].bias)
+        assert len(grads) == len(model.layers) - 1
+        for old, new, (dw, db) in zip(model.layers[1:], out.layers[1:], grads):
+            assert np.array_equal(new.incoming, old.incoming - 0.1 * dw)
+            assert np.array_equal(new.bias, old.bias - 0.1 * db)
+            assert np.any(dw != 0)
+
+    def test_diverging_client_raises(self):
+        arch = dense_arch(2, 2, 2, activation="none")
+        model = ModelWeights((
+            LayerWeights(np.full((2, 2), 1e200), np.zeros(2)),
+            LayerWeights(np.full((2, 2), 1e200), np.zeros(2)),
+        ))
+        batch = Batch(np.ones((4, 2)), np.array([0, 1, 0, 1]))
+        cfg = TrainingConfig(local_epochs=1, learning_rate=0.05, batch_size=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ShapeError, match="layer parameters must be finite"):
+                train_local(model, arch, batch, cfg, 0)
 
 
 class TestGradientCheck:
@@ -264,18 +306,19 @@ class TestGradientCheck:
         arch = conv_arch()
         model = init_model(arch, 7)
         batch = Batch(np.zeros((2, 20, 2)), np.array([0, 1]))
-        _, grads = _gradients(model, arch, batch.inputs, batch.labels, None)
+        eps, cfg = 1e-5, TrainingConfig()
+        base, grads = _objective(model, arch, batch.inputs, batch.labels, cfg,
+                                 keep=True)
         assert np.all(grads[0][0] == 0)  # conv weights see only zeros
         # central differences agree: perturbing a conv weight changes nothing
-        from fedsim.nn import _objective
-        eps, cfg = 1e-5, TrainingConfig()
-        base = _objective(model, arch, batch.inputs, batch.labels, cfg)
         for idx in [(0, 0, 0), (2, 1, 3), (4, 1, 5)]:
             inc = model.layers[0].incoming.copy()
             inc[idx] += eps
             bumped = ModelWeights((LayerWeights(inc, model.layers[0].bias),)
                                   + model.layers[1:])
-            assert _objective(bumped, arch, batch.inputs, batch.labels, cfg) == base
+            value, _ = _objective(bumped, arch, batch.inputs, batch.labels, cfg,
+                                  keep=False)
+            assert value == base
 
     def test_epsilon_range_enforced(self):
         arch = dense_arch(2, 2, 2)

@@ -121,6 +121,12 @@ class TestRunExperiment:
                                   st.cfg, _train_seed(cfg.seed, 1, 0))
         assert models_bit_equal(res.final_model, expected)
 
+    def test_fedprox_default_training_is_not_fedavg(self):
+        # TrainingConfig's own proximal_coefficient is the YAML default
+        prox = run_experiment(tiny_config(algorithm="fedprox", rounds=2))
+        avg = run_experiment(tiny_config(algorithm="fedavg", rounds=2))
+        assert not models_bit_equal(prox.final_model, avg.final_model)
+
     def test_rerun_bit_identical_reports(self):
         cfg = tiny_config(algorithm="feddist", rounds=3)
         a = run_experiment(cfg)
