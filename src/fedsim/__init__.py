@@ -61,6 +61,7 @@ from .metrics import (
 )
 from .nn import (
     Batch,
+    DivergenceError,
     TrainingConfig,
     balanced_class_weights,
     evaluate,

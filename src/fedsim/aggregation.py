@@ -41,7 +41,7 @@ from .fabric import (
     neuron_vector,
     weighted_average,
 )
-from .nn import Batch, TrainingConfig, train_local
+from .nn import Batch, TrainingConfig, diverged_in, train_local
 
 PHASE_MAIN = ("main",)
 
@@ -167,10 +167,18 @@ def _fractions(clients: list[ClientRuntime]) -> np.ndarray:
 
 def _fan_out(executor, update, jobs) -> list[ModelWeights]:
     """Run client updates, concurrently when an executor is given; results
-    come back in job order so scheduling never affects the reduction."""
+    come back in job order so scheduling never affects the reduction.  A
+    DivergenceError leaves naming the client and the phase."""
+    def run(client, *rest):
+        phase = rest[-1]
+        name = ("main phase" if phase == PHASE_MAIN
+                else f"layer-wise sub-round of layer {phase[1]}")
+        with diverged_in(f"client {client.id}, {name}"):
+            return update(client, *rest)
+
     if executor is None:
-        return [update(*job) for job in jobs]
-    futures = [executor.submit(update, *job) for job in jobs]
+        return [run(*job) for job in jobs]
+    futures = [executor.submit(run, *job) for job in jobs]
     return [f.result() for f in futures]
 
 

@@ -11,6 +11,8 @@ that ordering matters when layers grow.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,21 @@ from .arch import CONV1D, DENSE, MAXPOOL1D, PARAM_KINDS, SOFTMAX_OUTPUT, ModelAr
 from .fabric import LayerWeights, ModelWeights, ShapeError
 
 LOG_CLAMP = 1e-12  # probability floor inside cross-entropy, avoids -inf
+_FEATURE_CHUNK = 256  # windows per call when train_local caches frozen features
+
+
+class DivergenceError(ShapeError):
+    """Training reached a non-finite value.  The message names the layer;
+    diverged_in adds the client, phase and round on the way out."""
+
+
+@contextmanager
+def diverged_in(where: str):
+    """Prefix a DivergenceError leaving the block with `where`."""
+    try:
+        yield
+    except DivergenceError as exc:
+        raise DivergenceError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -114,7 +131,9 @@ def _activate(spec, z, backward):
     closure (None in forward-only mode) gains the activation's derivative."""
     if spec.activation != "relu":
         return z, backward
-    return np.maximum(z, 0), (lambda da: backward(da * (z > 0))) if backward else None
+    if backward is None:
+        return np.maximum(z, 0), None
+    return np.maximum(z, 0), lambda da, need_dx: backward(da * (z > 0), need_dx)
 
 
 def _maxpool1d(spec, layer, a, where, keep):
@@ -126,17 +145,21 @@ def _maxpool1d(spec, layer, a, where, keep):
     if t_out < 1:
         raise ShapeError(f"{where}: pool kernel {k} exceeds length {t}")
     blocks = a[:, :t_out * k, :].reshape(n, t_out, k, c)
+    if not keep:
+        return blocks.max(axis=2), None
     idx = blocks.argmax(axis=2)
     out = np.take_along_axis(blocks, idx[:, :, None, :], axis=2)[:, :, 0, :]
 
-    def backward(da):
+    def backward(da, need_dx):
+        # A pool is never the lowest trainable layer: its input gradient
+        # is always needed.
         dblocks = np.zeros((n, t_out, k, c), dtype=da.dtype)
         np.put_along_axis(dblocks, idx[:, :, None, :], da[:, :, None, :], axis=2)
         full = np.zeros((n, t, c), dtype=da.dtype)
         full[:, :t_out * k, :] = dblocks.reshape(n, t_out * k, c)
         return full, None
 
-    return out, backward if keep else None
+    return out, backward
 
 
 def _conv1d(spec, layer, a, where, keep):
@@ -153,24 +176,30 @@ def _conv1d(spec, layer, a, where, keep):
     t_out = t - k + 1
     win = np.lib.stride_tricks.sliding_window_view(a, k, axis=1)  # [N,T_out,C,k]
     cols = win.transpose(0, 1, 3, 2).reshape(n, t_out, k * c_in)
+    # A 3-D @ runs one gemm per window, so a window's output does not depend
+    # on the other windows in the call (train_local's feature cache needs it).
     z = cols @ layer.incoming.reshape(k * c_in, c_out) + layer.bias
+    if not keep:
+        return _activate(spec, z, None)
 
-    def backward(dzl):
-        dw = np.einsum("ntf,nto->fo", cols, dzl).reshape(k, c_in, c_out)
-        db = dzl.sum(axis=(0, 1))
+    def backward(dzl, need_dx):
+        dw = cols.reshape(-1, k * c_in).T @ dzl.reshape(-1, c_out)
+        grad = (dw.reshape(k, c_in, c_out), dzl.sum(axis=(0, 1)))
+        if not need_dx:
+            return None, grad
         dcols = dzl @ layer.incoming.reshape(k * c_in, c_out).T
         dcols = dcols.reshape(n, t_out, k, c_in)
         dx = np.zeros((n, t, c_in), dtype=dcols.dtype)
         for i in range(k):
             dx[:, i:i + t_out, :] += dcols[:, :, i, :]
-        return dx, (dw, db)
+        return dx, grad
 
-    return _activate(spec, z, backward if keep else None)
+    return _activate(spec, z, backward)
 
 
 def _dense(spec, layer, a, where, keep):
-    # Also the softmax-output layer: its activation is "none", and _walk
-    # applies the softmax to the logits this returns.
+    # Also the softmax-output layer: its activation is "none", and callers
+    # of _walk apply the softmax to the logits this returns.
     spatial = a.ndim == 3
     if spatial:  # channel-major flatten: [N, T, C] -> [N, C*T]
         n, t, c = a.shape
@@ -183,45 +212,68 @@ def _dense(spec, layer, a, where, keep):
             f"{layer.incoming.shape[0]}"
         )
     z = a @ layer.incoming + layer.bias
+    if not keep:
+        return _activate(spec, z, None)
 
-    def backward(dzl):
+    def backward(dzl, need_dx):
+        grad = (a.T @ dzl, dzl.sum(axis=0))
+        if not need_dx:
+            return None, grad
         dx = dzl @ layer.incoming.T
         if spatial:
             dx = dx.reshape(n, c, t).transpose(0, 2, 1)
-        return dx, (a.T @ dzl, dzl.sum(axis=0))
+        return dx, grad
 
-    return _activate(spec, z, backward if keep else None)
+    return _activate(spec, z, backward)
 
 
 # The one dispatch on layer kind: forward(spec, layer, a, where, keep) returns
-# the layer output and, when keep is true, a closure mapping the gradient of
-# that output to (gradient of the input, (dW, db) or None).
+# the layer output and, when keep is true, a closure backward(d, need_dx)
+# mapping the gradient of that output to (gradient of the input, or None
+# when need_dx is false; (dW, db), or None for a layer without parameters).
 _FORWARD = {DENSE: _dense, CONV1D: _conv1d, MAXPOOL1D: _maxpool1d,
             SOFTMAX_OUTPUT: _dense}
 
+# Kinds that map each window on its own, bit for bit whatever else is in the
+# batch, so train_local may compute a frozen run of them once per call.
+_PER_WINDOW_KINDS = (CONV1D, MAXPOOL1D)
 
-def _walk(model: ModelWeights, arch: ModelArch, x: np.ndarray, keep: bool):
-    """Run the stack; returns (probabilities, backward closures in layer
-    order), the closures being None when keep is False."""
+
+def _lowest_trainable(arch: ModelArch, frozen_prefix: int) -> int:
+    """arch.layers index of parameter layer frozen_prefix, the lowest layer
+    training updates; len(arch.layers) when every layer is frozen."""
+    params = [i for i, spec in enumerate(arch.layers) if spec.kind in PARAM_KINDS]
+    return params[frozen_prefix] if frozen_prefix < len(params) else len(arch.layers)
+
+
+def _walk(model: ModelWeights, arch: ModelArch, a: np.ndarray, first: int = 0,
+          last: int | None = None, lowest: int | None = None):
+    """Run layers [first, last) of the stack (to the end by default) on a,
+    the input of layer first; returns (output of the last layer run, the
+    backward closures of layers lowest.. in layer order).  Layers below
+    lowest, and all of them when it is None, run forward-only."""
+    last = len(arch.layers) if last is None else last
+    li = sum(spec.kind in PARAM_KINDS for spec in arch.layers[:first])
     backwards = []
-    a = x
-    li = 0
-    for i, spec in enumerate(arch.layers):
+    for i in range(first, last):
+        spec = arch.layers[i]
         layer = None
         if spec.kind in PARAM_KINDS:
             layer = model.layers[li]
             li += 1
+        keep = lowest is not None and i >= lowest
         a, backward = _FORWARD[spec.kind](spec, layer, a,
                                           f"layer {i} ({spec.kind})", keep)
-        backwards.append(backward)
-    return _softmax(a), backwards
+        if keep:
+            backwards.append(backward)
+    return a, backwards
 
 
 def forward(model: ModelWeights, arch: ModelArch, inputs: np.ndarray) -> np.ndarray:
     """Class-probability matrix [examples, classes]; rows sum to 1."""
     x = _as_batch_array(inputs, arch, model.dtype)
-    probs, _ = _walk(model, arch, x, keep=False)
-    return probs
+    logits, _ = _walk(model, arch, x)
+    return _softmax(logits)
 
 
 def loss(probs: np.ndarray, labels: np.ndarray,
@@ -247,15 +299,22 @@ def _working_copy(model: ModelWeights, start: int) -> ModelWeights:
 
 
 def _objective(model: ModelWeights, arch: ModelArch, x: np.ndarray,
-               labels: np.ndarray, cfg: TrainingConfig, keep: bool):
+               labels: np.ndarray, cfg: TrainingConfig, keep: bool,
+               first: int = 0):
     """The training objective on one batch: the weighted cross-entropy plus,
     when cfg.reference_weights is set, the proximal term over the trainable
-    layers (model.layers[cfg.frozen_prefix:]).
+    layers (model.layers[cfg.frozen_prefix:]).  x is the input of arch
+    layer first: the batch itself, or train_local's cached features.
 
     Returns (value, grads): grads is None unless keep, else the (dW, db) of
-    each trainable layer in order, the proximal gradient included.
+    each trainable layer in order, the proximal gradient included.  Frozen
+    layers get no backward pass: they run forward-only, the backward walk
+    stops at the lowest trainable layer, and that layer computes no input
+    gradient.
     """
-    probs, backwards = _walk(model, arch, x, keep)
+    lowest = _lowest_trainable(arch, cfg.frozen_prefix) if keep else None
+    logits, backwards = _walk(model, arch, x, first, lowest=lowest)
+    probs = _softmax(logits)
     n = len(labels)
     if n and (labels.min() < 0 or labels.max() >= probs.shape[1]):
         raise ValueError(
@@ -283,15 +342,26 @@ def _objective(model: ModelWeights, arch: ModelArch, x: np.ndarray,
     dz *= (w_ex / n)[:, None]
 
     grads = []
-    for backward in reversed(backwards):
-        dz, grad = backward(dz)
+    for j, backward in enumerate(reversed(backwards), 1):
+        dz, grad = backward(dz, j < len(backwards))
         if grad is not None:
             grads.append(grad)
-    grads = grads[::-1][start:]
+    grads.reverse()
     if ref is not None:
         grads = [(dw + mu * (layer.incoming - r.incoming), db + mu * (layer.bias - r.bias))
                  for (dw, db), layer, r in zip(grads, trainable, ref.layers[start:])]
     return value, grads
+
+
+def _divergence_site(model: ModelWeights, arch: ModelArch, x: np.ndarray) -> str:
+    """Where a non-finite objective on the batch x comes from: the first
+    layer with a non-finite output, else the proximal term."""
+    a = x
+    for i, spec in enumerate(arch.layers):
+        a, _ = _walk(model, arch, a, i, i + 1)
+        if not np.isfinite(a).all():
+            return f"first non-finite output at layer {i} ({spec.kind})"
+    return "non-finite proximal term"
 
 
 def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
@@ -299,11 +369,15 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
     """Run local SGD for cfg.local_epochs epochs and return the new weights
     plus the mean objective per epoch.
 
-    Layers below cfg.frozen_prefix are returned bit-identical to the input.
-    An empty dataset is an explicit no-op: (input model, []).  With
-    cfg.reference_weights set the optimized objective is
-    loss + (mu/2)*||w - reference||^2 over the trainable parameters.
-    Non-finite trained weights raise ShapeError.
+    Layers below cfg.frozen_prefix are returned bit-identical to the input
+    and get no backward pass.  The leading frozen conv1d/maxpool1d layers
+    run once per call over every window of the batch, not once per
+    minibatch; each minibatch starts from those cached features, with the
+    same bits as running them per minibatch.  An empty dataset is an
+    explicit no-op: (input model, []).  With cfg.reference_weights set the
+    optimized objective is loss + (mu/2)*||w - reference||^2 over the
+    trainable parameters.  A non-finite objective value raises
+    DivergenceError at its minibatch, as do non-finite trained weights.
     """
     if cfg.frozen_prefix > len(model.layers):
         raise ValueError(
@@ -321,15 +395,30 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
     work = _working_copy(model, start)
     params = [(layer.incoming, layer.bias) for layer in work.layers[start:]]
 
+    lowest = _lowest_trainable(arch, start)
+    first = 0
+    while first < lowest and arch.layers[first].kind in _PER_WINDOW_KINDS:
+        first += 1
+    features = x if first == 0 else np.concatenate([
+        _walk(work, arch, x[lo:lo + _FEATURE_CHUNK], 0, first)[0]
+        for lo in range(0, len(x), _FEATURE_CHUNK)])
+
     rng = np.random.default_rng(seed)
     lr = cfg.learning_rate
     epoch_losses: list[float] = []
-    for _ in range(cfg.local_epochs):
+    for epoch in range(1, cfg.local_epochs + 1):
         order = rng.permutation(len(labels))
         batch_losses = []
         for lo in range(0, len(order), cfg.batch_size):
             sel = order[lo:lo + cfg.batch_size]
-            value, grads = _objective(work, arch, x[sel], labels[sel], cfg, keep=True)
+            value, grads = _objective(work, arch, features[sel], labels[sel], cfg,
+                                      keep=True, first=first)
+            if not math.isfinite(value):
+                raise DivergenceError(
+                    f"diverged, layer parameters must be finite: objective "
+                    f"{value} at epoch {epoch}, minibatch "
+                    f"{lo // cfg.batch_size + 1}; "
+                    f"{_divergence_site(work, arch, x[sel])}")
             batch_losses.append(value)
             if lr != 0:
                 for (w, b), (dw, db) in zip(params, grads):
@@ -337,8 +426,15 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
                     b -= lr * db
         epoch_losses.append(float(np.mean(batch_losses)))
     # Rebuilt so that LayerWeights checks the trained values are finite.
-    trained = tuple(LayerWeights(w, b) for w, b in params)
-    return ModelWeights(work.layers[:start] + trained), epoch_losses
+    trained = []
+    for i, (w, b) in zip(arch.param_indices()[start:], params):
+        try:
+            trained.append(LayerWeights(w, b))
+        except ShapeError as exc:  # shapes are unchanged: a non-finite value
+            raise DivergenceError(
+                f"{exc}: layer {i} ({arch.layers[i].kind}) after the last step"
+            ) from exc
+    return ModelWeights(work.layers[:start] + tuple(trained)), epoch_losses
 
 
 def evaluate(model: ModelWeights, arch: ModelArch, inputs: np.ndarray,

@@ -54,7 +54,13 @@ from .metrics import (
     evaluate_global,
     evaluate_personalization,
 )
-from .nn import Batch, TrainingConfig, balanced_class_weights, train_local
+from .nn import (
+    Batch,
+    TrainingConfig,
+    balanced_class_weights,
+    diverged_in,
+    train_local,
+)
 
 
 ALGORITHMS = ("fedavg", "fedprox", "feddist", "local-only", "centralized")
@@ -368,15 +374,16 @@ def _federated_rounds(cfg, arch, states, server, executor):
                 id=k, inputs=st.train.windows, labels=st.train.labels,
                 cfg=st.cfg, seed=_train_seed(cfg.seed, t, k)))
 
-        if cfg.algorithm == "feddist":
-            outcome = feddist_round(server, arch, runtimes, cfg.feddist, t,
-                                    executor=executor)
-        elif cfg.algorithm == "fedprox":
-            outcome = fedprox_round(server, arch, runtimes, round_index=t,
-                                    executor=executor)
-        else:
-            outcome = fedavg_round(server, arch, runtimes, round_index=t,
-                                   executor=executor)
+        with diverged_in(f"round {t}"):
+            if cfg.algorithm == "feddist":
+                outcome = feddist_round(server, arch, runtimes, cfg.feddist, t,
+                                        executor=executor)
+            elif cfg.algorithm == "fedprox":
+                outcome = fedprox_round(server, arch, runtimes, round_index=t,
+                                        executor=executor)
+            else:
+                outcome = fedavg_round(server, arch, runtimes, round_index=t,
+                                       executor=executor)
         server = outcome.server
         for k, model in outcome.client_models.items():
             states[k].model = model
@@ -389,9 +396,10 @@ def _local_only_rounds(cfg, arch, states):
     everyone = tuple(range(len(states)))
     for t in range(1, cfg.rounds + 1):
         for st in states:
-            st.model, _ = train_local(st.model, arch,
-                                      Batch(st.train.windows, st.train.labels),
-                                      st.cfg, _train_seed(cfg.seed, t, st.id))
+            with diverged_in(f"round {t}: client {st.id}, local training"):
+                st.model, _ = train_local(st.model, arch,
+                                          Batch(st.train.windows, st.train.labels),
+                                          st.cfg, _train_seed(cfg.seed, t, st.id))
         yield CommLedger(t, "local-only"), None, everyone
 
 
@@ -404,8 +412,9 @@ def _centralized_rounds(cfg, arch, states, init):
                                                                arch.classes))
     model = init
     for t in range(1, cfg.rounds + 1):
-        model, _ = train_local(model, arch, Batch(pooled.windows, pooled.labels),
-                               central_cfg, _train_seed(cfg.seed, t, 0))
+        with diverged_in(f"round {t}: every client pooled, centralized training"):
+            model, _ = train_local(model, arch, Batch(pooled.windows, pooled.labels),
+                                   central_cfg, _train_seed(cfg.seed, t, 0))
         yield CommLedger(t, "centralized"), model, ()
 
 

@@ -22,7 +22,14 @@ from fedsim import (
     train_local,
 )
 from fedsim.fabric import LayerWeights, ShapeError
-from fedsim.nn import Batch, _as_batch_array, _objective
+from fedsim.nn import (
+    Batch,
+    DivergenceError,
+    _as_batch_array,
+    _conv1d,
+    _objective,
+    _walk,
+)
 
 from conftest import conv_arch, dense_arch, models_bit_equal
 
@@ -276,6 +283,108 @@ class TestTrainLocal:
             with pytest.raises(ShapeError, match="layer parameters must be finite"):
                 train_local(model, arch, batch, cfg, 0)
 
+    def test_divergence_names_epoch_minibatch_and_layer(self):
+        # the objective is checked per minibatch, so training stops at the
+        # first non-finite value instead of running on to the end of the call
+        arch = dense_arch(2, 2, 2, activation="none")
+        model = ModelWeights((
+            LayerWeights(np.full((2, 2), 1e200), np.zeros(2)),
+            LayerWeights(np.full((2, 2), 1e200), np.zeros(2)),
+        ))
+        batch = Batch(np.ones((4, 2)), np.array([0, 1, 0, 1]))
+        cfg = TrainingConfig(local_epochs=3, learning_rate=0.05, batch_size=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=r"epoch 1, minibatch 1; "
+                               r"first non-finite output at layer 1 \(softmax-output\)"):
+                train_local(model, arch, batch, cfg, 0)
+
+
+DESK_ARCH = ModelArch(128, 6, (
+    LayerSpec("conv1d", width=16, kernel=16, activation="relu"),
+    LayerSpec("maxpool1d", kernel=4),
+    LayerSpec("dense", width=64, activation="relu"),
+    LayerSpec("softmax-output", width=8),
+))
+
+
+class TestFrozenPrefixShortcuts:
+    """train_local gives frozen layers no backward pass and computes the
+    leading frozen conv/pool features once per call; both must leave every
+    bit of the training result as a plain per-minibatch loop gives it."""
+
+    @pytest.mark.parametrize("frozen", [1, 2])
+    def test_cached_features_match_per_minibatch_loop(self, frozen):
+        arch = conv_arch()
+        model = init_model(arch, 14)
+        rng = np.random.default_rng(15)
+        n, size, lr, epochs = 23, 5, 0.2, 3  # a 3-window tail minibatch
+        batch = Batch(rng.normal(size=(n, 20, 2)), rng.integers(0, 4, n))
+        cfg = TrainingConfig(local_epochs=epochs, learning_rate=lr,
+                             batch_size=size, frozen_prefix=frozen)
+        out, losses = train_local(model, arch, batch, cfg, 16)
+
+        work = ModelWeights(tuple(LayerWeights(layer.incoming.copy(), layer.bias.copy())
+                                  for layer in model.layers))
+        params = [(layer.incoming, layer.bias) for layer in work.layers[frozen:]]
+        shuffle = np.random.default_rng(16)  # train_local's shuffle
+        expected = []
+        for _ in range(epochs):
+            order = shuffle.permutation(n)
+            values = []
+            for lo in range(0, n, size):
+                sel = order[lo:lo + size]
+                value, grads = _objective(work, arch, batch.inputs[sel],
+                                          batch.labels[sel], cfg, keep=True, first=0)
+                values.append(value)
+                for (w, b), (dw, db) in zip(params, grads):
+                    w -= lr * dw
+                    b -= lr * db
+            expected.append(float(np.mean(values)))
+        assert models_bit_equal(out, work)
+        assert losses == expected
+
+    def test_conv_pool_prefix_is_computed_per_window(self):
+        # The cache is exact only while a conv/pool window's output does not
+        # depend on the other windows in the call (numpy's 3-D @ runs one
+        # gemm per window); a numpy or BLAS change that breaks that fails here.
+        model = init_model(DESK_ARCH, 17)
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(52, 128, 6))
+        for last in (1, 2):  # conv output, pool output
+            whole, _ = _walk(model, DESK_ARCH, x, 0, last)
+            for _ in range(6):
+                rows = rng.choice(len(x), 16, replace=False)
+                part, _ = _walk(model, DESK_ARCH, x[rows], 0, last)
+                assert np.array_equal(part, whole[rows])
+            tail, _ = _walk(model, DESK_ARCH, x[-4:], 0, last)
+            assert np.array_equal(tail, whole[-4:])
+
+    def test_backward_stops_at_lowest_trainable_layer(self):
+        arch = conv_arch()
+        model = init_model(arch, 19)
+        x = np.random.default_rng(20).normal(size=(3, 20, 2))
+        _, backwards = _walk(model, arch, x, lowest=2)
+        assert len(backwards) == 2  # dense and softmax-output; conv, pool none
+        dx, (dw, db) = backwards[0](np.ones((3, 10)), False)
+        assert dx is None and dw.shape == (48, 10) and db.shape == (10,)
+
+    def test_conv_weight_gradient_matches_einsum(self):
+        # desk shapes: batch 16, 128 x 6 windows, 16 filters of kernel 16
+        rng = np.random.default_rng(21)
+        n, t, c, k, o = 16, 128, 6, 16, 16
+        t_out = t - k + 1
+        layer = LayerWeights(rng.normal(size=(k, c, o)), rng.normal(size=o))
+        a = rng.normal(size=(n, t, c))
+        dz = rng.normal(size=(n, t_out, o))
+        _, backward = _conv1d(LayerSpec("conv1d", width=o, kernel=k), layer, a,
+                              "conv", keep=True)
+        dx, (dw, db) = backward(dz, False)
+        cols = np.stack([a[:, i:i + t_out, :] for i in range(k)], axis=2)
+        ref = np.einsum("ntf,nto->fo", cols.reshape(n, t_out, k * c), dz)
+        assert dx is None
+        assert np.abs(dw - ref.reshape(k, c, o)).max() <= 1e-12 * np.abs(ref).max()
+        assert np.allclose(db, dz.sum(axis=(0, 1)), rtol=0, atol=1e-12)
+
 
 class TestGradientCheck:
     def test_small_dense_model(self):
@@ -291,6 +400,17 @@ class TestGradientCheck:
         rng = np.random.default_rng(5)
         batch = Batch(rng.normal(size=(3, 20, 2)), rng.integers(0, 4, 3))
         cfg = TrainingConfig(class_weights=balanced_class_weights(batch.labels, 4))
+        assert gradient_check(model, arch, batch, cfg) < 1e-4
+
+    @pytest.mark.parametrize("frozen", [1, 2])
+    def test_frozen_prefix(self, frozen):
+        # the backward walk ends at the lowest trainable layer
+        arch = conv_arch()
+        model = init_model(arch, 2)
+        rng = np.random.default_rng(5)
+        batch = Batch(rng.normal(size=(3, 20, 2)), rng.integers(0, 4, 3))
+        cfg = TrainingConfig(class_weights=balanced_class_weights(batch.labels, 4),
+                             frozen_prefix=frozen)
         assert gradient_check(model, arch, batch, cfg) < 1e-4
 
     def test_with_proximal_term(self):

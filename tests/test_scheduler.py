@@ -3,11 +3,14 @@ clients, and the final-shape ablation rerun."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 import fedsim.aggregation as aggregation
 from fedsim import (
+    DivergenceError,
     ExperimentConfig,
     LayerSpec,
     ModelArch,
@@ -206,6 +209,25 @@ class TestRunExperiment:
         for report in res.reports:
             assert report.global_f1 is None
             assert report.pers_mean is not None
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("algorithm, threads, phase", [
+        ("feddist", 1, "main phase"),
+        ("feddist", 2, "main phase"),
+        ("local-only", 1, "local training"),
+    ])
+    def test_diverging_run_names_round_client_phase_layer(self, algorithm,
+                                                          threads, phase):
+        # a step this large overflows the logits within the first round
+        cfg = tiny_config(algorithm=algorithm, rounds=2, threads=threads,
+                          training=TrainingConfig(local_epochs=2, learning_rate=1e150,
+                                                  batch_size=16))
+        with pytest.raises(DivergenceError) as info:
+            run_experiment(cfg)
+        assert re.match(rf"round 1: client \d+, {phase}: diverged, .* at epoch \d+, "
+                        r"minibatch \d+; first non-finite output at layer \d+ \(",
+                        str(info.value)), str(info.value)
 
     def test_threads_do_not_change_results(self):
         cfg = tiny_config(rounds=2, clients=3)
