@@ -134,7 +134,8 @@ def evaluate_global(server: ModelWeights, arch: ModelArch,
     return score_model(server, arch, global_test)
 
 
-def _spread(scores: list[float]) -> tuple[float, float]:
+def spread(scores: list[float]) -> tuple[float, float]:
+    """(mean, population std) of per-client scores."""
     arr = np.asarray(scores, dtype=np.float64)
     return float(arr.mean()), float(arr.std())
 
@@ -147,7 +148,7 @@ def evaluate_personalization(entries, arch: ModelArch):
     scores = [score_model(model, arch, test).macro_f1 for model, test in entries]
     if not scores:
         raise ValueError("no clients to evaluate")
-    mean, std = _spread(scores)
+    mean, std = spread(scores)
     return mean, std, scores
 
 
@@ -155,6 +156,9 @@ def evaluate_generalization(best_models, arch: ModelArch,
                             global_test: WindowSet):
     """Best-personalization snapshots scored on the global test set.
 
+    The scheduler scores each snapshot once: it passes only the snapshots
+    taken since its previous tick, keeps their scores, and reports the
+    spread over every client's kept score.
     None entries (clients never evaluated) are excluded with a warning.
     Returns (mean, population std, per-entry scores aligned with the input,
     None where excluded).
@@ -169,7 +173,7 @@ def evaluate_generalization(best_models, arch: ModelArch,
     present = [s for s in scores if s is not None]
     if not present:
         raise ValueError("no evaluated clients")
-    mean, std = _spread(present)
+    mean, std = spread(present)
     return mean, std, scores
 
 

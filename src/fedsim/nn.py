@@ -21,7 +21,7 @@ from .arch import CONV1D, DENSE, MAXPOOL1D, PARAM_KINDS, SOFTMAX_OUTPUT, ModelAr
 from .fabric import LayerWeights, ModelWeights, ShapeError
 
 LOG_CLAMP = 1e-12  # probability floor inside cross-entropy, avoids -inf
-_FEATURE_CHUNK = 256  # windows per call when train_local caches frozen features
+_FEATURE_CHUNK = 256  # windows per call of the leading conv1d/maxpool1d layers
 
 
 class DivergenceError(ShapeError):
@@ -177,7 +177,7 @@ def _conv1d(spec, layer, a, where, keep):
     win = np.lib.stride_tricks.sliding_window_view(a, k, axis=1)  # [N,T_out,C,k]
     cols = win.transpose(0, 1, 3, 2).reshape(n, t_out, k * c_in)
     # A 3-D @ runs one gemm per window, so a window's output does not depend
-    # on the other windows in the call (train_local's feature cache needs it).
+    # on the other windows in the call (_window_prefix relies on it).
     z = cols @ layer.incoming.reshape(k * c_in, c_out) + layer.bias
     if not keep:
         return _activate(spec, z, None)
@@ -235,7 +235,7 @@ _FORWARD = {DENSE: _dense, CONV1D: _conv1d, MAXPOOL1D: _maxpool1d,
             SOFTMAX_OUTPUT: _dense}
 
 # Kinds that map each window on its own, bit for bit whatever else is in the
-# batch, so train_local may compute a frozen run of them once per call.
+# batch, so a leading run of them may go through _window_prefix in slices.
 _PER_WINDOW_KINDS = (CONV1D, MAXPOOL1D)
 
 
@@ -269,10 +269,34 @@ def _walk(model: ModelWeights, arch: ModelArch, a: np.ndarray, first: int = 0,
     return a, backwards
 
 
+def _window_prefix(model: ModelWeights, arch: ModelArch, x: np.ndarray,
+                   below: int) -> tuple[np.ndarray, int]:
+    """Run the leading conv1d/maxpool1d layers of the stack that lie below
+    arch layer `below` on x, _FEATURE_CHUNK windows at a time, so the conv's
+    full-length output exists for one slice at a time.  Returns (their
+    output, the index of the first layer not run); x itself and 0 when there
+    are none.  Bit-identical to running them over x at once: each window is
+    its own gemm."""
+    first = 0
+    while first < below and arch.layers[first].kind in _PER_WINDOW_KINDS:
+        first += 1
+    if first == 0:
+        return x, 0
+    # An empty x still makes one (empty) slice, which carries the output shape.
+    return np.concatenate([
+        _walk(model, arch, x[lo:lo + _FEATURE_CHUNK], 0, first)[0]
+        for lo in range(0, max(len(x), 1), _FEATURE_CHUNK)]), first
+
+
 def forward(model: ModelWeights, arch: ModelArch, inputs: np.ndarray) -> np.ndarray:
-    """Class-probability matrix [examples, classes]; rows sum to 1."""
+    """Class-probability matrix [examples, classes]; rows sum to 1.
+
+    The leading conv1d/maxpool1d layers run in 256-window slices and the
+    layers above them over every row of inputs at once; the result is
+    bit-identical to running the whole stack over inputs at once."""
     x = _as_batch_array(inputs, arch, model.dtype)
-    logits, _ = _walk(model, arch, x)
+    features, first = _window_prefix(model, arch, x, len(arch.layers))
+    logits, _ = _walk(model, arch, features, first)
     return _softmax(logits)
 
 
@@ -395,13 +419,7 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
     work = _working_copy(model, start)
     params = [(layer.incoming, layer.bias) for layer in work.layers[start:]]
 
-    lowest = _lowest_trainable(arch, start)
-    first = 0
-    while first < lowest and arch.layers[first].kind in _PER_WINDOW_KINDS:
-        first += 1
-    features = x if first == 0 else np.concatenate([
-        _walk(work, arch, x[lo:lo + _FEATURE_CHUNK], 0, first)[0]
-        for lo in range(0, len(x), _FEATURE_CHUNK)])
+    features, first = _window_prefix(work, arch, x, _lowest_trainable(arch, start))
 
     rng = np.random.default_rng(seed)
     lr = cfg.learning_rate
@@ -440,7 +458,11 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
 def evaluate(model: ModelWeights, arch: ModelArch, inputs: np.ndarray,
              chunk: int = 4096) -> np.ndarray:
     """Predicted class per example: argmax of forward probabilities, ties
-    broken toward the lowest class index."""
+    broken toward the lowest class index.
+
+    forward runs on `chunk` examples at a time, and within that its leading
+    conv1d/maxpool1d layers on 256-window slices, which bounds the memory of
+    scoring a large test set."""
     out = []
     for lo in range(0, len(inputs), chunk):
         probs = forward(model, arch, inputs[lo:lo + chunk])

@@ -53,6 +53,7 @@ from .metrics import (
     evaluate_generalization,
     evaluate_global,
     evaluate_personalization,
+    spread,
 )
 from .nn import (
     Batch,
@@ -211,6 +212,8 @@ class ClientState:
     best_round: int | None = None
     best_model: ModelWeights | None = None
     best_hash: str | None = None
+    # best_model's macro F1 on the pooled test set; None until scored.
+    best_generalization: float | None = None
 
     @property
     def n_k(self) -> int:
@@ -254,6 +257,7 @@ def _snapshot(state: ClientState, score: float, round_index: int) -> None:
     state.best_round = round_index
     state.best_model = state.model
     state.best_hash = hashlib.sha256(blob).hexdigest()
+    state.best_generalization = None
 
 
 def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
@@ -314,7 +318,9 @@ def _evaluate_tick(arch, states, active, server, global_test, t,
                    totals: LedgerSummary, algorithm: str) -> RoundReport:
     """Score round t.  The global view needs a server model; the
     personalization and generalization views need active clients, so a
-    centralized run (no clients) reports only the global view."""
+    centralized run (no clients) reports only the global view.  A best
+    snapshot is scored on the pooled test set once, at the first tick that
+    sees it; _snapshot clears the kept score when it replaces the snapshot."""
     bundle = evaluate_global(server, arch, global_test) if server is not None else None
     model = server if server is not None else states[0].model
     report = RoundReport(
@@ -341,8 +347,14 @@ def _evaluate_tick(arch, states, active, server, global_test, t,
             _snapshot(st, score, t)
 
     evaluated = [st for st in states if st.best_model is not None]
-    gen_mean, gen_std, gen_scores = evaluate_generalization(
-        [st.best_model for st in evaluated], arch, global_test)
+    unscored = [st for st in evaluated if st.best_generalization is None]
+    if unscored:
+        _, _, fresh = evaluate_generalization(
+            [st.best_model for st in unscored], arch, global_test)
+        for st, score in zip(unscored, fresh):
+            st.best_generalization = score
+    gen_scores = [st.best_generalization for st in evaluated]
+    gen_mean, gen_std = spread(gen_scores)
 
     return replace(
         report,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from fedsim.nn import (
     _as_batch_array,
     _conv1d,
     _objective,
+    _softmax,
     _walk,
 )
 
@@ -479,6 +481,27 @@ class TestEvaluate:
         probs = forward(model, arch, x)
         expected = [int(np.argmax(row)) for row in probs]
         assert evaluate(model, arch, x, chunk=5).tolist() == expected
+
+    def test_sliced_conv_pool_prefix_matches_one_walk(self):
+        # 600 windows: two full 256-window slices and a partial one
+        model = init_model(DESK_ARCH, 22)
+        x = np.random.default_rng(23).normal(size=(600, 128, 6))
+        logits, _ = _walk(model, DESK_ARCH, x)
+        assert np.array_equal(forward(model, DESK_ARCH, x), _softmax(logits))
+
+    def test_scoring_a_pooled_test_set_stays_small(self):
+        # 1,800 windows are one evaluate chunk; the conv's output before and
+        # after its relu takes 52 MB for all of them at once, and scoring
+        # them in 256-window slices peaks at about 15 MB
+        model = init_model(DESK_ARCH, 24)
+        x = np.random.default_rng(25).normal(size=(1800, 128, 6))
+        tracemalloc.start()
+        try:
+            evaluate(model, DESK_ARCH, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 def test_balanced_class_weights():

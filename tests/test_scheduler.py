@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fedsim.aggregation as aggregation
+import fedsim.scheduler as scheduler
 from fedsim import (
     DivergenceError,
     ExperimentConfig,
@@ -25,6 +26,7 @@ from fedsim import (
     train_local,
 )
 from fedsim.fabric import neuron_vector, write_neuron
+from fedsim.metrics import score_model
 from fedsim.nn import Batch
 
 from conftest import models_bit_equal
@@ -235,6 +237,64 @@ class TestRunExperiment:
         a = run_experiment(cfg)
         b = run_experiment(threaded)
         assert [r.csv_row() for r in a.reports] == [r.csv_row() for r in b.reports]
+
+
+class TestGeneralizationScoredOnce:
+    """The generalization view scores a best snapshot on the pooled test set
+    once; an interchanging pool leaves idle clients on old snapshots, whose
+    kept scores must be reused, and replaced snapshots rescored."""
+
+    @staticmethod
+    def _ticks(monkeypatch, eval_every):
+        """Per tick: (report, models scored since the previous tick, each
+        snapshotted client's (best_round, best_model) as the report left)."""
+        # seed 6 replaces a kept snapshot at both cadences
+        cfg = tiny_config(rounds=12, clients=5, seed=6, eval_every=eval_every,
+                          scenario=ScenarioSpec(kind="interchanging", sample_size=3))
+        states, scored, ticks = {}, [], []
+        snapshot, score = scheduler._snapshot, scheduler.evaluate_generalization
+
+        def recording_snapshot(state, *args):
+            states[state.id] = state
+            snapshot(state, *args)
+
+        def counting_score(best_models, *args):
+            scored.append(len(best_models))
+            return score(best_models, *args)
+
+        def on_report(report):
+            held = {k: (st.best_round, st.best_model) for k, st in states.items()}
+            ticks.append((report, sum(scored), held))
+            scored.clear()
+
+        monkeypatch.setattr(scheduler, "_snapshot", recording_snapshot)
+        monkeypatch.setattr(scheduler, "evaluate_generalization", counting_score)
+        res = run_experiment(cfg, on_report=on_report)
+        return cfg, res, ticks
+
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    def test_scorings_per_tick_equal_changed_snapshots(self, monkeypatch, eval_every):
+        _, _, ticks = self._ticks(monkeypatch, eval_every)
+        previous, reused, replaced = {}, 0, 0
+        for _, count, held in ticks:
+            changed = [k for k, (best_round, _) in held.items()
+                       if previous.get(k, (None,))[0] != best_round]
+            assert count == len(changed)
+            reused += len(held) - len(changed)
+            replaced += len(set(changed) & previous.keys())
+            previous = held
+        # the run both keeps old snapshots and replaces some
+        assert reused > 0 and replaced > 0
+
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    def test_every_tick_reports_the_held_snapshots_scores(self, monkeypatch,
+                                                          eval_every):
+        cfg, res, ticks = self._ticks(monkeypatch, eval_every)
+        for report, _, held in ticks:
+            assert report.per_client_generalization.keys() == held.keys()
+            for k, (_, best_model) in held.items():
+                expected = score_model(best_model, cfg.model, res.global_test).macro_f1
+                assert report.per_client_generalization[k] == expected
 
 
 class TestRerunWithFinalShape:
