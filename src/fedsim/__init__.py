@@ -42,7 +42,6 @@ from .data import (
 from .fabric import (
     LayerWeights,
     ModelWeights,
-    NeuronVector,
     append_neuron,
     conform_to_shape,
     init_model,

@@ -25,6 +25,7 @@ round output does not depend on client execution order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -85,7 +86,6 @@ class ClientRuntime:
 class DistanceMatrix:
     """Per-layer unit-by-client Euclidean distances with pooled statistics."""
 
-    layer: int
     entries: np.ndarray  # [units, clients]
     mu: float
     sigma: float
@@ -108,8 +108,9 @@ class GrowthEvent:
 
 @dataclass
 class CommLedger:
-    """Per-round communication accounting (bytes on the wire, sub-rounds,
-    units added per layer)."""
+    """Communication accounting of one round (or, from ledger_totals, of a
+    span of rounds): bytes on the wire, sub-rounds, truncated selections,
+    and the growth events in the order they were applied."""
 
     round_index: int = 0
     algorithm: str = ""
@@ -117,12 +118,17 @@ class CommLedger:
     bytes_up: int = 0
     shape_metadata_bytes: int = 0
     sub_rounds: int = 0
-    units_added: dict[int, int] = field(default_factory=dict)
     truncated_selections: int = 0
+    growth: list[GrowthEvent] = field(default_factory=list)
+
+    @property
+    def units_added(self) -> dict[int, int]:
+        """Units appended per layer, layers in order of first growth."""
+        return dict(Counter(event.layer for event in self.growth))
 
     @property
     def total_units_added(self) -> int:
-        return sum(self.units_added.values())
+        return len(self.growth)
 
     @property
     def total_bytes(self) -> int:
@@ -130,23 +136,10 @@ class CommLedger:
 
 
 @dataclass(frozen=True)
-class LedgerSummary:
-    bytes_down: int
-    bytes_up: int
-    total_bytes: int
-    sub_rounds: int
-    shape_metadata_bytes: int
-    truncated_selections: int
-    units_per_layer: dict[int, int]
-    growth_trajectory: tuple[int, ...]  # units added per round, in order
-
-
-@dataclass(frozen=True)
 class RoundOutcome:
     server: ModelWeights
     ledger: CommLedger
     client_models: dict[int, ModelWeights]
-    growth: tuple[GrowthEvent, ...] = ()
     skipped: bool = False
 
 
@@ -235,8 +228,7 @@ def _unit_matrix(layer: LayerWeights) -> np.ndarray:
     return np.vstack([flat, layer.bias[None, :]]).T.astype(np.float64)
 
 
-def distance_matrix(server_layer: LayerWeights, client_layers,
-                    layer_index: int = 0) -> DistanceMatrix:
+def distance_matrix(server_layer: LayerWeights, client_layers) -> DistanceMatrix:
     """Entry (d, k): Euclidean distance between server unit d and client k's
     unit d (incoming weights plus bias).  mu/sigma are pooled over every
     entry of the matrix (population std)."""
@@ -254,8 +246,8 @@ def distance_matrix(server_layer: LayerWeights, client_layers,
         diff = server_units - _unit_matrix(layer)
         columns.append(np.linalg.norm(diff, axis=1))
     entries = np.stack(columns, axis=1)
-    return DistanceMatrix(layer=layer_index, entries=entries,
-                          mu=float(entries.mean()), sigma=float(entries.std()))
+    return DistanceMatrix(entries=entries, mu=float(entries.mean()),
+                          sigma=float(entries.std()))
 
 
 def divergence_threshold(round_index: int, fcfg: FedDistConfig,
@@ -267,10 +259,9 @@ def divergence_threshold(round_index: int, fcfg: FedDistConfig,
     return (fcfg.beta * round_index + fcfg.base_sigma_multiplier) * sigma + mu
 
 
-def select_divergent(pi: DistanceMatrix, threshold: float,
-                     cap: int | None = None) -> list[Selection]:
+def select_divergent(pi: DistanceMatrix, threshold: float) -> list[Selection]:
     """Entries strictly above the threshold, most distant first, at most one
-    client per unit coordinate (the most distant wins), truncated to cap."""
+    client per unit coordinate (the most distant wins)."""
     if not np.isfinite(threshold):
         raise ValueError("threshold must be finite")
     candidates = [
@@ -285,8 +276,6 @@ def select_divergent(pi: DistanceMatrix, threshold: float,
             continue
         seen_units.add(cand.unit)
         picked.append(cand)
-    if cap is not None:
-        picked = picked[:cap]
     return picked
 
 
@@ -321,13 +310,11 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
     models = list(main.client_models.values())
     w = main.server
 
-    growth: list[GrowthEvent] = []
     n_layers = len(w.layers)
     for layer in range(n_layers - 1):  # the output layer is never grown
-        pi = distance_matrix(w.layers[layer],
-                             [m.layers[layer] for m in models], layer)
+        pi = distance_matrix(w.layers[layer], [m.layers[layer] for m in models])
         threshold = divergence_threshold(round_index, fcfg, pi.mu, pi.sigma)
-        selections = select_divergent(pi, threshold, cap=None)
+        selections = select_divergent(pi, threshold)
         kept = selections[:cap]
         ledger.truncated_selections += len(selections) - len(kept)
         if not kept:
@@ -337,12 +324,10 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
         for sel in kept:
             donor = models[sel.client_pos]
             donor_id = clients[sel.client_pos].id
-            source = neuron_vector(donor.layers[layer], sel.unit,
-                                   origin=(donor_id, layer, sel.unit))
+            source = neuron_vector(donor.layers[layer], sel.unit)
             rows = donor_successor_rows(donor, layer, sel.unit)
             w = append_neuron(w, layer, source, rows)
-            growth.append(GrowthEvent(layer, sel.unit, donor_id, sel.distance))
-        ledger.units_added[layer] = ledger.units_added.get(layer, 0) + len(kept)
+            ledger.growth.append(GrowthEvent(layer, sel.unit, donor_id, sel.distance))
 
         # Layer-wise sub-round: freeze the grown stack, retrain what is above.
         ledger.sub_rounds += 1
@@ -363,31 +348,27 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
         w = ModelWeights(w.layers[:layer + 1] + averaged.layers[layer + 1:])
 
     return RoundOutcome(server=w, ledger=ledger,
-                        client_models={c.id: m for c, m in zip(clients, models)},
-                        growth=tuple(growth))
+                        client_models={c.id: m for c, m in zip(clients, models)})
 
 
-def ledger_totals(ledgers) -> LedgerSummary:
-    """Additive aggregation of per-round ledgers."""
-    ledgers = list(ledgers)
-    units: dict[int, int] = {}
+def ledger_totals(ledgers) -> CommLedger:
+    """The sum of per-round ledgers: bytes, shape metadata, sub-rounds and
+    truncations added, growth events concatenated in round order.  A total
+    spans rounds, so it keeps the default round_index and algorithm."""
+    total = CommLedger()
     for led in ledgers:
-        for layer, count in led.units_added.items():
-            units[layer] = units.get(layer, 0) + count
-    return LedgerSummary(
-        bytes_down=sum(l.bytes_down for l in ledgers),
-        bytes_up=sum(l.bytes_up for l in ledgers),
-        total_bytes=sum(l.total_bytes for l in ledgers),
-        sub_rounds=sum(l.sub_rounds for l in ledgers),
-        shape_metadata_bytes=sum(l.shape_metadata_bytes for l in ledgers),
-        truncated_selections=sum(l.truncated_selections for l in ledgers),
-        units_per_layer=units,
-        growth_trajectory=tuple(l.total_units_added for l in ledgers),
-    )
+        total.bytes_down += led.bytes_down
+        total.bytes_up += led.bytes_up
+        total.shape_metadata_bytes += led.shape_metadata_bytes
+        total.sub_rounds += led.sub_rounds
+        total.truncated_selections += led.truncated_selections
+        total.growth += led.growth
+    return total
 
 
-def cost_ratio(summary: LedgerSummary, baseline: LedgerSummary) -> float:
-    """Total-byte ratio of one run against a baseline (e.g. FedDist/FedAvg)."""
+def cost_ratio(ledger: CommLedger, baseline: CommLedger) -> float:
+    """Total-byte ratio of one run's ledger against a baseline's (e.g.
+    FedDist/FedAvg totals)."""
     if baseline.total_bytes == 0:
         raise ValueError("baseline moved zero bytes")
-    return summary.total_bytes / baseline.total_bytes
+    return ledger.total_bytes / baseline.total_bytes

@@ -60,7 +60,6 @@ class LayerSpec:
 class ParamShape:
     """Static shape info for one parameterized layer."""
 
-    spec_index: int
     kind: str
     incoming_shape: tuple[int, ...]  # dense: (fan_in, width); conv: (kernel, in_ch, width)
     width: int
@@ -119,7 +118,7 @@ class ModelArch:
                         f"layer {i}: conv kernel {spec.kernel} exceeds length {time}"
                     )
                 out.append(
-                    ParamShape(i, CONV1D, (spec.kernel, channels, spec.width),
+                    ParamShape(CONV1D, (spec.kernel, channels, spec.width),
                                spec.width, spec.activation)
                 )
                 time = time - spec.kernel + 1
@@ -140,7 +139,7 @@ class ModelArch:
                     time = None
                 assert spec.width is not None
                 out.append(
-                    ParamShape(i, spec.kind, (flat, spec.width), spec.width,
+                    ParamShape(spec.kind, (flat, spec.width), spec.width,
                                spec.activation)
                 )
                 flat = spec.width
@@ -148,7 +147,7 @@ class ModelArch:
 
     def param_indices(self) -> list[int]:
         """Spec indices of parameterized layers, in order."""
-        return [p.spec_index for p in self.trace()]
+        return [i for i, spec in enumerate(self.layers) if spec.kind in PARAM_KINDS]
 
     def with_widths(self, widths: tuple[int, ...] | list[int]) -> "ModelArch":
         """Same skeleton with parameterized-layer widths replaced.

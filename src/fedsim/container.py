@@ -50,12 +50,10 @@ def _dtype_code(dtype) -> int:
         raise ContainerError(f"unsupported dtype {dtype}") from None
 
 
-def record_size(layer: LayerWeights, itemsize: int | None = None) -> int:
+def record_size(layer: LayerWeights) -> int:
     """Serialized size in bytes of one layer record."""
-    if itemsize is None:
-        itemsize = layer.incoming.dtype.itemsize
     ndim = layer.incoming.ndim
-    return 2 + 4 * ndim + 4 + layer.size * itemsize
+    return 2 + 4 * ndim + 4 + layer.size * layer.incoming.dtype.itemsize
 
 
 def byte_size(model: ModelWeights, layer_indices=None) -> int:

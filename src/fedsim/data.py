@@ -113,8 +113,12 @@ class SyntheticSpec:
             raise ValueError("classes must be >= 2")
         if self.dirichlet_alpha <= 0:
             raise ValueError("dirichlet_alpha must be positive")
-        if self.samples_per_client[0] > self.samples_per_client[1]:
-            raise ValueError("samples_per_client range is inverted")
+        for name in ("samples_per_client", "segment_range"):
+            lo, hi = getattr(self, name)
+            if lo < 1:
+                raise ValueError(f"{name} lower bound must be >= 1, got {lo}")
+            if lo > hi:
+                raise ValueError(f"{name} range is inverted")
         if not 0 < self.train_fraction < 1:
             raise ValueError("train_fraction must lie in (0, 1)")
 
@@ -175,8 +179,9 @@ def stratified_split(ws: WindowSet, train_fraction: float = 0.8,
         n_train = min(max(n_train, 1), len(idx) - 1)
         train_idx.append(perm[:n_train])
         test_idx.append(perm[n_train:])
-    train = np.sort(np.concatenate(train_idx))
-    test = np.sort(np.concatenate(test_idx)) if test_idx else np.zeros(0, dtype=np.intp)
+    none = [np.zeros(0, dtype=np.intp)]
+    train = np.sort(np.concatenate(train_idx or none))
+    test = np.sort(np.concatenate(test_idx or none))
     return (WindowSet(ws.windows[train], ws.labels[train]),
             WindowSet(ws.windows[test], ws.labels[test]))
 
@@ -303,6 +308,8 @@ def ingest_csv(path, schema: CsvSchema) -> SensorSeries:
                     raise CsvFormatError(
                         f"line {lineno}: label {raw_label!r} is not an integer"
                     ) from None
+            if label < 0:
+                raise CsvFormatError(f"line {lineno}: negative label {label}")
             rows.append(values)
             labels.append(label)
 

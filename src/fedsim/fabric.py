@@ -100,18 +100,6 @@ class ModelWeights:
         return tuple((layer.incoming.shape, layer.bias.shape[0]) for layer in self.layers)
 
 
-@dataclass(frozen=True)
-class NeuronVector:
-    """One unit's incoming weights (storage order) with its bias last.
-
-    origin records where the unit came from: (owner, layer index, unit index)
-    where owner is a client id or the string "server".
-    """
-
-    values: np.ndarray
-    origin: tuple = ("server", -1, -1)
-
-
 def init_model(arch: ModelArch, seed, dtype=np.float64) -> ModelWeights:
     """Randomly initialize weights for an architecture.
 
@@ -133,14 +121,13 @@ def init_model(arch: ModelArch, seed, dtype=np.float64) -> ModelWeights:
     return ModelWeights(tuple(layers))
 
 
-def neuron_vector(layer: LayerWeights, unit: int,
-                  origin: tuple = ("server", -1, -1)) -> NeuronVector:
-    """Flatten unit `unit` of a layer into a vector (incoming then bias)."""
+def neuron_vector(layer: LayerWeights, unit: int) -> np.ndarray:
+    """Flatten unit `unit` of a layer into a vector: its incoming weights in
+    storage order, then its bias."""
     if not 0 <= unit < layer.out_width:
         raise IndexError(f"unit {unit} out of range for width {layer.out_width}")
-    incoming = layer.incoming[..., unit].ravel()
-    values = np.concatenate([incoming, layer.bias[unit:unit + 1]])
-    return NeuronVector(values=values, origin=origin)
+    return np.concatenate([layer.incoming[..., unit].ravel(),
+                           layer.bias[unit:unit + 1]])
 
 
 def write_neuron(layer: LayerWeights, unit: int, values: np.ndarray) -> LayerWeights:
@@ -240,9 +227,9 @@ def donor_successor_rows(model: ModelWeights, layer: int, unit: int) -> np.ndarr
     return succ.incoming[..., unit * r:(unit + 1) * r, :].copy()
 
 
-def append_neuron(model: ModelWeights, layer: int, source: NeuronVector,
+def append_neuron(model: ModelWeights, layer: int, source: np.ndarray,
                   successor_rows: np.ndarray) -> ModelWeights:
-    """Append one unit (from `source`) at the tail of `layer`.
+    """Append one unit (`source`, a neuron_vector) at the tail of `layer`.
 
     The successor layer's incoming array gains `successor_rows` (the block
     donor_successor_rows returns) at the tail of its unit axis so the
@@ -254,15 +241,15 @@ def append_neuron(model: ModelWeights, layer: int, source: NeuronVector,
             f"cannot grow layer {layer}: the output layer is never grown"
         )
     target = model.layers[layer]
-    if source.values.shape != (target.fan_in + 1,):
+    if source.shape != (target.fan_in + 1,):
         raise ShapeError(
-            f"source length {source.values.shape[0]} != fan-in+1 = {target.fan_in + 1}"
+            f"source length {source.shape[0]} != fan-in+1 = {target.fan_in + 1}"
         )
-    new_in = source.values[:-1].reshape(target.incoming.shape[:-1])
+    new_in = source[:-1].reshape(target.incoming.shape[:-1])
     dtype = target.incoming.dtype
     incoming = np.concatenate(
         [target.incoming, new_in[..., None].astype(dtype)], axis=-1)
-    bias = np.concatenate([target.bias, np.asarray([source.values[-1]], dtype=dtype)])
+    bias = np.concatenate([target.bias, np.asarray([source[-1]], dtype=dtype)])
     grown = LayerWeights(incoming, bias)
 
     succ = model.layers[layer + 1]

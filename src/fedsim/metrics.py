@@ -13,7 +13,6 @@ bundles for comparison.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -140,41 +139,16 @@ def spread(scores: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-def evaluate_personalization(entries, arch: ModelArch):
-    """Each (model, own test set) pair scored by macro F1.
-
-    Returns (mean, population std, per-entry scores).
-    """
-    scores = [score_model(model, arch, test).macro_f1 for model, test in entries]
-    if not scores:
-        raise ValueError("no clients to evaluate")
-    mean, std = spread(scores)
-    return mean, std, scores
+def evaluate_personalization(entries, arch: ModelArch) -> list[float]:
+    """Macro F1 of each (model, own test set) pair, in order."""
+    return [score_model(model, arch, test).macro_f1 for model, test in entries]
 
 
 def evaluate_generalization(best_models, arch: ModelArch,
-                            global_test: WindowSet):
-    """Best-personalization snapshots scored on the global test set.
-
-    The scheduler scores each snapshot once: it passes only the snapshots
-    taken since its previous tick, keeps their scores, and reports the
-    spread over every client's kept score.
-    None entries (clients never evaluated) are excluded with a warning.
-    Returns (mean, population std, per-entry scores aligned with the input,
-    None where excluded).
-    """
-    scores: list[float | None] = []
-    for model in best_models:
-        if model is None:
-            warnings.warn("client never evaluated; excluded from generalization")
-            scores.append(None)
-        else:
-            scores.append(score_model(model, arch, global_test).macro_f1)
-    present = [s for s in scores if s is not None]
-    if not present:
-        raise ValueError("no evaluated clients")
-    mean, std = spread(present)
-    return mean, std, scores
+                            global_test: WindowSet) -> list[float]:
+    """Macro F1 of each best-personalization snapshot on the global test
+    set, in order."""
+    return [score_model(model, arch, global_test).macro_f1 for model in best_models]
 
 
 @dataclass(frozen=True)

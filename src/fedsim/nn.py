@@ -242,7 +242,7 @@ _PER_WINDOW_KINDS = (CONV1D, MAXPOOL1D)
 def _lowest_trainable(arch: ModelArch, frozen_prefix: int) -> int:
     """arch.layers index of parameter layer frozen_prefix, the lowest layer
     training updates; len(arch.layers) when every layer is frozen."""
-    params = [i for i, spec in enumerate(arch.layers) if spec.kind in PARAM_KINDS]
+    params = arch.param_indices()
     return params[frozen_prefix] if frozen_prefix < len(params) else len(arch.layers)
 
 

@@ -26,7 +26,6 @@ from .aggregation import (
     ClientRuntime,
     CommLedger,
     FedDistConfig,
-    LedgerSummary,
     fedavg_round,
     feddist_round,
     fedprox_round,
@@ -246,6 +245,9 @@ def _materialize(cfg: ExperimentConfig) -> list[tuple[WindowSet, WindowSet]]:
     out = []
     for k, path in enumerate(spec.paths):
         series = z_normalize(ingest_csv(path, schema))
+        top = int(series.labels.max(initial=0))
+        if top >= spec.classes:
+            raise ValueError(f"{path}: label {top} is outside [0, {spec.classes})")
         ws = window(series, spec.window_length, spec.window_step)
         out.append(stratified_split(ws, spec.train_fraction, _seq(cfg.seed, 1, k)))
     return out
@@ -315,7 +317,7 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
 
 
 def _evaluate_tick(arch, states, active, server, global_test, t,
-                   totals: LedgerSummary, algorithm: str) -> RoundReport:
+                   totals: CommLedger, algorithm: str) -> RoundReport:
     """Score round t.  The global view needs a server model; the
     personalization and generalization views need active clients, so a
     centralized run (no clients) reports only the global view.  A best
@@ -331,7 +333,7 @@ def _evaluate_tick(arch, states, active, server, global_test, t,
         params=model.parameter_count,
         bytes_up=totals.bytes_up,
         bytes_down=totals.bytes_down,
-        units_added=sum(totals.growth_trajectory),
+        units_added=totals.total_units_added,
         shape_signature=model.shape_signature,
         global_scores=bundle,
         sub_rounds=totals.sub_rounds,
@@ -340,8 +342,8 @@ def _evaluate_tick(arch, states, active, server, global_test, t,
         return report
 
     scored = [states[k] for k in active]
-    pers_mean, pers_std, pers_scores = evaluate_personalization(
-        [(st.model, st.test) for st in scored], arch)
+    pers_scores = evaluate_personalization([(st.model, st.test) for st in scored],
+                                           arch)
     for st, score in zip(scored, pers_scores):
         if st.best_score is None or score > st.best_score:
             _snapshot(st, score, t)
@@ -349,11 +351,12 @@ def _evaluate_tick(arch, states, active, server, global_test, t,
     evaluated = [st for st in states if st.best_model is not None]
     unscored = [st for st in evaluated if st.best_generalization is None]
     if unscored:
-        _, _, fresh = evaluate_generalization(
-            [st.best_model for st in unscored], arch, global_test)
+        fresh = evaluate_generalization([st.best_model for st in unscored],
+                                        arch, global_test)
         for st, score in zip(unscored, fresh):
             st.best_generalization = score
     gen_scores = [st.best_generalization for st in evaluated]
+    pers_mean, pers_std = spread(pers_scores)
     gen_mean, gen_std = spread(gen_scores)
 
     return replace(

@@ -61,7 +61,7 @@ def displacement_hook(displaced: int, layers, unit=0, shift=1000.0,
             for layer in layers:
                 nv = neuron_vector(new_layers[layer], unit)
                 new_layers[layer] = write_neuron(new_layers[layer], unit,
-                                                 nv.values + shift)
+                                                 nv + shift)
             trained = ModelWeights(tuple(new_layers))
         return trained
 
@@ -213,7 +213,7 @@ def test_criterion_05_controlled_growth_rig():
 
     assert growth_by_round[1].ledger.total_units_added == 0
     assert growth_by_round[1].ledger.sub_rounds == 0
-    event = growth_by_round[2].growth
+    event = growth_by_round[2].ledger.growth
     assert len(event) == 1
     assert (event[0].layer, event[0].unit, event[0].client_id) == (0, 0, 1)
     assert growth_by_round[2].ledger.sub_rounds == 1

@@ -50,7 +50,7 @@ def displacement_hook(displaced_client: int, layers: tuple[int, ...],
             for layer in layers:
                 nv = neuron_vector(new_layers[layer], unit)
                 new_layers[layer] = write_neuron(new_layers[layer], unit,
-                                                 nv.values + shift)
+                                                 nv + shift)
             trained = ModelWeights(tuple(new_layers))
         return trained
 
@@ -240,21 +240,21 @@ class TestThresholdAndSelection:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_select_empty_when_all_below(self):
-        pi = DistanceMatrix(0, np.full((4, 3), 0.5), 0.5, 0.0)
+        pi = DistanceMatrix(np.full((4, 3), 0.5), 0.5, 0.0)
         assert select_divergent(pi, 1.0) == []
 
     def test_select_single_entry(self):
         entries = np.full((4, 3), 0.1)
         entries[2, 1] = 9.0
-        pi = DistanceMatrix(0, entries, entries.mean(), entries.std())
+        pi = DistanceMatrix(entries, entries.mean(), entries.std())
         picked = select_divergent(pi, 5.0)
         assert [(s.client_pos, s.unit) for s in picked] == [(1, 2)]
 
     def test_matches_sort_and_truncate_oracle(self, rng):
         entries = rng.uniform(0, 10, size=(6, 4))
-        pi = DistanceMatrix(0, entries, entries.mean(), entries.std())
+        pi = DistanceMatrix(entries, entries.mean(), entries.std())
         threshold, cap = 5.0, 3
-        picked = select_divergent(pi, threshold, cap)
+        picked = select_divergent(pi, threshold)[:cap]
 
         # oracle: gather, de-duplicate per unit keeping the farthest client,
         # sort descending, truncate
@@ -272,7 +272,7 @@ class TestThresholdAndSelection:
     def test_one_selection_per_unit_most_distant_wins(self):
         entries = np.zeros((2, 3))
         entries[0] = [7.0, 9.0, 8.0]
-        pi = DistanceMatrix(0, entries, entries.mean(), entries.std())
+        pi = DistanceMatrix(entries, entries.mean(), entries.std())
         picked = select_divergent(pi, 1.0)
         assert [(s.client_pos, s.unit) for s in picked] == [(1, 0)]
 
@@ -308,8 +308,8 @@ class TestFedDistRound:
         clients = make_clients(arch, [54, 6], cfg, seed=25)
         out = feddist_round(server, arch, clients, FedDistConfig(beta=0.0), 1,
                             client_update=displacement_hook(1, (0,)))
-        assert len(out.growth) == 1
-        event = out.growth[0]
+        assert len(out.ledger.growth) == 1
+        event = out.ledger.growth[0]
         assert (event.layer, event.unit, event.client_id) == (0, 0, 1)
         assert out.server.shape_signature == (9, 3)
         assert out.ledger.sub_rounds == 1
@@ -331,7 +331,7 @@ class TestFedDistRound:
                 layers = list(trained.layers)
                 for unit in range(4):
                     nv = neuron_vector(layers[0], unit)
-                    layers[0] = write_neuron(layers[0], unit, nv.values + 1000.0)
+                    layers[0] = write_neuron(layers[0], unit, nv + 1000.0)
                 trained = ModelWeights(tuple(layers))
             return trained
 
@@ -403,12 +403,14 @@ class TestLedgers:
         summary = ledger_totals(ledgers)
         assert summary.total_bytes == sum(l.total_bytes for l in ledgers)
         assert summary.sub_rounds == 2
-        assert summary.growth_trajectory == (1, 1)
-        assert summary.units_per_layer == {0: 2}
+        assert summary.growth == ledgers[0].growth + ledgers[1].growth
+        assert [e.layer for e in summary.growth] == [0, 0]
+        assert summary.units_added == {0: 2}
+        assert (summary.round_index, summary.algorithm) == (0, "")
 
     def test_empty_sequence_is_zero_summary(self):
         summary = ledger_totals([])
         assert summary.total_bytes == 0
-        assert summary.growth_trajectory == ()
+        assert summary.growth == []
         with pytest.raises(ValueError):
             cost_ratio(summary, summary)

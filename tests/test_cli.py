@@ -294,6 +294,18 @@ class TestRunCommand:
         assert first_width > 8
         assert first_width == 8 + total_added
 
+    def test_client_without_windows_is_named(self, tmp_path, capsys):
+        # 100 samples are fewer than one 128-sample window
+        text = (TINY_RUN % "fedavg").replace("[1200, 1500]", "[100, 100]")
+        out = tmp_path / "short"
+        with pytest.warns(UserWarning, match="shorter than one window"):
+            code = main(["run", "--config", str(write(tmp_path, text)),
+                         "--out", str(out)])
+        assert code == 1
+        assert "client 0 has no training windows" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+
     def test_failed_run_marks_manifest(self, tmp_path, monkeypatch):
         cfg = write(tmp_path, TINY_RUN % "fedavg")
         out = tmp_path / "fail"
@@ -325,6 +337,17 @@ class TestValidateCommand:
     def test_invalid(self, tmp_path):
         cfg = write(tmp_path, MINIMAL + "rounds: 0\n")
         assert main(["validate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("segment_range", "[0, 0]", "lower bound must be >= 1"),
+        ("segment_range", "[50, 20]", "range is inverted"),
+        ("samples_per_client", "[0, 200]", "lower bound must be >= 1"),
+    ])
+    def test_synthetic_ranges_rejected(self, tmp_path, capsys, key, value, message):
+        # a zero-length segment would make the generator loop forever
+        cfg = write(tmp_path, MINIMAL + f"    {key}: {value}\n")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert f"data.synthetic: {key} {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, model_input, windows", [
         (MINIMAL, "[64, 6]", "[128, 6]"),

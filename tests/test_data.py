@@ -127,6 +127,12 @@ class TestStratifiedSplit:
         original = ws.windows.reshape(60, -1)
         assert {tuple(r) for r in stacked} == {tuple(r) for r in original}
 
+    def test_empty_set_splits_into_two_empty_sets(self):
+        empty = window_set([])
+        train, test = stratified_split(empty, 0.8, 0)
+        assert len(train) == len(test) == 0
+        assert train.windows.shape == test.windows.shape == empty.windows.shape
+
     def test_singleton_class_goes_to_train_with_warning(self):
         with pytest.warns(UserWarning, match="single window"):
             train, test = stratified_split(window_set([0, 0, 0, 0, 1]), 0.8, 0)
@@ -231,6 +237,12 @@ class TestIngestCsv:
         write_csv(f, ["0,1,2,3,4,5,6,0"])
         with pytest.raises(CsvFormatError, match="factor"):
             ingest_csv(f, CsvSchema(sample_rate_hz=75.0, target_hz=50.0))
+
+    def test_negative_label_cites_line(self, tmp_path):
+        f = tmp_path / "g.csv"
+        write_csv(f, ["0.00,1,2,3,4,5,6,0", "0.02,1,2,3,4,5,6,-1"])
+        with pytest.raises(CsvFormatError, match="line 3: negative label -1"):
+            ingest_csv(f, CsvSchema(sample_rate_hz=50.0))
 
     def test_label_map(self, tmp_path):
         f = tmp_path / "f.csv"

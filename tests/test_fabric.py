@@ -25,7 +25,6 @@ from fedsim import (
 from fedsim.container import HEADER_SIZE, ContainerError, shape_metadata_size
 from fedsim.fabric import (
     LayerWeights,
-    NeuronVector,
     ShapeError,
     donor_successor_rows,
     shape_lines,
@@ -46,20 +45,20 @@ class TestNeuronVector:
         layer = LayerWeights(np.array([[1.0, 9.0], [2.0, 9.0]]),
                              np.array([3.0, 9.0]))
         nv = neuron_vector(layer, 0)
-        assert nv.values.tolist() == [1.0, 2.0, 3.0]
+        assert nv.tolist() == [1.0, 2.0, 3.0]
 
     def test_conv_filter_length(self):
         # kernel 3, 1 input channel: vector length 3*1 + 1
         layer = LayerWeights(np.arange(12, dtype=float).reshape(3, 1, 4),
                              np.zeros(4))
         for j in range(4):
-            assert neuron_vector(layer, j).values.shape == (4,)
+            assert neuron_vector(layer, j).shape == (4,)
 
     def test_round_trip_write_read(self, rng):
         layer = LayerWeights(rng.normal(size=(5, 2, 3)), rng.normal(size=3))
         values = rng.normal(size=5 * 2 + 1)
         written = write_neuron(layer, 1, values)
-        assert np.array_equal(neuron_vector(written, 1).values, values)
+        assert np.array_equal(neuron_vector(written, 1), values)
         # untouched units stay bit-identical
         assert np.array_equal(written.incoming[..., 0], layer.incoming[..., 0])
 
@@ -67,11 +66,6 @@ class TestNeuronVector:
         layer = LayerWeights(np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(IndexError):
             neuron_vector(layer, 2)
-
-    def test_origin_recorded(self):
-        layer = LayerWeights(np.zeros((2, 2)), np.zeros(2))
-        nv = neuron_vector(layer, 1, origin=(7, 0, 1))
-        assert nv.origin == (7, 0, 1)
 
 
 class TestWeightedAverage:
@@ -128,7 +122,7 @@ def _grow_dense(model, layer, seed=0):
     fan = model.layers[layer].fan_in
     out_next = model.layers[layer + 1].out_width
     r = successor_rows_per_unit(model, layer)
-    nv = NeuronVector(rng.normal(size=fan + 1))
+    nv = rng.normal(size=fan + 1)
     rows = rng.normal(size=(r, out_next))
     return append_neuron(model, layer, nv, rows), nv, rows
 
@@ -143,8 +137,8 @@ class TestAppendNeuron:
         assert np.array_equal(grown.layers[0].bias[:2], model.layers[0].bias)
         assert np.array_equal(grown.layers[1].incoming[:2, :],
                               model.layers[1].incoming)
-        assert np.array_equal(grown.layers[0].incoming[:, 2], nv.values[:-1])
-        assert grown.layers[0].bias[2] == nv.values[-1]
+        assert np.array_equal(grown.layers[0].incoming[:, 2], nv[:-1])
+        assert grown.layers[0].bias[2] == nv[-1]
         assert np.array_equal(grown.layers[1].incoming[2:, :], rows)
 
     def test_grown_model_forward_is_well_formed(self, rng):
@@ -234,15 +228,15 @@ class TestAppendNeuron:
 
     def test_output_layer_growth_rejected(self):
         model, _ = small_dense_model()
-        nv = NeuronVector(np.zeros(3))
+        nv = np.zeros(3)
         with pytest.raises(ShapeError, match="output layer"):
             append_neuron(model, 1, nv, np.zeros((1, 2)))
 
     def test_append_order_commutes_up_to_suffix(self):
         model, _ = small_dense_model(7)
         rng = np.random.default_rng(8)
-        u1 = (NeuronVector(rng.normal(size=3)), rng.normal(size=(1, 2)))
-        u2 = (NeuronVector(rng.normal(size=3)), rng.normal(size=(1, 2)))
+        u1 = (rng.normal(size=3), rng.normal(size=(1, 2)))
+        u2 = (rng.normal(size=3), rng.normal(size=(1, 2)))
         ab = append_neuron(append_neuron(model, 0, *u1), 0, *u2)
         ba = append_neuron(append_neuron(model, 0, *u2), 0, *u1)
         assert ab.shape_signature == ba.shape_signature

@@ -25,7 +25,13 @@ from fedsim import (
 )
 from fedsim.data import WindowSet
 from fedsim.fabric import LayerWeights
-from fedsim.metrics import ConfusionMatrix, accuracy, score_model, weighted_f1
+from fedsim.metrics import (
+    ConfusionMatrix,
+    accuracy,
+    score_model,
+    spread,
+    weighted_f1,
+)
 
 from conftest import dense_arch
 
@@ -155,9 +161,8 @@ class TestEvaluateGlobal:
 class TestPersonalizationAndGeneralization:
     def test_single_client_std_zero(self):
         model, arch, ws = perfect_two_class_setup()
-        mean, std, scores = evaluate_personalization([(model, ws)], arch)
-        assert std == 0.0
-        assert scores == [mean]
+        scores = evaluate_personalization([(model, ws)], arch)
+        assert spread(scores) == (scores[0], 0.0)
 
     def test_two_client_arithmetic(self):
         # population stats of scores 0.9 and 0.7
@@ -172,20 +177,19 @@ class TestPersonalizationAndGeneralization:
             model = init_model(arch, 50 + k)
             ws = WindowSet(rng.normal(size=(30, 4, 1)), rng.integers(0, 3, 30))
             entries.append((model, ws))
-        mean, std, scores = evaluate_personalization(entries, arch)
+        scores = evaluate_personalization(entries, arch)
         expected = [score_model(m, arch, w).macro_f1 for m, w in entries]
         assert scores == expected
+        mean, std = spread(scores)
         assert mean == pytest.approx(float(np.mean(expected)))
         assert std == pytest.approx(float(np.std(expected)))
 
-    def test_generalization_excludes_missing_with_warning(self, rng):
+    def test_generalization_scores_each_snapshot_on_the_global_set(self, rng):
         arch = dense_arch(4, 6, 3)
         ws = WindowSet(rng.normal(size=(30, 4, 1)), rng.integers(0, 3, 30))
-        models = [init_model(arch, 1), None, init_model(arch, 2)]
-        with pytest.warns(UserWarning, match="never evaluated"):
-            mean, std, scores = evaluate_generalization(models, arch, ws)
-        assert scores[1] is None
-        assert len([s for s in scores if s is not None]) == 2
+        models = [init_model(arch, 1), init_model(arch, 2)]
+        assert evaluate_generalization(models, arch, ws) == [
+            score_model(m, arch, ws).macro_f1 for m in models]
 
 
 class TestSnapshotTracking:

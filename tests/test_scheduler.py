@@ -4,6 +4,7 @@ clients, and the final-shape ablation rerun."""
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import fedsim.scheduler as scheduler
 from fedsim import (
     DivergenceError,
     ExperimentConfig,
+    FedDistConfig,
     LayerSpec,
     ModelArch,
     ModelWeights,
@@ -147,7 +149,7 @@ class TestRunExperiment:
             if phase == ("main",) and client.id == 1:
                 layers = list(trained.layers)
                 nv = neuron_vector(layers[0], 0)
-                layers[0] = write_neuron(layers[0], 0, nv.values + 1000.0)
+                layers[0] = write_neuron(layers[0], 0, nv + 1000.0)
                 trained = ModelWeights(tuple(layers))
             return trained
 
@@ -334,7 +336,7 @@ class TestRerunWithFinalShape:
             if phase == ("main",) and client.id == 1:
                 layers = list(trained.layers)
                 nv = neuron_vector(layers[0], 0)
-                layers[0] = write_neuron(layers[0], 0, nv.values + 800.0)
+                layers[0] = write_neuron(layers[0], 0, nv + 800.0)
                 trained = ModelWeights(tuple(layers))
             return trained
 
@@ -396,3 +398,48 @@ class TestPrecisionAndCsvSources:
         res = run_experiment(cfg)
         assert len(res.reports) == 2
         assert res.reports[-1].global_f1 > 0.5  # offset-separated classes
+
+    def test_csv_label_outside_classes_names_the_file(self, tmp_path):
+        from fedsim.data import CSV_HEADER
+        from fedsim.scheduler import CsvDataSpec
+
+        # label 9 is a minority in every window, so it would vanish unseen
+        rows = [",".join(CSV_HEADER)]
+        rows += [f"{i},1,2,3,4,5,6,{9 if i % 10 == 0 else i // 200 % 4}"
+                 for i in range(800)]
+        path = tmp_path / "client0.csv"
+        path.write_text("\n".join(rows) + "\n")
+        cfg = ExperimentConfig(
+            algorithm="fedavg", model=tiny_arch(),
+            data=CsvDataSpec(paths=(str(path),), classes=4), rounds=1)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: label 9"):
+            run_experiment(cfg)
+
+
+class TestGrowthEvents:
+    """Each appended unit is one GrowthEvent on the ledger of its round."""
+
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    def test_events_account_for_every_appended_unit(self, monkeypatch, eval_every):
+        cfg = tiny_config(algorithm="feddist", rounds=6, clients=7,
+                          eval_every=eval_every,
+                          scenario=ScenarioSpec(kind="interchanging", sample_size=3),
+                          feddist=FedDistConfig(base_sigma_multiplier=1.0))
+        active = {}
+
+        def recording_active(spec, round_index, pool, rng):
+            active[round_index] = active_clients(spec, round_index, pool, rng)
+            return active[round_index]
+
+        monkeypatch.setattr(scheduler, "active_clients", recording_active)
+        res = run_experiment(cfg)
+
+        events = [e for led in res.ledgers for e in led.growth]
+        initial = init_model(cfg.model, 0).shape_signature
+        final = res.final_model.shape_signature
+        assert events and final != initial
+        assert Counter(e.layer for e in events) == {
+            layer: f - i for layer, (i, f) in enumerate(zip(initial, final)) if f > i}
+        for led in res.ledgers:
+            assert {e.client_id for e in led.growth} <= set(active[led.round_index])
+        assert sum(r.units_added for r in res.reports) == len(events)

@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Byte-for-byte output parity between a git revision and the working tree.
+
+    python3 tools/parity.py REV
+
+Runs `fedsim run` from revision REV (exported with `git archive`) and from
+the working tree's `src/`, on one growing desk config: conv1d(6, k16) ->
+maxpool1d(4) -> dense(12) -> softmax(4), interchanging 3 of 7 synthetic
+clients, 6 rounds.  Every algorithm runs at `--threads` 1 and 2 and at
+`eval_every` 1 and 3.  Each run's rounds.csv, rounds.jsonl, model.bin and
+shape.txt are compared byte for byte (local-only writes no model).  Exits 1
+naming every file that differs, 0 when all are identical.
+
+A change that claims to leave outputs alone (a refactor, a speed-up) should
+pass this against its parent commit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+ALGORITHMS = ("fedavg", "fedprox", "feddist", "local-only", "centralized")
+THREADS = (1, 2)
+CADENCES = (1, 3)
+OUTPUTS = ("rounds.csv", "rounds.jsonl", "model.bin", "shape.txt")
+
+CONFIG = """\
+algorithm: {algorithm}
+rounds: 6
+local_epochs: 2
+seed: 7
+eval_every: {eval_every}
+model:
+  input: [128, 6]
+  layers:
+    - {{kind: conv1d, width: 6, kernel: 16, activation: relu}}
+    - {{kind: maxpool1d, kernel: 4}}
+    - {{kind: dense, width: 12, activation: relu}}
+    - {{kind: softmax-output, width: 4}}
+training:
+  learning_rate: 0.05
+  batch_size: 16
+feddist:
+  base_sigma_multiplier: 1.0
+scenario:
+  kind: interchanging
+  sample_size: 3
+data:
+  synthetic:
+    clients: 7
+    classes: 4
+    dirichlet_alpha: 0.5
+    samples_per_client: [1200, 1500]
+"""
+
+RUN = "import sys; from fedsim.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def export(rev: str, dest: Path) -> Path:
+    """Write REV's src/ under dest and return it."""
+    blob = subprocess.run(["git", "-C", str(REPO), "archive", rev, "src"],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def run(src: Path, config: Path, out: Path, threads: int) -> None:
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN, "run", "--config", str(config),
+         "--out", str(out), "--threads", str(threads)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"fedsim run failed for {out}:\n{proc.stderr}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="fedsim-parity-") as tmp:
+        work = Path(tmp)
+        trees = {"base": export(args.rev, work / "rev"), "work": REPO / "src"}
+        same, differ = 0, []
+        for algorithm in ALGORITHMS:
+            for eval_every in CADENCES:
+                config = work / f"{algorithm}-e{eval_every}.yaml"
+                config.write_text(CONFIG.format(algorithm=algorithm,
+                                                eval_every=eval_every))
+                for threads in THREADS:
+                    name = f"{algorithm}-e{eval_every}-t{threads}"
+                    for side, src in trees.items():
+                        run(src, config, work / "out" / side / name, threads)
+                    for output in OUTPUTS:
+                        base = work / "out" / "base" / name / output
+                        ours = work / "out" / "work" / name / output
+                        if not base.exists() and not ours.exists():
+                            continue
+                        if (base.exists() and ours.exists()
+                                and base.read_bytes() == ours.read_bytes()):
+                            same += 1
+                        else:
+                            differ.append(f"{name}/{output}")
+                    shape = work / "out" / "work" / name / "shape.txt"
+                    grown = (" (final shape: "
+                             + "; ".join(shape.read_text().splitlines()) + ")"
+                             if algorithm == "feddist" else "")
+                    print(f"{name}: compared{grown}", flush=True)
+
+    for path in differ:
+        print(f"DIFFERS: {path}")
+    print(f"{same} files byte-identical, {len(differ)} differ (against {args.rev})")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
