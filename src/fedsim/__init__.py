@@ -28,7 +28,6 @@ from .aggregation import (
 from .arch import LayerSpec, ModelArch
 from .container import byte_size, deserialize_model, serialize_model
 from .data import (
-    CsvSchema,
     DeviceTransform,
     SensorSeries,
     SyntheticSpec,

@@ -11,9 +11,10 @@ A FedDist round runs in phases:
      (beta * round + 3) * sigma + mu (statistics pooled over the whole
      layer's distance matrix) mark units specialized enough to be appended
      to the server layer, donor outgoing weights included;
-  3. whenever a layer grew, clients receive the frozen stack up to that
-     layer, retrain the layers above it, and the unfrozen layers are
-     averaged back before the next layer is examined.
+  3. whenever a layer grew, phase 1's exchange runs again on the layers
+     above it: clients receive the frozen stack up to that layer, retrain
+     the layers above it, and only those are averaged back before the next
+     layer is examined.
 
 With identical clients (or an unreachable threshold) no unit ever crosses
 the bar and the round collapses to FedAvg exactly, including bit-identical
@@ -44,8 +45,6 @@ from .fabric import (
 )
 from .nn import Batch, TrainingConfig, diverged_in, train_local
 
-PHASE_MAIN = ("main",)
-
 
 @dataclass(frozen=True)
 class FedDistConfig:
@@ -69,13 +68,14 @@ class FedDistConfig:
 
 @dataclass(frozen=True)
 class ClientRuntime:
-    """One active client's view for a single round."""
+    """One active client's view of one phase of a round: its data, and the
+    phase's training config and seed."""
 
     id: int
     inputs: np.ndarray
     labels: np.ndarray
     cfg: TrainingConfig
-    seed: int
+    seed: int | np.random.SeedSequence
 
     @property
     def n_k(self) -> int:
@@ -140,63 +140,66 @@ class RoundOutcome:
     server: ModelWeights
     ledger: CommLedger
     client_models: dict[int, ModelWeights]
-    skipped: bool = False
 
 
 def _default_client_update(client: ClientRuntime, model: ModelWeights,
-                           arch: ModelArch, cfg: TrainingConfig, seed,
-                           phase: tuple) -> ModelWeights:
+                           arch: ModelArch, phase: str) -> ModelWeights:
     trained, _ = train_local(model, arch, Batch(client.inputs, client.labels),
-                             cfg, seed)
+                             client.cfg, client.seed)
     return trained
+
+
+def train_clients(clients: list[ClientRuntime], models: list[ModelWeights],
+                  arch: ModelArch, phase: str, *, client_update=None,
+                  executor=None) -> list[ModelWeights]:
+    """Train each client from its start model with
+    update(client, model, arch, phase), concurrently when an executor is
+    given; results come back in client order so scheduling never affects a
+    reduction.  A DivergenceError leaves prefixed with the client and the
+    phase."""
+    update = client_update or _default_client_update
+
+    def run(client, model):
+        with diverged_in(f"client {client.id}, {phase}"):
+            return update(client, model, arch, phase)
+
+    return list((executor.map if executor else map)(run, clients, models))
 
 
 def _fractions(clients: list[ClientRuntime]) -> np.ndarray:
     n = sum(c.n_k for c in clients)
     if n == 0:
-        raise ValueError("active clients hold no training data")
+        raise ValueError("the active pool holds no training data")
     return np.array([c.n_k / n for c in clients], dtype=np.float64)
 
 
-def _fan_out(executor, update, jobs) -> list[ModelWeights]:
-    """Run client updates, concurrently when an executor is given; results
-    come back in job order so scheduling never affects the reduction.  A
-    DivergenceError leaves naming the client and the phase."""
-    def run(client, *rest):
-        phase = rest[-1]
-        name = ("main phase" if phase == PHASE_MAIN
-                else f"layer-wise sub-round of layer {phase[1]}")
-        with diverged_in(f"client {client.id}, {name}"):
-            return update(client, *rest)
-
-    if executor is None:
-        return [run(*job) for job in jobs]
-    futures = [executor.submit(run, *job) for job in jobs]
-    return [f.result() for f in futures]
+def _exchange(server, arch, clients, starts, phase, ledger, *, down, first=0,
+              client_update, executor):
+    """Send `down` bytes to every client, train each from its start model,
+    and average the uploaded layers `first` and above by data fraction on
+    top of the server's own lower layers.  Returns the new server model and
+    the trained client models in client order."""
+    fractions = _fractions(clients)
+    ledger.bytes_down += down * len(clients)
+    models = train_clients(clients, starts, arch, phase,
+                           client_update=client_update, executor=executor)
+    upper = range(first, len(server.layers))
+    ledger.bytes_up += sum(byte_size(m, upper) for m in models)
+    averaged = weighted_average([ModelWeights(m.layers[first:]) for m in models],
+                                fractions)
+    return ModelWeights(server.layers[:first] + averaged.layers), models
 
 
 def _plain_round(server, arch, clients, *, algorithm, round_index,
                  proximal, client_update, executor) -> RoundOutcome:
-    if not clients:
-        return RoundOutcome(server=server, ledger=CommLedger(round_index, algorithm),
-                            client_models={}, skipped=True)
     clients = sorted(clients, key=lambda c: c.id)
-    fractions = _fractions(clients)
-    update = client_update or _default_client_update
+    if proximal:
+        clients = [replace(c, cfg=replace(c.cfg, reference_weights=server))
+                   for c in clients]
     ledger = CommLedger(round_index, algorithm)
-    size = byte_size(server)
-
-    jobs = []
-    for client in clients:
-        cfg = client.cfg
-        if proximal:
-            cfg = replace(cfg, reference_weights=server)
-        ledger.bytes_down += size
-        jobs.append((client, server, arch, cfg, client.seed, PHASE_MAIN))
-    models = _fan_out(executor, update, jobs)
-    ledger.bytes_up += sum(byte_size(m) for m in models)
-
-    new_server = weighted_average(models, fractions)
+    new_server, models = _exchange(server, arch, clients, [server] * len(clients),
+                                   "main phase", ledger, down=byte_size(server),
+                                   client_update=client_update, executor=executor)
     return RoundOutcome(server=new_server, ledger=ledger,
                         client_models={c.id: m for c, m in zip(clients, models)})
 
@@ -205,9 +208,7 @@ def fedavg_round(server: ModelWeights, arch: ModelArch,
                  clients: list[ClientRuntime], *, round_index: int = 0,
                  client_update=None, executor=None) -> RoundOutcome:
     """One FedAvg round: distribute, train, average by data fraction.
-
-    An empty active pool is an explicit no-op (outcome.skipped is True).
-    """
+    An empty client list raises ValueError."""
     return _plain_round(server, arch, clients, algorithm="fedavg",
                         round_index=round_index, proximal=False,
                         client_update=client_update, executor=executor)
@@ -295,11 +296,7 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
     main = _plain_round(server, arch, clients, algorithm="feddist",
                         round_index=round_index, proximal=False,
                         client_update=client_update, executor=executor)
-    if main.skipped:
-        return main
     clients = sorted(clients, key=lambda c: c.id)
-    fractions = _fractions(clients)
-    update = client_update or _default_client_update
     ledger = main.ledger
     cap = fcfg.max_new_units_per_layer_per_round
 
@@ -310,8 +307,7 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
     models = list(main.client_models.values())
     w = main.server
 
-    n_layers = len(w.layers)
-    for layer in range(n_layers - 1):  # the output layer is never grown
+    for layer in range(len(w.layers) - 1):  # the output layer is never grown
         pi = distance_matrix(w.layers[layer], [m.layers[layer] for m in models])
         threshold = divergence_threshold(round_index, fcfg, pi.mu, pi.sigma)
         selections = select_divergent(pi, threshold)
@@ -331,21 +327,16 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
 
         # Layer-wise sub-round: freeze the grown stack, retrain what is above.
         ledger.sub_rounds += 1
-        frozen_bytes = byte_size(w, range(layer + 1)) + _widen_bytes(before, w, layer)
-        upper = range(layer + 1, n_layers)
-        jobs = []
-        for client, model in zip(clients, models):
-            conformed = conform_to_shape(model, w, upto_layer=layer)
-            ledger.bytes_down += frozen_bytes
-            lw_cfg = replace(client.cfg,
-                             local_epochs=fcfg.layerwise_epochs or client.cfg.local_epochs,
-                             frozen_prefix=layer + 1)
-            seed = np.random.SeedSequence(client.seed, spawn_key=(layer + 1,))
-            jobs.append((client, conformed, arch, lw_cfg, seed, ("layerwise", layer)))
-        models = _fan_out(executor, update, jobs)
-        ledger.bytes_up += sum(byte_size(m, upper) for m in models)
-        averaged = weighted_average(models, fractions)
-        w = ModelWeights(w.layers[:layer + 1] + averaged.layers[layer + 1:])
+        sub_round = [
+            replace(c, seed=np.random.SeedSequence(c.seed, spawn_key=(layer + 1,)),
+                    cfg=replace(c.cfg, frozen_prefix=layer + 1,
+                                local_epochs=fcfg.layerwise_epochs or c.cfg.local_epochs))
+            for c in clients]
+        starts = [conform_to_shape(m, w, upto_layer=layer) for m in models]
+        w, models = _exchange(
+            w, arch, sub_round, starts, f"layer-wise sub-round of layer {layer}", ledger,
+            down=byte_size(w, range(layer + 1)) + _widen_bytes(before, w, layer),
+            first=layer + 1, client_update=client_update, executor=executor)
 
     return RoundOutcome(server=w, ledger=ledger,
                         client_models={c.id: m for c, m in zip(clients, models)})

@@ -47,15 +47,15 @@ def _write_manifest(path: Path, manifest: dict) -> None:
 def cmd_run(args) -> int:
     try:
         cfg = parse_config(args.config)
-    except (ConfigError, OSError) as exc:
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+            if hasattr(cfg.data, "seed"):
+                cfg = replace(cfg, data=replace(cfg.data, seed=args.seed))
+        if args.threads is not None:
+            cfg = replace(cfg, threads=args.threads)
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-        if hasattr(cfg.data, "seed"):
-            cfg = replace(cfg, data=replace(cfg.data, seed=args.seed))
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -121,6 +121,8 @@ class SyntheticSpec:
                 raise ValueError(f"{name} range is inverted")
         if not 0 < self.train_fraction < 1:
             raise ValueError("train_fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def z_normalize(series: SensorSeries) -> SensorSeries:
@@ -255,25 +257,16 @@ def generate_synthetic(spec: SyntheticSpec) -> list[tuple[WindowSet, WindowSet]]
     return out
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Contract for ingested CSV exports.
-
-    Header must read exactly: timestamp,ax,ay,az,gx,gy,gz,label.
-    target_hz enables integer-factor decimation (e.g. 100 Hz -> 50 Hz).
-    label_map translates string labels; None means integer labels.
-    """
-
-    sample_rate_hz: float
-    target_hz: float | None = 50.0
-    label_map: dict[str, int] | None = None
-
-
-def ingest_csv(path, schema: CsvSchema) -> SensorSeries:
+def ingest_csv(path, sample_rate_hz: float,
+               target_hz: float | None = 50.0) -> SensorSeries:
     """Parse a 6-channel IMU export into a SensorSeries.
 
-    Malformed rows raise CsvFormatError citing the 1-based physical line;
-    a non-integer downsampling factor is rejected.
+    The header must read exactly: timestamp,ax,ay,az,gx,gy,gz,label, and
+    labels are non-negative integers.  target_hz enables integer-factor
+    decimation (e.g. 100 Hz -> 50 Hz); None keeps sample_rate_hz.
+    Malformed rows and a file without data rows raise CsvFormatError citing
+    the 1-based physical line; a non-integer downsampling factor is
+    rejected.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
@@ -296,34 +289,30 @@ def ingest_csv(path, schema: CsvSchema) -> SensorSeries:
                 values = [float(v) for v in row[1:1 + CSV_CHANNELS]]
             except ValueError as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from None
-            raw_label = row[7]
-            if schema.label_map is not None:
-                if raw_label not in schema.label_map:
-                    raise CsvFormatError(f"line {lineno}: unknown label {raw_label!r}")
-                label = schema.label_map[raw_label]
-            else:
-                try:
-                    label = int(raw_label)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"line {lineno}: label {raw_label!r} is not an integer"
-                    ) from None
+            try:
+                label = int(row[7])
+            except ValueError:
+                raise CsvFormatError(
+                    f"line {lineno}: label {row[7]!r} is not an integer"
+                ) from None
             if label < 0:
                 raise CsvFormatError(f"line {lineno}: negative label {label}")
             rows.append(values)
             labels.append(label)
+    if not rows:
+        raise CsvFormatError("line 2: no data rows after the header")
 
-    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), CSV_CHANNELS)
+    data = np.asarray(rows, dtype=np.float64)
     label_arr = np.asarray(labels, dtype=np.intp)
-    rate = schema.sample_rate_hz
-    if schema.target_hz is not None and rate != schema.target_hz:
-        factor = rate / schema.target_hz
+    rate = sample_rate_hz
+    if target_hz is not None and rate != target_hz:
+        factor = rate / target_hz
         if factor < 1 or abs(factor - round(factor)) > 1e-9:
             raise CsvFormatError(
-                f"cannot downsample {rate} Hz to {schema.target_hz} Hz: "
+                f"cannot downsample {rate} Hz to {target_hz} Hz: "
                 f"factor {factor} is not a positive integer"
             )
         step = int(round(factor))
         data, label_arr = data[::step], label_arr[::step]
-        rate = schema.target_hz
+        rate = target_hz
     return SensorSeries(data, label_arr, rate, {"source": str(path)})

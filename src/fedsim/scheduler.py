@@ -30,13 +30,13 @@ from .aggregation import (
     feddist_round,
     fedprox_round,
     ledger_totals,
+    train_clients,
 )
 from .arch import ModelArch
 from .container import serialize_model
 from .data import (
     CSV_CHANNELS,
     DEFAULT_WINDOW,
-    CsvSchema,
     SyntheticSpec,
     WindowSet,
     concat_window_sets,
@@ -167,6 +167,8 @@ class ExperimentConfig:
             raise ValueError("eval_every must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         pool = self.pool_size
         if pool < 1:
             raise ValueError("need at least one client")
@@ -237,14 +239,19 @@ def _train_seed(seed: int, round_index: int, client: int) -> int:
     return int(state[0]) << 32 | int(state[1])
 
 
+def _runtime(cfg, st: ClientState, t: int) -> ClientRuntime:
+    """Client st's view of round t: its training data, config and seed."""
+    return ClientRuntime(id=st.id, inputs=st.train.windows, labels=st.train.labels,
+                         cfg=st.cfg, seed=_train_seed(cfg.seed, t, st.id))
+
+
 def _materialize(cfg: ExperimentConfig) -> list[tuple[WindowSet, WindowSet]]:
     if isinstance(cfg.data, SyntheticSpec):
         return generate_synthetic(cfg.data)
     spec = cfg.data
-    schema = CsvSchema(sample_rate_hz=spec.sample_rate_hz, target_hz=spec.target_hz)
     out = []
     for k, path in enumerate(spec.paths):
-        series = z_normalize(ingest_csv(path, schema))
+        series = z_normalize(ingest_csv(path, spec.sample_rate_hz, spec.target_hz))
         top = int(series.labels.max(initial=0))
         if top >= spec.classes:
             raise ValueError(f"{path}: label {top} is outside [0, {spec.classes})")
@@ -294,16 +301,18 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
         if cfg.algorithm == "centralized":
             rounds = _centralized_rounds(cfg, arch, states, init)
         elif cfg.algorithm == "local-only":
-            rounds = _local_only_rounds(cfg, arch, states)
+            rounds = _local_only_rounds(cfg, arch, states, executor)
         else:
             rounds = _federated_rounds(cfg, arch, states, init, executor)
         reports: list[RoundReport] = []
         ledgers: list[CommLedger] = []
+        reported = 0  # rounds covered by the reports so far
         for t, (ledger, model, active) in enumerate(rounds, start=1):
             ledgers.append(ledger)
-            if t % cfg.eval_every == 0:
+            if t % cfg.eval_every == 0 or t == cfg.rounds:
                 # Report columns total every round since the previous tick.
-                totals = ledger_totals(ledgers[-cfg.eval_every:])
+                totals = ledger_totals(ledgers[reported:])
+                reported = t
                 report = _evaluate_tick(arch, states, active, model, global_test,
                                         t, totals, cfg.algorithm)
                 reports.append(report)
@@ -385,9 +394,7 @@ def _federated_rounds(cfg, arch, states, server, executor):
                     and st.model.shape_signature != server.shape_signature):
                 # Lazy conform: idle clients catch up with server growth on rejoin.
                 st.model = conform_to_shape(st.model, server)
-            runtimes.append(ClientRuntime(
-                id=k, inputs=st.train.windows, labels=st.train.labels,
-                cfg=st.cfg, seed=_train_seed(cfg.seed, t, k)))
+            runtimes.append(_runtime(cfg, st, t))
 
         with diverged_in(f"round {t}"):
             if cfg.algorithm == "feddist":
@@ -405,16 +412,17 @@ def _federated_rounds(cfg, arch, states, server, executor):
         yield outcome.ledger, server, active
 
 
-def _local_only_rounds(cfg, arch, states):
+def _local_only_rounds(cfg, arch, states, executor):
     """No aggregation: every client trains its own model for E epochs per
     round (T*E local epochs in total, matching FL gradient budgets)."""
     everyone = tuple(range(len(states)))
     for t in range(1, cfg.rounds + 1):
-        for st in states:
-            with diverged_in(f"round {t}: client {st.id}, local training"):
-                st.model, _ = train_local(st.model, arch,
-                                          Batch(st.train.windows, st.train.labels),
-                                          st.cfg, _train_seed(cfg.seed, t, st.id))
+        with diverged_in(f"round {t}"):
+            models = train_clients([_runtime(cfg, st, t) for st in states],
+                                   [st.model for st in states], arch,
+                                   "local training", executor=executor)
+        for st, model in zip(states, models):
+            st.model = model
         yield CommLedger(t, "local-only"), None, everyone
 
 

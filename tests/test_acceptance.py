@@ -53,10 +53,10 @@ def report(criterion: int, label: str, started: float, detail: str = "") -> None
 
 def displacement_hook(displaced: int, layers, unit=0, shift=1000.0,
                       rounds=None):
-    def update(client, model, arch, cfg, seed, phase):
-        trained = _default_client_update(client, model, arch, cfg, seed, phase)
+    def update(client, model, arch, phase):
+        trained = _default_client_update(client, model, arch, phase)
         round_ok = rounds is None or update.round_index in rounds
-        if phase == ("main",) and client.id == displaced and round_ok:
+        if phase == "main phase" and client.id == displaced and round_ok:
             new_layers = list(trained.layers)
             for layer in layers:
                 nv = neuron_vector(new_layers[layer], unit)

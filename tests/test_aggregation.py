@@ -43,9 +43,9 @@ def displacement_hook(displaced_client: int, layers: tuple[int, ...],
     """Wrap the standard client update; after main-phase training, push one
     unit of each listed layer far away for the chosen client."""
 
-    def update(client, model, arch, cfg, seed, phase):
-        trained = _default_client_update(client, model, arch, cfg, seed, phase)
-        if phase == ("main",) and client.id == displaced_client:
+    def update(client, model, arch, phase):
+        trained = _default_client_update(client, model, arch, phase)
+        if phase == "main phase" and client.id == displaced_client:
             new_layers = list(trained.layers)
             for layer in layers:
                 nv = neuron_vector(new_layers[layer], unit)
@@ -93,13 +93,13 @@ class TestFedAvgRound:
             )
             assert np.abs(out.server.layers[li].incoming - expected).max() < 1e-12
 
-    def test_empty_pool_is_noop(self):
+    def test_empty_pool_is_rejected(self):
         arch = dense_arch(4, 6, 3)
         server = init_model(arch, 5)
-        out = fedavg_round(server, arch, [])
-        assert out.skipped
-        assert out.server is server
-        assert out.ledger.total_bytes == 0
+        with pytest.raises(ValueError, match="no training data"):
+            fedavg_round(server, arch, [])
+        with pytest.raises(ValueError, match="no training data"):
+            feddist_round(server, arch, [], FedDistConfig(), 1)
 
     def test_ledger_counts_full_model_both_ways(self):
         arch = dense_arch(4, 6, 3)
@@ -325,9 +325,9 @@ class TestFedDistRound:
         cfg = TrainingConfig(local_epochs=1, learning_rate=0.0, batch_size=64)
         clients = make_clients(arch, [54, 6], cfg, seed=27)
 
-        def displace_many(client, model, arch_, cfg_, seed, phase):
-            trained = _default_client_update(client, model, arch_, cfg_, seed, phase)
-            if phase == ("main",) and client.id == 1:
+        def displace_many(client, model, arch_, phase):
+            trained = _default_client_update(client, model, arch_, phase)
+            if phase == "main phase" and client.id == 1:
                 layers = list(trained.layers)
                 for unit in range(4):
                     nv = neuron_vector(layers[0], unit)

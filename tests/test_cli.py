@@ -277,12 +277,15 @@ class TestRunCommand:
         assert (out1 / "rounds.jsonl").read_bytes() == (out2 / "rounds.jsonl").read_bytes()
         assert (out1 / "model.bin").read_bytes() == (out2 / "model.bin").read_bytes()
 
-    @pytest.mark.parametrize("eval_every", [1, 3])
-    def test_shape_dump_consistent_with_csv_growth(self, tmp_path, eval_every):
-        # Rows total the growth of every round since the previous row, so the
-        # invariant holds whatever the evaluation cadence.  A low threshold
-        # makes this config grow in rounds that are not evaluated.
-        text = (TINY_RUN % "feddist").replace("rounds: 3\n", "rounds: 6\n")
+    @pytest.mark.parametrize("rounds, eval_every", [(6, 1), (6, 3), (7, 3)],
+                             ids=["1", "3", "3-rounds-7"])
+    def test_shape_dump_consistent_with_csv_growth(self, tmp_path, rounds,
+                                                   eval_every):
+        # Rows total the growth of every round since the previous row, and
+        # the final round is always a row, so the invariant holds whatever
+        # the evaluation cadence.  A low threshold makes this config grow in
+        # rounds that are not evaluated.
+        text = (TINY_RUN % "feddist").replace("rounds: 3\n", f"rounds: {rounds}\n")
         cfg = write(tmp_path, text + f"eval_every: {eval_every}\n"
                     "feddist:\n  base_sigma_multiplier: 1.0\n")
         out = tmp_path / "fd"
@@ -327,6 +330,19 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "foo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--threads", "0", "threads must be >= 1"),
+    ])
+    def test_bad_override_exits_2_before_the_manifest(self, tmp_path, capsys,
+                                                      flag, value, message):
+        cfg = write(tmp_path, TINY_RUN % "fedavg")
+        out = tmp_path / "bad"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     flag, value]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestValidateCommand:
     def test_ok(self, tmp_path, capsys):
@@ -348,6 +364,13 @@ class TestValidateCommand:
         cfg = write(tmp_path, MINIMAL + f"    {key}: {value}\n")
         assert main(["validate", "--config", str(cfg)]) == 2
         assert f"data.synthetic: {key} {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        MINIMAL + "seed: -1\n", MINIMAL + "    seed: -1\n", CSV_CONFIG + "seed: -1\n",
+    ], ids=["experiment", "synthetic", "csv"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, text):
+        assert main(["validate", "--config", str(write(tmp_path, text))]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, model_input, windows", [
         (MINIMAL, "[64, 6]", "[128, 6]"),

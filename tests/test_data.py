@@ -3,6 +3,8 @@ CSV ingestion."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from fedsim import SyntheticSpec, generate_synthetic, stratified_split, window, 
 from fedsim.data import (
     CSV_HEADER,
     CsvFormatError,
-    CsvSchema,
     SensorSeries,
     WindowSet,
     concat_window_sets,
@@ -205,7 +206,7 @@ class TestIngestCsv:
     def test_two_row_file(self, tmp_path):
         f = tmp_path / "a.csv"
         write_csv(f, ["0.00,1,2,3,4,5,6,0", "0.02,1,2,3,4,5,6,0"])
-        series = ingest_csv(f, CsvSchema(sample_rate_hz=50.0))
+        series = ingest_csv(f, 50.0)
         assert len(series) == 2
         assert series.data.shape == (2, 6)
         assert series.sample_rate == 50.0
@@ -214,7 +215,7 @@ class TestIngestCsv:
         f = tmp_path / "b.csv"
         rows = [f"{i},{i},0,0,0,0,0,0" for i in range(10)]
         write_csv(f, rows)
-        series = ingest_csv(f, CsvSchema(sample_rate_hz=100.0, target_hz=50.0))
+        series = ingest_csv(f, 100.0, target_hz=50.0)
         assert len(series) == 5
         assert series.data[:, 0].tolist() == [0, 2, 4, 6, 8]
 
@@ -224,31 +225,30 @@ class TestIngestCsv:
         rows[15] = "bad,row"  # physical line 17 (header is line 1)
         write_csv(f, rows)
         with pytest.raises(CsvFormatError, match="line 17"):
-            ingest_csv(f, CsvSchema(sample_rate_hz=50.0))
+            ingest_csv(f, 50.0)
 
     def test_header_must_match_exactly(self, tmp_path):
         f = tmp_path / "d.csv"
         write_csv(f, ["0,1,2,3,4,5,6,0"], header="time,ax,ay,az,gx,gy,gz,label")
         with pytest.raises(CsvFormatError, match="line 1"):
-            ingest_csv(f, CsvSchema(sample_rate_hz=50.0))
+            ingest_csv(f, 50.0)
 
     def test_non_integer_downsample_factor_rejected(self, tmp_path):
         f = tmp_path / "e.csv"
         write_csv(f, ["0,1,2,3,4,5,6,0"])
         with pytest.raises(CsvFormatError, match="factor"):
-            ingest_csv(f, CsvSchema(sample_rate_hz=75.0, target_hz=50.0))
+            ingest_csv(f, 75.0, target_hz=50.0)
 
     def test_negative_label_cites_line(self, tmp_path):
         f = tmp_path / "g.csv"
         write_csv(f, ["0.00,1,2,3,4,5,6,0", "0.02,1,2,3,4,5,6,-1"])
         with pytest.raises(CsvFormatError, match="line 3: negative label -1"):
-            ingest_csv(f, CsvSchema(sample_rate_hz=50.0))
+            ingest_csv(f, 50.0)
 
-    def test_label_map(self, tmp_path):
-        f = tmp_path / "f.csv"
-        write_csv(f, ["0,1,2,3,4,5,6,walk", "1,1,2,3,4,5,6,run"])
-        series = ingest_csv(f, CsvSchema(sample_rate_hz=50.0,
-                                         label_map={"walk": 0, "run": 1}))
-        assert series.labels.tolist() == [0, 1]
-        with pytest.raises(CsvFormatError, match="unknown label"):
-            ingest_csv(f, CsvSchema(sample_rate_hz=50.0, label_map={"walk": 0}))
+    def test_header_only_file_cites_line_2(self, tmp_path):
+        f = tmp_path / "h.csv"
+        write_csv(f, [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError, match="line 2: no data rows"):
+                z_normalize(ingest_csv(f, 50.0))

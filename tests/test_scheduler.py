@@ -144,9 +144,9 @@ class TestRunExperiment:
     def test_feddist_displacement_rig_reports_growth(self, monkeypatch):
         original = aggregation._default_client_update
 
-        def displacing(client, model, arch, cfg, seed, phase):
-            trained = original(client, model, arch, cfg, seed, phase)
-            if phase == ("main",) and client.id == 1:
+        def displacing(client, model, arch, phase):
+            trained = original(client, model, arch, phase)
+            if phase == "main phase" and client.id == 1:
                 layers = list(trained.layers)
                 nv = neuron_vector(layers[0], 0)
                 layers[0] = write_neuron(layers[0], 0, nv + 1000.0)
@@ -165,9 +165,10 @@ class TestRunExperiment:
         assert res.final_model.shape_signature[0] > 16
 
     def test_report_sequence_matches_eval_cadence(self):
-        cfg = tiny_config(rounds=6, eval_every=2)
-        res = run_experiment(cfg)
-        assert [r.round for r in res.reports] == [2, 4, 6]
+        # the final round is reported even when it is off the cadence
+        for rounds, expected in ((6, [2, 4, 6]), (7, [2, 4, 6, 7])):
+            res = run_experiment(tiny_config(rounds=rounds, eval_every=2))
+            assert [r.round for r in res.reports] == expected
 
     def test_idle_clients_untouched(self):
         # client 2 never activates in 3 rounds of slow incrementing
@@ -220,6 +221,7 @@ class TestRunExperiment:
         ("feddist", 1, "main phase"),
         ("feddist", 2, "main phase"),
         ("local-only", 1, "local training"),
+        ("local-only", 2, "local training"),
     ])
     def test_diverging_run_names_round_client_phase_layer(self, algorithm,
                                                           threads, phase):
@@ -234,11 +236,25 @@ class TestRunExperiment:
                         str(info.value)), str(info.value)
 
     def test_threads_do_not_change_results(self):
-        cfg = tiny_config(rounds=2, clients=3)
-        threaded = tiny_config(rounds=2, clients=3, threads=4)
-        a = run_experiment(cfg)
-        b = run_experiment(threaded)
-        assert [r.csv_row() for r in a.reports] == [r.csv_row() for r in b.reports]
+        for algorithm in ("fedavg", "feddist", "local-only"):
+            cfg = tiny_config(algorithm, rounds=2, clients=3)
+            threaded = tiny_config(algorithm, rounds=2, clients=3, threads=4)
+            a = run_experiment(cfg)
+            b = run_experiment(threaded)
+            assert ([r.csv_row() for r in a.reports]
+                    == [r.csv_row() for r in b.reports]), algorithm
+
+    def test_local_only_trains_through_the_client_update(self, monkeypatch):
+        original = aggregation._default_client_update
+        calls = []
+
+        def recording(client, model, arch, phase):
+            calls.append((client.id, phase))
+            return original(client, model, arch, phase)
+
+        monkeypatch.setattr(aggregation, "_default_client_update", recording)
+        run_experiment(tiny_config("local-only", rounds=2, clients=3))
+        assert calls == [(k, "local training") for _ in range(2) for k in range(3)]
 
 
 class TestGeneralizationScoredOnce:
@@ -331,9 +347,9 @@ class TestRerunWithFinalShape:
     def test_full_ablation_end_to_end(self, monkeypatch):
         original = aggregation._default_client_update
 
-        def displacing(client, model, arch, cfg, seed, phase):
-            trained = original(client, model, arch, cfg, seed, phase)
-            if phase == ("main",) and client.id == 1:
+        def displacing(client, model, arch, phase):
+            trained = original(client, model, arch, phase)
+            if phase == "main phase" and client.id == 1:
                 layers = list(trained.layers)
                 nv = neuron_vector(layers[0], 0)
                 layers[0] = write_neuron(layers[0], 0, nv + 800.0)
@@ -419,9 +435,11 @@ class TestPrecisionAndCsvSources:
 class TestGrowthEvents:
     """Each appended unit is one GrowthEvent on the ledger of its round."""
 
-    @pytest.mark.parametrize("eval_every", [1, 3])
-    def test_events_account_for_every_appended_unit(self, monkeypatch, eval_every):
-        cfg = tiny_config(algorithm="feddist", rounds=6, clients=7,
+    @pytest.mark.parametrize("rounds, eval_every", [(6, 1), (6, 3), (7, 3)],
+                             ids=["1", "3", "3-rounds-7"])
+    def test_events_account_for_every_appended_unit(self, monkeypatch, rounds,
+                                                     eval_every):
+        cfg = tiny_config(algorithm="feddist", rounds=rounds, clients=7,
                           eval_every=eval_every,
                           scenario=ScenarioSpec(kind="interchanging", sample_size=3),
                           feddist=FedDistConfig(base_sigma_multiplier=1.0))
