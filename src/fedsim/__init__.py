@@ -48,14 +48,13 @@ from .fabric import (
     weighted_average,
 )
 from .metrics import (
-    ConfusionMatrix,
     RoundReport,
     ScoreBundle,
     confusion,
     evaluate_generalization,
     evaluate_global,
     evaluate_personalization,
-    macro_f1,
+    score_bundle,
 )
 from .nn import (
     Batch,

@@ -33,7 +33,7 @@ from . import __version__
 from .config import ConfigError, config_to_dict, parse_config
 from .container import deserialize_model, serialize_model
 from .fabric import shape_lines
-from .metrics import CSV_COLUMNS, csv_header_line, report_csv_line
+from .metrics import CSV_COLUMNS
 from .scheduler import run_experiment
 
 SEED_DERIVATION = ("SeedSequence(seed, spawn_key=domain): (0,variant) init, "
@@ -53,12 +53,12 @@ def cmd_run(args) -> int:
                 cfg = replace(cfg, data=replace(cfg.data, seed=args.seed))
         if args.threads is not None:
             cfg = replace(cfg, threads=args.threads)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
     csv_path = out / "rounds.csv"
     jsonl_path = out / "rounds.jsonl"
@@ -79,10 +79,10 @@ def cmd_run(args) -> int:
     start = time.monotonic()
     try:
         with open(csv_path, "w") as csv_fh, open(jsonl_path, "w") as jsonl_fh:
-            csv_fh.write(csv_header_line() + "\n")
+            csv_fh.write(",".join(CSV_COLUMNS) + "\n")
 
             def on_report(report):
-                csv_fh.write(report_csv_line(report) + "\n")
+                csv_fh.write(",".join(report.csv_row()) + "\n")
                 jsonl_fh.write(json.dumps(report.record(), sort_keys=True) + "\n")
                 csv_fh.flush()
                 jsonl_fh.flush()

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 
@@ -83,8 +84,9 @@ def _required(mapping: dict, key: str, path: str):
 
 def _typed(value, hint, path: str):
     """value checked against the resolved annotation hint.  An int is taken
-    for a float, a bool is never taken for an int, a list is read as a tuple
-    element by element, and a mapping as a nested dataclass."""
+    for a float, a float must be finite, a bool is never taken for an int, a
+    list is read as a tuple element by element, and a mapping as a nested
+    dataclass."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):  # X | None
         if value is None:
@@ -103,10 +105,12 @@ def _typed(value, hint, path: str):
     if dataclasses.is_dataclass(hint):
         return _build(hint, _values(hint, value, path), path)
     if hint is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+        value = float(value)
     if not isinstance(value, hint) or isinstance(value, bool) and hint is not bool:
         raise ConfigError(
             f"{path} must be {hint.__name__}, got {type(value).__name__}")
+    if hint is float and not math.isfinite(value):
+        raise ConfigError(f"{path} must be finite, got {value}")
     return value
 
 
@@ -150,7 +154,9 @@ def _read_data(section, seed: int) -> SyntheticSpec | CsvDataSpec:
     ((kind, body),) = section.items()
     cls, path = _DATA_KINDS[kind], f"data.{kind}"
     values = _values(cls, body, path)
-    if cls is SyntheticSpec:  # the generator's seed follows the experiment's
+    if cls is SyntheticSpec and seed >= 0:
+        # The generator's seed follows the experiment's; ExperimentConfig
+        # rejects a negative one under its own key.
         values.setdefault("seed", seed)
     return _build(cls, values, path)
 

@@ -121,6 +121,10 @@ class SyntheticSpec:
                 raise ValueError(f"{name} range is inverted")
         if not 0 < self.train_fraction < 1:
             raise ValueError("train_fraction must lie in (0, 1)")
+        if self.sample_rate <= 0:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if self.noise < 0:
+            raise ValueError(f"noise must be >= 0, got {self.noise}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

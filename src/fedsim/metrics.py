@@ -27,77 +27,20 @@ CSV_COLUMNS = ["round", "algorithm", "global_f1", "pers_mean", "pers_std",
                "units_added"]
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """counts[i, j] = examples with truth i predicted as j."""
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = self.counts
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError("confusion matrix must be square")
-        if (c < 0).any():
-            raise ValueError("confusion counts must be non-negative")
-
-    @property
-    def classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def confusion(truth, predictions, classes: int) -> ConfusionMatrix:
+def confusion(truth, predictions, classes: int) -> np.ndarray:
+    """int64 count matrix: [i, j] = examples with truth i predicted as j."""
     truth = np.asarray(truth, dtype=np.intp)
     predictions = np.asarray(predictions, dtype=np.intp)
     if truth.shape != predictions.shape:
         raise ValueError(
             f"{len(truth)} truth labels vs {len(predictions)} predictions"
         )
-    if len(truth) and (truth.max() >= classes or predictions.max() >= classes):
-        raise ValueError("labels exceed the class count")
+    if len(truth) and (min(truth.min(), predictions.min()) < 0
+                       or max(truth.max(), predictions.max()) >= classes):
+        raise ValueError(f"labels must lie in [0, class count {classes})")
     counts = np.zeros((classes, classes), dtype=np.int64)
     np.add.at(counts, (truth, predictions), 1)
-    return ConfusionMatrix(counts)
-
-
-def _per_class(cm: ConfusionMatrix):
-    tp = np.diag(cm.counts).astype(np.float64)
-    support = cm.counts.sum(axis=1).astype(np.float64)
-    predicted = cm.counts.sum(axis=0).astype(np.float64)
-    # Classes absent from both truth and predictions carry no information.
-    included = (support > 0) | (predicted > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        precision = np.where(predicted > 0, tp / predicted, 0.0)
-        recall = np.where(support > 0, tp / support, 0.0)
-        pr = precision + recall
-        f1 = np.where(pr > 0, 2 * precision * recall / pr, 0.0)
-    return included, precision, recall, f1, support
-
-
-def macro_f1(cm: ConfusionMatrix) -> float:
-    """Unweighted mean per-class F1.  Classes with zero support and zero
-    predictions are excluded; a 0/0 inside a class yields per-class F1 = 0."""
-    if cm.total == 0:
-        raise ValueError("empty confusion matrix")
-    included, _, _, f1, _ = _per_class(cm)
-    return float(f1[included].mean())
-
-
-def weighted_f1(cm: ConfusionMatrix) -> float:
-    """Support-weighted mean per-class F1."""
-    if cm.total == 0:
-        raise ValueError("empty confusion matrix")
-    _, _, _, f1, support = _per_class(cm)
-    return float((f1 * support).sum() / support.sum())
-
-
-def accuracy(cm: ConfusionMatrix) -> float:
-    if cm.total == 0:
-        raise ValueError("empty confusion matrix")
-    return float(np.diag(cm.counts).sum() / cm.total)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -109,14 +52,30 @@ class ScoreBundle:
     weighted_f1: float
 
 
-def score_bundle(cm: ConfusionMatrix) -> ScoreBundle:
-    included, precision, recall, f1, _ = _per_class(cm)
+def score_bundle(counts: np.ndarray) -> ScoreBundle:
+    """Every score of a count matrix from one set of per-class statistics.
+    Precision, recall and macro F1 are unweighted means over the classes
+    present in truth or predictions (an absent class carries no
+    information); weighted F1 weighs each class by its support.  A 0/0
+    inside a class counts as 0."""
+    tp = np.diag(counts).astype(np.float64)
+    support = counts.sum(axis=1).astype(np.float64)
+    predicted = counts.sum(axis=0).astype(np.float64)
+    total = support.sum()
+    if total == 0:
+        raise ValueError("empty confusion matrix")
+    included = (support > 0) | (predicted > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(predicted > 0, tp / predicted, 0.0)
+        recall = np.where(support > 0, tp / support, 0.0)
+        pr = precision + recall
+        f1 = np.where(pr > 0, 2 * precision * recall / pr, 0.0)
     return ScoreBundle(
-        accuracy=accuracy(cm),
+        accuracy=float(tp.sum() / total),
         precision=float(precision[included].mean()),
         recall=float(recall[included].mean()),
         macro_f1=float(f1[included].mean()),
-        weighted_f1=weighted_f1(cm),
+        weighted_f1=float((f1 * support).sum() / total),
     )
 
 
@@ -198,11 +157,3 @@ def _str_keys(d: dict | None) -> dict | None:
     if d is None:
         return None
     return {str(k): v for k, v in d.items()}
-
-
-def csv_header_line() -> str:
-    return ",".join(CSV_COLUMNS)
-
-
-def report_csv_line(report: RoundReport) -> str:
-    return ",".join(report.csv_row())

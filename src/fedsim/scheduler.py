@@ -213,7 +213,7 @@ class ClientState:
     best_round: int | None = None
     best_model: ModelWeights | None = None
     best_hash: str | None = None
-    # best_model's macro F1 on the pooled test set; None until scored.
+    # best_model's macro F1 on the pooled test set, scored with the snapshot.
     best_generalization: float | None = None
 
     @property
@@ -266,7 +266,6 @@ def _snapshot(state: ClientState, score: float, round_index: int) -> None:
     state.best_round = round_index
     state.best_model = state.model
     state.best_hash = hashlib.sha256(blob).hexdigest()
-    state.best_generalization = None
 
 
 def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
@@ -330,52 +329,46 @@ def _evaluate_tick(arch, states, active, server, global_test, t,
     """Score round t.  The global view needs a server model; the
     personalization and generalization views need active clients, so a
     centralized run (no clients) reports only the global view.  A best
-    snapshot is scored on the pooled test set once, at the first tick that
-    sees it; _snapshot clears the kept score when it replaces the snapshot."""
+    snapshot is scored on the pooled test set at the tick that takes it."""
     bundle = evaluate_global(server, arch, global_test) if server is not None else None
     model = server if server is not None else states[0].model
-    report = RoundReport(
+    pers = gen = None
+    if active:
+        scored = [states[k] for k in active]
+        pers_scores = evaluate_personalization([(st.model, st.test) for st in scored],
+                                               arch)
+        taken = []
+        for st, score in zip(scored, pers_scores):
+            if st.best_score is None or score > st.best_score:
+                _snapshot(st, score, t)
+                taken.append(st)
+        if taken:
+            fresh = evaluate_generalization([st.best_model for st in taken],
+                                            arch, global_test)
+            for st, score in zip(taken, fresh):
+                st.best_generalization = score
+        pers = {st.id: score for st, score in zip(scored, pers_scores)}
+        gen = {st.id: st.best_generalization for st in states
+               if st.best_model is not None}
+    pers_mean, pers_std = spread(list(pers.values())) if pers else (None, None)
+    gen_mean, gen_std = spread(list(gen.values())) if gen else (None, None)
+    return RoundReport(
         round=t,
         algorithm=algorithm,
         global_f1=bundle.macro_f1 if bundle else None,
-        pers_mean=None, pers_std=None, gen_mean=None, gen_std=None,
+        pers_mean=pers_mean,
+        pers_std=pers_std,
+        gen_mean=gen_mean,
+        gen_std=gen_std,
         params=model.parameter_count,
         bytes_up=totals.bytes_up,
         bytes_down=totals.bytes_down,
         units_added=totals.total_units_added,
         shape_signature=model.shape_signature,
         global_scores=bundle,
+        per_client_personalization=pers,
+        per_client_generalization=gen,
         sub_rounds=totals.sub_rounds,
-    )
-    if not active:
-        return report
-
-    scored = [states[k] for k in active]
-    pers_scores = evaluate_personalization([(st.model, st.test) for st in scored],
-                                           arch)
-    for st, score in zip(scored, pers_scores):
-        if st.best_score is None or score > st.best_score:
-            _snapshot(st, score, t)
-
-    evaluated = [st for st in states if st.best_model is not None]
-    unscored = [st for st in evaluated if st.best_generalization is None]
-    if unscored:
-        fresh = evaluate_generalization([st.best_model for st in unscored],
-                                        arch, global_test)
-        for st, score in zip(unscored, fresh):
-            st.best_generalization = score
-    gen_scores = [st.best_generalization for st in evaluated]
-    pers_mean, pers_std = spread(pers_scores)
-    gen_mean, gen_std = spread(gen_scores)
-
-    return replace(
-        report,
-        pers_mean=pers_mean,
-        pers_std=pers_std,
-        gen_mean=gen_mean,
-        gen_std=gen_std,
-        per_client_personalization={st.id: s for st, s in zip(scored, pers_scores)},
-        per_client_generalization={st.id: s for st, s in zip(evaluated, gen_scores)},
     )
 
 

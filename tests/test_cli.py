@@ -309,6 +309,15 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
 
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, TINY_RUN % "fedavg")
+        out = write(tmp_path, "kept\n", name="taken")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert out.read_text() == "kept\n"
+        assert not list(tmp_path.rglob("manifest.json"))
+
     def test_failed_run_marks_manifest(self, tmp_path, monkeypatch):
         cfg = write(tmp_path, TINY_RUN % "fedavg")
         out = tmp_path / "fail"
@@ -358,6 +367,8 @@ class TestValidateCommand:
         ("segment_range", "[0, 0]", "lower bound must be >= 1"),
         ("segment_range", "[50, 20]", "range is inverted"),
         ("samples_per_client", "[0, 200]", "lower bound must be >= 1"),
+        ("sample_rate", "0", "must be positive"),
+        ("noise", "-1.0", "must be >= 0"),
     ])
     def test_synthetic_ranges_rejected(self, tmp_path, capsys, key, value, message):
         # a zero-length segment would make the generator loop forever
@@ -365,12 +376,29 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(cfg)]) == 2
         assert f"data.synthetic: {key} {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
-        MINIMAL + "seed: -1\n", MINIMAL + "    seed: -1\n", CSV_CONFIG + "seed: -1\n",
+    @pytest.mark.parametrize("text, line", [
+        (MINIMAL + "seed: -1\n", "error: seed must be >= 0, got -1"),
+        (MINIMAL + "    seed: -1\n", "error: data.synthetic: seed must be >= 0, got -1"),
+        (CSV_CONFIG + "seed: -1\n", "error: seed must be >= 0, got -1"),
     ], ids=["experiment", "synthetic", "csv"])
-    def test_negative_seed_rejected(self, tmp_path, capsys, text):
+    def test_negative_seed_rejected(self, tmp_path, capsys, text, line):
+        # the message names the key the file holds
         assert main(["validate", "--config", str(write(tmp_path, text))]) == 2
-        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert capsys.readouterr().err == line + "\n"
+
+    @pytest.mark.parametrize("text, path, shown", [
+        (MINIMAL + "training:\n  learning_rate: .nan\n", "training.learning_rate", "nan"),
+        (MINIMAL + "training:\n  learning_rate: .inf\n", "training.learning_rate", "inf"),
+        (MINIMAL + "feddist:\n  beta: .nan\n", "feddist.beta", "nan"),
+        (MINIMAL + "feddist:\n  beta: -.inf\n", "feddist.beta", "-inf"),
+        (MINIMAL.replace("alpha: 0.5", "alpha: .nan"), "data.synthetic.dirichlet_alpha",
+         "nan"),
+    ], ids=["learning_rate-nan", "learning_rate-inf", "beta-nan", "beta--inf",
+            "dirichlet_alpha-nan"])
+    def test_non_finite_float_rejected(self, tmp_path, capsys, text, path, shown):
+        # nan passes every range check (each comparison is False)
+        assert main(["validate", "--config", str(write(tmp_path, text))]) == 2
+        assert capsys.readouterr().err == f"error: {path} must be finite, got {shown}\n"
 
     @pytest.mark.parametrize("text, model_input, windows", [
         (MINIMAL, "[64, 6]", "[128, 6]"),

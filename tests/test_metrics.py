@@ -20,37 +20,31 @@ from fedsim import (
     evaluate_personalization,
     forward,
     init_model,
-    macro_f1,
     run_experiment,
+    score_bundle,
 )
 from fedsim.data import WindowSet
 from fedsim.fabric import LayerWeights
-from fedsim.metrics import (
-    ConfusionMatrix,
-    accuracy,
-    score_model,
-    spread,
-    weighted_f1,
-)
+from fedsim.metrics import score_model, spread
 
 from conftest import dense_arch
 
 
-def cm(rows) -> ConfusionMatrix:
-    return ConfusionMatrix(np.asarray(rows, dtype=np.int64))
+def cm(rows) -> np.ndarray:
+    return np.asarray(rows, dtype=np.int64)
 
 
 class TestConfusion:
     def test_perfect_predictions_are_diagonal(self):
         truth = np.array([0, 1, 2, 1, 0])
         out = confusion(truth, truth, 3)
-        assert np.array_equal(out.counts, np.diag([2, 2, 1]))
+        assert np.array_equal(out, np.diag([2, 2, 1]))
 
     def test_constant_predictor_fills_one_column(self):
         truth = np.array([0, 1, 2, 2])
         out = confusion(truth, np.zeros(4, dtype=int), 3)
-        assert np.array_equal(out.counts[:, 0], [1, 1, 2])
-        assert out.counts[:, 1:].sum() == 0
+        assert np.array_equal(out[:, 0], [1, 1, 2])
+        assert out[:, 1:].sum() == 0
 
     def test_matches_counting_loop_oracle(self, rng):
         truth = rng.integers(0, 5, size=100)
@@ -59,49 +53,53 @@ class TestConfusion:
         expected = np.zeros((5, 5), dtype=int)
         for t, p in zip(truth, preds):
             expected[t, p] += 1
-        assert np.array_equal(out.counts, expected)
+        assert np.array_equal(out, expected)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="truth"):
             confusion([0, 1], [0], 2)
 
     def test_out_of_range_labels_rejected(self):
-        with pytest.raises(ValueError, match="class count"):
-            confusion([0, 3], [0, 1], 3)
+        # a negative label would index the counts from the end
+        for truth, preds in ([0, 3], [0, 1]), ([0, -1], [0, 1]), ([0, 1], [0, -2]):
+            with pytest.raises(ValueError, match="class count"):
+                confusion(truth, preds, 3)
 
 
 class TestMacroF1:
     def test_perfect_diagonal_is_one(self):
-        assert macro_f1(cm([[5, 0], [0, 7]])) == 1.0
+        assert score_bundle(cm([[5, 0], [0, 7]])).macro_f1 == 1.0
 
     def test_symmetric_half_case(self):
         # per-class precision = recall = 0.5 -> per-class F1 = 0.5
-        assert macro_f1(cm([[1, 1], [1, 1]])) == pytest.approx(0.5)
+        assert score_bundle(cm([[1, 1], [1, 1]])).macro_f1 == pytest.approx(0.5)
 
     def test_absent_class_excluded_from_mean(self):
         # class 2 never predicted and absent from truth
         matrix = cm([[4, 0, 0], [0, 6, 0], [0, 0, 0]])
-        assert macro_f1(matrix) == 1.0
+        assert score_bundle(matrix).macro_f1 == 1.0
 
     def test_zero_division_inside_class_gives_zero_f1(self):
         # class 1 has support but is never predicted
         matrix = cm([[3, 0], [2, 0]])
         per_class_0 = 2 * (3 / 5) * 1.0 / ((3 / 5) + 1.0)
-        assert macro_f1(matrix) == pytest.approx((per_class_0 + 0.0) / 2)
+        assert score_bundle(matrix).macro_f1 == pytest.approx(
+            (per_class_0 + 0.0) / 2)
 
     def test_permutation_invariance(self, rng):
         truth = rng.integers(0, 4, size=200)
         preds = rng.integers(0, 4, size=200)
-        base = macro_f1(confusion(truth, preds, 4))
+        base = score_bundle(confusion(truth, preds, 4)).macro_f1
         for _ in range(5):
             perm = rng.permutation(4)
-            assert macro_f1(confusion(perm[truth], perm[preds], 4)) == pytest.approx(base)
+            permuted = confusion(perm[truth], perm[preds], 4)
+            assert score_bundle(permuted).macro_f1 == pytest.approx(base)
 
     def test_weighted_f1_and_accuracy(self):
         matrix = cm([[8, 2], [1, 9]])
-        assert accuracy(matrix) == pytest.approx(17 / 20)
-        assert weighted_f1(matrix) <= 1.0
-        assert macro_f1(cm([[0, 0], [0, 5]])) == 1.0
+        assert score_bundle(matrix).accuracy == pytest.approx(17 / 20)
+        assert score_bundle(matrix).weighted_f1 <= 1.0
+        assert score_bundle(cm([[0, 0], [0, 5]])).macro_f1 == 1.0
 
 
 def perfect_two_class_setup():
@@ -149,7 +147,8 @@ class TestEvaluateGlobal:
         ws = WindowSet(rng.normal(size=(40, 4, 1)), rng.integers(0, 3, 40))
         bundle = evaluate_global(model, arch, ws)
         preds = evaluate(model, arch, ws.windows)
-        assert bundle.macro_f1 == macro_f1(confusion(ws.labels, preds, 3))
+        counts = confusion(ws.labels, preds, 3)
+        assert bundle.macro_f1 == score_bundle(counts).macro_f1
 
     def test_empty_test_set_rejected(self):
         model, arch, _ = perfect_two_class_setup()
