@@ -28,10 +28,10 @@ from .aggregation import (
 from .arch import LayerSpec, ModelArch
 from .container import byte_size, deserialize_model, serialize_model
 from .data import (
+    CsvDataSpec,
     DeviceTransform,
     SensorSeries,
     SyntheticSpec,
-    WindowSet,
     generate_synthetic,
     ingest_csv,
     stratified_split,
@@ -69,7 +69,6 @@ from .nn import (
 )
 from .scheduler import (
     ClientState,
-    CsvDataSpec,
     ExperimentConfig,
     ExperimentResult,
     ScenarioSpec,

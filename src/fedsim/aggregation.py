@@ -72,14 +72,9 @@ class ClientRuntime:
     phase's training config and seed."""
 
     id: int
-    inputs: np.ndarray
-    labels: np.ndarray
+    data: Batch
     cfg: TrainingConfig
     seed: int | np.random.SeedSequence
-
-    @property
-    def n_k(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -144,8 +139,7 @@ class RoundOutcome:
 
 def _default_client_update(client: ClientRuntime, model: ModelWeights,
                            arch: ModelArch, phase: str) -> ModelWeights:
-    trained, _ = train_local(model, arch, Batch(client.inputs, client.labels),
-                             client.cfg, client.seed)
+    trained, _ = train_local(model, arch, client.data, client.cfg, client.seed)
     return trained
 
 
@@ -167,10 +161,10 @@ def train_clients(clients: list[ClientRuntime], models: list[ModelWeights],
 
 
 def _fractions(clients: list[ClientRuntime]) -> np.ndarray:
-    n = sum(c.n_k for c in clients)
+    n = sum(len(c.data) for c in clients)
     if n == 0:
         raise ValueError("the active pool holds no training data")
-    return np.array([c.n_k / n for c in clients], dtype=np.float64)
+    return np.array([len(c.data) / n for c in clients], dtype=np.float64)
 
 
 def _exchange(server, arch, clients, starts, phase, ledger, *, down, first=0,

@@ -117,7 +117,7 @@ def cmd_validate(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"ok: {cfg.algorithm}, {cfg.rounds} rounds, {cfg.pool_size} clients, "
+    print(f"ok: {cfg.algorithm}, {cfg.rounds} rounds, {cfg.data.clients} clients, "
           f"scenario {cfg.scenario.kind}, seed {cfg.seed}")
     return 0
 
@@ -127,42 +127,52 @@ def _load_run(run_dir: Path) -> dict:
     if not manifest_path.exists():
         raise FileNotFoundError(f"missing manifest: {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
-    rows = []
     with open(run_dir / "rounds.csv") as fh:
         reader = csvmod.DictReader(fh)
         if reader.fieldnames != CSV_COLUMNS:
-            raise ValueError(f"{run_dir}: unexpected CSV columns {reader.fieldnames}")
-        for row in reader:
-            rows.append(row)
+            raise ValueError(f"unexpected CSV columns {reader.fieldnames}")
+        rows = list(reader)
     return {"dir": run_dir, "manifest": manifest, "rows": rows}
+
+
+def _number(row, column):
+    """The row's cell in column as a float; None when it is empty."""
+    cell = row[column]
+    if not cell:
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"rounds.csv: {column} {cell!r} is not a number") from None
 
 
 def _best(rows, column):
     best_val, best_round = None, None
     for row in rows:
-        cell = row[column]
-        if not cell:
-            continue
-        value = float(cell)
-        if best_val is None or value > best_val:
+        value = _number(row, column)
+        if value is not None and (best_val is None or value > best_val):
             best_val, best_round = value, int(row["round"])
     return best_val, best_round
 
 
 def summarize_run(run: dict) -> dict:
     """Best global/personalization scores with their rounds, plus the
-    final-round generalization view."""
+    final-round generalization view.  Malformed data raises ValueError."""
+    try:
+        algorithm = run["manifest"]["resolved_config"]["algorithm"]
+    except (KeyError, TypeError):
+        raise ValueError("manifest.json has no resolved_config.algorithm") from None
     rows = run["rows"]
     g_val, g_round = _best(rows, "global_f1")
     p_val, p_round = _best(rows, "pers_mean")
     gen_mean = gen_std = None
     for row in reversed(rows):
         if row["gen_mean"]:
-            gen_mean, gen_std = float(row["gen_mean"]), float(row["gen_std"])
+            gen_mean, gen_std = _number(row, "gen_mean"), _number(row, "gen_std")
             break
     return {
         "name": run["dir"].name,
-        "algorithm": run["manifest"]["resolved_config"]["algorithm"],
+        "algorithm": algorithm,
         "global_best": g_val, "global_best_round": g_round,
         "pers_best": p_val, "pers_best_round": p_round,
         "gen_mean": gen_mean, "gen_std": gen_std,
@@ -170,11 +180,13 @@ def summarize_run(run: dict) -> dict:
 
 
 def cmd_compare(args) -> int:
-    try:
-        runs = [_load_run(Path(d)) for d in args.run_dirs]
-    except (FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    summaries = []
+    for run_dir in args.run_dirs:
+        try:
+            summaries.append(summarize_run(_load_run(Path(run_dir))))
+        except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+            print(f"error: {run_dir}: {exc}", file=sys.stderr)
+            return 2
 
     def fmt(v, digits=4):
         return "n/a" if v is None else f"{v:.{digits}f}"
@@ -183,8 +195,7 @@ def cmd_compare(args) -> int:
               f"{'pers F1':>10} {'rnd':>5} {'gen F1':>10} {'± std':>8}")
     print(header)
     print("-" * len(header))
-    for run in runs:
-        s = summarize_run(run)
+    for s in summaries:
         print(f"{s['name']:<20} {s['algorithm']:<12} {fmt(s['global_best']):>10} "
               f"{s['global_best_round'] or 'n/a':>5} {fmt(s['pers_best']):>10} "
               f"{s['pers_best_round'] or 'n/a':>5} {fmt(s['gen_mean']):>10} "

@@ -36,9 +36,9 @@ import typing
 import yaml
 
 from .arch import ModelArch
-from .data import SyntheticSpec
+from .data import CsvDataSpec, SyntheticSpec
 from .nn import TrainingConfig
-from .scheduler import CsvDataSpec, ExperimentConfig
+from .scheduler import ExperimentConfig
 
 
 class ConfigError(ValueError):
@@ -105,7 +105,11 @@ def _typed(value, hint, path: str):
     if dataclasses.is_dataclass(hint):
         return _build(hint, _values(hint, value, path), path)
     if hint is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"{path} must be finite, got an int beyond the float range") from None
     if not isinstance(value, hint) or isinstance(value, bool) and hint is not bool:
         raise ConfigError(
             f"{path} must be {hint.__name__}, got {type(value).__name__}")

@@ -1,6 +1,7 @@
 """Sensor-series data plane: synthetic non-IID client generation, channel
-z-normalization, sliding-window framing, stratified splits, and a generic
-CSV ingester for 6-channel IMU exports.
+z-normalization, sliding-window framing, stratified splits, a generic CSV
+ingester for 6-channel IMU exports, and the two client-data sources
+(SyntheticSpec, CsvDataSpec).  Framed examples are nn.Batch records.
 
 The synthetic generator stands in for real multi-user recordings at desk
 scale.  Statistical heterogeneity comes from per-client Dirichlet class
@@ -15,10 +16,13 @@ Everything here is a pure function of (spec, seed).
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .nn import Batch
 
 DEFAULT_WINDOW = 128
 DEFAULT_STEP = 64  # 50% overlap
@@ -51,30 +55,12 @@ class SensorSeries:
         return len(self.data)
 
 
-@dataclass(frozen=True)
-class WindowSet:
-    """Framed examples: windows [count, length, channels] plus one label per
-    window (majority vote over its samples, ties to the lowest class)."""
-
-    windows: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.windows.ndim != 3:
-            raise ValueError("windows must be [count, length, channels]")
-        if len(self.labels) != len(self.windows):
-            raise ValueError("one label per window required")
-
-    def __len__(self) -> int:
-        return len(self.windows)
-
-
-def concat_window_sets(sets) -> WindowSet:
+def concat_window_sets(sets) -> Batch:
     sets = [s for s in sets if len(s)]
     if not sets:
         raise ValueError("nothing to concatenate")
-    return WindowSet(np.concatenate([s.windows for s in sets]),
-                     np.concatenate([s.labels for s in sets]))
+    return Batch(np.concatenate([s.inputs for s in sets]),
+                 np.concatenate([s.labels for s in sets]))
 
 
 @dataclass(frozen=True)
@@ -128,6 +114,46 @@ class SyntheticSpec:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
+    @property
+    def window_shape(self) -> tuple[int, int]:
+        return (DEFAULT_WINDOW, self.channels)
+
+
+@dataclass(frozen=True)
+class CsvDataSpec:
+    """Per-client CSV sources, one file per client, pushed through the
+    standard pipeline (ingest -> normalize -> window -> split)."""
+
+    paths: tuple[str, ...]
+    classes: int
+    sample_rate_hz: float = 50.0
+    target_hz: float | None = 50.0
+    train_fraction: float = 0.8
+    window_length: int = 128
+    window_step: int = 64
+
+    def __post_init__(self) -> None:
+        if self.classes < 2:
+            raise ValueError("classes must be >= 2")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError("train_fraction must lie in (0, 1)")
+        if self.window_length < 1:
+            raise ValueError("window_length must be >= 1")
+        if self.window_step < 1:
+            raise ValueError("window_step must be >= 1")
+        if self.sample_rate_hz <= 0:
+            raise ValueError("sample_rate_hz must be positive")
+        if self.target_hz is not None and self.target_hz <= 0:
+            raise ValueError("target_hz must be positive or null")
+
+    @property
+    def clients(self) -> int:
+        return len(self.paths)
+
+    @property
+    def window_shape(self) -> tuple[int, int]:
+        return (self.window_length, CSV_CHANNELS)
+
 
 def z_normalize(series: SensorSeries) -> SensorSeries:
     """Channel-wise z-normalization with the population standard deviation.
@@ -146,26 +172,28 @@ def z_normalize(series: SensorSeries) -> SensorSeries:
 
 
 def window(series: SensorSeries, length: int = DEFAULT_WINDOW,
-           step: int = DEFAULT_STEP) -> WindowSet:
-    """Frame the series at offsets 0, step, 2*step, ...; the trailing
-    remainder is dropped.  Count = floor((N - length) / step) + 1."""
+           step: int = DEFAULT_STEP) -> Batch:
+    """Frame the series at offsets 0, step, 2*step, ... into inputs
+    [count, length, channels]; the trailing remainder is dropped, so
+    count = floor((N - length) / step) + 1.  One label per window: the
+    majority vote over its samples, ties to the lowest class."""
     n = len(series)
     if n < length:
         warnings.warn(f"series of {n} samples is shorter than one window ({length})")
-        return WindowSet(np.zeros((0, length, series.data.shape[1]),
-                                  dtype=series.data.dtype),
-                         np.zeros(0, dtype=np.intp))
+        return Batch(np.zeros((0, length, series.data.shape[1]),
+                              dtype=series.data.dtype),
+                     np.zeros(0, dtype=np.intp))
     count = (n - length) // step + 1
     offsets = np.arange(count) * step
     windows = np.stack([series.data[o:o + length] for o in offsets])
     labels = np.empty(count, dtype=np.intp)
     for i, o in enumerate(offsets):
         labels[i] = np.bincount(series.labels[o:o + length]).argmax()
-    return WindowSet(windows, labels)
+    return Batch(windows, labels)
 
 
-def stratified_split(ws: WindowSet, train_fraction: float = 0.8,
-                     seed=0) -> tuple[WindowSet, WindowSet]:
+def stratified_split(batch: Batch, train_fraction: float = 0.8,
+                     seed=0) -> tuple[Batch, Batch]:
     """Per-class split: round(n_c * fraction) windows to train, clamped so
     both sides keep at least one window when a class has >= 2.  Singleton
     classes go to train with a warning."""
@@ -174,8 +202,8 @@ def stratified_split(ws: WindowSet, train_fraction: float = 0.8,
     rng = np.random.default_rng(seed)
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
-    for cls in np.unique(ws.labels):
-        idx = np.flatnonzero(ws.labels == cls)
+    for cls in np.unique(batch.labels):
+        idx = np.flatnonzero(batch.labels == cls)
         if len(idx) == 1:
             warnings.warn(f"class {cls} has a single window; kept in train")
             train_idx.append(idx)
@@ -188,8 +216,8 @@ def stratified_split(ws: WindowSet, train_fraction: float = 0.8,
     none = [np.zeros(0, dtype=np.intp)]
     train = np.sort(np.concatenate(train_idx or none))
     test = np.sort(np.concatenate(test_idx or none))
-    return (WindowSet(ws.windows[train], ws.labels[train]),
-            WindowSet(ws.windows[test], ws.labels[test]))
+    return (Batch(batch.inputs[train], batch.labels[train]),
+            Batch(batch.inputs[test], batch.labels[test]))
 
 
 def _class_signatures(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,8 +270,8 @@ def _client_series(spec: SyntheticSpec, client: int, offsets, amps, freqs,
     return SensorSeries(data, labels, spec.sample_rate, meta)
 
 
-def generate_synthetic(spec: SyntheticSpec) -> list[tuple[WindowSet, WindowSet]]:
-    """Per-client (train, test) window sets through the standard pipeline
+def generate_synthetic(spec: SyntheticSpec) -> list[tuple[Batch, Batch]]:
+    """Per-client (train, test) batches through the standard pipeline
     generate -> normalize -> window -> split.
 
     Normalization statistics are computed per client over its own series;
@@ -255,9 +283,9 @@ def generate_synthetic(spec: SyntheticSpec) -> list[tuple[WindowSet, WindowSet]]
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(102, k)))
         priors = rng.dirichlet(np.full(spec.classes, spec.dirichlet_alpha))
         series = _client_series(spec, k, offsets, amps, freqs, priors, rng)
-        ws = window(z_normalize(series))
+        windows = window(z_normalize(series))
         split_seed = np.random.SeedSequence(spec.seed, spawn_key=(103, k))
-        out.append(stratified_split(ws, spec.train_fraction, split_seed))
+        out.append(stratified_split(windows, spec.train_fraction, split_seed))
     return out
 
 
@@ -268,9 +296,9 @@ def ingest_csv(path, sample_rate_hz: float,
     The header must read exactly: timestamp,ax,ay,az,gx,gy,gz,label, and
     labels are non-negative integers.  target_hz enables integer-factor
     decimation (e.g. 100 Hz -> 50 Hz); None keeps sample_rate_hz.
-    Malformed rows and a file without data rows raise CsvFormatError citing
-    the 1-based physical line; a non-integer downsampling factor is
-    rejected.
+    Malformed rows, non-finite sensor values (nan, inf) and a file without
+    data rows raise CsvFormatError citing the 1-based physical line; a
+    non-integer downsampling factor is rejected.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
@@ -289,10 +317,13 @@ def ingest_csv(path, sample_rate_hz: float,
                 raise CsvFormatError(
                     f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}"
                 )
+            sensors = row[1:1 + CSV_CHANNELS]
             try:
-                values = [float(v) for v in row[1:1 + CSV_CHANNELS]]
+                values = [float(v) for v in sensors]
             except ValueError as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise CsvFormatError(f"line {lineno}: non-finite sensor value in {sensors}")
             try:
                 label = int(row[7])
             except ValueError:

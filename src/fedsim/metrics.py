@@ -19,7 +19,6 @@ import numpy as np
 
 from . import nn
 from .arch import ModelArch
-from .data import WindowSet
 from .fabric import ModelWeights
 
 CSV_COLUMNS = ["round", "algorithm", "global_f1", "pers_mean", "pers_std",
@@ -79,15 +78,15 @@ def score_bundle(counts: np.ndarray) -> ScoreBundle:
     )
 
 
-def score_model(model: ModelWeights, arch: ModelArch, ws: WindowSet) -> ScoreBundle:
-    if len(ws) == 0:
+def score_model(model: ModelWeights, arch: ModelArch, batch: nn.Batch) -> ScoreBundle:
+    if len(batch) == 0:
         raise ValueError("empty test set")
-    preds = nn.evaluate(model, arch, ws.windows)
-    return score_bundle(confusion(ws.labels, preds, arch.classes))
+    preds = nn.evaluate(model, arch, batch.inputs)
+    return score_bundle(confusion(batch.labels, preds, arch.classes))
 
 
 def evaluate_global(server: ModelWeights, arch: ModelArch,
-                    global_test: WindowSet) -> ScoreBundle:
+                    global_test: nn.Batch) -> ScoreBundle:
     """Server model scored on the pooled test set of all clients."""
     return score_model(server, arch, global_test)
 
@@ -104,7 +103,7 @@ def evaluate_personalization(entries, arch: ModelArch) -> list[float]:
 
 
 def evaluate_generalization(best_models, arch: ModelArch,
-                            global_test: WindowSet) -> list[float]:
+                            global_test: nn.Batch) -> list[float]:
     """Macro F1 of each best-personalization snapshot on the global test
     set, in order."""
     return [score_model(model, arch, global_test).macro_f1 for model in best_models]

@@ -40,7 +40,9 @@ def diverged_in(where: str):
 
 @dataclass(frozen=True)
 class Batch:
-    """A stack of examples: inputs [n, window, channels] plus class labels."""
+    """A stack of examples, inputs [n, window, channels] (or [n, features])
+    plus one class label each: the one client-data record, from
+    data.window() through ClientRuntime.data to train_local."""
 
     inputs: np.ndarray
     labels: np.ndarray

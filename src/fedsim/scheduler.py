@@ -35,10 +35,8 @@ from .aggregation import (
 from .arch import ModelArch
 from .container import serialize_model
 from .data import (
-    CSV_CHANNELS,
-    DEFAULT_WINDOW,
+    CsvDataSpec,
     SyntheticSpec,
-    WindowSet,
     concat_window_sets,
     generate_synthetic,
     ingest_csv,
@@ -114,34 +112,6 @@ def active_clients(spec: ScenarioSpec, round_index: int, pool: int,
 
 
 @dataclass(frozen=True)
-class CsvDataSpec:
-    """Per-client CSV sources pushed through the standard pipeline
-    (ingest -> normalize -> window -> split)."""
-
-    paths: tuple[str, ...]
-    classes: int
-    sample_rate_hz: float = 50.0
-    target_hz: float | None = 50.0
-    train_fraction: float = 0.8
-    window_length: int = 128
-    window_step: int = 64
-
-    def __post_init__(self) -> None:
-        if self.classes < 2:
-            raise ValueError("classes must be >= 2")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
-        if self.window_length < 1:
-            raise ValueError("window_length must be >= 1")
-        if self.window_step < 1:
-            raise ValueError("window_step must be >= 1")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        if self.target_hz is not None and self.target_hz <= 0:
-            raise ValueError("target_hz must be positive or null")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     algorithm: str
     model: ModelArch
@@ -169,7 +139,7 @@ class ExperimentConfig:
             raise ValueError("threads must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        pool = self.pool_size
+        pool = self.data.clients
         if pool < 1:
             raise ValueError("need at least one client")
         self.scenario.check_pool(pool)
@@ -178,22 +148,13 @@ class ExperimentConfig:
                 f"model outputs {self.model.classes} classes, "
                 f"data has {self.data.classes}"
             )
-        if isinstance(self.data, SyntheticSpec):
-            windows = (DEFAULT_WINDOW, self.data.channels)
-        else:
-            windows = (self.data.window_length, CSV_CHANNELS)
+        windows = self.data.window_shape
         model_input = (self.model.input_length, self.model.input_channels)
         if model_input != windows:
             raise ValueError(
                 f"model input {list(model_input)} does not match the data's "
                 f"{list(windows)} windows (length, channels)"
             )
-
-    @property
-    def pool_size(self) -> int:
-        if isinstance(self.data, SyntheticSpec):
-            return self.data.clients
-        return len(self.data.paths)
 
     @property
     def dtype(self):
@@ -205,8 +166,8 @@ class ClientState:
     """One simulated client across the whole experiment."""
 
     id: int
-    train: WindowSet
-    test: WindowSet
+    train: Batch
+    test: Batch
     cfg: TrainingConfig
     model: ModelWeights
     best_score: float | None = None
@@ -216,10 +177,6 @@ class ClientState:
     # best_model's macro F1 on the pooled test set, scored with the snapshot.
     best_generalization: float | None = None
 
-    @property
-    def n_k(self) -> int:
-        return len(self.train)
-
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -227,7 +184,7 @@ class ExperimentResult:
     ledgers: tuple[CommLedger, ...]
     final_model: ModelWeights | None
     states: tuple[ClientState, ...]
-    global_test: WindowSet
+    global_test: Batch
 
 
 def _seq(seed: int, *key: int) -> np.random.SeedSequence:
@@ -241,11 +198,11 @@ def _train_seed(seed: int, round_index: int, client: int) -> int:
 
 def _runtime(cfg, st: ClientState, t: int) -> ClientRuntime:
     """Client st's view of round t: its training data, config and seed."""
-    return ClientRuntime(id=st.id, inputs=st.train.windows, labels=st.train.labels,
-                         cfg=st.cfg, seed=_train_seed(cfg.seed, t, st.id))
+    return ClientRuntime(id=st.id, data=st.train, cfg=st.cfg,
+                         seed=_train_seed(cfg.seed, t, st.id))
 
 
-def _materialize(cfg: ExperimentConfig) -> list[tuple[WindowSet, WindowSet]]:
+def _materialize(cfg: ExperimentConfig) -> list[tuple[Batch, Batch]]:
     if isinstance(cfg.data, SyntheticSpec):
         return generate_synthetic(cfg.data)
     spec = cfg.data
@@ -255,8 +212,8 @@ def _materialize(cfg: ExperimentConfig) -> list[tuple[WindowSet, WindowSet]]:
         top = int(series.labels.max(initial=0))
         if top >= spec.classes:
             raise ValueError(f"{path}: label {top} is outside [0, {spec.classes})")
-        ws = window(series, spec.window_length, spec.window_step)
-        out.append(stratified_split(ws, spec.train_fraction, _seq(cfg.seed, 1, k)))
+        windows = window(series, spec.window_length, spec.window_step)
+        out.append(stratified_split(windows, spec.train_fraction, _seq(cfg.seed, 1, k)))
     return out
 
 
@@ -276,7 +233,7 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
     """
     arch = cfg.model
     datasets = _materialize(cfg)
-    pool = cfg.pool_size
+    pool = cfg.data.clients
     if len(datasets) != pool:
         raise ValueError(f"{len(datasets)} client datasets for a pool of {pool}")
     for k, (train, _test) in enumerate(datasets):
@@ -429,8 +386,8 @@ def _centralized_rounds(cfg, arch, states, init):
     model = init
     for t in range(1, cfg.rounds + 1):
         with diverged_in(f"round {t}: every client pooled, centralized training"):
-            model, _ = train_local(model, arch, Batch(pooled.windows, pooled.labels),
-                                   central_cfg, _train_seed(cfg.seed, t, 0))
+            model, _ = train_local(model, arch, pooled, central_cfg,
+                                   _train_seed(cfg.seed, t, 0))
         yield CommLedger(t, "centralized"), model, ()
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from fedsim import LayerSpec, ModelArch, ModelWeights, TrainingConfig
 from fedsim.aggregation import ClientRuntime
+from fedsim.nn import Batch
 
 
 def dense_arch(inputs: int, hidden: int, classes: int,
@@ -54,7 +55,7 @@ def make_clients(arch: ModelArch, sizes, cfg: TrainingConfig, seed: int = 0,
         else:
             x, y = rng.normal(size=(n, *shape)), rng.integers(0, classes, n)
         train_seed = same_train_seed if same_train_seed is not None else 1000 + k
-        clients.append(ClientRuntime(id=k, inputs=x, labels=y, cfg=cfg,
+        clients.append(ClientRuntime(id=k, data=Batch(x, y), cfg=cfg,
                                      seed=train_seed))
     return clients
 

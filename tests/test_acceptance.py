@@ -38,7 +38,7 @@ from fedsim import (
 )
 from fedsim.aggregation import ClientRuntime, _default_client_update
 from fedsim.container import byte_size, shape_metadata_size
-from fedsim.data import SensorSeries, WindowSet
+from fedsim.data import SensorSeries
 from fedsim.fabric import LayerWeights, neuron_vector, write_neuron
 from fedsim.nn import Batch
 
@@ -182,7 +182,7 @@ def test_criterion_04_feddist_degeneracy_20_rounds():
     server_dist = server_avg
     total_units = 0
     for t in range(1, 21):
-        clients = [ClientRuntime(k, x, y, cfg, seed=7000 + t) for k in range(5)]
+        clients = [ClientRuntime(k, Batch(x, y), cfg, seed=7000 + t) for k in range(5)]
         out_avg = fedavg_round(server_avg, arch, clients, round_index=t)
         out_dist = feddist_round(server_dist, arch, clients, FedDistConfig(), t)
         server_avg, server_dist = out_avg.server, out_dist.server
@@ -258,9 +258,9 @@ def test_criterion_06_communication_accounting():
     assert len(set(sizes)) == 1  # equal-size layers by construction
     cfg0 = TrainingConfig(local_epochs=1, learning_rate=0.0, batch_size=64)
     rng = np.random.default_rng(606)
-    big = ClientRuntime(0, rng.normal(size=(135, d)), rng.integers(0, d, 135),
+    big = ClientRuntime(0, Batch(rng.normal(size=(135, d)), rng.integers(0, d, 135)),
                         cfg0, 1)
-    small = ClientRuntime(1, rng.normal(size=(15, d)), rng.integers(0, d, 15),
+    small = ClientRuntime(1, Batch(rng.normal(size=(15, d)), rng.integers(0, d, 15)),
                           cfg0, 2)
     fa3 = fedavg_round(server3, arch3, [big, small])
     fd3 = feddist_round(server3, arch3, [big, small], FedDistConfig(beta=0.0), 1,
@@ -328,7 +328,7 @@ def test_criterion_08_fedprox_reductions():
     # mu = 0 reproduces FedAvg bit-identically
     server = init_model(arch, 80)
     clients = make_clients(arch, [12, 18, 24], plain_cfg, seed=81)
-    zeroed = [ClientRuntime(c.id, c.inputs, c.labels, zero_cfg, c.seed)
+    zeroed = [ClientRuntime(c.id, c.data, zero_cfg, c.seed)
               for c in clients]
     assert models_bit_equal(fedavg_round(server, arch, clients).server,
                             fedprox_round(server, arch, zeroed).server)
@@ -348,7 +348,7 @@ def test_criterion_08_fedprox_reductions():
     for t in range(1, 6):
         clients = make_clients(arch, [12, 18, 24], plain_cfg, seed=82 + t,
                                same_train_seed=None)
-        proxed = [ClientRuntime(c.id, c.inputs, c.labels, prox_cfg, c.seed)
+        proxed = [ClientRuntime(c.id, c.data, prox_cfg, c.seed)
                   for c in clients]
         out_avg = fedavg_round(server_avg, arch, clients, round_index=t)
         out_prox = fedprox_round(server_prox, arch, proxed, round_index=t)
@@ -453,7 +453,7 @@ def test_criterion_11_data_plane_fixtures():
 
     # exact 80/20 stratified split for divisible class counts
     labels = np.repeat(np.arange(4), 10)
-    ws = WindowSet(rng.normal(size=(40, 4, 1)), labels)
+    ws = Batch(rng.normal(size=(40, 4, 1)), labels)
     train, test = stratified_split(ws, 0.8, seed=7)
     assert np.bincount(train.labels).tolist() == [8, 8, 8, 8]
     assert np.bincount(test.labels).tolist() == [2, 2, 2, 2]

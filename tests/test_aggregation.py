@@ -63,7 +63,7 @@ class TestFedAvgRound:
         server = init_model(arch, 0)
         (client,) = make_clients(arch, [12], CFG, seed=1)
         out = fedavg_round(server, arch, [client])
-        expected, _ = train_local(server, arch, Batch(client.inputs, client.labels),
+        expected, _ = train_local(server, arch, client.data,
                                   CFG, client.seed)
         assert models_bit_equal(out.server, expected)
         assert out.client_models[0] is not None
@@ -137,7 +137,7 @@ class TestFedProxRound:
         prox_cfg = TrainingConfig(local_epochs=3, learning_rate=0.05, batch_size=8,
                                   proximal_coefficient=10.0)
         plain = make_clients(arch, [16, 16, 16], plain_cfg, seed=13)
-        proxed = [ClientRuntime(c.id, c.inputs, c.labels, prox_cfg, c.seed)
+        proxed = [ClientRuntime(c.id, c.data, prox_cfg, c.seed)
                   for c in plain]
 
         def drift(outcome, reference):
@@ -159,7 +159,7 @@ class TestFedProxRound:
         cfg = TrainingConfig(local_epochs=1, learning_rate=0.1, batch_size=64,
                              proximal_coefficient=7.0)
         clients = make_clients(arch, [12, 12], cfg, seed=15)
-        plain = [ClientRuntime(c.id, c.inputs, c.labels,
+        plain = [ClientRuntime(c.id, c.data,
                                TrainingConfig(local_epochs=1, learning_rate=0.1,
                                               batch_size=64), c.seed)
                  for c in clients]

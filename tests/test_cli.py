@@ -393,8 +393,12 @@ class TestValidateCommand:
         (MINIMAL + "feddist:\n  beta: -.inf\n", "feddist.beta", "-inf"),
         (MINIMAL.replace("alpha: 0.5", "alpha: .nan"), "data.synthetic.dirichlet_alpha",
          "nan"),
+        (MINIMAL + "training:\n  learning_rate: 1" + "0" * 400 + "\n",
+         "training.learning_rate", "an int beyond the float range"),
+        (MINIMAL.replace("alpha: 0.5", "alpha: -1" + "0" * 400),
+         "data.synthetic.dirichlet_alpha", "an int beyond the float range"),
     ], ids=["learning_rate-nan", "learning_rate-inf", "beta-nan", "beta--inf",
-            "dirichlet_alpha-nan"])
+            "dirichlet_alpha-nan", "learning_rate-huge-int", "dirichlet_alpha-huge-int"])
     def test_non_finite_float_rejected(self, tmp_path, capsys, text, path, shown):
         # nan passes every range check (each comparison is False)
         assert main(["validate", "--config", str(write(tmp_path, text))]) == 2
@@ -461,6 +465,31 @@ class TestCompareCommand:
         with pytest.raises(SystemExit):
             main(["compare", str(tmp_path)])
 
+    @staticmethod
+    def _drop_algorithm(run):
+        manifest = json.loads((run / "manifest.json").read_text())
+        del manifest["resolved_config"]["algorithm"]
+        (run / "manifest.json").write_text(json.dumps(manifest))
+
+    @staticmethod
+    def _garble_score(run):
+        lines = (run / "rounds.csv").read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[CSV_COLUMNS.index("global_f1")] = "high"
+        lines[1] = ",".join(cells)
+        (run / "rounds.csv").write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("damage, message", [
+        ("_drop_algorithm", "manifest.json has no resolved_config.algorithm"),
+        ("_garble_score", "rounds.csv: global_f1 'high' is not a number"),
+    ], ids=["manifest-without-algorithm", "score-not-a-number"])
+    def test_malformed_run_is_an_error(self, two_runs, capsys, damage, message):
+        getattr(self, damage)(two_runs[1])
+        assert main(["compare", str(two_runs[0]), str(two_runs[1])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing printed before the error
+        assert captured.err == f"error: {two_runs[1]}: {message}\n"
+
 
 class TestShapeCommand:
     def test_prints_dump(self, tmp_path, capsys):
@@ -506,7 +535,7 @@ data:
 """
     cfg = parse_config(write(tmp_path, text))
     assert isinstance(cfg.data, CsvDataSpec)
-    assert cfg.pool_size == 3
+    assert cfg.data.clients == 3
     assert cfg.data.sample_rate_hz == 100.0
     rebuilt = parse_config_dict(config_to_dict(cfg))
     assert rebuilt == cfg

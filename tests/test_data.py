@@ -16,10 +16,10 @@ from fedsim.data import (
     CSV_HEADER,
     CsvFormatError,
     SensorSeries,
-    WindowSet,
     concat_window_sets,
     ingest_csv,
 )
+from fedsim.nn import Batch
 
 
 def series_from(channels: np.ndarray, labels=None, rate=50.0) -> SensorSeries:
@@ -60,7 +60,7 @@ class TestWindow:
     def test_single_window_at_exact_length(self):
         ws = window(series_from(np.zeros((128, 6))))
         assert len(ws) == 1
-        assert ws.windows.shape == (1, 128, 6)
+        assert ws.inputs.shape == (1, 128, 6)
 
     def test_n_1000_gives_14_windows(self):
         # offsets 0, 64, ..., 896 enumerate to 14
@@ -70,7 +70,7 @@ class TestWindow:
     def test_consecutive_windows_share_half(self, rng):
         data = rng.normal(size=(400, 3))
         ws = window(series_from(data), length=128, step=64)
-        assert np.array_equal(ws.windows[0][64:], ws.windows[1][:64])
+        assert np.array_equal(ws.inputs[0][64:], ws.inputs[1][:64])
 
     def test_too_short_series_warns_and_returns_empty(self):
         with pytest.warns(UserWarning, match="shorter"):
@@ -93,9 +93,9 @@ class TestWindow:
         assert len(ws) == len(offsets) == (n - 128) // 64 + 1
 
 
-def window_set(labels) -> WindowSet:
+def window_set(labels) -> Batch:
     labels = np.asarray(labels, dtype=np.intp)
-    return WindowSet(np.zeros((len(labels), 4, 1)), labels)
+    return Batch(np.zeros((len(labels), 4, 1)), labels)
 
 
 class TestStratifiedSplit:
@@ -109,7 +109,7 @@ class TestStratifiedSplit:
         a = stratified_split(ws, 0.8, 42)
         b = stratified_split(ws, 0.8, 42)
         assert np.array_equal(a[0].labels, b[0].labels)
-        assert np.array_equal(a[0].windows, b[0].windows)
+        assert np.array_equal(a[0].inputs, b[0].inputs)
 
     def test_rounding_rule_vs_enumerating_oracle(self):
         train, test = stratified_split(window_set([0] * 7 + [1] * 13), 0.8, 1)
@@ -121,18 +121,18 @@ class TestStratifiedSplit:
 
     def test_union_disjoint_and_complete(self, rng):
         labels = rng.integers(0, 4, size=60)
-        ws = WindowSet(rng.normal(size=(60, 4, 1)), labels)
+        ws = Batch(rng.normal(size=(60, 4, 1)), labels)
         train, test = stratified_split(ws, 0.7, 3)
         assert len(train) + len(test) == 60
-        stacked = np.concatenate([train.windows, test.windows]).reshape(60, -1)
-        original = ws.windows.reshape(60, -1)
+        stacked = np.concatenate([train.inputs, test.inputs]).reshape(60, -1)
+        original = ws.inputs.reshape(60, -1)
         assert {tuple(r) for r in stacked} == {tuple(r) for r in original}
 
     def test_empty_set_splits_into_two_empty_sets(self):
         empty = window_set([])
         train, test = stratified_split(empty, 0.8, 0)
         assert len(train) == len(test) == 0
-        assert train.windows.shape == test.windows.shape == empty.windows.shape
+        assert train.inputs.shape == test.inputs.shape == empty.inputs.shape
 
     def test_singleton_class_goes_to_train_with_warning(self):
         with pytest.warns(UserWarning, match="single window"):
@@ -148,7 +148,7 @@ class TestGenerateSynthetic:
         a = generate_synthetic(spec)
         b = generate_synthetic(spec)
         for (ta, va), (tb, vb) in zip(a, b):
-            assert np.array_equal(ta.windows, tb.windows)
+            assert np.array_equal(ta.inputs, tb.inputs)
             assert np.array_equal(va.labels, vb.labels)
 
     def test_large_alpha_gives_uniform_segment_draws(self):
@@ -186,7 +186,7 @@ class TestGenerateSynthetic:
         spec = SyntheticSpec(clients=2, classes=3, dirichlet_alpha=1.0,
                              samples_per_client=(1500, 1500), seed=4)
         for train, test in generate_synthetic(spec):
-            assert train.windows.shape[1:] == (128, 6)
+            assert train.inputs.shape[1:] == (128, 6)
             assert len(train) > len(test) > 0
             assert train.labels.max() < 3
 
@@ -243,6 +243,14 @@ class TestIngestCsv:
         f = tmp_path / "g.csv"
         write_csv(f, ["0.00,1,2,3,4,5,6,0", "0.02,1,2,3,4,5,6,-1"])
         with pytest.raises(CsvFormatError, match="line 3: negative label -1"):
+            ingest_csv(f, 50.0)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_cites_line(self, tmp_path, value):
+        f = tmp_path / "n.csv"
+        write_csv(f, ["0.00,1,2,3,4,5,6,0", f"0.02,1,2,{value},4,5,6,0",
+                      "0.04,1,2,3,4,5,6,0"])
+        with pytest.raises(CsvFormatError, match="line 3: non-finite sensor value"):
             ingest_csv(f, 50.0)
 
     def test_header_only_file_cites_line_2(self, tmp_path):

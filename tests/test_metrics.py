@@ -23,9 +23,9 @@ from fedsim import (
     run_experiment,
     score_bundle,
 )
-from fedsim.data import WindowSet
 from fedsim.fabric import LayerWeights
 from fedsim.metrics import score_model, spread
+from fedsim.nn import Batch
 
 from conftest import dense_arch
 
@@ -114,7 +114,7 @@ def perfect_two_class_setup():
     ))
     x = np.array([[-1.0], [-0.5], [0.5], [1.0]])[:, :, None]
     labels = np.array([0, 0, 1, 1])
-    return model, arch, WindowSet(x, labels)
+    return model, arch, Batch(x, labels)
 
 
 class TestEvaluateGlobal:
@@ -135,7 +135,7 @@ class TestEvaluateGlobal:
         ))
         x = np.zeros((10, 1, 1))
         labels = np.array([0] * 9 + [1])
-        bundle = evaluate_global(model, arch, WindowSet(x, labels))
+        bundle = evaluate_global(model, arch, Batch(x, labels))
         assert bundle.accuracy == pytest.approx(0.9)
         # majority share 0.9 but class 1 contributes F1 = 0
         assert bundle.macro_f1 == pytest.approx((2 * 0.9 / 1.9) / 2)
@@ -144,15 +144,15 @@ class TestEvaluateGlobal:
     def test_equals_prediction_metric_composition(self, rng):
         arch = dense_arch(4, 6, 3)
         model = init_model(arch, 1)
-        ws = WindowSet(rng.normal(size=(40, 4, 1)), rng.integers(0, 3, 40))
+        ws = Batch(rng.normal(size=(40, 4, 1)), rng.integers(0, 3, 40))
         bundle = evaluate_global(model, arch, ws)
-        preds = evaluate(model, arch, ws.windows)
+        preds = evaluate(model, arch, ws.inputs)
         counts = confusion(ws.labels, preds, 3)
         assert bundle.macro_f1 == score_bundle(counts).macro_f1
 
     def test_empty_test_set_rejected(self):
         model, arch, _ = perfect_two_class_setup()
-        empty = WindowSet(np.zeros((0, 1, 1)), np.zeros(0, dtype=int))
+        empty = Batch(np.zeros((0, 1, 1)), np.zeros(0, dtype=int))
         with pytest.raises(ValueError, match="empty"):
             evaluate_global(model, arch, empty)
 
@@ -174,7 +174,7 @@ class TestPersonalizationAndGeneralization:
         entries = []
         for k in range(5):
             model = init_model(arch, 50 + k)
-            ws = WindowSet(rng.normal(size=(30, 4, 1)), rng.integers(0, 3, 30))
+            ws = Batch(rng.normal(size=(30, 4, 1)), rng.integers(0, 3, 30))
             entries.append((model, ws))
         scores = evaluate_personalization(entries, arch)
         expected = [score_model(m, arch, w).macro_f1 for m, w in entries]
@@ -185,7 +185,7 @@ class TestPersonalizationAndGeneralization:
 
     def test_generalization_scores_each_snapshot_on_the_global_set(self, rng):
         arch = dense_arch(4, 6, 3)
-        ws = WindowSet(rng.normal(size=(30, 4, 1)), rng.integers(0, 3, 30))
+        ws = Batch(rng.normal(size=(30, 4, 1)), rng.integers(0, 3, 30))
         models = [init_model(arch, 1), init_model(arch, 2)]
         assert evaluate_generalization(models, arch, ws) == [
             score_model(m, arch, ws).macro_f1 for m in models]

@@ -124,7 +124,7 @@ class TestRunExperiment:
                           cfg.dtype)
         from fedsim.scheduler import _train_seed
         expected, _ = train_local(init, cfg.model,
-                                  Batch(st.train.windows, st.train.labels),
+                                  st.train,
                                   st.cfg, _train_seed(cfg.seed, 1, 0))
         assert models_bit_equal(res.final_model, expected)
 

@@ -7,9 +7,12 @@ Runs `fedsim run` from revision REV (exported with `git archive`) and from
 the working tree's `src/`, on one growing desk config: conv1d(6, k16) ->
 maxpool1d(4) -> dense(12) -> softmax(4), interchanging 3 of 7 synthetic
 clients, 6 rounds.  Every algorithm runs at `--threads` 1 and 2 and at
-`eval_every` 1 and 3.  Each run's rounds.csv, rounds.jsonl, model.bin and
-shape.txt are compared byte for byte (local-only writes no model).  Exits 1
-naming every file that differs, 0 when all are identical.
+`eval_every` 1 and 3.  The same model also runs fedavg and feddist from
+three small CSV exports (seeded values at 50 Hz, labels in [0, 4) in
+200-row segments) at `--threads` 1 and `eval_every` 1, which covers the CSV
+source.  Each run's rounds.csv, rounds.jsonl, model.bin and shape.txt are
+compared byte for byte (local-only writes no model).  Exits 1 naming every
+file that differs, 0 when all are identical.
 
 A change that claims to leave outputs alone (a refactor, a speed-up) should
 pass this against its parent commit.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
@@ -26,11 +30,15 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 REPO = Path(__file__).resolve().parents[1]
 ALGORITHMS = ("fedavg", "fedprox", "feddist", "local-only", "centralized")
 THREADS = (1, 2)
 CADENCES = (1, 3)
 OUTPUTS = ("rounds.csv", "rounds.jsonl", "model.bin", "shape.txt")
+CSV_ALGORITHMS = ("fedavg", "feddist")
+CSV_CLIENTS, CSV_ROWS, CSV_SEGMENT = 3, 2000, 200
 
 CONFIG = """\
 algorithm: {algorithm}
@@ -54,11 +62,20 @@ scenario:
   kind: interchanging
   sample_size: 3
 data:
+{data}"""
+
+SYNTHETIC = """\
   synthetic:
     clients: 7
     classes: 4
     dirichlet_alpha: 0.5
     samples_per_client: [1200, 1500]
+"""
+
+CSV = """\
+  csv:
+    paths: [{paths}]
+    classes: 4
 """
 
 RUN = "import sys; from fedsim.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -71,6 +88,24 @@ def export(rev: str, dest: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
         tar.extractall(dest, filter="data")
     return dest / "src"
+
+
+def write_csv_exports(dest: Path) -> list[Path]:
+    """CSV_CLIENTS deterministic 6-channel exports at 50 Hz: Gaussian noise
+    around a per-label offset, labels drawn per CSV_SEGMENT-row segment."""
+    rng = np.random.default_rng(5)
+    paths = []
+    for k in range(CSV_CLIENTS):
+        labels = rng.integers(0, 4, CSV_ROWS // CSV_SEGMENT).repeat(CSV_SEGMENT)
+        values = rng.normal(size=(CSV_ROWS, 6)) + 0.5 * labels[:, None]
+        path = dest / f"client{k}.csv"
+        with open(path, "w") as fh:
+            fh.write("timestamp,ax,ay,az,gx,gy,gz,label\n")
+            for i, (row, label) in enumerate(zip(values, labels)):
+                fh.write(f"{i / 50:.2f}," + ",".join(f"{v:.6f}" for v in row)
+                         + f",{label}\n")
+        paths.append(path)
+    return paths
 
 
 def run(src: Path, config: Path, out: Path, threads: int) -> None:
@@ -91,31 +126,36 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="fedsim-parity-") as tmp:
         work = Path(tmp)
         trees = {"base": export(args.rev, work / "rev"), "work": REPO / "src"}
+        csv_data = CSV.format(paths=", ".join(
+            json.dumps(str(p)) for p in write_csv_exports(work)))
+        cases = [(f"{algorithm}-e{eval_every}-t{threads}", algorithm, eval_every,
+                  threads, SYNTHETIC)
+                 for algorithm in ALGORITHMS for eval_every in CADENCES
+                 for threads in THREADS]
+        cases += [(f"csv-{algorithm}-e1-t1", algorithm, 1, 1, csv_data)
+                  for algorithm in CSV_ALGORITHMS]
         same, differ = 0, []
-        for algorithm in ALGORITHMS:
-            for eval_every in CADENCES:
-                config = work / f"{algorithm}-e{eval_every}.yaml"
-                config.write_text(CONFIG.format(algorithm=algorithm,
-                                                eval_every=eval_every))
-                for threads in THREADS:
-                    name = f"{algorithm}-e{eval_every}-t{threads}"
-                    for side, src in trees.items():
-                        run(src, config, work / "out" / side / name, threads)
-                    for output in OUTPUTS:
-                        base = work / "out" / "base" / name / output
-                        ours = work / "out" / "work" / name / output
-                        if not base.exists() and not ours.exists():
-                            continue
-                        if (base.exists() and ours.exists()
-                                and base.read_bytes() == ours.read_bytes()):
-                            same += 1
-                        else:
-                            differ.append(f"{name}/{output}")
-                    shape = work / "out" / "work" / name / "shape.txt"
-                    grown = (" (final shape: "
-                             + "; ".join(shape.read_text().splitlines()) + ")"
-                             if algorithm == "feddist" else "")
-                    print(f"{name}: compared{grown}", flush=True)
+        for name, algorithm, eval_every, threads, data in cases:
+            config = work / f"{name}.yaml"
+            config.write_text(CONFIG.format(algorithm=algorithm,
+                                            eval_every=eval_every, data=data))
+            for side, src in trees.items():
+                run(src, config, work / "out" / side / name, threads)
+            for output in OUTPUTS:
+                base = work / "out" / "base" / name / output
+                ours = work / "out" / "work" / name / output
+                if not base.exists() and not ours.exists():
+                    continue
+                if (base.exists() and ours.exists()
+                        and base.read_bytes() == ours.read_bytes()):
+                    same += 1
+                else:
+                    differ.append(f"{name}/{output}")
+            shape = work / "out" / "work" / name / "shape.txt"
+            grown = (" (final shape: "
+                     + "; ".join(shape.read_text().splitlines()) + ")"
+                     if algorithm == "feddist" else "")
+            print(f"{name}: compared{grown}", flush=True)
 
     for path in differ:
         print(f"DIFFERS: {path}")
