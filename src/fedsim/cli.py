@@ -32,6 +32,7 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, config_to_dict, parse_config
 from .container import deserialize_model, serialize_model
+from .data import CsvDataSpec
 from .fabric import shape_lines
 from .metrics import CSV_COLUMNS
 from .scheduler import run_experiment
@@ -117,6 +118,13 @@ def cmd_validate(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # The files are checked here, not in CsvDataSpec: a spec only names
+    # them, and a path resolves against the directory a command runs in.
+    paths = cfg.data.paths if isinstance(cfg.data, CsvDataSpec) else ()
+    for i, path in enumerate(paths):
+        if not Path(path).is_file():
+            print(f"error: data.csv.paths[{i}]: {path} is not a file", file=sys.stderr)
+            return 2
     print(f"ok: {cfg.algorithm}, {cfg.rounds} rounds, {cfg.data.clients} clients, "
           f"scenario {cfg.scenario.kind}, seed {cfg.seed}")
     return 0

@@ -133,6 +133,8 @@ class CsvDataSpec:
     window_step: int = 64
 
     def __post_init__(self) -> None:
+        if not self.paths:
+            raise ValueError("paths must name at least one file")
         if self.classes < 2:
             raise ValueError("classes must be >= 2")
         if not 0.0 < self.train_fraction < 1.0:

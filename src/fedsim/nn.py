@@ -146,20 +146,40 @@ def _maxpool1d(spec, layer, a, where, keep):
     t_out = t // k
     if t_out < 1:
         raise ShapeError(f"{where}: pool kernel {k} exceeds length {t}")
-    blocks = a[:, :t_out * k, :].reshape(n, t_out, k, c)
+    # slots[i] is slot i of every block, [N, T_out, C].  Training copies
+    # them once into contiguous planes: elementwise ops on the strided
+    # views run inner loops of only C elements.
+    slots = a[:, :t_out * k, :].reshape(n, t_out, k, c).transpose(2, 0, 1, 3)
+    if keep:
+        slots = np.ascontiguousarray(slots)
+    # np.maximum returns its second operand on a tie, so out holds the bits
+    # of the first slot with the block max, the one argmax picks (a signed
+    # zero included); a NaN passes on.
+    out = slots[0].copy()
+    for plane in slots[1:]:
+        np.maximum(plane, out, out=out)
     if not keep:
-        return blocks.max(axis=2), None
-    idx = blocks.argmax(axis=2)
-    out = np.take_along_axis(blocks, idx[:, :, None, :], axis=2)[:, :, 0, :]
+        return out, None
+    # The winner's slot is the number of leading slots below the max (so
+    # the first tied slot wins).  A block holding a NaN routes to slot 0;
+    # its objective is NaN, so that gradient is never applied.
+    miss = slots[0] < out
+    winner = miss.astype(np.intp)
+    for plane in slots[1:-1]:
+        miss &= plane < out
+        winner += miss
+    # flat index in `a` of each winner: its block's first row plus the slot
+    winner *= c
+    winner += np.arange(n * t * c).reshape(n, t, c)[:, :t_out * k:k, :]
+    flat = winner.ravel()
 
     def backward(da, need_dx):
         # A pool is never the lowest trainable layer: its input gradient
-        # is always needed.
-        dblocks = np.zeros((n, t_out, k, c), dtype=da.dtype)
-        np.put_along_axis(dblocks, idx[:, :, None, :], da[:, :, None, :], axis=2)
-        full = np.zeros((n, t, c), dtype=da.dtype)
-        full[:, :t_out * k, :] = dblocks.reshape(n, t_out * k, c)
-        return full, None
+        # is always needed.  Rows that won nothing, the t % k trailing
+        # rows among them, get +0.0.
+        dx = np.zeros(n * t * c, dtype=da.dtype)
+        dx[flat] = da.ravel()
+        return dx.reshape(n, t, c), None
 
     return out, backward
 
@@ -177,7 +197,13 @@ def _conv1d(spec, layer, a, where, keep):
         raise ShapeError(f"{where}: kernel {k} exceeds length {t}")
     t_out = t - k + 1
     win = np.lib.stride_tricks.sliding_window_view(a, k, axis=1)  # [N,T_out,C,k]
-    cols = win.transpose(0, 1, 3, 2).reshape(n, t_out, k * c_in)
+    cols = win.transpose(0, 1, 3, 2).reshape(n, t_out, k * c_in)  # overlapping view
+    if keep:
+        # A training minibatch copies its im2col rows once: the forward
+        # gemm runs faster on them and the backward's dW gemm reuses them.
+        # Inference keeps the view: on a 256-window slice the copy is
+        # slower and costs about 22 MB.
+        cols = np.ascontiguousarray(cols)
     # A 3-D @ runs one gemm per window, so a window's output does not depend
     # on the other windows in the call (_window_prefix relies on it).
     z = cols @ layer.incoming.reshape(k * c_in, c_out) + layer.bias

@@ -164,14 +164,16 @@ data:
 @pytest.mark.parametrize("key, value", [
     ("train_fraction", 1.5), ("train_fraction", 0.0), ("window_step", 0),
     ("window_length", -3), ("sample_rate_hz", 0), ("target_hz", 0.0),
-    ("classes", 1),
+    ("classes", 1), ("paths", []),
 ])
 def test_csv_section_validated(tmp_path, key, value):
     with pytest.raises(ValueError, match=key):
         CsvDataSpec(**{"paths": ("a.csv",), "classes": 4, key: value})
     line = f"    {key}: {value}\n"
     keep = "" if key == "classes" else "    classes: 4\n"
-    path = write(tmp_path, CSV_CONFIG.replace("    classes: 4\n", keep + line))
+    text = CSV_CONFIG.replace("    paths: [a.csv]\n", "" if key == "paths" else
+                              "    paths: [a.csv]\n")
+    path = write(tmp_path, text.replace("    classes: 4\n", keep + line))
     with pytest.raises(ConfigError, match=f"data.csv: {key}"):
         parse_config(path)
     assert main(["validate", "--config", str(path)]) == 2
@@ -403,6 +405,20 @@ class TestValidateCommand:
         # nan passes every range check (each comparison is False)
         assert main(["validate", "--config", str(write(tmp_path, text))]) == 2
         assert capsys.readouterr().err == f"error: {path} must be finite, got {shown}\n"
+
+    @pytest.mark.parametrize("bad", ["missing.csv", "folder"])
+    def test_csv_paths_must_be_files(self, tmp_path, capsys, bad):
+        (tmp_path / "a.csv").write_text("t,ax,ay,az,gx,gy,gz,label\n")
+        (tmp_path / "folder").mkdir()
+        good = write(tmp_path, CSV_CONFIG.replace("[a.csv]", f"[{tmp_path / 'a.csv'}]"))
+        assert main(["validate", "--config", str(good)]) == 0
+        assert capsys.readouterr().out.startswith("ok: fedavg")
+        paths = f"[{tmp_path / 'a.csv'}, {tmp_path / bad}]"
+        cfg = write(tmp_path, CSV_CONFIG.replace("[a.csv]", paths))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: data.csv.paths[1]: {tmp_path / bad} is not a file\n"
 
     @pytest.mark.parametrize("text, model_input, windows", [
         (MINIMAL, "[64, 6]", "[128, 6]"),

@@ -1,0 +1,25 @@
+"""Smoke test of tools/layer_bench.py at a tiny repeat count."""
+
+from __future__ import annotations
+
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "layer_bench.py"
+
+
+def test_prints_host_every_layer_and_the_objective_step():
+    proc = subprocess.run([sys.executable, str(TOOL), "--repeats", "1", "--batch", "2"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("host: nproc=") and " blas_build=" in lines[0]
+    rows = {line.split()[1]: line.split()[-3:] for line in lines[3:7]}
+    assert list(rows) == ["conv1d", "maxpool1d", "dense", "softmax-output"]
+    assert lines[7].startswith("objective step")
+    figures = [float(v) for values in rows.values() for v in values]
+    figures.append(float(lines[7].split()[-1]))
+    assert all(math.isfinite(v) and v > 0 for v in figures)
+    assert len(lines) == 8

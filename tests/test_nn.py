@@ -28,6 +28,7 @@ from fedsim.nn import (
     DivergenceError,
     _as_batch_array,
     _conv1d,
+    _maxpool1d,
     _objective,
     _softmax,
     _walk,
@@ -386,6 +387,91 @@ class TestFrozenPrefixShortcuts:
         assert dx is None
         assert np.abs(dw - ref.reshape(k, c, o)).max() <= 1e-12 * np.abs(ref).max()
         assert np.allclose(db, dz.sum(axis=(0, 1)), rtol=0, atol=1e-12)
+
+
+def pool_by_blocks(a: np.ndarray, k: int, da: np.ndarray):
+    """Reference max-pool, one block at a time: (output, input gradient of
+    da).  The winner is the first slot holding the block's maximum, as
+    argmax picks it; every other input row, the trailing t % k included,
+    gets +0.0."""
+    n, t, c = a.shape
+    out = np.zeros((n, t // k, c))
+    dx = np.zeros((n, t, c))
+    for i in range(n):
+        for j in range(t // k):
+            for ch in range(c):
+                block = [float(v) for v in a[i, j * k:(j + 1) * k, ch]]
+                s = block.index(max(block))
+                out[i, j, ch] = block[s]
+                dx[i, j * k + s, ch] = da[i, j, ch]
+    return out, dx
+
+
+def _pool_input(case: str, rng) -> tuple[np.ndarray, int]:
+    if case == "positive-ties":  # small integers: most blocks hold a tied max
+        return rng.integers(0, 3, size=(3, 12, 4)).astype(np.float64) + 1.0, 4
+    if case == "zero-blocks":  # relu of mostly negative values
+        return np.maximum(rng.normal(-1.5, 1.0, size=(3, 12, 4)), 0), 3
+    if case == "signed-zeros":  # -0.0 and +0.0 tie; the first one's bits win
+        return rng.choice([-0.0, 0.0, 0.0, 1.0], size=(3, 12, 4)), 4
+    if case == "k1":
+        return rng.normal(size=(2, 7, 3)), 1
+    a = np.maximum(rng.normal(size=(2, 11, 3)), 0)  # "trailing": 11 = 2*4 + 3
+    a[:, 8:, :] = 100.0  # above every pooled value, and still dropped
+    return a, 4
+
+
+class TestMaxPool:
+    """_maxpool1d against a per-block loop: value, first-index winner and
+    gradient routing, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["positive-ties", "zero-blocks", "signed-zeros",
+                                      "k1", "trailing"])
+    def test_matches_per_block_loop(self, case):
+        rng = np.random.default_rng(31)
+        a, k = _pool_input(case, rng)
+        n, t, c = a.shape
+        da = -rng.uniform(0.5, 2.0, size=(n, t // k, c))  # negative: -0.0 would show
+        spec = LayerSpec("maxpool1d", kernel=k)
+        out, backward = _maxpool1d(spec, None, a, "pool", keep=True)
+        plain, none = _maxpool1d(spec, None, a, "pool", keep=False)
+        ref_out, ref_dx = pool_by_blocks(a, k, da)
+        dx, grad = backward(da, True)
+        assert none is None and grad is None
+        assert out.tobytes() == ref_out.tobytes()
+        assert plain.tobytes() == out.tobytes()
+        assert dx.shape == a.shape and dx.tobytes() == ref_dx.tobytes()
+        assert not np.signbit(dx[dx == 0]).any()
+        assert np.count_nonzero(dx) == da.size
+
+
+class TestConvKeep:
+    def test_training_and_inference_outputs_bit_equal(self):
+        # desk shapes: batch 16, 128 x 6 windows, 16 filters of kernel 16
+        rng = np.random.default_rng(33)
+        spec = LayerSpec("conv1d", width=16, kernel=16, activation="relu")
+        layer = LayerWeights(rng.normal(size=(16, 6, 16)), rng.normal(size=16))
+        for n in (16, 5):
+            a = rng.normal(size=(n, 128, 6))
+            kept, _ = _conv1d(spec, layer, a, "conv", keep=True)
+            plain, _ = _conv1d(spec, layer, a, "conv", keep=False)
+            assert kept.tobytes() == plain.tobytes()
+
+    def test_non_finite_conv_weight_names_conv_layer(self):
+        # The first step routes a huge gradient through the pool and leaves
+        # the conv weights non-finite.  The pool passes the conv's NaN on
+        # (np.maximum propagates it), so the site named is the conv, at the
+        # minibatch after that step.
+        arch = conv_arch()
+        model = init_model(arch, 34)
+        model.layers[2].incoming[...] *= 1e300
+        rng = np.random.default_rng(35)
+        batch = Batch(rng.normal(size=(12, 20, 2)), rng.integers(0, 4, 12))
+        cfg = TrainingConfig(local_epochs=3, learning_rate=1e10, batch_size=4)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError, match=r"epoch 1, minibatch 2; "
+                               r"first non-finite output at layer 0 \(conv1d\)"):
+                train_local(model, arch, batch, cfg, 36)
 
 
 class TestGradientCheck:

@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Per-layer timings of the training kernels at desk shapes.
+
+    python3 tools/layer_bench.py [--repeats 200] [--batch 16]
+
+Builds the shipped desk model (conv1d 16 x k16 over 128 x 6 windows,
+maxpool1d 4, dense 64, softmax-output 8) and times, on one minibatch, each
+layer's forward as training runs it (keeping what its backward needs), its
+forward as inference runs it, and its backward.  The lowest layer's
+backward computes no input gradient, as in training.  Then it times one full
+training objective step (loss and every layer's gradient).  Each figure is
+the median over --repeats calls, in microseconds per minibatch.  The first
+line gives the host record perfbench writes (cores, numpy, the BLAS build and
+its thread count); BLAS is pinned to one thread, as in perfbench.
+"""
+
+import argparse
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+# perfbench's run module pins BLAS to one thread before numpy loads.
+from run import host_facts  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from fedsim.arch import PARAM_KINDS, LayerSpec, ModelArch  # noqa: E402
+from fedsim.fabric import init_model  # noqa: E402
+from fedsim.nn import _FORWARD, TrainingConfig, _objective  # noqa: E402
+
+DESK_ARCH = ModelArch(128, 6, (
+    LayerSpec("conv1d", width=16, kernel=16, activation="relu"),
+    LayerSpec("maxpool1d", kernel=4),
+    LayerSpec("dense", width=64, activation="relu"),
+    LayerSpec("softmax-output", width=8),
+))
+WARM = 3
+
+
+def median_us(fn, repeats: int) -> float:
+    for _ in range(WARM):
+        fn()
+    samples = []
+    for _ in range(repeats):
+        begin = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - begin)
+    return statistics.median(samples) * 1e6
+
+
+def layer_rows(batch: int, repeats: int):
+    """(layer label, training forward, inference forward, backward) per
+    layer of DESK_ARCH, in microseconds per minibatch."""
+    rng = np.random.default_rng(0)
+    model = init_model(DESK_ARCH, 0)
+    a = rng.normal(size=(batch, DESK_ARCH.input_length, DESK_ARCH.input_channels))
+    params = iter(model.layers)
+    rows = []
+    for i, spec in enumerate(DESK_ARCH.layers):
+        layer = next(params) if spec.kind in PARAM_KINDS else None
+        where = f"layer {i} ({spec.kind})"
+        layer_forward = _FORWARD[spec.kind]
+        train = median_us(lambda: layer_forward(spec, layer, a, where, True), repeats)
+        infer = median_us(lambda: layer_forward(spec, layer, a, where, False), repeats)
+        out, backward = layer_forward(spec, layer, a, where, True)
+        upstream = rng.normal(size=out.shape)
+        need_dx = i > 0
+        back = median_us(lambda: backward(upstream, need_dx), repeats)
+        size = {"conv1d": f"{spec.width} x k{spec.kernel}",
+                "maxpool1d": str(spec.kernel)}.get(spec.kind, str(spec.width))
+        rows.append((f"{i} {spec.kind} {size}", train, infer, back))
+        a = out
+    return rows
+
+
+def objective_us(batch: int, repeats: int) -> float:
+    rng = np.random.default_rng(1)
+    model = init_model(DESK_ARCH, 1)
+    x = rng.normal(size=(batch, DESK_ARCH.input_length, DESK_ARCH.input_channels))
+    labels = rng.integers(0, DESK_ARCH.classes, size=batch)
+    cfg = TrainingConfig(batch_size=batch)
+    return median_us(lambda: _objective(model, DESK_ARCH, x, labels, cfg, keep=True),
+                     repeats)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=200)
+    parser.add_argument("--batch", type=int, default=16)
+    args = parser.parse_args(argv)
+    if args.repeats < 1 or args.batch < 1:
+        parser.error("--repeats and --batch must be >= 1")
+    print("host: " + " ".join(f"{k}={v}" for k, v in host_facts(np).items()))
+    print(f"batch {args.batch}, median of {args.repeats} calls, us per minibatch")
+    print(f"{'layer':<24}{'forward':>10}{'inference':>11}{'backward':>10}")
+    for label, train, infer, back in layer_rows(args.batch, args.repeats):
+        print(f"{label:<24}{train:>10.1f}{infer:>11.1f}{back:>10.1f}")
+    print(f"{'objective step':<24}{objective_us(args.batch, args.repeats):>10.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
