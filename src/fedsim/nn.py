@@ -21,7 +21,7 @@ from .arch import CONV1D, DENSE, MAXPOOL1D, PARAM_KINDS, SOFTMAX_OUTPUT, ModelAr
 from .fabric import LayerWeights, ModelWeights, ShapeError
 
 LOG_CLAMP = 1e-12  # probability floor inside cross-entropy, avoids -inf
-_FEATURE_CHUNK = 256  # windows per call of the leading conv1d/maxpool1d layers
+_SLICE = 32  # windows per slice of the forward-only kernel, _slices
 
 
 class DivergenceError(ShapeError):
@@ -129,13 +129,16 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _activate(spec, z, backward):
-    """Apply the layer's activation to the pre-activation z; the backward
-    closure (None in forward-only mode) gains the activation's derivative."""
+    """Apply the layer's activation to the pre-activation z, in place; the
+    backward closure (None in forward-only mode) gains the activation's
+    derivative.  Its relu mask reads the activation: relu(z) > 0 exactly
+    where z > 0."""
     if spec.activation != "relu":
         return z, backward
+    np.maximum(z, 0, out=z)
     if backward is None:
-        return np.maximum(z, 0), None
-    return np.maximum(z, 0), lambda da, need_dx: backward(da * (z > 0), need_dx)
+        return z, None
+    return z, lambda da, need_dx: backward(da * (z > 0), need_dx)
 
 
 def _maxpool1d(spec, layer, a, where, keep):
@@ -184,29 +187,59 @@ def _maxpool1d(spec, layer, a, where, keep):
     return out, backward
 
 
-def _conv1d(spec, layer, a, where, keep):
+def _conv_shape(layer, a, where) -> tuple[int, int, int]:
+    """(kernel, input channels, filters) of conv weights `layer` applied to
+    the spatial input a; a ShapeError when they do not fit."""
     if a.ndim != 3:
         raise ShapeError(f"{where}: needs spatial input")
     if layer.kind != CONV1D:
         raise ShapeError(f"{where}: weights are {layer.kind}")
     k, c_in, c_out = layer.incoming.shape
+    if a.shape[2] != c_in:
+        raise ShapeError(f"{where}: {a.shape[2]} input channels, weights expect {c_in}")
+    if a.shape[1] < k:
+        raise ShapeError(f"{where}: kernel {k} exceeds length {a.shape[1]}")
+    return k, c_in, c_out
+
+
+def _im2col(a: np.ndarray, k: int) -> np.ndarray:
+    """im2col view [N, T-k+1, k*C] of a [N, T, C]: row t of window i is
+    a[i, t:t+k, :] flattened.  The rows overlap, so it is read-only.  It
+    copies a only when a window's [T, C] block is not contiguous.  The
+    strides within a window come from the shape: numpy calls a block
+    contiguous whatever the stride of a size-1 axis, such as the 0 of
+    x[:, :, None]."""
+    if not a[:1].flags.c_contiguous:
+        a = np.ascontiguousarray(a)
     n, t, c = a.shape
-    if c != c_in:
-        raise ShapeError(f"{where}: {c} input channels, weights expect {c_in}")
-    if t < k:
-        raise ShapeError(f"{where}: kernel {k} exceeds length {t}")
+    size = a.itemsize
+    step = a.strides[0] if n > 1 else t * c * size
+    return np.lib.stride_tricks.as_strided(a, (n, t - k + 1, k * c),
+                                           (step, c * size, size), writeable=False)
+
+
+def _conv_gemm(layer, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The conv's pre-activation on its im2col rows cols, built in out when
+    given.  A 3-D matmul runs one gemm per window, so a window's output does
+    not depend on the other windows in the call (_slices relies on it).
+    The bias is added in place as one row tiled over the output positions."""
+    k, c_in, c_out = layer.incoming.shape
+    z = np.matmul(cols, layer.incoming.reshape(k * c_in, c_out), out=out)
+    rows = z.reshape(len(z), z.shape[1] * c_out)
+    rows += np.tile(layer.bias, z.shape[1])
+    return z
+
+
+def _conv1d(spec, layer, a, where, keep):
+    k, c_in, c_out = _conv_shape(layer, a, where)
+    n, t, _ = a.shape
     t_out = t - k + 1
-    win = np.lib.stride_tricks.sliding_window_view(a, k, axis=1)  # [N,T_out,C,k]
-    cols = win.transpose(0, 1, 3, 2).reshape(n, t_out, k * c_in)  # overlapping view
+    cols = _im2col(a, k)
     if keep:
         # A training minibatch copies its im2col rows once: the forward
-        # gemm runs faster on them and the backward's dW gemm reuses them.
-        # Inference keeps the view: on a 256-window slice the copy is
-        # slower and costs about 22 MB.
+        # gemm reads them and the backward's dW gemm reuses them.
         cols = np.ascontiguousarray(cols)
-    # A 3-D @ runs one gemm per window, so a window's output does not depend
-    # on the other windows in the call (_window_prefix relies on it).
-    z = cols @ layer.incoming.reshape(k * c_in, c_out) + layer.bias
+    z = _conv_gemm(layer, cols)
     if not keep:
         return _activate(spec, z, None)
 
@@ -297,29 +330,62 @@ def _walk(model: ModelWeights, arch: ModelArch, a: np.ndarray, first: int = 0,
     return a, backwards
 
 
+def _slices(model: ModelWeights, arch: ModelArch, x: np.ndarray, last: int):
+    """Run layers [0, last) of model forward-only over x, _SLICE windows at
+    a time.  Yields (lo, output on x[lo:lo + _SLICE]); the output may live
+    in a buffer that the next one overwrites, so use it before taking the
+    next.  An empty x still makes one (empty) slice, which carries the
+    output shape.
+
+    When layer 0 is a conv, its gemm reads the im2col view of x (_im2col)
+    one slice at a time and writes the conv output into one reused buffer,
+    so nothing the size of x is built; the buffer lives for one call.
+
+    The conv and pool outputs are bit-identical to one walk over x (each
+    window is its own gemm); a dense layer's output may differ from one
+    gemm over all of x in the last bit, since a BLAS gemm row can depend on
+    the row count.
+    """
+    n = len(x)
+    conv = last > 0 and arch.layers[0].kind == CONV1D
+    if conv:
+        spec, layer = arch.layers[0], model.layers[0]
+        k, _, c_out = _conv_shape(layer, x, f"layer 0 ({CONV1D})")
+        cols = _im2col(x, k)
+        z_buf = np.empty((_SLICE, cols.shape[1], c_out), dtype=x.dtype)
+    for lo in range(0, max(n, 1), _SLICE):
+        xs = x[lo:lo + _SLICE]
+        if conv:
+            z = _conv_gemm(layer, cols[lo:lo + _SLICE], z_buf[:len(xs)])
+            out, _ = _walk(model, arch, _activate(spec, z, None)[0], 1, last)
+        else:
+            out, _ = _walk(model, arch, xs, 0, last)
+        yield lo, out
+
+
 def _window_prefix(model: ModelWeights, arch: ModelArch, x: np.ndarray,
                    below: int) -> tuple[np.ndarray, int]:
     """Run the leading conv1d/maxpool1d layers of the stack that lie below
-    arch layer `below` on x, _FEATURE_CHUNK windows at a time, so the conv's
-    full-length output exists for one slice at a time.  Returns (their
-    output, the index of the first layer not run); x itself and 0 when there
-    are none.  Bit-identical to running them over x at once: each window is
-    its own gemm."""
+    arch layer `below` on x through _slices.  Returns (their output, the
+    index of the first layer not run); x itself and 0 when there are none.
+    Bit-identical to running them over x at once."""
     first = 0
     while first < below and arch.layers[first].kind in _PER_WINDOW_KINDS:
         first += 1
     if first == 0:
         return x, 0
-    # An empty x still makes one (empty) slice, which carries the output shape.
-    return np.concatenate([
-        _walk(model, arch, x[lo:lo + _FEATURE_CHUNK], 0, first)[0]
-        for lo in range(0, max(len(x), 1), _FEATURE_CHUNK)]), first
+    features = None
+    for lo, out in _slices(model, arch, x, first):
+        if features is None:
+            features = np.empty((len(x),) + out.shape[1:], dtype=out.dtype)
+        features[lo:lo + len(out)] = out
+    return features, first
 
 
 def forward(model: ModelWeights, arch: ModelArch, inputs: np.ndarray) -> np.ndarray:
     """Class-probability matrix [examples, classes]; rows sum to 1.
 
-    The leading conv1d/maxpool1d layers run in 256-window slices and the
+    The leading conv1d/maxpool1d layers run in 32-window slices and the
     layers above them over every row of inputs at once; the result is
     bit-identical to running the whole stack over inputs at once."""
     x = _as_batch_array(inputs, arch, model.dtype)
@@ -483,19 +549,20 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
     return ModelWeights(work.layers[:start] + tuple(trained)), epoch_losses
 
 
-def evaluate(model: ModelWeights, arch: ModelArch, inputs: np.ndarray,
-             chunk: int = 4096) -> np.ndarray:
-    """Predicted class per example: argmax of forward probabilities, ties
-    broken toward the lowest class index.
+def evaluate(model: ModelWeights, arch: ModelArch, inputs: np.ndarray) -> np.ndarray:
+    """Predicted class per example: argmax of the softmax probabilities,
+    ties broken toward the lowest class index.
 
-    forward runs on `chunk` examples at a time, and within that its leading
-    conv1d/maxpool1d layers on 256-window slices, which bounds the memory of
-    scoring a large test set."""
-    out = []
-    for lo in range(0, len(inputs), chunk):
-        probs = forward(model, arch, inputs[lo:lo + chunk])
-        out.append(np.argmax(probs, axis=1))
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.intp)
+    The whole stack runs on 32-window slices (see _slices), which bounds
+    the memory of scoring a large test set.  The conv and pool outputs are
+    those of forward; the dense layers run per slice, so a logit may differ
+    from forward's over all of inputs in the last bit, and a prediction
+    from forward's argmax only where two classes tie that closely."""
+    x = _as_batch_array(inputs, arch, model.dtype)
+    preds = np.empty(len(x), dtype=np.intp)
+    for lo, logits in _slices(model, arch, x, len(arch.layers)):
+        preds[lo:lo + len(logits)] = np.argmax(_softmax(logits), axis=1)
+    return preds
 
 
 def gradient_check(model: ModelWeights, arch: ModelArch, batch: Batch,

@@ -21,5 +21,8 @@ def test_prints_host_every_layer_and_the_objective_step():
     assert lines[7].startswith("objective step")
     figures = [float(v) for values in rows.values() for v in values]
     figures.append(float(lines[7].split()[-1]))
+    assert lines[8].startswith("scoring")
+    assert lines[8].endswith("us per window of 1,792")
+    figures.append(float(lines[8].split()[1]))
     assert all(math.isfinite(v) and v > 0 for v in figures)
-    assert len(lines) == 8
+    assert len(lines) == 9

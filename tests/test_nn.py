@@ -561,24 +561,61 @@ class TestEvaluate:
         assert preds.tolist() == [0, 0]
 
     def test_matches_bruteforce_argmax(self, rng):
+        # 40 windows: one full 32-window slice and a partial one.  evaluate
+        # runs the dense layers per slice, so forward per slice runs the
+        # same gemms and gives the same bits, near-ties included.
         arch = conv_arch()
         model = init_model(arch, 9)
-        x = rng.normal(size=(17, 20, 2))
-        probs = forward(model, arch, x)
-        expected = [int(np.argmax(row)) for row in probs]
-        assert evaluate(model, arch, x, chunk=5).tolist() == expected
+        x = rng.normal(size=(40, 20, 2))
+        expected = [int(np.argmax(row)) for lo in (0, 32)
+                    for row in forward(model, arch, x[lo:lo + 32])]
+        assert evaluate(model, arch, x).tolist() == expected
+
+    @pytest.mark.parametrize("width", [16, 17, 18])
+    def test_conv_widths_match_forward_per_slice(self, width):
+        # conv widths 16, 17 and 18, as FedDist growth makes them; 70
+        # windows are two full 32-window slices and a partial one
+        arch = replace(DESK_ARCH, layers=(
+            replace(DESK_ARCH.layers[0], width=width),) + DESK_ARCH.layers[1:])
+        model = init_model(arch, 30 + width)
+        x = np.random.default_rng(26).normal(size=(70, 128, 6))
+        preds = evaluate(model, arch, x)
+        per_slice = [np.argmax(forward(model, arch, x[lo:lo + 32]), axis=1)
+                     for lo in range(0, len(x), 32)]
+        assert preds.dtype == np.intp
+        assert np.array_equal(preds, np.concatenate(per_slice))
+        assert evaluate(model, arch, x[:0]).shape == (0,)
+
+    def test_flat_and_strided_inputs_read_right(self, rng):
+        # A flat input becomes x[:, :, None], whose channel stride is 0;
+        # views that step over windows, run backwards or step inside a
+        # window are not contiguous.  The conv must read each of them as
+        # its contiguous copy.
+        arch = ModelArch(20, 1, (
+            LayerSpec("conv1d", width=4, kernel=3, activation="relu"),
+            LayerSpec("maxpool1d", kernel=2),
+            LayerSpec("softmax-output", width=3),
+        ))
+        model = init_model(arch, 27)
+        flat = rng.normal(size=(140, 20))
+        windows = flat[:, :, None]
+        wide = rng.normal(size=(70, 40, 1))
+        for given in (flat, flat[::2], windows[::2], windows[::-1], wide[:, ::2]):
+            same = np.ascontiguousarray(given).reshape(-1, 20, 1)
+            assert np.array_equal(forward(model, arch, given), forward(model, arch, same))
+            assert np.array_equal(evaluate(model, arch, given), evaluate(model, arch, same))
 
     def test_sliced_conv_pool_prefix_matches_one_walk(self):
-        # 600 windows: two full 256-window slices and a partial one
+        # 70 windows: two full 32-window slices and a partial one
         model = init_model(DESK_ARCH, 22)
-        x = np.random.default_rng(23).normal(size=(600, 128, 6))
+        x = np.random.default_rng(23).normal(size=(70, 128, 6))
         logits, _ = _walk(model, DESK_ARCH, x)
         assert np.array_equal(forward(model, DESK_ARCH, x), _softmax(logits))
 
     def test_scoring_a_pooled_test_set_stays_small(self):
-        # 1,800 windows are one evaluate chunk; the conv's output before and
-        # after its relu takes 52 MB for all of them at once, and scoring
-        # them in 256-window slices peaks at about 15 MB
+        # The conv's output takes 26 MB for all 1,800 windows at once; in
+        # 32-window slices into one reused conv output buffer (0.5 MB)
+        # scoring peaks near 0.8 MB
         model = init_model(DESK_ARCH, 24)
         x = np.random.default_rng(25).normal(size=(1800, 128, 6))
         tracemalloc.start()
@@ -587,7 +624,7 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6
+        assert peak < 2e6
 
 
 def test_balanced_class_weights():

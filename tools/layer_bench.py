@@ -9,9 +9,12 @@ layer's forward as training runs it (keeping what its backward needs), its
 forward as inference runs it, and its backward.  The lowest layer's
 backward computes no input gradient, as in training.  Then it times one full
 training objective step (loss and every layer's gradient).  Each figure is
-the median over --repeats calls, in microseconds per minibatch.  The first
-line gives the host record perfbench writes (cores, numpy, the BLAS build and
-its thread count); BLAS is pinned to one thread, as in perfbench.
+the median over --repeats calls, in microseconds per minibatch.  The last row
+times scoring: nn.evaluate predicting 1,792 windows (the pooled test set of
+perfbench's fedprox-wide-eval) with a desk model, in microseconds per
+window, the median over at most 20 calls.  The first line gives the host
+record perfbench writes (cores, numpy, the BLAS build and its thread count);
+BLAS is pinned to one thread, as in perfbench.
 """
 
 import argparse
@@ -30,7 +33,7 @@ import numpy as np  # noqa: E402
 
 from fedsim.arch import PARAM_KINDS, LayerSpec, ModelArch  # noqa: E402
 from fedsim.fabric import init_model  # noqa: E402
-from fedsim.nn import _FORWARD, TrainingConfig, _objective  # noqa: E402
+from fedsim.nn import _FORWARD, TrainingConfig, _objective, evaluate  # noqa: E402
 
 DESK_ARCH = ModelArch(128, 6, (
     LayerSpec("conv1d", width=16, kernel=16, activation="relu"),
@@ -39,6 +42,8 @@ DESK_ARCH = ModelArch(128, 6, (
     LayerSpec("softmax-output", width=8),
 ))
 WARM = 3
+SCORED_WINDOWS = 1792
+SCORING_CALLS = 20
 
 
 def median_us(fn, repeats: int) -> float:
@@ -87,6 +92,16 @@ def objective_us(batch: int, repeats: int) -> float:
                      repeats)
 
 
+def scoring_us(repeats: int) -> float:
+    """Microseconds per window for nn.evaluate to score SCORED_WINDOWS
+    windows with a desk model."""
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(SCORED_WINDOWS, DESK_ARCH.input_length,
+                         DESK_ARCH.input_channels))
+    model = init_model(DESK_ARCH, 2)
+    return median_us(lambda: evaluate(model, DESK_ARCH, x), repeats) / len(x)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=200)
@@ -100,6 +115,9 @@ def main(argv=None) -> int:
     for label, train, infer, back in layer_rows(args.batch, args.repeats):
         print(f"{label:<24}{train:>10.1f}{infer:>11.1f}{back:>10.1f}")
     print(f"{'objective step':<24}{objective_us(args.batch, args.repeats):>10.1f}")
+    calls = min(args.repeats, SCORING_CALLS)
+    print(f"{'scoring':<24}{scoring_us(calls):>10.1f}"
+          f"  us per window of {SCORED_WINDOWS:,}")
     return 0
 
 
