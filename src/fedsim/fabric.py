@@ -130,19 +130,6 @@ def neuron_vector(layer: LayerWeights, unit: int) -> np.ndarray:
                            layer.bias[unit:unit + 1]])
 
 
-def write_neuron(layer: LayerWeights, unit: int, values: np.ndarray) -> LayerWeights:
-    """Write a flat neuron vector back into unit `unit`; returns a new layer."""
-    if values.shape != (layer.fan_in + 1,):
-        raise ShapeError(
-            f"neuron vector length {values.shape[0]} != fan-in+1 = {layer.fan_in + 1}"
-        )
-    incoming = layer.incoming.copy()
-    incoming[..., unit] = values[:-1].reshape(layer.incoming.shape[:-1])
-    bias = layer.bias.copy()
-    bias[unit] = values[-1]
-    return LayerWeights(incoming, bias)
-
-
 def weighted_average(models, fractions) -> ModelWeights:
     """Fraction-weighted elementwise average of shape-identical models."""
     models = list(models)

@@ -21,7 +21,7 @@ from .arch import CONV1D, DENSE, MAXPOOL1D, PARAM_KINDS, SOFTMAX_OUTPUT, ModelAr
 from .fabric import LayerWeights, ModelWeights, ShapeError
 
 LOG_CLAMP = 1e-12  # probability floor inside cross-entropy, avoids -inf
-_SLICE = 32  # windows per slice of the forward-only kernel, _slices
+_SLICE = 32  # windows per slice of _slices and _position_slices (forward-only)
 
 
 class DivergenceError(ShapeError):
@@ -221,8 +221,9 @@ def _im2col(a: np.ndarray, k: int) -> np.ndarray:
 def _conv_gemm(layer, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The conv's pre-activation on its im2col rows cols, built in out when
     given.  A 3-D matmul runs one gemm per window, so a window's output does
-    not depend on the other windows in the call (_slices relies on it).
-    The bias is added in place as one row tiled over the output positions."""
+    not depend on the other windows in the call: training and _slices rely
+    on it.  The bias is added in place as one row tiled over the output
+    positions."""
     k, c_in, c_out = layer.incoming.shape
     z = np.matmul(cols, layer.incoming.reshape(k * c_in, c_out), out=out)
     rows = z.reshape(len(z), z.shape[1] * c_out)
@@ -344,7 +345,12 @@ def _slices(model: ModelWeights, arch: ModelArch, x: np.ndarray, last: int):
     The conv and pool outputs are bit-identical to one walk over x (each
     window is its own gemm); a dense layer's output may differ from one
     gemm over all of x in the last bit, since a BLAS gemm row can depend on
-    the row count.
+    the row count.  That identity is why the conv here keeps the per-window
+    gemm, whose matmul copies the overlapping im2col rows it reads: these
+    outputs feed forward and train_local's frozen-prefix features.  One
+    gemm per output position (_position_slices, which scores) differs from
+    it in the last bit at some widths and slice sizes (width 17 at 31
+    windows, width 16 at 1 window).
     """
     n = len(x)
     conv = last > 0 and arch.layers[0].kind == CONV1D
@@ -549,18 +555,51 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
     return ModelWeights(work.layers[:start] + tuple(trained)), epoch_losses
 
 
+def _position_slices(model: ModelWeights, arch: ModelArch, x: np.ndarray):
+    """Run the whole stack of model, whose layer 0 is a conv, forward-only
+    over x in _SLICE-window slices, as _slices does, but with the conv as
+    one gemm per output position t over the slice's m windows.  Item t of
+    the transposed im2col view is an [m, k*C] matrix whose leading
+    dimension is the window stride, which BLAS reads in place, so no im2col
+    row is copied; the per-window gemm's rows overlap with a stride of C
+    elements, below k*C, so numpy copies them.  The gemm writes the
+    [m, T_out, C_out] buffer that the bias, relu, pool and dense steps
+    read.  Yields (lo, logits on x[lo:lo + _SLICE]).
+
+    Its conv and pool outputs may differ from the per-window gemm's in the
+    last bit (see _slices), so only scoring uses it."""
+    spec, layer = arch.layers[0], model.layers[0]
+    k, c_in, c_out = _conv_shape(layer, x, f"layer 0 ({CONV1D})")
+    rows = _im2col(x, k).transpose(1, 0, 2)  # rows[t, i]: row t of window i
+    w = layer.incoming.reshape(k * c_in, c_out)
+    bias = np.tile(layer.bias, len(rows))
+    z_buf = np.empty((_SLICE, len(rows), c_out), dtype=x.dtype)
+    for lo in range(0, max(len(x), 1), _SLICE):
+        z = z_buf[:len(x[lo:lo + _SLICE])]
+        np.matmul(rows[:, lo:lo + _SLICE], w, out=z.transpose(1, 0, 2))
+        flat = z.reshape(len(z), bias.size)
+        flat += bias
+        logits, _ = _walk(model, arch, _activate(spec, z, None)[0], 1)
+        yield lo, logits
+
+
 def evaluate(model: ModelWeights, arch: ModelArch, inputs: np.ndarray) -> np.ndarray:
     """Predicted class per example: argmax of the softmax probabilities,
     ties broken toward the lowest class index.
 
-    The whole stack runs on 32-window slices (see _slices), which bounds
-    the memory of scoring a large test set.  The conv and pool outputs are
-    those of forward; the dense layers run per slice, so a logit may differ
-    from forward's over all of inputs in the last bit, and a prediction
-    from forward's argmax only where two classes tie that closely."""
+    The whole stack runs on 32-window slices, which bounds the memory of
+    scoring a large test set; a leading conv runs as one gemm per output
+    position, reading the windows in place (_position_slices).  So the
+    conv and pool outputs, and the dense layers run per slice, may differ
+    from forward's in the last bit, and a prediction from forward's argmax
+    only where two classes tie that closely."""
     x = _as_batch_array(inputs, arch, model.dtype)
     preds = np.empty(len(x), dtype=np.intp)
-    for lo, logits in _slices(model, arch, x, len(arch.layers)):
+    if arch.layers[0].kind == CONV1D:
+        slices = _position_slices(model, arch, x)
+    else:
+        slices = _slices(model, arch, x, len(arch.layers))
+    for lo, logits in slices:
         preds[lo:lo + len(logits)] = np.argmax(_softmax(logits), axis=1)
     return preds
 

@@ -236,9 +236,12 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
     pool = cfg.data.clients
     if len(datasets) != pool:
         raise ValueError(f"{len(datasets)} client datasets for a pool of {pool}")
-    for k, (train, _test) in enumerate(datasets):
+    for k, (train, test) in enumerate(datasets):
         if len(train) == 0:
             raise ValueError(f"client {k} has no training windows")
+        # Every algorithm but centralized scores each client's own test set.
+        if len(test) == 0 and cfg.algorithm != "centralized":
+            raise ValueError(f"client {k} has no test windows")
 
     global_test = concat_window_sets(test for _train, test in datasets)
     init = init_model(arch, _seq(cfg.seed, 0, cfg.init_variant), cfg.dtype)

@@ -7,6 +7,7 @@ import pytest
 
 from fedsim import LayerSpec, ModelArch, ModelWeights, TrainingConfig
 from fedsim.aggregation import ClientRuntime
+from fedsim.fabric import LayerWeights, ShapeError
 from fedsim.nn import Batch
 
 
@@ -36,6 +37,19 @@ def models_bit_equal(a: ModelWeights, b: ModelWeights) -> bool:
         np.array_equal(la.incoming, lb.incoming) and np.array_equal(la.bias, lb.bias)
         for la, lb in zip(a.layers, b.layers)
     )
+
+
+def write_neuron(layer: LayerWeights, unit: int, values: np.ndarray) -> LayerWeights:
+    """Write a flat neuron vector back into unit `unit`; returns a new layer."""
+    if values.shape != (layer.fan_in + 1,):
+        raise ShapeError(
+            f"neuron vector length {values.shape[0]} != fan-in+1 = {layer.fan_in + 1}"
+        )
+    incoming = layer.incoming.copy()
+    incoming[..., unit] = values[:-1].reshape(layer.incoming.shape[:-1])
+    bias = layer.bias.copy()
+    bias[unit] = values[-1]
+    return LayerWeights(incoming, bias)
 
 
 def make_clients(arch: ModelArch, sizes, cfg: TrainingConfig, seed: int = 0,

@@ -39,10 +39,11 @@ from fedsim import (
 from fedsim.aggregation import ClientRuntime, _default_client_update
 from fedsim.container import byte_size, shape_metadata_size
 from fedsim.data import SensorSeries
-from fedsim.fabric import LayerWeights, neuron_vector, write_neuron
+from fedsim.fabric import LayerWeights, neuron_vector
 from fedsim.nn import Batch
 
-from conftest import conv_arch, dense_arch, make_clients, models_bit_equal
+from conftest import (conv_arch, dense_arch, make_clients, models_bit_equal,
+                      write_neuron)
 
 
 def report(criterion: int, label: str, started: float, detail: str = "") -> None:

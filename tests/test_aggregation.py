@@ -30,10 +30,10 @@ from fedsim.aggregation import (
     cost_ratio,
 )
 from fedsim.container import shape_metadata_size
-from fedsim.fabric import LayerWeights, ShapeError, neuron_vector, write_neuron
+from fedsim.fabric import LayerWeights, ShapeError, neuron_vector
 from fedsim.nn import Batch, train_local
 
-from conftest import dense_arch, make_clients, models_bit_equal
+from conftest import dense_arch, make_clients, models_bit_equal, write_neuron
 
 CFG = TrainingConfig(local_epochs=1, learning_rate=0.05, batch_size=8)
 

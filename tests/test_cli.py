@@ -311,6 +311,42 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
 
+    @pytest.mark.parametrize("algorithm", ["fedavg", "fedprox", "feddist",
+                                           "local-only", "centralized"])
+    def test_client_without_test_windows_is_named(self, tmp_path, capsys,
+                                                  algorithm):
+        # Client 0 gets 2 windows, of singleton classes, so both go to
+        # train.  Only centralized scores no client's own test set.
+        text = f"""
+algorithm: {algorithm}
+rounds: 1
+seed: 1
+model:
+  input: [128, 6]
+  layers:
+    - {{kind: dense, width: 8, activation: relu}}
+    - {{kind: softmax-output, width: 4}}
+data:
+  synthetic:
+    clients: 3
+    classes: 4
+    dirichlet_alpha: 5.0
+    samples_per_client: [190, 400]
+    segment_range: [40, 80]
+    seed: 1
+"""
+        out = tmp_path / "untested"
+        with pytest.warns(UserWarning, match="single window"):
+            code = main(["run", "--config", str(write(tmp_path, text)),
+                         "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        if algorithm == "centralized":
+            assert code == 0 and manifest["status"] == "completed"
+            return
+        assert code == 1
+        assert "client 0 has no test windows" in capsys.readouterr().err
+        assert manifest["status"] == "failed"
+
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path, TINY_RUN % "fedavg")
         out = write(tmp_path, "kept\n", name="taken")

@@ -29,10 +29,9 @@ from fedsim.fabric import (
     donor_successor_rows,
     shape_lines,
     successor_rows_per_unit,
-    write_neuron,
 )
 
-from conftest import conv_arch, dense_arch, models_bit_equal
+from conftest import conv_arch, dense_arch, models_bit_equal, write_neuron
 
 
 def small_dense_model(seed=0, inputs=2, hidden=2, classes=2):

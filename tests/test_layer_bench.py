@@ -21,8 +21,9 @@ def test_prints_host_every_layer_and_the_objective_step():
     assert lines[7].startswith("objective step")
     figures = [float(v) for values in rows.values() for v in values]
     figures.append(float(lines[7].split()[-1]))
-    assert lines[8].startswith("scoring")
-    assert lines[8].endswith("us per window of 1,792")
-    figures.append(float(lines[8].split()[1]))
+    for line, width in zip(lines[8:], ("16", "18")):
+        assert line.split()[:3] == ["scoring", "conv1d", width]
+        assert line.endswith("us per window of 1,792")
+        figures.append(float(line.split()[3]))
     assert all(math.isfinite(v) and v > 0 for v in figures)
-    assert len(lines) == 9
+    assert len(lines) == 10

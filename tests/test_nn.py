@@ -562,8 +562,10 @@ class TestEvaluate:
 
     def test_matches_bruteforce_argmax(self, rng):
         # 40 windows: one full 32-window slice and a partial one.  evaluate
-        # runs the dense layers per slice, so forward per slice runs the
-        # same gemms and gives the same bits, near-ties included.
+        # runs the dense layers per slice, as forward per slice does, but
+        # its conv runs one gemm per output position, whose outputs can
+        # differ from forward's per-window gemm in the last bit; so the
+        # predictions match except at a near-tie, which these don't hold.
         arch = conv_arch()
         model = init_model(arch, 9)
         x = rng.normal(size=(40, 20, 2))
@@ -571,19 +573,22 @@ class TestEvaluate:
                     for row in forward(model, arch, x[lo:lo + 32])]
         assert evaluate(model, arch, x).tolist() == expected
 
-    @pytest.mark.parametrize("width", [16, 17, 18])
+    @pytest.mark.parametrize("width", [16, 17, 18, 19, 20])
     def test_conv_widths_match_forward_per_slice(self, width):
-        # conv widths 16, 17 and 18, as FedDist growth makes them; 70
-        # windows are two full 32-window slices and a partial one
+        # conv widths 16 to 20, as FedDist growth makes them, reach the
+        # gemm's edge tiles; 70 windows are two full 32-window slices and a
+        # partial one, 33 a full one and a single window, and 1 window
+        # takes _im2col's single-window stride
         arch = replace(DESK_ARCH, layers=(
             replace(DESK_ARCH.layers[0], width=width),) + DESK_ARCH.layers[1:])
         model = init_model(arch, 30 + width)
-        x = np.random.default_rng(26).normal(size=(70, 128, 6))
-        preds = evaluate(model, arch, x)
-        per_slice = [np.argmax(forward(model, arch, x[lo:lo + 32]), axis=1)
-                     for lo in range(0, len(x), 32)]
-        assert preds.dtype == np.intp
-        assert np.array_equal(preds, np.concatenate(per_slice))
+        for windows in (1, 7, 33, 70):
+            x = np.random.default_rng(26).normal(size=(windows, 128, 6))
+            preds = evaluate(model, arch, x)
+            per_slice = [np.argmax(forward(model, arch, x[lo:lo + 32]), axis=1)
+                         for lo in range(0, len(x), 32)]
+            assert preds.dtype == np.intp
+            assert np.array_equal(preds, np.concatenate(per_slice)), windows
         assert evaluate(model, arch, x[:0]).shape == (0,)
 
     def test_flat_and_strided_inputs_read_right(self, rng):

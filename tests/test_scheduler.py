@@ -27,11 +27,11 @@ from fedsim import (
     run_experiment,
     train_local,
 )
-from fedsim.fabric import neuron_vector, write_neuron
+from fedsim.fabric import neuron_vector
 from fedsim.metrics import score_model
 from fedsim.nn import Batch
 
-from conftest import models_bit_equal
+from conftest import models_bit_equal, write_neuron
 
 
 def rng_for(t: int, seed: int = 0) -> np.random.Generator:

@@ -9,18 +9,21 @@ layer's forward as training runs it (keeping what its backward needs), its
 forward as inference runs it, and its backward.  The lowest layer's
 backward computes no input gradient, as in training.  Then it times one full
 training objective step (loss and every layer's gradient).  Each figure is
-the median over --repeats calls, in microseconds per minibatch.  The last row
-times scoring: nn.evaluate predicting 1,792 windows (the pooled test set of
-perfbench's fedprox-wide-eval) with a desk model, in microseconds per
-window, the median over at most 20 calls.  The first line gives the host
-record perfbench writes (cores, numpy, the BLAS build and its thread count);
-BLAS is pinned to one thread, as in perfbench.
+the median over --repeats calls, in microseconds per minibatch.  The last
+two rows time scoring: nn.evaluate predicting 1,792 windows (the pooled
+test set of perfbench's fedprox-wide-eval) with a desk model at conv width
+16, and at width 18, a width FedDist growth reaches where the conv's gemm
+runs edge tiles; in microseconds per window, the median over at most 20
+calls.  The first line gives the host record perfbench writes (cores,
+numpy, the BLAS build and its thread count); BLAS is pinned to one thread,
+as in perfbench.
 """
 
 import argparse
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +47,7 @@ DESK_ARCH = ModelArch(128, 6, (
 WARM = 3
 SCORED_WINDOWS = 1792
 SCORING_CALLS = 20
+SCORED_WIDTHS = (16, 18)
 
 
 def median_us(fn, repeats: int) -> float:
@@ -92,14 +96,16 @@ def objective_us(batch: int, repeats: int) -> float:
                      repeats)
 
 
-def scoring_us(repeats: int) -> float:
+def scoring_us(width: int, repeats: int) -> float:
     """Microseconds per window for nn.evaluate to score SCORED_WINDOWS
-    windows with a desk model."""
+    windows with a desk model whose conv has `width` filters."""
     rng = np.random.default_rng(2)
     x = rng.normal(size=(SCORED_WINDOWS, DESK_ARCH.input_length,
                          DESK_ARCH.input_channels))
-    model = init_model(DESK_ARCH, 2)
-    return median_us(lambda: evaluate(model, DESK_ARCH, x), repeats) / len(x)
+    arch = replace(DESK_ARCH, layers=(replace(DESK_ARCH.layers[0], width=width),)
+                   + DESK_ARCH.layers[1:])
+    model = init_model(arch, 2)
+    return median_us(lambda: evaluate(model, arch, x), repeats) / len(x)
 
 
 def main(argv=None) -> int:
@@ -116,8 +122,9 @@ def main(argv=None) -> int:
         print(f"{label:<24}{train:>10.1f}{infer:>11.1f}{back:>10.1f}")
     print(f"{'objective step':<24}{objective_us(args.batch, args.repeats):>10.1f}")
     calls = min(args.repeats, SCORING_CALLS)
-    print(f"{'scoring':<24}{scoring_us(calls):>10.1f}"
-          f"  us per window of {SCORED_WINDOWS:,}")
+    for width in SCORED_WIDTHS:
+        print(f"{f'scoring conv1d {width}':<24}{scoring_us(width, calls):>10.1f}"
+              f"  us per window of {SCORED_WINDOWS:,}")
     return 0
 
 
