@@ -35,7 +35,7 @@ from .container import deserialize_model, serialize_model
 from .data import CsvDataSpec
 from .fabric import shape_lines
 from .metrics import CSV_COLUMNS
-from .scheduler import run_experiment
+from .scheduler import client_datasets, run_experiment
 
 SEED_DERIVATION = ("SeedSequence(seed, spawn_key=domain): (0,variant) init, "
                    "(1,k) csv splits, (2,t,k) training, (3,t) scenario")
@@ -125,6 +125,11 @@ def cmd_validate(args) -> int:
         if not Path(path).is_file():
             print(f"error: data.csv.paths[{i}]: {path} is not a file", file=sys.stderr)
             return 2
+    try:
+        client_datasets(cfg)
+    except (ValueError, OSError) as exc:  # a CsvFormatError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"ok: {cfg.algorithm}, {cfg.rounds} rounds, {cfg.data.clients} clients, "
           f"scenario {cfg.scenario.kind}, seed {cfg.seed}")
     return 0

@@ -21,7 +21,7 @@ from .arch import CONV1D, DENSE, MAXPOOL1D, PARAM_KINDS, SOFTMAX_OUTPUT, ModelAr
 from .fabric import LayerWeights, ModelWeights, ShapeError
 
 LOG_CLAMP = 1e-12  # probability floor inside cross-entropy, avoids -inf
-_SLICE = 32  # windows per slice of _slices and _position_slices (forward-only)
+_SLICE = 32  # windows per slice of _window_prefix and evaluate (forward-only)
 
 
 class DivergenceError(ShapeError):
@@ -218,19 +218,6 @@ def _im2col(a: np.ndarray, k: int) -> np.ndarray:
                                            (step, c * size, size), writeable=False)
 
 
-def _conv_gemm(layer, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The conv's pre-activation on its im2col rows cols, built in out when
-    given.  A 3-D matmul runs one gemm per window, so a window's output does
-    not depend on the other windows in the call: training and _slices rely
-    on it.  The bias is added in place as one row tiled over the output
-    positions."""
-    k, c_in, c_out = layer.incoming.shape
-    z = np.matmul(cols, layer.incoming.reshape(k * c_in, c_out), out=out)
-    rows = z.reshape(len(z), z.shape[1] * c_out)
-    rows += np.tile(layer.bias, z.shape[1])
-    return z
-
-
 def _conv1d(spec, layer, a, where, keep):
     k, c_in, c_out = _conv_shape(layer, a, where)
     n, t, _ = a.shape
@@ -240,7 +227,13 @@ def _conv1d(spec, layer, a, where, keep):
         # A training minibatch copies its im2col rows once: the forward
         # gemm reads them and the backward's dW gemm reuses them.
         cols = np.ascontiguousarray(cols)
-    z = _conv_gemm(layer, cols)
+    # A 3-D matmul runs one gemm per window, so a window's output does not
+    # depend on the other windows in the call: training and _window_prefix
+    # rely on it.  The bias is added in place as one row tiled over the
+    # output positions.
+    z = cols @ layer.incoming.reshape(k * c_in, c_out)
+    rows = z.reshape(n, t_out * c_out)
+    rows += np.tile(layer.bias, t_out)
     if not keep:
         return _activate(spec, z, None)
 
@@ -331,57 +324,24 @@ def _walk(model: ModelWeights, arch: ModelArch, a: np.ndarray, first: int = 0,
     return a, backwards
 
 
-def _slices(model: ModelWeights, arch: ModelArch, x: np.ndarray, last: int):
-    """Run layers [0, last) of model forward-only over x, _SLICE windows at
-    a time.  Yields (lo, output on x[lo:lo + _SLICE]); the output may live
-    in a buffer that the next one overwrites, so use it before taking the
-    next.  An empty x still makes one (empty) slice, which carries the
-    output shape.
-
-    When layer 0 is a conv, its gemm reads the im2col view of x (_im2col)
-    one slice at a time and writes the conv output into one reused buffer,
-    so nothing the size of x is built; the buffer lives for one call.
-
-    The conv and pool outputs are bit-identical to one walk over x (each
-    window is its own gemm); a dense layer's output may differ from one
-    gemm over all of x in the last bit, since a BLAS gemm row can depend on
-    the row count.  That identity is why the conv here keeps the per-window
-    gemm, whose matmul copies the overlapping im2col rows it reads: these
-    outputs feed forward and train_local's frozen-prefix features.  One
-    gemm per output position (_position_slices, which scores) differs from
-    it in the last bit at some widths and slice sizes (width 17 at 31
-    windows, width 16 at 1 window).
-    """
-    n = len(x)
-    conv = last > 0 and arch.layers[0].kind == CONV1D
-    if conv:
-        spec, layer = arch.layers[0], model.layers[0]
-        k, _, c_out = _conv_shape(layer, x, f"layer 0 ({CONV1D})")
-        cols = _im2col(x, k)
-        z_buf = np.empty((_SLICE, cols.shape[1], c_out), dtype=x.dtype)
-    for lo in range(0, max(n, 1), _SLICE):
-        xs = x[lo:lo + _SLICE]
-        if conv:
-            z = _conv_gemm(layer, cols[lo:lo + _SLICE], z_buf[:len(xs)])
-            out, _ = _walk(model, arch, _activate(spec, z, None)[0], 1, last)
-        else:
-            out, _ = _walk(model, arch, xs, 0, last)
-        yield lo, out
-
-
 def _window_prefix(model: ModelWeights, arch: ModelArch, x: np.ndarray,
                    below: int) -> tuple[np.ndarray, int]:
     """Run the leading conv1d/maxpool1d layers of the stack that lie below
-    arch layer `below` on x through _slices.  Returns (their output, the
-    index of the first layer not run); x itself and 0 when there are none.
-    Bit-identical to running them over x at once."""
+    arch layer `below` on x, _SLICE windows at a time, so that the conv's
+    im2col rows and output exist for one slice only.  Returns (their
+    output, the index of the first layer not run); x itself and 0 when
+    there are none.  Bit-identical to running them over x at once: the
+    conv is one gemm per window (_conv1d), and these outputs feed forward
+    and train_local's frozen-prefix features."""
     first = 0
     while first < below and arch.layers[first].kind in _PER_WINDOW_KINDS:
         first += 1
     if first == 0:
         return x, 0
     features = None
-    for lo, out in _slices(model, arch, x, first):
+    # An empty x still makes one (empty) slice, which carries the shape.
+    for lo in range(0, max(len(x), 1), _SLICE):
+        out, _ = _walk(model, arch, x[lo:lo + _SLICE], 0, first)
         if features is None:
             features = np.empty((len(x),) + out.shape[1:], dtype=out.dtype)
         features[lo:lo + len(out)] = out
@@ -555,52 +515,44 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
     return ModelWeights(work.layers[:start] + tuple(trained)), epoch_losses
 
 
-def _position_slices(model: ModelWeights, arch: ModelArch, x: np.ndarray):
-    """Run the whole stack of model, whose layer 0 is a conv, forward-only
-    over x in _SLICE-window slices, as _slices does, but with the conv as
-    one gemm per output position t over the slice's m windows.  Item t of
-    the transposed im2col view is an [m, k*C] matrix whose leading
-    dimension is the window stride, which BLAS reads in place, so no im2col
-    row is copied; the per-window gemm's rows overlap with a stride of C
-    elements, below k*C, so numpy copies them.  The gemm writes the
-    [m, T_out, C_out] buffer that the bias, relu, pool and dense steps
-    read.  Yields (lo, logits on x[lo:lo + _SLICE]).
-
-    Its conv and pool outputs may differ from the per-window gemm's in the
-    last bit (see _slices), so only scoring uses it."""
-    spec, layer = arch.layers[0], model.layers[0]
-    k, c_in, c_out = _conv_shape(layer, x, f"layer 0 ({CONV1D})")
-    rows = _im2col(x, k).transpose(1, 0, 2)  # rows[t, i]: row t of window i
-    w = layer.incoming.reshape(k * c_in, c_out)
-    bias = np.tile(layer.bias, len(rows))
-    z_buf = np.empty((_SLICE, len(rows), c_out), dtype=x.dtype)
-    for lo in range(0, max(len(x), 1), _SLICE):
-        z = z_buf[:len(x[lo:lo + _SLICE])]
-        np.matmul(rows[:, lo:lo + _SLICE], w, out=z.transpose(1, 0, 2))
-        flat = z.reshape(len(z), bias.size)
-        flat += bias
-        logits, _ = _walk(model, arch, _activate(spec, z, None)[0], 1)
-        yield lo, logits
-
-
 def evaluate(model: ModelWeights, arch: ModelArch, inputs: np.ndarray) -> np.ndarray:
     """Predicted class per example: argmax of the softmax probabilities,
     ties broken toward the lowest class index.
 
-    The whole stack runs on 32-window slices, which bounds the memory of
-    scoring a large test set; a leading conv runs as one gemm per output
-    position, reading the windows in place (_position_slices).  So the
-    conv and pool outputs, and the dense layers run per slice, may differ
-    from forward's in the last bit, and a prediction from forward's argmax
-    only where two classes tie that closely."""
+    The whole stack runs on _SLICE-window slices, which bounds the memory
+    of scoring a large test set.  A leading conv runs as one gemm per
+    output position t over the slice's m windows: item t of the transposed
+    im2col view is an [m, k*C] matrix whose leading dimension is the window
+    stride, which BLAS reads in place, so no im2col row is copied (the
+    per-window gemm's rows overlap with a stride of C elements, below k*C,
+    so numpy copies them).  The gemm writes one reused [m, T_out, C_out]
+    buffer that the bias, relu, pool and dense steps read.  So the conv and
+    pool outputs, and the dense layers run per slice, may differ from
+    forward's in the last bit (width 17 at 31 windows, width 16 at 1
+    window), and a prediction from forward's argmax only where two classes
+    tie that closely."""
     x = _as_batch_array(inputs, arch, model.dtype)
     preds = np.empty(len(x), dtype=np.intp)
-    if arch.layers[0].kind == CONV1D:
-        slices = _position_slices(model, arch, x)
-    else:
-        slices = _slices(model, arch, x, len(arch.layers))
-    for lo, logits in slices:
-        preds[lo:lo + len(logits)] = np.argmax(_softmax(logits), axis=1)
+    conv = arch.layers[0].kind == CONV1D
+    if conv:
+        spec, layer = arch.layers[0], model.layers[0]
+        k, c_in, c_out = _conv_shape(layer, x, f"layer 0 ({CONV1D})")
+        rows = _im2col(x, k).transpose(1, 0, 2)  # rows[t, i]: row t of window i
+        w = layer.incoming.reshape(k * c_in, c_out)
+        bias = np.tile(layer.bias, len(rows))
+        z_buf = np.empty((_SLICE, len(rows), c_out), dtype=x.dtype)
+    # An empty x still makes one (empty) slice, which checks the shapes.
+    for lo in range(0, max(len(x), 1), _SLICE):
+        xs = x[lo:lo + _SLICE]
+        if conv:
+            z = z_buf[:len(xs)]
+            np.matmul(rows[:, lo:lo + _SLICE], w, out=z.transpose(1, 0, 2))
+            flat = z.reshape(len(z), bias.size)
+            flat += bias
+            logits, _ = _walk(model, arch, _activate(spec, z, None)[0], 1)
+        else:
+            logits, _ = _walk(model, arch, xs)
+        preds[lo:lo + len(xs)] = np.argmax(_softmax(logits), axis=1)
     return preds
 
 

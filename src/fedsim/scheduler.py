@@ -36,6 +36,7 @@ from .arch import ModelArch
 from .container import serialize_model
 from .data import (
     CsvDataSpec,
+    CsvFormatError,
     SyntheticSpec,
     concat_window_sets,
     generate_synthetic,
@@ -202,19 +203,37 @@ def _runtime(cfg, st: ClientState, t: int) -> ClientRuntime:
                          seed=_train_seed(cfg.seed, t, st.id))
 
 
-def _materialize(cfg: ExperimentConfig) -> list[tuple[Batch, Batch]]:
+def client_datasets(cfg: ExperimentConfig) -> list[tuple[Batch, Batch]]:
+    """Each client's (train, test) windows, generated or read from its CSV
+    export.  A ValueError names an export that cannot be parsed, or a
+    client left without training windows, or without test windows when
+    the algorithm scores each client's own test set (all but centralized)."""
     if isinstance(cfg.data, SyntheticSpec):
-        return generate_synthetic(cfg.data)
-    spec = cfg.data
-    out = []
-    for k, path in enumerate(spec.paths):
-        series = z_normalize(ingest_csv(path, spec.sample_rate_hz, spec.target_hz))
-        top = int(series.labels.max(initial=0))
-        if top >= spec.classes:
-            raise ValueError(f"{path}: label {top} is outside [0, {spec.classes})")
-        windows = window(series, spec.window_length, spec.window_step)
-        out.append(stratified_split(windows, spec.train_fraction, _seq(cfg.seed, 1, k)))
-    return out
+        datasets = generate_synthetic(cfg.data)
+    else:
+        spec = cfg.data
+        datasets = []
+        for k, path in enumerate(spec.paths):
+            try:
+                series = z_normalize(ingest_csv(path, spec.sample_rate_hz,
+                                                spec.target_hz))
+            except CsvFormatError as exc:
+                raise CsvFormatError(f"{path}: {exc}") from exc
+            top = int(series.labels.max(initial=0))
+            if top >= spec.classes:
+                raise ValueError(f"{path}: label {top} is outside [0, {spec.classes})")
+            windows = window(series, spec.window_length, spec.window_step)
+            datasets.append(stratified_split(windows, spec.train_fraction,
+                                             _seq(cfg.seed, 1, k)))
+    if len(datasets) != cfg.data.clients:
+        raise ValueError(f"{len(datasets)} client datasets for a pool of "
+                         f"{cfg.data.clients}")
+    for k, (train, test) in enumerate(datasets):
+        if len(train) == 0:
+            raise ValueError(f"client {k} has no training windows")
+        if len(test) == 0 and cfg.algorithm != "centralized":
+            raise ValueError(f"client {k} has no test windows")
+    return datasets
 
 
 def _snapshot(state: ClientState, score: float, round_index: int) -> None:
@@ -232,17 +251,7 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
     produced so callers can stream results to disk.
     """
     arch = cfg.model
-    datasets = _materialize(cfg)
-    pool = cfg.data.clients
-    if len(datasets) != pool:
-        raise ValueError(f"{len(datasets)} client datasets for a pool of {pool}")
-    for k, (train, test) in enumerate(datasets):
-        if len(train) == 0:
-            raise ValueError(f"client {k} has no training windows")
-        # Every algorithm but centralized scores each client's own test set.
-        if len(test) == 0 and cfg.algorithm != "centralized":
-            raise ValueError(f"client {k} has no test windows")
-
+    datasets = client_datasets(cfg)
     global_test = concat_window_sets(test for _train, test in datasets)
     init = init_model(arch, _seq(cfg.seed, 0, cfg.init_variant), cfg.dtype)
 

@@ -58,9 +58,43 @@ data:
 """
 
 
+# Client 0 gets 2 windows, of singleton classes, so both go to train.
+UNTESTED = """
+algorithm: %s
+rounds: 1
+seed: 1
+model:
+  input: [128, 6]
+  layers:
+    - {kind: dense, width: 8, activation: relu}
+    - {kind: softmax-output, width: 4}
+data:
+  synthetic:
+    clients: 3
+    classes: 4
+    dirichlet_alpha: 5.0
+    samples_per_client: [190, 400]
+    segment_range: [40, 80]
+    seed: 1
+"""
+
+
 def write(tmp_path, text, name="exp.yaml"):
     path = tmp_path / name
     path.write_text(text)
+    return path
+
+
+def write_export(path, rows=1000, segment=200):
+    """A 6-channel export at 50 Hz: noise around a per-label offset, labels
+    drawn per segment-row segment."""
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 4, rows // segment).repeat(segment)
+    values = rng.normal(size=(rows, 6)) + 0.5 * labels[:, None]
+    lines = ["timestamp,ax,ay,az,gx,gy,gz,label"]
+    lines += [f"{i / 50:.2f}," + ",".join(f"{v:.6f}" for v in row) + f",{label}"
+              for i, (row, label) in enumerate(zip(values, labels))]
+    path.write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -315,29 +349,10 @@ class TestRunCommand:
                                            "local-only", "centralized"])
     def test_client_without_test_windows_is_named(self, tmp_path, capsys,
                                                   algorithm):
-        # Client 0 gets 2 windows, of singleton classes, so both go to
-        # train.  Only centralized scores no client's own test set.
-        text = f"""
-algorithm: {algorithm}
-rounds: 1
-seed: 1
-model:
-  input: [128, 6]
-  layers:
-    - {{kind: dense, width: 8, activation: relu}}
-    - {{kind: softmax-output, width: 4}}
-data:
-  synthetic:
-    clients: 3
-    classes: 4
-    dirichlet_alpha: 5.0
-    samples_per_client: [190, 400]
-    segment_range: [40, 80]
-    seed: 1
-"""
+        # Only centralized scores no client's own test set.
         out = tmp_path / "untested"
         with pytest.warns(UserWarning, match="single window"):
-            code = main(["run", "--config", str(write(tmp_path, text)),
+            code = main(["run", "--config", str(write(tmp_path, UNTESTED % algorithm)),
                          "--out", str(out)])
         manifest = json.loads((out / "manifest.json").read_text())
         if algorithm == "centralized":
@@ -444,7 +459,7 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("bad", ["missing.csv", "folder"])
     def test_csv_paths_must_be_files(self, tmp_path, capsys, bad):
-        (tmp_path / "a.csv").write_text("t,ax,ay,az,gx,gy,gz,label\n")
+        write_export(tmp_path / "a.csv")
         (tmp_path / "folder").mkdir()
         good = write(tmp_path, CSV_CONFIG.replace("[a.csv]", f"[{tmp_path / 'a.csv'}]"))
         assert main(["validate", "--config", str(good)]) == 0
@@ -455,6 +470,30 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: data.csv.paths[1]: {tmp_path / bad} is not a file\n"
+
+    @pytest.mark.parametrize("text, warning, message", [
+        ((TINY_RUN % "fedavg").replace("[1200, 1500]", "[100, 100]"),
+         "shorter than one window", "client 0 has no training windows"),
+        (UNTESTED % "fedavg", "single window", "client 0 has no test windows"),
+    ], ids=["train", "test"])
+    def test_client_without_windows_exits_2(self, tmp_path, capsys, text,
+                                            warning, message):
+        # validate builds every client's windows, as run does before round 1
+        with pytest.warns(UserWarning, match=warning):
+            code = main(["validate", "--config", str(write(tmp_path, text))])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not list(tmp_path.rglob("manifest.json"))
+
+    def test_unparsable_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        path.write_text("timestamp,ax,ay,az,gx,gy,gz,label\n")
+        cfg = write(tmp_path, CSV_CONFIG.replace("[a.csv]", f"[{path}]"))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 2: no data rows after the header\n")
 
     @pytest.mark.parametrize("text, model_input, windows", [
         (MINIMAL, "[64, 6]", "[128, 6]"),

@@ -320,31 +320,36 @@ class TestFrozenPrefixShortcuts:
         arch = conv_arch()
         model = init_model(arch, 14)
         rng = np.random.default_rng(15)
-        n, size, lr, epochs = 23, 5, 0.2, 3  # a 3-window tail minibatch
-        batch = Batch(rng.normal(size=(n, 20, 2)), rng.integers(0, 4, n))
+        size, lr, epochs = 5, 0.2, 3
         cfg = TrainingConfig(local_epochs=epochs, learning_rate=lr,
                              batch_size=size, frozen_prefix=frozen)
-        out, losses = train_local(model, arch, batch, cfg, 16)
+        # 23 windows leave a 3-window tail minibatch; 70 make the cached
+        # features cross two 32-window slice boundaries
+        for n in (23, 70):
+            batch = Batch(rng.normal(size=(n, 20, 2)), rng.integers(0, 4, n))
+            out, losses = train_local(model, arch, batch, cfg, 16)
 
-        work = ModelWeights(tuple(LayerWeights(layer.incoming.copy(), layer.bias.copy())
-                                  for layer in model.layers))
-        params = [(layer.incoming, layer.bias) for layer in work.layers[frozen:]]
-        shuffle = np.random.default_rng(16)  # train_local's shuffle
-        expected = []
-        for _ in range(epochs):
-            order = shuffle.permutation(n)
-            values = []
-            for lo in range(0, n, size):
-                sel = order[lo:lo + size]
-                value, grads = _objective(work, arch, batch.inputs[sel],
-                                          batch.labels[sel], cfg, keep=True, first=0)
-                values.append(value)
-                for (w, b), (dw, db) in zip(params, grads):
-                    w -= lr * dw
-                    b -= lr * db
-            expected.append(float(np.mean(values)))
-        assert models_bit_equal(out, work)
-        assert losses == expected
+            work = ModelWeights(tuple(
+                LayerWeights(layer.incoming.copy(), layer.bias.copy())
+                for layer in model.layers))
+            params = [(layer.incoming, layer.bias) for layer in work.layers[frozen:]]
+            shuffle = np.random.default_rng(16)  # train_local's shuffle
+            expected = []
+            for _ in range(epochs):
+                order = shuffle.permutation(n)
+                values = []
+                for lo in range(0, n, size):
+                    sel = order[lo:lo + size]
+                    value, grads = _objective(work, arch, batch.inputs[sel],
+                                              batch.labels[sel], cfg, keep=True,
+                                              first=0)
+                    values.append(value)
+                    for (w, b), (dw, db) in zip(params, grads):
+                        w -= lr * dw
+                        b -= lr * db
+                expected.append(float(np.mean(values)))
+            assert models_bit_equal(out, work), n
+            assert losses == expected, n
 
     def test_conv_pool_prefix_is_computed_per_window(self):
         # The cache is exact only while a conv/pool window's output does not
@@ -590,6 +595,23 @@ class TestEvaluate:
             assert preds.dtype == np.intp
             assert np.array_equal(preds, np.concatenate(per_slice)), windows
         assert evaluate(model, arch, x[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("arch", [
+        dense_arch(20, 10, 4),
+        ModelArch(20, 2, (LayerSpec("maxpool1d", kernel=2),
+                          LayerSpec("dense", width=10, activation="relu"),
+                          LayerSpec("softmax-output", width=4))),
+    ], ids=["dense", "maxpool"])
+    def test_non_conv_first_layer_matches_forward_per_slice(self, arch):
+        # A stack without a leading conv is walked slice by slice, as
+        # forward walks each 32-window slice: 70 windows are two full
+        # slices and a partial one
+        model = init_model(arch, 28)
+        x = np.random.default_rng(29).normal(
+            size=(70, 20) if arch.input_channels == 1 else (70, 20, 2))
+        per_slice = [np.argmax(forward(model, arch, x[lo:lo + 32]), axis=1)
+                     for lo in range(0, len(x), 32)]
+        assert np.array_equal(evaluate(model, arch, x), np.concatenate(per_slice))
 
     def test_flat_and_strided_inputs_read_right(self, rng):
         # A flat input becomes x[:, :, None], whose channel stride is 0;

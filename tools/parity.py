@@ -10,7 +10,10 @@ clients, 6 rounds.  Every algorithm runs at `--threads` 1 and 2 and at
 `eval_every` 1 and 3.  The same model also runs fedavg and feddist from
 three small CSV exports (seeded values at 50 Hz, labels in [0, 4) in
 200-row segments) at `--threads` 1 and `eval_every` 1, which covers the CSV
-source.  Each run's rounds.csv, rounds.jsonl, model.bin and shape.txt are
+source, and a dense-only model, dense(12) -> softmax(4), runs fedavg and
+feddist on the synthetic clients at `--threads` 1 and `eval_every` 1,
+which covers scoring without a leading conv and dense-to-dense growth.
+Each run's rounds.csv, rounds.jsonl, model.bin and shape.txt are
 compared byte for byte (local-only writes no model).  Exits 1 naming every
 file that differs, 0 when all are identical.
 
@@ -39,6 +42,7 @@ CADENCES = (1, 3)
 OUTPUTS = ("rounds.csv", "rounds.jsonl", "model.bin", "shape.txt")
 CSV_ALGORITHMS = ("fedavg", "feddist")
 CSV_CLIENTS, CSV_ROWS, CSV_SEGMENT = 3, 2000, 200
+DENSE_ALGORITHMS = ("fedavg", "feddist")
 
 CONFIG = """\
 algorithm: {algorithm}
@@ -49,10 +53,7 @@ eval_every: {eval_every}
 model:
   input: [128, 6]
   layers:
-    - {{kind: conv1d, width: 6, kernel: 16, activation: relu}}
-    - {{kind: maxpool1d, kernel: 4}}
-    - {{kind: dense, width: 12, activation: relu}}
-    - {{kind: softmax-output, width: 4}}
+{layers}
 training:
   learning_rate: 0.05
   batch_size: 16
@@ -63,6 +64,16 @@ scenario:
   sample_size: 3
 data:
 {data}"""
+
+CONV_LAYERS = """\
+    - {kind: conv1d, width: 6, kernel: 16, activation: relu}
+    - {kind: maxpool1d, kernel: 4}
+    - {kind: dense, width: 12, activation: relu}
+    - {kind: softmax-output, width: 4}"""
+
+DENSE_LAYERS = """\
+    - {kind: dense, width: 12, activation: relu}
+    - {kind: softmax-output, width: 4}"""
 
 SYNTHETIC = """\
   synthetic:
@@ -129,16 +140,18 @@ def main(argv=None) -> int:
         csv_data = CSV.format(paths=", ".join(
             json.dumps(str(p)) for p in write_csv_exports(work)))
         cases = [(f"{algorithm}-e{eval_every}-t{threads}", algorithm, eval_every,
-                  threads, SYNTHETIC)
+                  threads, CONV_LAYERS, SYNTHETIC)
                  for algorithm in ALGORITHMS for eval_every in CADENCES
                  for threads in THREADS]
-        cases += [(f"csv-{algorithm}-e1-t1", algorithm, 1, 1, csv_data)
+        cases += [(f"csv-{algorithm}-e1-t1", algorithm, 1, 1, CONV_LAYERS, csv_data)
                   for algorithm in CSV_ALGORITHMS]
+        cases += [(f"dense-{algorithm}-e1-t1", algorithm, 1, 1, DENSE_LAYERS, SYNTHETIC)
+                  for algorithm in DENSE_ALGORITHMS]
         same, differ = 0, []
-        for name, algorithm, eval_every, threads, data in cases:
+        for name, algorithm, eval_every, threads, layers, data in cases:
             config = work / f"{name}.yaml"
-            config.write_text(CONFIG.format(algorithm=algorithm,
-                                            eval_every=eval_every, data=data))
+            config.write_text(CONFIG.format(algorithm=algorithm, eval_every=eval_every,
+                                            layers=layers, data=data))
             for side, src in trees.items():
                 run(src, config, work / "out" / side / name, threads)
             for output in OUTPUTS:
