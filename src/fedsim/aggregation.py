@@ -144,18 +144,16 @@ def _default_client_update(client: ClientRuntime, model: ModelWeights,
 
 
 def train_clients(clients: list[ClientRuntime], models: list[ModelWeights],
-                  arch: ModelArch, phase: str, *, client_update=None,
-                  executor=None) -> list[ModelWeights]:
+                  arch: ModelArch, phase: str, *, executor=None) -> list[ModelWeights]:
     """Train each client from its start model with
-    update(client, model, arch, phase), concurrently when an executor is
-    given; results come back in client order so scheduling never affects a
-    reduction.  A DivergenceError leaves prefixed with the client and the
-    phase."""
-    update = client_update or _default_client_update
+    _default_client_update(client, model, arch, phase), concurrently when
+    an executor is given; results come back in client order so scheduling
+    never affects a reduction.  A DivergenceError leaves prefixed with the
+    client and the phase."""
 
     def run(client, model):
         with diverged_in(f"client {client.id}, {phase}"):
-            return update(client, model, arch, phase)
+            return _default_client_update(client, model, arch, phase)
 
     return list((executor.map if executor else map)(run, clients, models))
 
@@ -168,15 +166,14 @@ def _fractions(clients: list[ClientRuntime]) -> np.ndarray:
 
 
 def _exchange(server, arch, clients, starts, phase, ledger, *, down, first=0,
-              client_update, executor):
+              executor):
     """Send `down` bytes to every client, train each from its start model,
     and average the uploaded layers `first` and above by data fraction on
     top of the server's own lower layers.  Returns the new server model and
     the trained client models in client order."""
     fractions = _fractions(clients)
     ledger.bytes_down += down * len(clients)
-    models = train_clients(clients, starts, arch, phase,
-                           client_update=client_update, executor=executor)
+    models = train_clients(clients, starts, arch, phase, executor=executor)
     upper = range(first, len(server.layers))
     ledger.bytes_up += sum(byte_size(m, upper) for m in models)
     averaged = weighted_average([ModelWeights(m.layers[first:]) for m in models],
@@ -185,7 +182,7 @@ def _exchange(server, arch, clients, starts, phase, ledger, *, down, first=0,
 
 
 def _plain_round(server, arch, clients, *, algorithm, round_index,
-                 proximal, client_update, executor) -> RoundOutcome:
+                 proximal, executor) -> RoundOutcome:
     clients = sorted(clients, key=lambda c: c.id)
     if proximal:
         clients = [replace(c, cfg=replace(c.cfg, reference_weights=server))
@@ -193,29 +190,27 @@ def _plain_round(server, arch, clients, *, algorithm, round_index,
     ledger = CommLedger(round_index, algorithm)
     new_server, models = _exchange(server, arch, clients, [server] * len(clients),
                                    "main phase", ledger, down=byte_size(server),
-                                   client_update=client_update, executor=executor)
+                                   executor=executor)
     return RoundOutcome(server=new_server, ledger=ledger,
                         client_models={c.id: m for c, m in zip(clients, models)})
 
 
 def fedavg_round(server: ModelWeights, arch: ModelArch,
                  clients: list[ClientRuntime], *, round_index: int = 0,
-                 client_update=None, executor=None) -> RoundOutcome:
+                 executor=None) -> RoundOutcome:
     """One FedAvg round: distribute, train, average by data fraction.
     An empty client list raises ValueError."""
     return _plain_round(server, arch, clients, algorithm="fedavg",
-                        round_index=round_index, proximal=False,
-                        client_update=client_update, executor=executor)
+                        round_index=round_index, proximal=False, executor=executor)
 
 
 def fedprox_round(server: ModelWeights, arch: ModelArch,
                   clients: list[ClientRuntime], *, round_index: int = 0,
-                  client_update=None, executor=None) -> RoundOutcome:
+                  executor=None) -> RoundOutcome:
     """FedAvg round where each client optimizes the proximal objective
     against the distributed server model (reference is set here)."""
     return _plain_round(server, arch, clients, algorithm="fedprox",
-                        round_index=round_index, proximal=True,
-                        client_update=client_update, executor=executor)
+                        round_index=round_index, proximal=True, executor=executor)
 
 
 def _unit_matrix(layer: LayerWeights) -> np.ndarray:
@@ -274,22 +269,13 @@ def select_divergent(pi: DistanceMatrix, threshold: float) -> list[Selection]:
     return picked
 
 
-def _widen_bytes(before: ModelWeights, after: ModelWeights, layer: int) -> int:
-    """Raw float bytes of the successor rows appended while growing `layer`."""
-    succ_b = before.layers[layer + 1]
-    succ_a = after.layers[layer + 1]
-    return (succ_a.incoming.size - succ_b.incoming.size) * succ_a.incoming.dtype.itemsize
-
-
 def feddist_round(server: ModelWeights, arch: ModelArch,
                   clients: list[ClientRuntime], fcfg: FedDistConfig,
-                  round_index: int, *, client_update=None,
-                  executor=None) -> RoundOutcome:
+                  round_index: int, *, executor=None) -> RoundOutcome:
     """One full FedDist round (main phase, per-layer growth, layer-wise
     retraining sub-rounds).  See the module docstring for the phases."""
     main = _plain_round(server, arch, clients, algorithm="feddist",
-                        round_index=round_index, proximal=False,
-                        client_update=client_update, executor=executor)
+                        round_index=round_index, proximal=False, executor=executor)
     clients = sorted(clients, key=lambda c: c.id)
     ledger = main.ledger
     cap = fcfg.max_new_units_per_layer_per_round
@@ -310,13 +296,14 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
         if not kept:
             continue
 
-        before = w
+        widened = 0  # bytes of the successor rows the grown units bring along
         for sel in kept:
             donor = models[sel.client_pos]
             donor_id = clients[sel.client_pos].id
             source = neuron_vector(donor.layers[layer], sel.unit)
             rows = donor_successor_rows(donor, layer, sel.unit)
             w = append_neuron(w, layer, source, rows)
+            widened += rows.nbytes
             ledger.growth.append(GrowthEvent(layer, sel.unit, donor_id, sel.distance))
 
         # Layer-wise sub-round: freeze the grown stack, retrain what is above.
@@ -329,8 +316,8 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
         starts = [conform_to_shape(m, w, upto_layer=layer) for m in models]
         w, models = _exchange(
             w, arch, sub_round, starts, f"layer-wise sub-round of layer {layer}", ledger,
-            down=byte_size(w, range(layer + 1)) + _widen_bytes(before, w, layer),
-            first=layer + 1, client_update=client_update, executor=executor)
+            down=byte_size(w, range(layer + 1)) + widened, first=layer + 1,
+            executor=executor)
 
     return RoundOutcome(server=w, ledger=ledger,
                         client_models={c.id: m for c, m in zip(clients, models)})

@@ -21,7 +21,7 @@ from .arch import CONV1D, DENSE, MAXPOOL1D, PARAM_KINDS, SOFTMAX_OUTPUT, ModelAr
 from .fabric import LayerWeights, ModelWeights, ShapeError
 
 LOG_CLAMP = 1e-12  # probability floor inside cross-entropy, avoids -inf
-_SLICE = 32  # windows per slice of _window_prefix and evaluate (forward-only)
+_SLICE = 32  # windows per slice of _window_prefix and forward (forward-only)
 
 
 class DivergenceError(ShapeError):
@@ -331,8 +331,8 @@ def _window_prefix(model: ModelWeights, arch: ModelArch, x: np.ndarray,
     im2col rows and output exist for one slice only.  Returns (their
     output, the index of the first layer not run); x itself and 0 when
     there are none.  Bit-identical to running them over x at once: the
-    conv is one gemm per window (_conv1d), and these outputs feed forward
-    and train_local's frozen-prefix features."""
+    conv is one gemm per window (_conv1d), and these outputs are
+    train_local's frozen-prefix features."""
     first = 0
     while first < below and arch.layers[first].kind in _PER_WINDOW_KINDS:
         first += 1
@@ -351,13 +351,39 @@ def _window_prefix(model: ModelWeights, arch: ModelArch, x: np.ndarray,
 def forward(model: ModelWeights, arch: ModelArch, inputs: np.ndarray) -> np.ndarray:
     """Class-probability matrix [examples, classes]; rows sum to 1.
 
-    The leading conv1d/maxpool1d layers run in 32-window slices and the
-    layers above them over every row of inputs at once; the result is
-    bit-identical to running the whole stack over inputs at once."""
+    The whole stack runs on _SLICE-window slices, which bounds the memory
+    of scoring a large test set.  A leading conv runs as one gemm per
+    output position t over the slice's m windows: item t of the transposed
+    im2col view is an [m, k*C] matrix whose leading dimension is the window
+    stride, which BLAS reads in place, so no im2col row is copied (the
+    per-window gemm's rows overlap with a stride of C elements, below k*C,
+    so numpy copies them).  The gemm writes one reused [m, T_out, C_out]
+    buffer that the bias, relu, pool and dense steps read.  So the
+    probabilities may differ in the last bit from the per-window path
+    training runs (_walk)."""
     x = _as_batch_array(inputs, arch, model.dtype)
-    features, first = _window_prefix(model, arch, x, len(arch.layers))
-    logits, _ = _walk(model, arch, features, first)
-    return _softmax(logits)
+    probs = np.empty((len(x), model.layers[-1].out_width), dtype=x.dtype)
+    conv = arch.layers[0].kind == CONV1D
+    if conv:
+        spec, layer = arch.layers[0], model.layers[0]
+        k, c_in, c_out = _conv_shape(layer, x, f"layer 0 ({CONV1D})")
+        rows = _im2col(x, k).transpose(1, 0, 2)  # rows[t, i]: row t of window i
+        w = layer.incoming.reshape(k * c_in, c_out)
+        bias = np.tile(layer.bias, len(rows))
+        z_buf = np.empty((_SLICE, len(rows), c_out), dtype=x.dtype)
+    # An empty x still makes one (empty) slice, which checks the shapes.
+    for lo in range(0, max(len(x), 1), _SLICE):
+        xs = x[lo:lo + _SLICE]
+        if conv:
+            z = z_buf[:len(xs)]
+            np.matmul(rows[:, lo:lo + _SLICE], w, out=z.transpose(1, 0, 2))
+            flat = z.reshape(len(z), bias.size)
+            flat += bias
+            logits, _ = _walk(model, arch, _activate(spec, z, None)[0], 1)
+        else:
+            logits, _ = _walk(model, arch, xs)
+        probs[lo:lo + len(xs)] = _softmax(logits)
+    return probs
 
 
 def loss(probs: np.ndarray, labels: np.ndarray,
@@ -516,44 +542,9 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
 
 
 def evaluate(model: ModelWeights, arch: ModelArch, inputs: np.ndarray) -> np.ndarray:
-    """Predicted class per example: argmax of the softmax probabilities,
-    ties broken toward the lowest class index.
-
-    The whole stack runs on _SLICE-window slices, which bounds the memory
-    of scoring a large test set.  A leading conv runs as one gemm per
-    output position t over the slice's m windows: item t of the transposed
-    im2col view is an [m, k*C] matrix whose leading dimension is the window
-    stride, which BLAS reads in place, so no im2col row is copied (the
-    per-window gemm's rows overlap with a stride of C elements, below k*C,
-    so numpy copies them).  The gemm writes one reused [m, T_out, C_out]
-    buffer that the bias, relu, pool and dense steps read.  So the conv and
-    pool outputs, and the dense layers run per slice, may differ from
-    forward's in the last bit (width 17 at 31 windows, width 16 at 1
-    window), and a prediction from forward's argmax only where two classes
-    tie that closely."""
-    x = _as_batch_array(inputs, arch, model.dtype)
-    preds = np.empty(len(x), dtype=np.intp)
-    conv = arch.layers[0].kind == CONV1D
-    if conv:
-        spec, layer = arch.layers[0], model.layers[0]
-        k, c_in, c_out = _conv_shape(layer, x, f"layer 0 ({CONV1D})")
-        rows = _im2col(x, k).transpose(1, 0, 2)  # rows[t, i]: row t of window i
-        w = layer.incoming.reshape(k * c_in, c_out)
-        bias = np.tile(layer.bias, len(rows))
-        z_buf = np.empty((_SLICE, len(rows), c_out), dtype=x.dtype)
-    # An empty x still makes one (empty) slice, which checks the shapes.
-    for lo in range(0, max(len(x), 1), _SLICE):
-        xs = x[lo:lo + _SLICE]
-        if conv:
-            z = z_buf[:len(xs)]
-            np.matmul(rows[:, lo:lo + _SLICE], w, out=z.transpose(1, 0, 2))
-            flat = z.reshape(len(z), bias.size)
-            flat += bias
-            logits, _ = _walk(model, arch, _activate(spec, z, None)[0], 1)
-        else:
-            logits, _ = _walk(model, arch, xs)
-        preds[lo:lo + len(xs)] = np.argmax(_softmax(logits), axis=1)
-    return preds
+    """Predicted class per example: argmax of forward's probabilities,
+    ties broken toward the lowest class index."""
+    return np.argmax(forward(model, arch, inputs), axis=1)
 
 
 def gradient_check(model: ModelWeights, arch: ModelArch, batch: Batch,

@@ -195,7 +195,7 @@ def test_criterion_04_feddist_degeneracy_20_rounds():
            started, "zero units added")
 
 
-def test_criterion_05_controlled_growth_rig():
+def test_criterion_05_controlled_growth_rig(monkeypatch):
     started = time.monotonic()
     arch = dense_arch(4, 8, 3)
     server = init_model(arch, 55)
@@ -204,11 +204,11 @@ def test_criterion_05_controlled_growth_rig():
     clients = make_clients(arch, [54, 6], cfg, seed=56)
 
     hook = displacement_hook(1, (0,), rounds={2})
+    monkeypatch.setattr(aggregation, "_default_client_update", hook)
     growth_by_round = {}
     for t in (1, 2):
         hook.round_index = t
-        out = feddist_round(server, arch, clients, FedDistConfig(beta=0.0), t,
-                            client_update=hook)
+        out = feddist_round(server, arch, clients, FedDistConfig(beta=0.0), t)
         growth_by_round[t] = out
         server = out.server
 
@@ -232,7 +232,7 @@ def test_criterion_05_controlled_growth_rig():
            started, "forward matches matrix oracle; sub-round ran")
 
 
-def test_criterion_06_communication_accounting():
+def test_criterion_06_communication_accounting(monkeypatch):
     started = time.monotonic()
 
     # zero-growth rounds cost FedAvg bytes plus the fixed shape broadcast
@@ -264,8 +264,9 @@ def test_criterion_06_communication_accounting():
     small = ClientRuntime(1, Batch(rng.normal(size=(15, d)), rng.integers(0, d, 15)),
                           cfg0, 2)
     fa3 = fedavg_round(server3, arch3, [big, small])
-    fd3 = feddist_round(server3, arch3, [big, small], FedDistConfig(beta=0.0), 1,
-                        client_update=displacement_hook(1, (0, 1)))
+    monkeypatch.setattr(aggregation, "_default_client_update",
+                        displacement_hook(1, (0, 1)))
+    fd3 = feddist_round(server3, arch3, [big, small], FedDistConfig(beta=0.0), 1)
     assert fd3.ledger.units_added == {0: 1, 1: 1}
     ratio = fd3.ledger.total_bytes / fa3.ledger.total_bytes
     expected = 1 + (3 - 1) / 2

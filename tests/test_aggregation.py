@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedsim.aggregation as aggregation
 from fedsim import (
     FedDistConfig,
     ModelWeights,
@@ -301,13 +302,14 @@ class TestFedDistRound:
             assert fd.ledger.total_units_added == 0
             server = fd.server
 
-    def test_displacement_rig_appends_exactly_one_unit(self):
+    def test_displacement_rig_appends_exactly_one_unit(self, monkeypatch):
         arch = dense_arch(4, 8, 3)
         server = init_model(arch, 24)
         cfg = TrainingConfig(local_epochs=1, learning_rate=0.05, batch_size=64)
         clients = make_clients(arch, [54, 6], cfg, seed=25)
-        out = feddist_round(server, arch, clients, FedDistConfig(beta=0.0), 1,
-                            client_update=displacement_hook(1, (0,)))
+        monkeypatch.setattr(aggregation, "_default_client_update",
+                            displacement_hook(1, (0,)))
+        out = feddist_round(server, arch, clients, FedDistConfig(beta=0.0), 1)
         assert len(out.ledger.growth) == 1
         event = out.ledger.growth[0]
         assert (event.layer, event.unit, event.client_id) == (0, 0, 1)
@@ -318,7 +320,7 @@ class TestFedDistRound:
         for model in out.client_models.values():
             assert model.shape_signature == (9, 3)
 
-    def test_growth_cap_truncates_silently_into_ledger(self):
+    def test_growth_cap_truncates_silently_into_ledger(self, monkeypatch):
         # wide layer + equal displacements: several units cross the pooled bar
         arch = dense_arch(4, 32, 3)
         server = init_model(arch, 26)
@@ -336,12 +338,12 @@ class TestFedDistRound:
             return trained
 
         fcfg = FedDistConfig(beta=0.0, max_new_units_per_layer_per_round=2)
-        out = feddist_round(server, arch, clients, fcfg, 1,
-                            client_update=displace_many)
+        monkeypatch.setattr(aggregation, "_default_client_update", displace_many)
+        out = feddist_round(server, arch, clients, fcfg, 1)
         assert out.ledger.units_added == {0: 2}
         assert out.ledger.truncated_selections == 2
 
-    def test_growth_monotone_and_coordinates_stable(self):
+    def test_growth_monotone_and_coordinates_stable(self, monkeypatch):
         arch = dense_arch(4, 8, 3)
         server = init_model(arch, 28)
         cfg = TrainingConfig(local_epochs=1, learning_rate=0.02, batch_size=16)
@@ -349,10 +351,10 @@ class TestFedDistRound:
         for t in range(1, 5):
             clients = make_clients(arch, [40, 8], cfg, seed=29 + t,
                                    same_train_seed=None)
-            hook = displacement_hook(1, (0,), unit=t % 8, shift=500.0)
+            monkeypatch.setattr(aggregation, "_default_client_update",
+                                displacement_hook(1, (0,), unit=t % 8, shift=500.0))
             before = server
-            out = feddist_round(server, arch, clients, FedDistConfig(beta=0.0),
-                                t, client_update=hook)
+            out = feddist_round(server, arch, clients, FedDistConfig(beta=0.0), t)
             server = out.server
             signatures.append(server.shape_signature)
             # pre-existing coordinate block is where growth never reorders
@@ -361,15 +363,17 @@ class TestFedDistRound:
         widths = [s[0] for s in signatures]
         assert all(b >= a for a, b in zip(widths, widths[1:]))
 
-    def test_sub_round_uploads_cover_unfrozen_layers_only(self):
+    def test_sub_round_uploads_cover_unfrozen_layers_only(self, monkeypatch):
         arch = dense_arch(4, 8, 3)
         server = init_model(arch, 30)
         cfg = TrainingConfig(local_epochs=1, learning_rate=0.05, batch_size=64)
         clients = make_clients(arch, [54, 6], cfg, seed=31)
-        out = feddist_round(server, arch, clients, FedDistConfig(beta=0.0), 1,
-                            client_update=displacement_hook(1, (0,)))
-        from fedsim import byte_size
+        # the FedAvg baseline runs before the hook goes in: an unhooked round
         fa = fedavg_round(server, arch, clients, round_index=1)
+        monkeypatch.setattr(aggregation, "_default_client_update",
+                            displacement_hook(1, (0,)))
+        out = feddist_round(server, arch, clients, FedDistConfig(beta=0.0), 1)
+        from fedsim import byte_size
         grown = out.server
         # one sub-round: every client uploads exactly the layers above layer 0
         expected_extra_up = 2 * byte_size(grown, [1])
@@ -389,15 +393,16 @@ class TestLedgers:
         assert fd.ledger.shape_metadata_bytes == meta
         assert fd.ledger.total_bytes == fa.ledger.total_bytes + meta
 
-    def test_totals_additive_and_trajectory(self):
+    def test_totals_additive_and_trajectory(self, monkeypatch):
         arch = dense_arch(4, 8, 3)
         server = init_model(arch, 34)
         cfg = TrainingConfig(local_epochs=1, learning_rate=0.0, batch_size=64)
         ledgers = []
+        monkeypatch.setattr(aggregation, "_default_client_update",
+                            displacement_hook(1, (0,)))
         for t in (1, 2):
             clients = make_clients(arch, [54, 6], cfg, seed=35)
-            out = feddist_round(server, arch, clients, FedDistConfig(beta=0.0),
-                                t, client_update=displacement_hook(1, (0,)))
+            out = feddist_round(server, arch, clients, FedDistConfig(beta=0.0), t)
             server = out.server
             ledgers.append(out.ledger)
         summary = ledger_totals(ledgers)
