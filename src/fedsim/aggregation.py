@@ -250,23 +250,13 @@ def divergence_threshold(round_index: int, fcfg: FedDistConfig,
 
 
 def select_divergent(pi: DistanceMatrix, threshold: float) -> list[Selection]:
-    """Entries strictly above the threshold, most distant first, at most one
-    client per unit coordinate (the most distant wins)."""
+    """Units whose largest entry is strictly above the threshold, most distant
+    first, each with its most distant client (the lowest position on a tie)."""
     if not np.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    candidates = [
-        Selection(int(k), int(d), float(pi.entries[d, k]))
-        for d, k in np.argwhere(pi.entries > threshold)
-    ]
-    candidates.sort(key=lambda s: (-s.distance, s.unit, s.client_pos))
-    picked: list[Selection] = []
-    seen_units: set[int] = set()
-    for cand in candidates:
-        if cand.unit in seen_units:
-            continue
-        seen_units.add(cand.unit)
-        picked.append(cand)
-    return picked
+    top = pi.entries.max(axis=1)
+    units = sorted(np.flatnonzero(top > threshold), key=lambda d: -top[d])
+    return [Selection(int(pi.entries[d].argmax()), int(d), float(top[d])) for d in units]
 
 
 def feddist_round(server: ModelWeights, arch: ModelArch,

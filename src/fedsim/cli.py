@@ -7,8 +7,8 @@
 
 `run` writes into the output directory:
 
-    manifest.json   resolved config + seeds + version (written before round
-                    1, finalized with status and wall-clock at the end)
+    manifest.json   resolved config, seeds, version, host facts (written
+                    before round 1, finalized with status and wall-clock)
     rounds.csv      one row per evaluated round, fixed column order
     rounds.jsonl    structured per-round records with per-client scores
     model.bin       final server model container (absent for local-only)
@@ -35,7 +35,7 @@ from .container import deserialize_model, serialize_model
 from .data import CsvDataSpec
 from .fabric import shape_lines
 from .metrics import CSV_COLUMNS
-from .scheduler import client_datasets, run_experiment
+from .scheduler import client_datasets, host_facts, run_experiment
 
 SEED_DERIVATION = ("SeedSequence(seed, spawn_key=domain): (0,variant) init, "
                    "(1,k) csv splits, (2,t,k) training, (3,t) scenario")
@@ -70,6 +70,7 @@ def cmd_run(args) -> int:
         "resolved_config": config_to_dict(cfg),
         "seeds": {"experiment": cfg.seed, "derivation": SEED_DERIVATION},
         "code_version": __version__,
+        "host": host_facts(),
         "outputs": {"csv": csv_path.name, "jsonl": jsonl_path.name,
                     "model": model_path.name, "shape": shape_path.name},
         "started_at": datetime.now(timezone.utc).isoformat(),

@@ -16,9 +16,12 @@ depends on client execution order.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -244,28 +247,57 @@ def _snapshot(state: ClientState, score: float, round_index: int) -> None:
     state.best_hash = hashlib.sha256(blob).hexdigest()
 
 
+@functools.cache
+def openblas_threading() -> tuple:
+    """(get, set) thread-count functions of each loaded OpenBLAS, found once."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    names = [f"{prefix}openblas_%s_num_threads{suffix}"
+             for prefix in ("", "scipy_") for suffix in ("", "64_")]
+    return tuple((getattr(lib, name % "get"), getattr(lib, name % "set"))
+                 for lib in map(ctypes.CDLL, paths) for name in names
+                 if hasattr(lib, name % "set"))
+
+
+def host_facts() -> dict:
+    """What a run's bits depend on besides its config and seed."""
+    sources = sorted(Path(__file__).parent.glob("*.py"))
+    digest = hashlib.sha256(b"".join(path.read_bytes() for path in sources))
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"source_sha256": digest.hexdigest(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "blas_threads": 1 if openblas_threading() else None}
+
+
 def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
-    """Execute the configured experiment and return every evaluated round.
+    """Execute the configured experiment and return every evaluated round,
+    with BLAS on one thread throughout, so that no core count picks the bits.
 
     on_report, when given, is called with each RoundReport as it is
     produced so callers can stream results to disk.
     """
-    arch = cfg.model
-    datasets = client_datasets(cfg)
-    global_test = concat_window_sets(test for _train, test in datasets)
-    init = init_model(arch, _seq(cfg.seed, 0, cfg.init_variant), cfg.dtype)
-
-    states = []
-    for k, (train, test) in enumerate(datasets):
-        client_cfg = replace(
-            cfg.training,
-            class_weights=balanced_class_weights(train.labels, arch.classes),
-        )
-        states.append(ClientState(id=k, train=train, test=test,
-                                  cfg=client_cfg, model=init))
-
+    blas = [(set_threads, get()) for get, set_threads in openblas_threading()]
+    for set_threads, _count in blas:
+        set_threads(1)
     executor = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
     try:
+        arch = cfg.model
+        datasets = client_datasets(cfg)
+        global_test = concat_window_sets(test for _train, test in datasets)
+        init = init_model(arch, _seq(cfg.seed, 0, cfg.init_variant), cfg.dtype)
+
+        states = []
+        for k, (train, test) in enumerate(datasets):
+            client_cfg = replace(
+                cfg.training,
+                class_weights=balanced_class_weights(train.labels, arch.classes),
+            )
+            states.append(ClientState(id=k, train=train, test=test,
+                                      cfg=client_cfg, model=init))
+
         if cfg.algorithm == "centralized":
             rounds = _centralized_rounds(cfg, arch, states, init)
         elif cfg.algorithm == "local-only":
@@ -289,6 +321,8 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
         return ExperimentResult(tuple(reports), tuple(ledgers), model,
                                 tuple(states), global_test)
     finally:
+        for set_threads, count in blas:
+            set_threads(count)
         if executor is not None:
             executor.shutdown()
 

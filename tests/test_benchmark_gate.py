@@ -22,9 +22,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 @pytest.mark.parametrize("workload", ["feddist-desk", "fedprox-wide-eval"])
 def test_config_seed_zero_passes_the_gate(monkeypatch, workload):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    # run.py pins the BLAS thread count in os.environ when imported.
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
+    # run_experiment pins BLAS to one thread, the path the reference was
+    # recorded on.
     run = importlib.import_module("run")
     workloads = importlib.import_module("workloads")
 

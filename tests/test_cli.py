@@ -4,6 +4,7 @@ manifest reruns, compare output."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import re
 import time
@@ -18,7 +19,7 @@ from fedsim.cli import main, summarize_run, _load_run
 from fedsim.config import ConfigError, config_to_dict, parse_config, parse_config_dict
 from fedsim.container import deserialize_model
 from fedsim.metrics import CSV_COLUMNS
-from fedsim.scheduler import CsvDataSpec
+from fedsim.scheduler import CsvDataSpec, openblas_threading
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -312,6 +313,20 @@ class TestRunCommand:
         assert (out1 / "rounds.csv").read_bytes() == (out2 / "rounds.csv").read_bytes()
         assert (out1 / "rounds.jsonl").read_bytes() == (out2 / "rounds.jsonl").read_bytes()
         assert (out1 / "model.bin").read_bytes() == (out2 / "model.bin").read_bytes()
+
+    def test_manifest_records_what_the_bits_depend_on(self, tmp_path):
+        cfg = write(tmp_path, TINY_RUN % "fedavg")
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        host = json.loads((out / "manifest.json").read_text())["host"]
+        assert set(host) == {"source_sha256", "numpy", "blas", "blas_threads"}
+        sources = sorted((REPO / "src" / "fedsim").glob("*.py"))
+        digest = hashlib.sha256(b"".join(p.read_bytes() for p in sources))
+        assert host["source_sha256"] == digest.hexdigest()
+        assert host["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert host["blas"] == f"{blas['name']} {blas['version']}"
+        assert host["blas_threads"] == (1 if openblas_threading() else None)
 
     @pytest.mark.parametrize("rounds, eval_every", [(6, 1), (6, 3), (7, 3)],
                              ids=["1", "3", "3-rounds-7"])

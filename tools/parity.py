@@ -17,6 +17,11 @@ Each run's rounds.csv, rounds.jsonl, model.bin and shape.txt are
 compared byte for byte (local-only writes no model).  Exits 1 naming every
 file that differs, 0 when all are identical.
 
+Every child runs with `OPENBLAS_NUM_THREADS=1`.  `run_experiment` pins BLAS
+to one thread itself, but a revision from before that pin takes its BLAS
+thread count from the environment, and its conv gradients reduce in another
+order on more threads; the variable puts both revisions on the same path.
+
 A change that claims to leave outputs alone (a refactor, a speed-up) should
 pass this against its parent commit.
 """
@@ -123,7 +128,7 @@ def run(src: Path, config: Path, out: Path, threads: int) -> None:
     proc = subprocess.run(
         [sys.executable, "-c", RUN, "run", "--config", str(config),
          "--out", str(out), "--threads", str(threads)],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
         capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"fedsim run failed for {out}:\n{proc.stderr}")
