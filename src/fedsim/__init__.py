@@ -30,7 +30,6 @@ from .container import byte_size, deserialize_model, serialize_model
 from .data import (
     CsvDataSpec,
     DeviceTransform,
-    SensorSeries,
     SyntheticSpec,
     generate_synthetic,
     ingest_csv,

@@ -3,8 +3,8 @@ distance-driven growth algorithm (FedDist).
 
 A FedDist round runs in phases:
 
-  1. distribute the server model, every active client trains locally,
-     and the results are weight-averaged by data fraction (as FedAvg);
+  1. fedavg_round: distribute the server model, every active client
+     trains locally, and the results are weight-averaged by data fraction;
   2. layer by layer (output excluded), compare each client's units against
      the averaged server units by Euclidean distance over the unit's
      incoming weights plus bias; entries above
@@ -108,7 +108,6 @@ class CommLedger:
     and the growth events in the order they were applied."""
 
     round_index: int = 0
-    algorithm: str = ""
     bytes_down: int = 0
     bytes_up: int = 0
     shape_metadata_bytes: int = 0
@@ -181,13 +180,13 @@ def _exchange(server, arch, clients, starts, phase, ledger, *, down, first=0,
     return ModelWeights(server.layers[:first] + averaged.layers), models
 
 
-def _plain_round(server, arch, clients, *, algorithm, round_index,
-                 proximal, executor) -> RoundOutcome:
+def fedavg_round(server: ModelWeights, arch: ModelArch,
+                 clients: list[ClientRuntime], *, round_index: int = 0,
+                 executor=None) -> RoundOutcome:
+    """One FedAvg round: distribute, train, average by data fraction.
+    An empty client list raises ValueError."""
     clients = sorted(clients, key=lambda c: c.id)
-    if proximal:
-        clients = [replace(c, cfg=replace(c.cfg, reference_weights=server))
-                   for c in clients]
-    ledger = CommLedger(round_index, algorithm)
+    ledger = CommLedger(round_index)
     new_server, models = _exchange(server, arch, clients, [server] * len(clients),
                                    "main phase", ledger, down=byte_size(server),
                                    executor=executor)
@@ -195,22 +194,15 @@ def _plain_round(server, arch, clients, *, algorithm, round_index,
                         client_models={c.id: m for c, m in zip(clients, models)})
 
 
-def fedavg_round(server: ModelWeights, arch: ModelArch,
-                 clients: list[ClientRuntime], *, round_index: int = 0,
-                 executor=None) -> RoundOutcome:
-    """One FedAvg round: distribute, train, average by data fraction.
-    An empty client list raises ValueError."""
-    return _plain_round(server, arch, clients, algorithm="fedavg",
-                        round_index=round_index, proximal=False, executor=executor)
-
-
 def fedprox_round(server: ModelWeights, arch: ModelArch,
                   clients: list[ClientRuntime], *, round_index: int = 0,
                   executor=None) -> RoundOutcome:
     """FedAvg round where each client optimizes the proximal objective
     against the distributed server model (reference is set here)."""
-    return _plain_round(server, arch, clients, algorithm="fedprox",
-                        round_index=round_index, proximal=True, executor=executor)
+    clients = [replace(c, cfg=replace(c.cfg, reference_weights=server))
+               for c in clients]
+    return fedavg_round(server, arch, clients, round_index=round_index,
+                        executor=executor)
 
 
 def _unit_matrix(layer: LayerWeights) -> np.ndarray:
@@ -264,8 +256,8 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
                   round_index: int, *, executor=None) -> RoundOutcome:
     """One full FedDist round (main phase, per-layer growth, layer-wise
     retraining sub-rounds).  See the module docstring for the phases."""
-    main = _plain_round(server, arch, clients, algorithm="feddist",
-                        round_index=round_index, proximal=False, executor=executor)
+    main = fedavg_round(server, arch, clients, round_index=round_index,
+                        executor=executor)
     clients = sorted(clients, key=lambda c: c.id)
     ledger = main.ledger
     cap = fcfg.max_new_units_per_layer_per_round
@@ -316,7 +308,7 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
 def ledger_totals(ledgers) -> CommLedger:
     """The sum of per-round ledgers: bytes, shape metadata, sub-rounds and
     truncations added, growth events concatenated in round order.  A total
-    spans rounds, so it keeps the default round_index and algorithm."""
+    spans rounds, so it keeps the default round_index."""
     total = CommLedger()
     for led in ledgers:
         total.bytes_down += led.bytes_down

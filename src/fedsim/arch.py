@@ -60,7 +60,6 @@ class LayerSpec:
 class ParamShape:
     """Static shape info for one parameterized layer."""
 
-    kind: str
     incoming_shape: tuple[int, ...]  # dense: (fan_in, width); conv: (kernel, in_ch, width)
     width: int
     activation: str
@@ -117,10 +116,8 @@ class ModelArch:
                     raise ArchError(
                         f"layer {i}: conv kernel {spec.kernel} exceeds length {time}"
                     )
-                out.append(
-                    ParamShape(CONV1D, (spec.kernel, channels, spec.width),
-                               spec.width, spec.activation)
-                )
+                out.append(ParamShape((spec.kernel, channels, spec.width),
+                                      spec.width, spec.activation))
                 time = time - spec.kernel + 1
                 channels = spec.width
             elif spec.kind == MAXPOOL1D:
@@ -138,10 +135,8 @@ class ModelArch:
                     flat = time * channels
                     time = None
                 assert spec.width is not None
-                out.append(
-                    ParamShape(spec.kind, (flat, spec.width), spec.width,
-                               spec.activation)
-                )
+                out.append(ParamShape((flat, spec.width), spec.width,
+                                      spec.activation))
                 flat = spec.width
         return out
 

@@ -38,7 +38,10 @@ from .metrics import CSV_COLUMNS
 from .scheduler import client_datasets, host_facts, run_experiment
 
 SEED_DERIVATION = ("SeedSequence(seed, spawn_key=domain): (0,variant) init, "
-                   "(1,k) csv splits, (2,t,k) training, (3,t) scenario")
+                   "(1,k) csv splits, (2,t,k) training, (3,t) scenario; "
+                   "synthetic data: SeedSequence(data.synthetic.seed (default: seed), "
+                   "spawn_key=domain): (101) class signatures, (102,k) client series, "
+                   "(103,k) client split")
 
 
 def _write_manifest(path: Path, manifest: dict) -> None:

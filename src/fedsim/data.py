@@ -1,7 +1,8 @@
 """Sensor-series data plane: synthetic non-IID client generation, channel
 z-normalization, sliding-window framing, stratified splits, a generic CSV
 ingester for 6-channel IMU exports, and the two client-data sources
-(SyntheticSpec, CsvDataSpec).  Framed examples are nn.Batch records.
+(SyntheticSpec, CsvDataSpec).  A raw series, inputs [samples, channels],
+and its framed windows, [count, length, channels], are both nn.Batch.
 
 The synthetic generator stands in for real multi-user recordings at desk
 scale.  Statistical heterogeneity comes from per-client Dirichlet class
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,27 +33,6 @@ CSV_CHANNELS = len(CSV_HEADER) - 2  # the columns between timestamp and label
 
 class CsvFormatError(ValueError):
     """Raised for malformed CSV exports; message cites the physical line."""
-
-
-@dataclass(frozen=True)
-class SensorSeries:
-    """Multichannel sensor stream with per-sample labels."""
-
-    data: np.ndarray  # [samples, channels]
-    labels: np.ndarray  # [samples] int
-    sample_rate: float
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.data.ndim != 2:
-            raise ValueError("series data must be [samples, channels]")
-        if len(self.labels) != len(self.data):
-            raise ValueError("labels must match the sample count")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-
-    def __len__(self) -> int:
-        return len(self.data)
 
 
 def concat_window_sets(sets) -> Batch:
@@ -157,37 +137,36 @@ class CsvDataSpec:
         return (self.window_length, CSV_CHANNELS)
 
 
-def z_normalize(series: SensorSeries) -> SensorSeries:
-    """Channel-wise z-normalization with the population standard deviation.
+def _samples(series: Batch) -> np.ndarray:
+    if series.inputs.ndim != 2:
+        raise ValueError(f"a series must be [samples, channels], got {series.inputs.ndim}-D")
+    return series.inputs
 
-    Constant channels are centered only and flagged in
-    meta["constant_channels"].
-    """
-    mean = series.data.mean(axis=0)
-    std = series.data.std(axis=0)
-    constant = np.flatnonzero(std == 0)
+
+def z_normalize(series: Batch) -> Batch:
+    """Channel-wise z-normalization of a raw series with the population
+    standard deviation.  Constant channels are centered only."""
+    data = _samples(series)
+    std = data.std(axis=0)
     safe = np.where(std == 0, 1.0, std)
-    data = (series.data - mean) / safe
-    meta = dict(series.meta)
-    meta["constant_channels"] = tuple(int(c) for c in constant)
-    return SensorSeries(data, series.labels, series.sample_rate, meta)
+    return Batch((data - data.mean(axis=0)) / safe, series.labels)
 
 
-def window(series: SensorSeries, length: int = DEFAULT_WINDOW,
+def window(series: Batch, length: int = DEFAULT_WINDOW,
            step: int = DEFAULT_STEP) -> Batch:
-    """Frame the series at offsets 0, step, 2*step, ... into inputs
+    """Frame a raw series at offsets 0, step, 2*step, ... into inputs
     [count, length, channels]; the trailing remainder is dropped, so
     count = floor((N - length) / step) + 1.  One label per window: the
     majority vote over its samples, ties to the lowest class."""
-    n = len(series)
+    data = _samples(series)
+    n = len(data)
     if n < length:
         warnings.warn(f"series of {n} samples is shorter than one window ({length})")
-        return Batch(np.zeros((0, length, series.data.shape[1]),
-                              dtype=series.data.dtype),
+        return Batch(np.zeros((0, length, data.shape[1]), dtype=data.dtype),
                      np.zeros(0, dtype=np.intp))
     count = (n - length) // step + 1
     offsets = np.arange(count) * step
-    windows = np.stack([series.data[o:o + length] for o in offsets])
+    windows = np.stack([data[o:o + length] for o in offsets])
     labels = np.empty(count, dtype=np.intp)
     for i, o in enumerate(offsets):
         labels[i] = np.bincount(series.labels[o:o + length]).argmax()
@@ -236,19 +215,17 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _client_series(spec: SyntheticSpec, client: int, offsets, amps, freqs,
-                   priors: np.ndarray, rng: np.random.Generator) -> SensorSeries:
+def _client_series(spec: SyntheticSpec, offsets, amps, freqs,
+                   priors: np.ndarray, rng: np.random.Generator) -> Batch:
     lo, hi = spec.samples_per_client
     total = int(rng.integers(lo, hi + 1))
     data = np.empty((total, spec.channels))
     labels = np.empty(total, dtype=np.intp)
-    segment_classes: list[int] = []
     pos = 0
     while pos < total:
         seg = int(rng.integers(spec.segment_range[0], spec.segment_range[1] + 1))
         seg = min(seg, total - pos)
         cls = int(rng.choice(spec.classes, p=priors))
-        segment_classes.append(cls)
         t = (np.arange(pos, pos + seg) / spec.sample_rate)[:, None]
         phase = rng.uniform(0, 2 * np.pi, size=spec.channels)
         clean = offsets[cls] + amps[cls] * np.sin(2 * np.pi * freqs[cls] * t + phase)
@@ -265,11 +242,7 @@ def _client_series(spec: SyntheticSpec, client: int, offsets, amps, freqs,
             data[:, sl] = data[:, sl] @ q.T
     scale = rng.uniform(*dev.scale_range, size=spec.channels)
     offset = rng.uniform(*dev.offset_range, size=spec.channels)
-    data = data * scale + offset
-
-    meta = {"client": client, "priors": priors.tolist(),
-            "segment_classes": segment_classes}
-    return SensorSeries(data, labels, spec.sample_rate, meta)
+    return Batch(data * scale + offset, labels)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[tuple[Batch, Batch]]:
@@ -284,7 +257,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[tuple[Batch, Batch]]:
     for k in range(spec.clients):
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(102, k)))
         priors = rng.dirichlet(np.full(spec.classes, spec.dirichlet_alpha))
-        series = _client_series(spec, k, offsets, amps, freqs, priors, rng)
+        series = _client_series(spec, offsets, amps, freqs, priors, rng)
         windows = window(z_normalize(series))
         split_seed = np.random.SeedSequence(spec.seed, spawn_key=(103, k))
         out.append(stratified_split(windows, spec.train_fraction, split_seed))
@@ -292,8 +265,9 @@ def generate_synthetic(spec: SyntheticSpec) -> list[tuple[Batch, Batch]]:
 
 
 def ingest_csv(path, sample_rate_hz: float,
-               target_hz: float | None = 50.0) -> SensorSeries:
-    """Parse a 6-channel IMU export into a SensorSeries.
+               target_hz: float | None = 50.0) -> Batch:
+    """Parse a 6-channel IMU export into a raw series: inputs [samples, 6]
+    and one label per sample.
 
     The header must read exactly: timestamp,ax,ay,az,gx,gy,gz,label, and
     labels are non-negative integers.  target_hz enables integer-factor
@@ -341,15 +315,13 @@ def ingest_csv(path, sample_rate_hz: float,
 
     data = np.asarray(rows, dtype=np.float64)
     label_arr = np.asarray(labels, dtype=np.intp)
-    rate = sample_rate_hz
-    if target_hz is not None and rate != target_hz:
-        factor = rate / target_hz
+    if target_hz is not None and sample_rate_hz != target_hz:
+        factor = sample_rate_hz / target_hz
         if factor < 1 or abs(factor - round(factor)) > 1e-9:
             raise CsvFormatError(
-                f"cannot downsample {rate} Hz to {target_hz} Hz: "
+                f"cannot downsample {sample_rate_hz} Hz to {target_hz} Hz: "
                 f"factor {factor} is not a positive integer"
             )
         step = int(round(factor))
         data, label_arr = data[::step], label_arr[::step]
-        rate = target_hz
-    return SensorSeries(data, label_arr, rate, {"source": str(path)})
+    return Batch(data, label_arr)

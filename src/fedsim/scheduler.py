@@ -10,8 +10,10 @@ np.random.SeedSequence spawn keys, namespaced by domain:
     (2, t, k)         client k's training stream in round t
     (3, t)            round t scenario sampling
 
-so a rerun of the same config is bit-identical, and round output never
-depends on client execution order.
+and the synthetic source's domains hang off data.synthetic.seed (default:
+the experiment seed): (101,) class signatures, (102, k) client k's series
+and (103, k) client k's split.  So a rerun of the same config is
+bit-identical, and round output never depends on client execution order.
 """
 
 from __future__ import annotations
@@ -419,7 +421,7 @@ def _local_only_rounds(cfg, arch, states, executor):
                                    "local training", executor=executor)
         for st, model in zip(states, models):
             st.model = model
-        yield CommLedger(t, "local-only"), None, everyone
+        yield CommLedger(t), None, everyone
 
 
 def _centralized_rounds(cfg, arch, states, init):
@@ -434,7 +436,7 @@ def _centralized_rounds(cfg, arch, states, init):
         with diverged_in(f"round {t}: every client pooled, centralized training"):
             model, _ = train_local(model, arch, pooled, central_cfg,
                                    _train_seed(cfg.seed, t, 0))
-        yield CommLedger(t, "centralized"), model, ()
+        yield CommLedger(t), model, ()
 
 
 def rerun_with_final_shape(cfg: ExperimentConfig,

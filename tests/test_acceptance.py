@@ -38,7 +38,6 @@ from fedsim import (
 )
 from fedsim.aggregation import ClientRuntime, _default_client_update
 from fedsim.container import byte_size, shape_metadata_size
-from fedsim.data import SensorSeries
 from fedsim.fabric import LayerWeights, neuron_vector
 from fedsim.nn import Batch
 
@@ -443,15 +442,14 @@ def test_criterion_11_data_plane_fixtures():
     rng = np.random.default_rng(111)
 
     # window count for N = 1000
-    series = SensorSeries(rng.normal(size=(1000, 6)),
-                          np.zeros(1000, dtype=np.intp), 50.0)
+    series = Batch(rng.normal(size=(1000, 6)), np.zeros(1000, dtype=np.intp))
     assert len(window(series)) == 14
 
     # z-normalization moments
-    normalized = z_normalize(SensorSeries(rng.normal(3.0, 2.5, size=(800, 6)),
-                                          np.zeros(800, dtype=np.intp), 50.0))
-    assert np.abs(normalized.data.mean(axis=0)).max() < 1e-9
-    assert np.abs(normalized.data.std(axis=0) - 1).max() < 1e-9
+    normalized = z_normalize(Batch(rng.normal(3.0, 2.5, size=(800, 6)),
+                                   np.zeros(800, dtype=np.intp)))
+    assert np.abs(normalized.inputs.mean(axis=0)).max() < 1e-9
+    assert np.abs(normalized.inputs.std(axis=0) - 1).max() < 1e-9
 
     # exact 80/20 stratified split for divisible class counts
     labels = np.repeat(np.arange(4), 10)

@@ -411,7 +411,7 @@ class TestLedgers:
         assert summary.growth == ledgers[0].growth + ledgers[1].growth
         assert [e.layer for e in summary.growth] == [0, 0]
         assert summary.units_added == {0: 2}
-        assert (summary.round_index, summary.algorithm) == (0, "")
+        assert summary.round_index == 0
 
     def test_empty_sequence_is_zero_summary(self):
         summary = ledger_totals([])

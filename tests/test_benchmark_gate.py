@@ -23,7 +23,11 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def test_config_seed_zero_passes_the_gate(monkeypatch, workload):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     # run_experiment pins BLAS to one thread, the path the reference was
-    # recorded on.
+    # recorded on.  Importing perfbench/run.py writes "1" into these
+    # variables; setting them through monkeypatch first makes teardown
+    # restore them, so later tests' subprocesses do not inherit them.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
     run = importlib.import_module("run")
     workloads = importlib.import_module("workloads")
 

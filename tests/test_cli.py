@@ -327,6 +327,12 @@ class TestRunCommand:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert host["blas"] == f"{blas['name']} {blas['version']}"
         assert host["blas_threads"] == (1 if openblas_threading() else None)
+        # The synthetic source draws from data.synthetic.seed, which defaults
+        # to the experiment seed, through its own spawn-key domains.
+        derivation = json.loads((out / "manifest.json").read_text())["seeds"]["derivation"]
+        for domain in ("data.synthetic.seed", "(101) class signatures",
+                       "(102,k) client series", "(103,k) client split"):
+            assert domain in derivation
 
     @pytest.mark.parametrize("rounds, eval_every", [(6, 1), (6, 3), (7, 3)],
                              ids=["1", "3", "3-rounds-7"])

@@ -15,18 +15,17 @@ from fedsim import SyntheticSpec, generate_synthetic, stratified_split, window, 
 from fedsim.data import (
     CSV_HEADER,
     CsvFormatError,
-    SensorSeries,
     concat_window_sets,
     ingest_csv,
 )
 from fedsim.nn import Batch
 
 
-def series_from(channels: np.ndarray, labels=None, rate=50.0) -> SensorSeries:
+def series_from(channels: np.ndarray, labels=None) -> Batch:
     channels = np.asarray(channels, dtype=np.float64)
     if labels is None:
         labels = np.zeros(len(channels), dtype=np.intp)
-    return SensorSeries(channels, np.asarray(labels, dtype=np.intp), rate)
+    return Batch(channels, np.asarray(labels, dtype=np.intp))
 
 
 class TestZNormalize:
@@ -34,26 +33,25 @@ class TestZNormalize:
         out = z_normalize(series_from(np.array([[1.0], [2.0], [3.0]])))
         # population std of (1,2,3) is sqrt(2/3)
         expected = (np.array([1.0, 2.0, 3.0]) - 2.0) / np.sqrt(2.0 / 3.0)
-        assert np.allclose(out.data[:, 0], expected, atol=1e-12)
-        assert abs(out.data[:, 0].mean()) < 1e-9
-        assert abs(out.data[:, 0].std() - 1) < 1e-9
+        assert np.allclose(out.inputs[:, 0], expected, atol=1e-12)
+        assert abs(out.inputs[:, 0].mean()) < 1e-9
+        assert abs(out.inputs[:, 0].std() - 1) < 1e-9
 
     def test_idempotent(self, rng):
         once = z_normalize(series_from(rng.normal(2.0, 3.0, size=(500, 6))))
         twice = z_normalize(once)
-        assert np.abs(once.data - twice.data).max() < 1e-9
+        assert np.abs(once.inputs - twice.inputs).max() < 1e-9
 
-    def test_constant_channel_centered_and_flagged(self):
+    def test_constant_channel_centered(self):
         data = np.column_stack([np.full(10, 7.0), np.arange(10, dtype=float)])
         out = z_normalize(series_from(data))
-        assert np.all(out.data[:, 0] == 0)
-        assert out.meta["constant_channels"] == (0,)
+        assert np.all(out.inputs[:, 0] == 0)
 
     def test_every_channel_normalized(self, rng):
         out = z_normalize(series_from(rng.normal(5, 2, size=(400, 6)) *
                                       np.arange(1, 7)))
-        assert np.abs(out.data.mean(axis=0)).max() < 1e-9
-        assert np.abs(out.data.std(axis=0) - 1).max() < 1e-9
+        assert np.abs(out.inputs.mean(axis=0)).max() < 1e-9
+        assert np.abs(out.inputs.std(axis=0) - 1).max() < 1e-9
 
 
 class TestWindow:
@@ -91,6 +89,13 @@ class TestWindow:
         ws = window(series_from(np.zeros((n, 1))), length=128, step=64)
         offsets = [o for o in range(0, n, 64) if o + 128 <= n]
         assert len(ws) == len(offsets) == (n - 128) // 64 + 1
+
+
+@pytest.mark.parametrize("frame", [window, z_normalize])
+def test_series_functions_reject_framed_inputs(frame):
+    framed = Batch(np.zeros((20, 128, 6)), np.zeros(20, dtype=np.intp))
+    with pytest.raises(ValueError, match=r"\[samples, channels\], got 3-D"):
+        frame(framed)
 
 
 def window_set(labels) -> Batch:
@@ -153,8 +158,21 @@ class TestGenerateSynthetic:
 
     def test_large_alpha_gives_uniform_segment_draws(self):
         # chi-square fit on pooled segment class draws; verified to hold on
-        # every one of these 20 frozen seeds
+        # every one of these 20 frozen seeds.  The draws are the classes
+        # rng.choice returns, recorded by a proxy that forwards every call.
         from fedsim.data import _class_signatures, _client_series
+
+        class RecordingChoices:
+            def __init__(self, rng):
+                self.rng, self.choices = rng, []
+
+            def choice(self, *args, **kwargs):
+                self.choices.append(self.rng.choice(*args, **kwargs))
+                return self.choices[-1]
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
         for seed in range(20):
             spec = SyntheticSpec(clients=5, classes=8, dirichlet_alpha=1e6,
                                  samples_per_client=(4000, 6000), seed=seed)
@@ -164,8 +182,9 @@ class TestGenerateSynthetic:
                 rng = np.random.default_rng(
                     np.random.SeedSequence(seed, spawn_key=(102, k)))
                 priors = rng.dirichlet(np.full(8, 1e6))
-                s = _client_series(spec, k, offsets, amps, freqs, priors, rng)
-                counts += np.bincount(s.meta["segment_classes"], minlength=8)
+                recorder = RecordingChoices(rng)
+                _client_series(spec, offsets, amps, freqs, priors, recorder)
+                counts += np.bincount(recorder.choices, minlength=8)
             assert stats.chisquare(counts).pvalue > 0.01
 
     def test_small_alpha_concentrates_clients(self):
@@ -208,8 +227,7 @@ class TestIngestCsv:
         write_csv(f, ["0.00,1,2,3,4,5,6,0", "0.02,1,2,3,4,5,6,0"])
         series = ingest_csv(f, 50.0)
         assert len(series) == 2
-        assert series.data.shape == (2, 6)
-        assert series.sample_rate == 50.0
+        assert series.inputs.shape == (2, 6)
 
     def test_decimation_100_to_50(self, tmp_path):
         f = tmp_path / "b.csv"
@@ -217,7 +235,7 @@ class TestIngestCsv:
         write_csv(f, rows)
         series = ingest_csv(f, 100.0, target_hz=50.0)
         assert len(series) == 5
-        assert series.data[:, 0].tolist() == [0, 2, 4, 6, 8]
+        assert series.inputs[:, 0].tolist() == [0, 2, 4, 6, 8]
 
     def test_bad_row_cites_line_number(self, tmp_path):
         f = tmp_path / "c.csv"

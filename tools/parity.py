@@ -14,8 +14,10 @@ source, and a dense-only model, dense(12) -> softmax(4), runs fedavg and
 feddist on the synthetic clients at `--threads` 1 and `eval_every` 1,
 which covers scoring without a leading conv and dense-to-dense growth.
 Each run's rounds.csv, rounds.jsonl, model.bin and shape.txt are
-compared byte for byte (local-only writes no model).  Exits 1 naming every
-file that differs, 0 when all are identical.
+compared byte for byte (local-only writes no model), and the
+`resolved_config` of both sides' manifest.json is compared parsed as JSON,
+so a refactor that adds, drops or changes a config key fails here too.
+Exits 1 naming every file and config that differs, 0 when all are equal.
 
 Every child runs with `OPENBLAS_NUM_THREADS=1`.  `run_experiment` pins BLAS
 to one thread itself, but a revision from before that pin takes its BLAS
@@ -152,7 +154,7 @@ def main(argv=None) -> int:
                   for algorithm in CSV_ALGORITHMS]
         cases += [(f"dense-{algorithm}-e1-t1", algorithm, 1, 1, DENSE_LAYERS, SYNTHETIC)
                   for algorithm in DENSE_ALGORITHMS]
-        same, differ = 0, []
+        same, configs, differ = 0, 0, []
         for name, algorithm, eval_every, threads, layers, data in cases:
             config = work / f"{name}.yaml"
             config.write_text(CONFIG.format(algorithm=algorithm, eval_every=eval_every,
@@ -169,6 +171,12 @@ def main(argv=None) -> int:
                     same += 1
                 else:
                     differ.append(f"{name}/{output}")
+            resolved = [json.loads((work / "out" / side / name / "manifest.json")
+                                   .read_text())["resolved_config"] for side in trees]
+            if resolved[0] == resolved[1]:
+                configs += 1
+            else:
+                differ.append(f"{name}/manifest.json resolved_config")
             shape = work / "out" / "work" / name / "shape.txt"
             grown = (" (final shape: "
                      + "; ".join(shape.read_text().splitlines()) + ")"
@@ -177,7 +185,8 @@ def main(argv=None) -> int:
 
     for path in differ:
         print(f"DIFFERS: {path}")
-    print(f"{same} files byte-identical, {len(differ)} differ (against {args.rev})")
+    print(f"{same} files byte-identical, {configs} resolved configs equal, "
+          f"{len(differ)} differ (against {args.rev})")
     return 1 if differ else 0
 
 
