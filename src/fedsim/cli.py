@@ -15,7 +15,8 @@
     shape.txt       final model shape dump
 
 A run is reproducible from its manifest: `fedsim run --config manifest.json`
-replays the embedded resolved config and produces byte-identical CSV.
+replays the embedded resolved config and produces byte-identical CSV.  The
+replay warns on stderr for each `host` fact that differs on this host.
 """
 
 from __future__ import annotations
@@ -46,6 +47,18 @@ SEED_DERIVATION = ("SeedSequence(seed, spawn_key=domain): (0,variant) init, "
 
 def _write_manifest(path: Path, manifest: dict) -> None:
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _warn_host_changes(config_path, host: dict) -> None:
+    """Warn once for each host fact that a replayed manifest recorded otherwise."""
+    try:
+        recorded = dict(json.loads(Path(config_path).read_text())["host"])
+    except (OSError, ValueError, KeyError, TypeError):  # YAML, or no host block
+        return
+    for key, value in host.items():
+        if recorded.get(key) != value:
+            print(f"warning: host {key} was {recorded.get(key)!r} in the manifest, "
+                  f"is {value!r} here; outputs may differ", file=sys.stderr)
 
 
 def cmd_run(args) -> int:
@@ -80,6 +93,7 @@ def cmd_run(args) -> int:
         "status": "running",
     }
     _write_manifest(manifest_path, manifest)
+    _warn_host_changes(args.config, manifest["host"])
 
     start = time.monotonic()
     try:

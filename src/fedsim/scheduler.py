@@ -1,6 +1,7 @@
 """Experiment driver: runs T communication rounds over a client pool under
 one of the asynchronous-availability scenarios, tracks per-client
-best-personalization snapshots, and assembles RoundReports.
+best-personalization snapshots, and assembles RoundReports.  All five
+algorithms run in one round loop, whose locals are the whole run state.
 
 Seed derivation: everything flows from one experiment seed through
 np.random.SeedSequence spawn keys, namespaced by domain:
@@ -212,7 +213,8 @@ def client_datasets(cfg: ExperimentConfig) -> list[tuple[Batch, Batch]]:
     """Each client's (train, test) windows, generated or read from its CSV
     export.  A ValueError names an export that cannot be parsed, or a
     client left without training windows, or without test windows when
-    the algorithm scores each client's own test set (all but centralized)."""
+    the algorithm scores each client's own test set (all but centralized),
+    or a pool without any test windows."""
     if isinstance(cfg.data, SyntheticSpec):
         datasets = generate_synthetic(cfg.data)
     else:
@@ -238,7 +240,15 @@ def client_datasets(cfg: ExperimentConfig) -> list[tuple[Batch, Batch]]:
             raise ValueError(f"client {k} has no training windows")
         if len(test) == 0 and cfg.algorithm != "centralized":
             raise ValueError(f"client {k} has no test windows")
+    if not any(len(test) for _train, test in datasets):
+        raise ValueError("no client has test windows")
     return datasets
+
+
+def _class_weighted(cfg: ExperimentConfig, data: Batch) -> TrainingConfig:
+    """The run's training config, with class weights balanced over data."""
+    return replace(cfg.training, class_weights=balanced_class_weights(
+        data.labels, cfg.model.classes))
 
 
 def _snapshot(state: ClientState, score: float, round_index: int) -> None:
@@ -289,38 +299,31 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
         arch = cfg.model
         datasets = client_datasets(cfg)
         global_test = concat_window_sets(test for _train, test in datasets)
-        init = init_model(arch, _seq(cfg.seed, 0, cfg.init_variant), cfg.dtype)
-
-        states = []
-        for k, (train, test) in enumerate(datasets):
-            client_cfg = replace(
-                cfg.training,
-                class_weights=balanced_class_weights(train.labels, arch.classes),
-            )
-            states.append(ClientState(id=k, train=train, test=test,
-                                      cfg=client_cfg, model=init))
-
+        server = init_model(arch, _seq(cfg.seed, 0, cfg.init_variant), cfg.dtype)
+        states = [ClientState(id=k, train=train, test=test,
+                              cfg=_class_weighted(cfg, train), model=server)
+                  for k, (train, test) in enumerate(datasets)]
+        pooled = None
         if cfg.algorithm == "centralized":
-            rounds = _centralized_rounds(cfg, arch, states, init)
-        elif cfg.algorithm == "local-only":
-            rounds = _local_only_rounds(cfg, arch, states, executor)
-        else:
-            rounds = _federated_rounds(cfg, arch, states, init, executor)
+            data = concat_window_sets(train for train, _test in datasets)
+            pooled = (data, _class_weighted(cfg, data))
         reports: list[RoundReport] = []
         ledgers: list[CommLedger] = []
         reported = 0  # rounds covered by the reports so far
-        for t, (ledger, model, active) in enumerate(rounds, start=1):
+        for t in range(1, cfg.rounds + 1):
+            with diverged_in(f"round {t}"):
+                ledger, server, active = _round(cfg, t, states, server, pooled, executor)
             ledgers.append(ledger)
             if t % cfg.eval_every == 0 or t == cfg.rounds:
                 # Report columns total every round since the previous tick.
                 totals = ledger_totals(ledgers[reported:])
                 reported = t
-                report = _evaluate_tick(arch, states, active, model, global_test,
+                report = _evaluate_tick(arch, states, active, server, global_test,
                                         t, totals, cfg.algorithm)
                 reports.append(report)
                 if on_report:
                     on_report(report)
-        return ExperimentResult(tuple(reports), tuple(ledgers), model,
+        return ExperimentResult(tuple(reports), tuple(ledgers), server,
                                 tuple(states), global_test)
     finally:
         for set_threads, count in blas:
@@ -377,66 +380,47 @@ def _evaluate_tick(arch, states, active, server, global_test, t,
     )
 
 
-# Round generators: each yields (ledger, model, active client ids) once per
-# round, where model is the server model (None when there is none).
-
-
-def _federated_rounds(cfg, arch, states, server, executor):
-    for t in range(1, cfg.rounds + 1):
-        rng = np.random.default_rng(_seq(cfg.seed, 3, t))
-        active = active_clients(cfg.scenario, t, len(states), rng)
-        runtimes = []
-        for k in active:
-            st = states[k]
-            if (cfg.algorithm == "feddist"
-                    and st.model.shape_signature != server.shape_signature):
-                # Lazy conform: idle clients catch up with server growth on rejoin.
-                st.model = conform_to_shape(st.model, server)
-            runtimes.append(_runtime(cfg, st, t))
-
-        with diverged_in(f"round {t}"):
-            if cfg.algorithm == "feddist":
-                outcome = feddist_round(server, arch, runtimes, cfg.feddist, t,
-                                        executor=executor)
-            elif cfg.algorithm == "fedprox":
-                outcome = fedprox_round(server, arch, runtimes, round_index=t,
-                                        executor=executor)
-            else:
-                outcome = fedavg_round(server, arch, runtimes, round_index=t,
-                                       executor=executor)
-        server = outcome.server
-        for k, model in outcome.client_models.items():
-            states[k].model = model
-        yield outcome.ledger, server, active
-
-
-def _local_only_rounds(cfg, arch, states, executor):
-    """No aggregation: every client trains its own model for E epochs per
-    round (T*E local epochs in total, matching FL gradient budgets)."""
-    everyone = tuple(range(len(states)))
-    for t in range(1, cfg.rounds + 1):
-        with diverged_in(f"round {t}"):
-            models = train_clients([_runtime(cfg, st, t) for st in states],
-                                   [st.model for st in states], arch,
-                                   "local training", executor=executor)
+def _round(cfg, t, states, server, pooled, executor):
+    """Run round t and return (ledger, server model or None, ids of the
+    clients to score).  Centralized trains the server on pooled, the
+    (training data, training config) of every client's windows together,
+    and scores no client.  Local-only trains every client's own model for E
+    epochs a round (T*E in total, the gradient budget of FL), draws no
+    scenario and scores every client."""
+    arch = cfg.model
+    if cfg.algorithm == "centralized":
+        data, central_cfg = pooled
+        with diverged_in("every client pooled, centralized training"):
+            server, _ = train_local(server, arch, data, central_cfg,
+                                    _train_seed(cfg.seed, t, 0))
+        return CommLedger(t), server, ()
+    if cfg.algorithm == "local-only":
+        models = train_clients([_runtime(cfg, st, t) for st in states],
+                               [st.model for st in states], arch,
+                               "local training", executor=executor)
         for st, model in zip(states, models):
             st.model = model
-        yield CommLedger(t), None, everyone
+        return CommLedger(t), None, tuple(range(len(states)))
 
-
-def _centralized_rounds(cfg, arch, states, init):
-    """Conventional training on the pooled client data; personalization and
-    generalization views do not apply, so no client is active."""
-    pooled = concat_window_sets(st.train for st in states)
-    central_cfg = replace(cfg.training,
-                          class_weights=balanced_class_weights(pooled.labels,
-                                                               arch.classes))
-    model = init
-    for t in range(1, cfg.rounds + 1):
-        with diverged_in(f"round {t}: every client pooled, centralized training"):
-            model, _ = train_local(model, arch, pooled, central_cfg,
-                                   _train_seed(cfg.seed, t, 0))
-        yield CommLedger(t), model, ()
+    rng = np.random.default_rng(_seq(cfg.seed, 3, t))
+    active = active_clients(cfg.scenario, t, len(states), rng)
+    clients = []
+    for k in active:
+        st = states[k]
+        if (cfg.algorithm == "feddist"
+                and st.model.shape_signature != server.shape_signature):
+            # Lazy conform: idle clients catch up with server growth on rejoin.
+            st.model = conform_to_shape(st.model, server)
+        clients.append(_runtime(cfg, st, t))
+    if cfg.algorithm == "feddist":
+        outcome = feddist_round(server, arch, clients, cfg.feddist, t, executor=executor)
+    elif cfg.algorithm == "fedprox":
+        outcome = fedprox_round(server, arch, clients, round_index=t, executor=executor)
+    else:
+        outcome = fedavg_round(server, arch, clients, round_index=t, executor=executor)
+    for k, model in outcome.client_models.items():
+        states[k].model = model
+    return outcome.ledger, outcome.server, active
 
 
 def rerun_with_final_shape(cfg: ExperimentConfig,

@@ -314,6 +314,30 @@ class TestRunCommand:
         assert (out1 / "rounds.jsonl").read_bytes() == (out2 / "rounds.jsonl").read_bytes()
         assert (out1 / "model.bin").read_bytes() == (out2 / "model.bin").read_bytes()
 
+    def test_replay_warns_when_the_host_differs(self, tmp_path, capsys):
+        cfg = write(tmp_path, TINY_RUN % "fedavg")
+        first = tmp_path / "first"
+        assert main(["run", "--config", str(cfg), "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        tampered = {**manifest, "host": {**manifest["host"], "numpy": "0.0.0",
+                                         "source_sha256": "0" * 64}}
+        hostless = {k: v for k, v in manifest.items() if k != "host"}
+        capsys.readouterr()
+        stderr = {}
+        for name, text in [("same", manifest), ("tampered", tampered),
+                           ("hostless", hostless)]:
+            replay = write(tmp_path, json.dumps(text), name=f"{name}.json")
+            assert main(["run", "--config", str(replay),
+                         "--out", str(tmp_path / name)]) == 0
+            stderr[name] = capsys.readouterr().err.splitlines()
+            assert ((tmp_path / name / "rounds.csv").read_bytes()
+                    == (first / "rounds.csv").read_bytes())
+        assert stderr["same"] == stderr["hostless"] == []
+        source, numpy_line = stderr["tampered"]
+        assert source.startswith(f"warning: host source_sha256 was '{'0' * 64}' ")
+        assert numpy_line == (f"warning: host numpy was '0.0.0' in the manifest, "
+                              f"is '{np.__version__}' here; outputs may differ")
+
     def test_manifest_records_what_the_bits_depend_on(self, tmp_path):
         cfg = write(tmp_path, TINY_RUN % "fedavg")
         out = tmp_path / "run"
@@ -496,7 +520,12 @@ class TestValidateCommand:
         ((TINY_RUN % "fedavg").replace("[1200, 1500]", "[100, 100]"),
          "shorter than one window", "client 0 has no training windows"),
         (UNTESTED % "fedavg", "single window", "client 0 has no test windows"),
-    ], ids=["train", "test"])
+        # one window a client, each kept in train: nothing to pool for scoring
+        (MINIMAL.replace("fedavg", "centralized").replace(
+            "alpha: 0.5\n", "alpha: 0.5\n    samples_per_client: [150, 150]\n"
+            "    segment_range: [40, 80]\n") + "rounds: 1\n",
+         "single window", "no client has test windows"),
+    ], ids=["train", "test", "pooled-test"])
     def test_client_without_windows_exits_2(self, tmp_path, capsys, text,
                                             warning, message):
         # validate builds every client's windows, as run does before round 1

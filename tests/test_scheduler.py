@@ -217,23 +217,58 @@ class TestRunExperiment:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("algorithm, threads, phase", [
-        ("feddist", 1, "main phase"),
-        ("feddist", 2, "main phase"),
-        ("local-only", 1, "local training"),
-        ("local-only", 2, "local training"),
-    ])
+    @pytest.mark.parametrize("algorithm, threads, prefix", [
+        ("feddist", 1, r"client \d+, main phase"),
+        ("feddist", 2, r"client \d+, main phase"),
+        ("local-only", 1, r"client \d+, local training"),
+        ("local-only", 2, r"client \d+, local training"),
+        ("fedprox", 1, r"client \d+, main phase"),
+        ("centralized", 1, "every client pooled, centralized training"),
+    ], ids=["feddist-1-main phase", "feddist-2-main phase",
+            "local-only-1-local training", "local-only-2-local training",
+            "fedprox-1-main phase", "centralized-1-pooled"])
     def test_diverging_run_names_round_client_phase_layer(self, algorithm,
-                                                          threads, phase):
+                                                          threads, prefix):
         # a step this large overflows the logits within the first round
         cfg = tiny_config(algorithm=algorithm, rounds=2, threads=threads,
                           training=TrainingConfig(local_epochs=2, learning_rate=1e150,
                                                   batch_size=16))
         with pytest.raises(DivergenceError) as info:
             run_experiment(cfg)
-        assert re.match(rf"round 1: client \d+, {phase}: diverged, .* at epoch \d+, "
+        assert re.match(rf"round 1: {prefix}: diverged, .* at epoch \d+, "
                         r"minibatch \d+; first non-finite output at layer \d+ \(",
                         str(info.value)), str(info.value)
+
+    @pytest.mark.parametrize("algorithm", scheduler.ALGORITHMS)
+    def test_federated_rounds_open_with_the_scenario_draw(self, monkeypatch, algorithm):
+        # The benchmark's round clock replaces scheduler.active_clients and
+        # starts a round's timer from its call, so a federated round must make
+        # it first and exactly once; local-only and centralized draw nothing.
+        draw, update = scheduler.active_clients, aggregation._default_client_update
+        draws, updates = [], []
+
+        def recording_draw(spec, round_index, pool, rng):
+            draws.append(round_index)
+            return draw(spec, round_index, pool, rng)
+
+        def recording_update(client, model, arch, phase):
+            updates.append(len(draws))  # the round whose draw came last
+            return update(client, model, arch, phase)
+
+        monkeypatch.setattr(scheduler, "active_clients", recording_draw)
+        monkeypatch.setattr(aggregation, "_default_client_update", recording_update)
+        run_experiment(tiny_config(algorithm, rounds=3))
+        if algorithm in ("local-only", "centralized"):
+            assert draws == []
+        else:
+            assert draws == [1, 2, 3]
+            assert sorted(set(updates)) == [1, 2, 3]
+
+    def test_local_only_scores_everyone_whatever_the_scenario(self):
+        cfg = tiny_config("local-only", rounds=2, clients=4,
+                          scenario=ScenarioSpec(kind="interchanging", sample_size=2))
+        for report in run_experiment(cfg).reports:
+            assert sorted(report.per_client_personalization) == [0, 1, 2, 3]
 
     def test_threads_do_not_change_results(self):
         for algorithm in ("fedavg", "feddist", "local-only"):

@@ -4,8 +4,8 @@ refactor that calls one of them through a reference taken at import time
 (a dispatch dict, a default argument) bypasses the wrapper, and the traced
 run then reports zero for that function.  This test installs the tracer on
 a one-round run of each benchmarked algorithm, FedDist and FedProx, and
-checks that the spans every per-layer metric depends on are still
-recorded."""
+of FedAvg, and checks that the spans every per-layer metric depends on are
+still recorded, the round function's among them."""
 
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ GROWING_ROUND = {
 
 # fedprox-wide-eval's scheduler.round.busy_s reads aggregation.fedprox_round.
 PROX_ROUND = {**GROWING_ROUND, "algorithm": "fedprox"}
+AVG_ROUND = {**GROWING_ROUND, "algorithm": "fedavg"}
 
 
 @pytest.mark.parametrize("raw, spans", [
@@ -44,7 +45,9 @@ PROX_ROUND = {**GROWING_ROUND, "algorithm": "fedprox"}
                      "fabric.append_neuron", "metrics.evaluate_generalization")),
     (PROX_ROUND, ("aggregation.fedprox_round", "nn.train_local",
                   "metrics.evaluate_generalization")),
-], ids=["feddist", "fedprox"])
+    (AVG_ROUND, ("aggregation.fedavg_round", "nn.train_local",
+                 "metrics.evaluate_generalization")),
+], ids=["feddist", "fedprox", "fedavg"])
 def test_tracer_sees_every_wrapped_call_site(monkeypatch, raw, spans):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer").Tracer()
