@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, config_to_dict, parse_config
+from .config import ConfigError, config_to_dict, parse_config, parse_config_dict, read_config
 from .container import deserialize_model, serialize_model
 from .data import CsvDataSpec
 from .fabric import shape_lines
@@ -63,11 +63,12 @@ def _warn_host_changes(config_path, host: dict) -> None:
 
 def cmd_run(args) -> int:
     try:
-        cfg = parse_config(args.config)
+        raw = read_config(args.config)
         if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-            if hasattr(cfg.data, "seed"):
-                cfg = replace(cfg, data=replace(cfg.data, seed=args.seed))
+            # Set before data.synthetic.seed defaults to the seed, so an
+            # explicit data seed, or the one a manifest recorded, stays.
+            raw = {**raw, "seed": args.seed}
+        cfg = parse_config_dict(raw)
         if args.threads is not None:
             cfg = replace(cfg, threads=args.threads)
         out = Path(args.out)
@@ -254,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute an experiment")
     run_p.add_argument("--config", required=True, help="YAML config or manifest.json")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--seed", type=int, default=None, help="override the seed")
+    run_p.add_argument("--seed", type=int, default=None,
+                       help="override the experiment seed (an explicit data seed stays)")
     run_p.add_argument("--threads", type=int, default=None,
                        help="client-update worker threads")
     run_p.set_defaults(func=cmd_run)

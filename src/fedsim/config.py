@@ -168,9 +168,6 @@ def _read_data(section, seed: int) -> SyntheticSpec | CsvDataSpec:
 def parse_config_dict(raw: dict) -> ExperimentConfig:
     """Build a validated ExperimentConfig from a parsed mapping."""
     raw = _require_mapping(raw, "config")
-    if "resolved_config" in raw:  # a manifest: rerun its embedded config
-        return parse_config_dict(_require_mapping(raw["resolved_config"],
-                                                  "resolved_config"))
     _check_keys(raw, (*_PLAIN_KEYS, *_SECTIONS, "local_epochs"), "")
     values = _values(ExperimentConfig,
                      {k: v for k, v in raw.items() if k in _PLAIN_KEYS}, "")
@@ -185,8 +182,9 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, values, "")
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Load and validate a YAML experiment config (or a run manifest)."""
+def read_config(path) -> dict:
+    """The mapping of a YAML experiment config, or of a run manifest's
+    resolved config, before parse_config_dict validates it."""
     with open(path) as fh:
         try:
             raw = yaml.safe_load(fh)
@@ -196,7 +194,15 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"cannot parse {path}{where}: {exc}") from None
     if raw is None:
         raise ConfigError(f"{path} is empty")
-    return parse_config_dict(raw)
+    raw = _require_mapping(raw, "config")
+    if "resolved_config" in raw:  # a manifest: rerun its embedded config
+        return _require_mapping(raw["resolved_config"], "resolved_config")
+    return raw
+
+
+def parse_config(path) -> ExperimentConfig:
+    """Load and validate a YAML experiment config (or a run manifest)."""
+    return parse_config_dict(read_config(path))
 
 
 def _dump(value):

@@ -24,6 +24,7 @@ a subset of layers costs one header plus the included records.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -111,7 +112,7 @@ def deserialize_model(blob: bytes) -> ModelWeights:
             offset += 4
         except struct.error as exc:
             raise ContainerError(f"layer {i}: truncated record") from exc
-        n_in = int(np.prod(dims))
+        n_in = math.prod(dims)
         need = (n_in + bias_len) * dtype.itemsize
         if offset + need > len(blob):
             raise ContainerError(f"layer {i}: truncated payload")

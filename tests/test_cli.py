@@ -658,6 +658,39 @@ def test_seed_override_changes_results(tmp_path):
     assert outs[1] != outs[2]
 
 
+def test_seed_override_keeps_an_explicit_data_seed(tmp_path):
+    text = """
+algorithm: fedavg
+rounds: 1
+seed: 1
+model:
+  input: [128, 6]
+  layers:
+    - {kind: dense, width: 8, activation: relu}
+    - {kind: softmax-output, width: 4}
+data:
+  synthetic:
+    clients: 2
+    classes: 4
+    dirichlet_alpha: 0.5
+    samples_per_client: [600, 600]
+    seed: 7
+"""
+    cfg = write(tmp_path, text)
+    runs = {"plain": [], "seed-1": ["--seed", "1"]}
+    for name, extra in runs.items():
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name), *extra]) == 0
+    # A manifest records data seed 7, so a replay under another seed keeps it.
+    replay = ["--config", str(tmp_path / "plain" / "manifest.json"), "--seed", "2"]
+    assert main(["run", *replay, "--out", str(tmp_path / "replay")]) == 0
+    for name, seed in (("plain", 1), ("seed-1", 1), ("replay", 2)):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["seeds"]["experiment"] == seed
+        assert manifest["resolved_config"]["data"]["synthetic"]["seed"] == 7
+    assert ((tmp_path / "plain" / "rounds.csv").read_bytes()
+            == (tmp_path / "seed-1" / "rounds.csv").read_bytes())
+
+
 def test_csv_data_section_parses(tmp_path):
     from fedsim.scheduler import CsvDataSpec
     text = """

@@ -3,6 +3,7 @@ CSV ingestion."""
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from fedsim import SyntheticSpec, generate_synthetic, stratified_split, window, 
 from fedsim.data import (
     CSV_HEADER,
     CsvFormatError,
+    _split_bounds,
     concat_window_sets,
     ingest_csv,
 )
@@ -145,6 +147,21 @@ class TestStratifiedSplit:
         assert (train.labels == 1).sum() == 1
         assert (test.labels == 1).sum() == 0
 
+    @given(st.data(), st.integers(2, 12),
+           st.floats(0, 1, exclude_min=True, exclude_max=True), st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_split_never_exceeds_the_reserved_rows(self, data, classes, fraction, more):
+        # generate_synthetic reserves _split_bounds rows a client, taken at
+        # the most windows the spec allows, so both must bound every split.
+        labels = data.draw(st.lists(st.integers(0, classes - 1), max_size=400))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # singleton classes
+            train, test = stratified_split(window_set(labels), fraction, 0)
+        reserved = _split_bounds(len(labels), classes, fraction)
+        assert len(train) <= reserved[0] and len(test) <= reserved[1]
+        wider = _split_bounds(len(labels) + more, classes, fraction)
+        assert wider[0] >= reserved[0] and wider[1] >= reserved[1]
+
 
 class TestGenerateSynthetic:
     def test_seed_determinism_bit_identical(self):
@@ -215,6 +232,51 @@ class TestGenerateSynthetic:
         data = generate_synthetic(spec)
         pooled = concat_window_sets(test for _train, test in data)
         assert len(pooled) == sum(len(test) for _train, test in data)
+
+
+class TestConcatWindowSets:
+    @pytest.fixture(scope="class")
+    def wide(self):
+        # fedprox-wide-eval's clients: 32 of 18,000 samples, 11 MB of test windows.
+        spec = SyntheticSpec(clients=32, classes=8, dirichlet_alpha=0.1,
+                             samples_per_client=(18000, 18000), seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # singleton classes
+            return generate_synthetic(spec)
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["train", "test"])
+    def test_synthetic_sets_pool_in_place(self, wide, side):
+        sets = [pair[side] for pair in wide]
+        tracemalloc.start()
+        try:
+            pooled = concat_window_sets(sets)
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pooled.inputs.nbytes > 10e6
+        assert allocated < 1e6
+        at = 0
+        for s in sets:
+            assert s.inputs.ctypes.data == pooled.inputs[at:].ctypes.data
+            assert s.labels.ctypes.data == pooled.labels[at:].ctypes.data
+            at += len(s)
+        assert at == len(pooled)
+
+    @pytest.mark.parametrize("pick", [
+        lambda sets: sets[::-1],
+        lambda sets: sets[:1] + sets[2:],
+        lambda sets: [Batch(s.inputs.copy(), s.labels.copy()) for s in sets],
+        lambda sets: [Batch(s.inputs[1:], s.labels[1:]) for s in sets],
+    ], ids=["out-of-order", "gap", "separate-arrays", "subsets"])
+    def test_other_sets_are_copied(self, pick):
+        spec = SyntheticSpec(clients=3, classes=3, dirichlet_alpha=1.0,
+                             samples_per_client=(1200, 1200), seed=5)
+        sets = pick([test for _train, test in generate_synthetic(spec)])
+        pooled = concat_window_sets(sets)
+        assert np.array_equal(pooled.inputs, np.concatenate([s.inputs for s in sets]))
+        assert np.array_equal(pooled.labels, np.concatenate([s.labels for s in sets]))
+        assert not any(np.shares_memory(pooled.inputs, s.inputs) for s in sets)
+        assert not any(np.shares_memory(pooled.labels, s.labels) for s in sets)
 
 
 def write_csv(path, rows, header=",".join(CSV_HEADER)):

@@ -3,6 +3,8 @@ binary container."""
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from fedsim import (
     serialize_model,
     weighted_average,
 )
-from fedsim.container import HEADER_SIZE, ContainerError, shape_metadata_size
+from fedsim.container import HEADER_SIZE, MAGIC, ContainerError, shape_metadata_size
 from fedsim.fabric import (
     LayerWeights,
     ShapeError,
@@ -347,6 +349,11 @@ class TestContainer:
         relabelled = conv_blob[:HEADER_SIZE] + b"\x00" + conv_blob[HEADER_SIZE + 1:]
         with pytest.raises(ContainerError, match="kind code 0"):
             deserialize_model(relabelled)
+        # conv dims whose product is 2**64: wrapped in int64, it would read as 0
+        huge = (struct.pack("<4sHBBI", MAGIC, 1, 1, 0, 1)
+                + struct.pack("<BB3II", 1, 3, 2**21, 2**21, 2**22, 0))
+        with pytest.raises(ContainerError, match="layer 0: truncated payload"):
+            deserialize_model(huge)
 
     def test_shape_metadata_is_fixed_size(self):
         a, _ = small_dense_model(1)

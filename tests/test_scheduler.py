@@ -207,6 +207,16 @@ class TestRunExperiment:
             assert report.global_f1 is not None
             assert report.pers_mean is None and report.gen_mean is None
 
+    def test_pooled_test_set_is_the_clients_test_sets_in_order(self):
+        res = run_experiment(tiny_config(rounds=1, clients=4))
+        pooled, at = res.global_test, 0
+        for st in res.states:
+            assert np.shares_memory(pooled.inputs, st.test.inputs)
+            assert st.test.inputs.ctypes.data == pooled.inputs[at:].ctypes.data
+            assert st.test.labels.ctypes.data == pooled.labels[at:].ctypes.data
+            at += len(st.test)
+        assert at == len(pooled)
+
     def test_local_only_has_no_global_view(self):
         cfg = tiny_config(algorithm="local-only", rounds=2)
         res = run_experiment(cfg)

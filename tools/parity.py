@@ -7,12 +7,14 @@ Runs `fedsim run` from revision REV (exported with `git archive`) and from
 the working tree's `src/`, on one growing desk config: conv1d(6, k16) ->
 maxpool1d(4) -> dense(12) -> softmax(4), interchanging 3 of 7 synthetic
 clients, 6 rounds.  Every algorithm runs at `--threads` 1 and 2 and at
-`eval_every` 1 and 3.  The same model also runs fedavg and feddist from
-three small CSV exports (seeded values at 50 Hz, labels in [0, 4) in
-200-row segments) at `--threads` 1 and `eval_every` 1, which covers the CSV
-source, and a dense-only model, dense(12) -> softmax(4), runs fedavg and
-feddist on the synthetic clients at `--threads` 1 and `eval_every` 1,
-which covers scoring without a leading conv and dense-to-dense growth.
+`eval_every` 1 and 3.  The same model also runs fedavg, feddist and
+centralized from three small CSV exports (seeded values at 50 Hz, labels in
+[0, 4) in 200-row segments) at `--threads` 1 and `eval_every` 1, which
+covers the CSV source and the copy that pools its clients' training sets
+(synthetic clients pool as a view).  A dense-only model, dense(12) ->
+softmax(4), runs fedavg and feddist on the synthetic clients at `--threads`
+1 and `eval_every` 1, which covers scoring without a leading conv and
+dense-to-dense growth.
 Each run's rounds.csv, rounds.jsonl, model.bin and shape.txt are
 compared byte for byte (local-only writes no model), and the
 `resolved_config` of both sides' manifest.json is compared parsed as JSON,
@@ -47,7 +49,7 @@ ALGORITHMS = ("fedavg", "fedprox", "feddist", "local-only", "centralized")
 THREADS = (1, 2)
 CADENCES = (1, 3)
 OUTPUTS = ("rounds.csv", "rounds.jsonl", "model.bin", "shape.txt")
-CSV_ALGORITHMS = ("fedavg", "feddist")
+CSV_ALGORITHMS = ("fedavg", "feddist", "centralized")
 CSV_CLIENTS, CSV_ROWS, CSV_SEGMENT = 3, 2000, 200
 DENSE_ALGORITHMS = ("fedavg", "feddist")
 
