@@ -29,7 +29,7 @@ import struct
 
 import numpy as np
 
-from .fabric import LayerWeights, ModelWeights
+from .fabric import LayerWeights, ModelWeights, ShapeError
 
 MAGIC = b"MWC1"
 VERSION = 1
@@ -121,11 +121,17 @@ def deserialize_model(blob: bytes) -> ModelWeights:
         offset += n_in * dtype.itemsize
         bias = np.frombuffer(blob, dtype=dtype, count=bias_len, offset=offset).copy()
         offset += bias_len * dtype.itemsize
-        layer = LayerWeights(incoming, bias)
+        try:
+            layer = LayerWeights(incoming, bias)
+        except ShapeError as exc:
+            raise ContainerError(f"layer {i}: {exc}") from exc
         if _KIND_CODES[layer.kind] != kind_code:
             raise ContainerError(f"layer {i}: kind code {kind_code} does not "
                                  f"match {ndim}-D {layer.kind} weights")
         layers.append(layer)
     if offset != len(blob):
         raise ContainerError(f"{len(blob) - offset} trailing bytes")
-    return ModelWeights(tuple(layers))
+    try:
+        return ModelWeights(tuple(layers))
+    except ShapeError as exc:
+        raise ContainerError(f"header: {exc}") from exc

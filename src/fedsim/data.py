@@ -36,31 +36,12 @@ class CsvFormatError(ValueError):
 
 
 def concat_window_sets(sets) -> Batch:
-    """The non-empty sets' windows in order, as one Batch.  Sets that are
-    consecutive row ranges of one array, as generate_synthetic's are, come
-    back as a view of it; any others are copied."""
+    """The non-empty sets' windows in order, copied into one Batch."""
     sets = [s for s in sets if len(s)]
     if not sets:
         raise ValueError("nothing to concatenate")
-    return Batch(_stacked([s.inputs for s in sets]), _stacked([s.labels for s in sets]))
-
-
-def _stacked(parts: list[np.ndarray]) -> np.ndarray:
-    """parts joined along axis 0: the slice of their common base that they
-    tile when each starts where the one before it ends, else a copy."""
-    first, base = parts[0], parts[0].base
-    at = first.ctypes.data
-    for part in parts:
-        if part.base is not base or not part.flags.c_contiguous or part.ctypes.data != at:
-            return np.concatenate(parts)
-        at += part.nbytes
-    if not (isinstance(base, np.ndarray) and base.size and base.flags.c_contiguous
-            and base.dtype == first.dtype and base.shape[1:] == first.shape[1:]):
-        return np.concatenate(parts)
-    start, misaligned = divmod(first.ctypes.data - base.ctypes.data, base.strides[0])
-    if misaligned:
-        return np.concatenate(parts)
-    return base[start:start + sum(len(p) for p in parts)]
+    return Batch(np.concatenate([s.inputs for s in sets]),
+                 np.concatenate([s.labels for s in sets]))
 
 
 @dataclass(frozen=True)
@@ -172,9 +153,13 @@ def z_normalize(series: Batch) -> Batch:
     return Batch((data - data.mean(axis=0)) / safe, series.labels)
 
 
-def _frames(series: Batch, length: int, step: int) -> Batch:
-    """window()'s windows and labels, the windows as a read-only strided
-    view of series.inputs."""
+def window(series: Batch, length: int = DEFAULT_WINDOW,
+           step: int = DEFAULT_STEP) -> Batch:
+    """Frame a raw series at offsets 0, step, 2*step, ... into inputs
+    [count, length, channels], a read-only strided view of series.inputs;
+    the trailing remainder is dropped, so count = floor((N - length) / step)
+    + 1.  One label per window: the majority vote over its samples, ties to
+    the lowest class."""
     data = _samples(series)
     n = len(data)
     if n < length:
@@ -189,26 +174,19 @@ def _frames(series: Batch, length: int, step: int) -> Batch:
     return Batch(frames[::step, 0], labels)
 
 
-def window(series: Batch, length: int = DEFAULT_WINDOW,
-           step: int = DEFAULT_STEP) -> Batch:
-    """Frame a raw series at offsets 0, step, 2*step, ... into inputs
-    [count, length, channels]; the trailing remainder is dropped, so
-    count = floor((N - length) / step) + 1.  One label per window: the
-    majority vote over its samples, ties to the lowest class."""
-    frames = _frames(series, length, step)
-    return Batch(frames.inputs.copy(), frames.labels)
-
-
-def _split_indices(labels: np.ndarray, train_fraction: float,
-                   seed) -> tuple[np.ndarray, np.ndarray]:
-    """stratified_split's sorted (train, test) indices into labels."""
+def stratified_split(batch: Batch, train_fraction: float = 0.8,
+                     seed=0) -> tuple[Batch, Batch]:
+    """Per-class split: round(n_c * fraction) windows to train, clamped so
+    both sides keep at least one window when a class has >= 2.  Singleton
+    classes go to train with a warning.  Each side is gathered once, in
+    window order, into its own arrays."""
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
+    for cls in np.unique(batch.labels):
+        idx = np.flatnonzero(batch.labels == cls)
         if len(idx) == 1:
             warnings.warn(f"class {cls} has a single window; kept in train")
             train_idx.append(idx)
@@ -219,28 +197,9 @@ def _split_indices(labels: np.ndarray, train_fraction: float,
         train_idx.append(perm[:n_train])
         test_idx.append(perm[n_train:])
     none = [np.zeros(0, dtype=np.intp)]
-    return (np.sort(np.concatenate(train_idx or none)),
-            np.sort(np.concatenate(test_idx or none)))
-
-
-def _split_bounds(windows: int, classes: int, train_fraction: float) -> tuple[int, int]:
-    """The most (train, test) windows _split_indices gives any set of at
-    most `windows` windows over `classes` classes.  Its rounding and
-    clamping move each class's side by less than one window from the
-    class's exact share, so a side holds fewer than its share plus one
-    window a class."""
-    return (min(windows, math.floor(windows * train_fraction) + classes),
-            min(windows, math.floor(windows * (1 - train_fraction)) + classes))
-
-
-def stratified_split(batch: Batch, train_fraction: float = 0.8,
-                     seed=0) -> tuple[Batch, Batch]:
-    """Per-class split: round(n_c * fraction) windows to train, clamped so
-    both sides keep at least one window when a class has >= 2.  Singleton
-    classes go to train with a warning."""
-    train, test = _split_indices(batch.labels, train_fraction, seed)
-    return (Batch(batch.inputs[train], batch.labels[train]),
-            Batch(batch.inputs[test], batch.labels[test]))
+    sides = (np.sort(np.concatenate(train_idx or none)),
+             np.sort(np.concatenate(test_idx or none)))
+    return tuple(Batch(batch.inputs[idx], batch.labels[idx]) for idx in sides)
 
 
 def _class_signatures(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -292,38 +251,17 @@ def generate_synthetic(spec: SyntheticSpec) -> list[tuple[Batch, Batch]]:
     generate -> normalize -> window -> split.
 
     Normalization statistics are computed per client over its own series;
-    nothing crosses clients.  Each window is written once, straight from
-    the normalized series: every client's train set is a row range of one
-    array, in client order, and so is its test set, so concat_window_sets
-    pools either side as a view.  Each array is reserved for the most
-    windows the spec allows; rows past the last client's are never
-    written, so they take address space (and tracemalloc's count) but
-    no resident memory.
+    nothing crosses clients.  Each client holds its own two arrays, and
+    each window is written once, straight from the normalized series.
     """
     offsets, amps, freqs = _class_signatures(spec)
-    most = max(0, (spec.samples_per_client[1] - DEFAULT_WINDOW) // DEFAULT_STEP + 1)
-    reserved = [Batch(np.empty((spec.clients * rows, *spec.window_shape)),
-                      np.empty(spec.clients * rows, dtype=np.intp))
-                for rows in _split_bounds(most, spec.classes, spec.train_fraction)]
-    filled = [0, 0]
     out = []
     for k in range(spec.clients):
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(102, k)))
         priors = rng.dirichlet(np.full(spec.classes, spec.dirichlet_alpha))
         series = _client_series(spec, offsets, amps, freqs, priors, rng)
-        frames = _frames(z_normalize(series), DEFAULT_WINDOW, DEFAULT_STEP)
-        split_seed = np.random.SeedSequence(spec.seed, spawn_key=(103, k))
-        pair = []
-        for i, idx in enumerate(_split_indices(frames.labels, spec.train_fraction,
-                                               split_seed)):
-            rows = slice(filled[i], filled[i] + len(idx))
-            filled[i] = rows.stop
-            part = Batch(reserved[i].inputs[rows], reserved[i].labels[rows])
-            # mode="clip" writes in place; the default buffers a copy.
-            np.take(frames.inputs, idx, axis=0, out=part.inputs, mode="clip")
-            part.labels[:] = frames.labels[idx]
-            pair.append(part)
-        out.append(tuple(pair))
+        out.append(stratified_split(window(z_normalize(series)), spec.train_fraction,
+                                    np.random.SeedSequence(spec.seed, spawn_key=(103, k))))
     return out
 
 

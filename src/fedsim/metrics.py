@@ -4,7 +4,11 @@
                      test set;
   personalization  - each client's current model on its own test set;
   generalization   - each client's best-personalization snapshot on the
-                     global test set.
+                     concatenation of every client's test set.
+
+A confusion matrix over a concatenation is the sum of the matrices of its
+parts, so every view scores a list of test sets, one at a time, and adds
+their counts: the pooled test set is never built.
 
 Means and spreads across clients use the population standard deviation.
 Macro (unweighted) F1 is the headline score; weighted F1 rides along in the
@@ -78,17 +82,22 @@ def score_bundle(counts: np.ndarray) -> ScoreBundle:
     )
 
 
-def score_model(model: ModelWeights, arch: ModelArch, batch: nn.Batch) -> ScoreBundle:
-    if len(batch) == 0:
+def score_model(model: ModelWeights, arch: ModelArch, tests) -> ScoreBundle:
+    """Scores of model on the concatenation of a list of test sets, from
+    the sum of their confusion matrices."""
+    counts = np.zeros((arch.classes, arch.classes), dtype=np.int64)
+    for test in tests:
+        if len(test):
+            counts += confusion(test.labels, nn.evaluate(model, arch, test.inputs),
+                                arch.classes)
+    if not counts.any():
         raise ValueError("empty test set")
-    preds = nn.evaluate(model, arch, batch.inputs)
-    return score_bundle(confusion(batch.labels, preds, arch.classes))
+    return score_bundle(counts)
 
 
-def evaluate_global(server: ModelWeights, arch: ModelArch,
-                    global_test: nn.Batch) -> ScoreBundle:
-    """Server model scored on the pooled test set of all clients."""
-    return score_model(server, arch, global_test)
+def evaluate_global(server: ModelWeights, arch: ModelArch, tests) -> ScoreBundle:
+    """Server model scored on every client's test set together."""
+    return score_model(server, arch, tests)
 
 
 def spread(scores: list[float]) -> tuple[float, float]:
@@ -99,14 +108,13 @@ def spread(scores: list[float]) -> tuple[float, float]:
 
 def evaluate_personalization(entries, arch: ModelArch) -> list[float]:
     """Macro F1 of each (model, own test set) pair, in order."""
-    return [score_model(model, arch, test).macro_f1 for model, test in entries]
+    return [score_model(model, arch, [test]).macro_f1 for model, test in entries]
 
 
-def evaluate_generalization(best_models, arch: ModelArch,
-                            global_test: nn.Batch) -> list[float]:
-    """Macro F1 of each best-personalization snapshot on the global test
-    set, in order."""
-    return [score_model(model, arch, global_test).macro_f1 for model in best_models]
+def evaluate_generalization(best_models, arch: ModelArch, tests) -> list[float]:
+    """Macro F1 of each best-personalization snapshot on every client's
+    test set together, in order."""
+    return [score_model(model, arch, tests).macro_f1 for model in best_models]
 
 
 @dataclass(frozen=True)

@@ -181,7 +181,7 @@ class ClientState:
     best_round: int | None = None
     best_model: ModelWeights | None = None
     best_hash: str | None = None
-    # best_model's macro F1 on the pooled test set, scored with the snapshot.
+    # best_model's macro F1 on every client's test set, scored with the snapshot.
     best_generalization: float | None = None
 
 
@@ -191,7 +191,6 @@ class ExperimentResult:
     ledgers: tuple[CommLedger, ...]
     final_model: ModelWeights | None
     states: tuple[ClientState, ...]
-    global_test: Batch
 
 
 def _seq(seed: int, *key: int) -> np.random.SeedSequence:
@@ -222,16 +221,15 @@ def client_datasets(cfg: ExperimentConfig) -> list[tuple[Batch, Batch]]:
         datasets = []
         for k, path in enumerate(spec.paths):
             try:
-                series = z_normalize(ingest_csv(path, spec.sample_rate_hz,
-                                                spec.target_hz))
+                series = ingest_csv(path, spec.sample_rate_hz, spec.target_hz)
             except CsvFormatError as exc:
                 raise CsvFormatError(f"{path}: {exc}") from exc
             top = int(series.labels.max(initial=0))
             if top >= spec.classes:
                 raise ValueError(f"{path}: label {top} is outside [0, {spec.classes})")
-            windows = window(series, spec.window_length, spec.window_step)
-            datasets.append(stratified_split(windows, spec.train_fraction,
-                                             _seq(cfg.seed, 1, k)))
+            datasets.append(stratified_split(
+                window(z_normalize(series), spec.window_length, spec.window_step),
+                spec.train_fraction, _seq(cfg.seed, 1, k)))
     if len(datasets) != cfg.data.clients:
         raise ValueError(f"{len(datasets)} client datasets for a pool of "
                          f"{cfg.data.clients}")
@@ -298,11 +296,11 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
     try:
         arch = cfg.model
         datasets = client_datasets(cfg)
-        global_test = concat_window_sets(test for _train, test in datasets)
         server = init_model(arch, _seq(cfg.seed, 0, cfg.init_variant), cfg.dtype)
         states = [ClientState(id=k, train=train, test=test,
                               cfg=_class_weighted(cfg, train), model=server)
                   for k, (train, test) in enumerate(datasets)]
+        tests = [st.test for st in states]
         pooled = None
         if cfg.algorithm == "centralized":
             data = concat_window_sets(train for train, _test in datasets)
@@ -318,13 +316,13 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
                 # Report columns total every round since the previous tick.
                 totals = ledger_totals(ledgers[reported:])
                 reported = t
-                report = _evaluate_tick(arch, states, active, server, global_test,
+                report = _evaluate_tick(arch, states, active, server, tests,
                                         t, totals, cfg.algorithm)
                 reports.append(report)
                 if on_report:
                     on_report(report)
         return ExperimentResult(tuple(reports), tuple(ledgers), server,
-                                tuple(states), global_test)
+                                tuple(states))
     finally:
         for set_threads, count in blas:
             set_threads(count)
@@ -332,13 +330,14 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
             executor.shutdown()
 
 
-def _evaluate_tick(arch, states, active, server, global_test, t,
+def _evaluate_tick(arch, states, active, server, tests, t,
                    totals: CommLedger, algorithm: str) -> RoundReport:
     """Score round t.  The global view needs a server model; the
     personalization and generalization views need active clients, so a
-    centralized run (no clients) reports only the global view.  A best
-    snapshot is scored on the pooled test set at the tick that takes it."""
-    bundle = evaluate_global(server, arch, global_test) if server is not None else None
+    centralized run (no clients) reports only the global view.  Both
+    server and snapshots are scored on tests, every client's test set, and
+    a best snapshot only at the tick that takes it."""
+    bundle = evaluate_global(server, arch, tests) if server is not None else None
     model = server if server is not None else states[0].model
     pers = gen = None
     if active:
@@ -352,7 +351,7 @@ def _evaluate_tick(arch, states, active, server, global_test, t,
                 taken.append(st)
         if taken:
             fresh = evaluate_generalization([st.best_model for st in taken],
-                                            arch, global_test)
+                                            arch, tests)
             for st, score in zip(taken, fresh):
                 st.best_generalization = score
         pers = {st.id: score for st, score in zip(scored, pers_scores)}

@@ -354,6 +354,16 @@ class TestContainer:
                 + struct.pack("<BB3II", 1, 3, 2**21, 2**21, 2**22, 0))
         with pytest.raises(ContainerError, match="layer 0: truncated payload"):
             deserialize_model(huge)
+        # records the weight types reject must name their layer
+        one_layer = struct.pack("<4sHBBI", MAGIC, 1, 1, 0, 1)
+        flat = one_layer + struct.pack("<BB1II", 0, 1, 3, 3) + bytes(8 * 6)
+        with pytest.raises(ContainerError, match="layer 0: incoming must be 2-D or 3-D"):
+            deserialize_model(flat)
+        short_bias = one_layer + struct.pack("<BB2II", 0, 2, 2, 3, 2) + bytes(8 * 8)
+        with pytest.raises(ContainerError, match=r"layer 0: bias length \(2,\)"):
+            deserialize_model(short_bias)
+        with pytest.raises(ContainerError, match="at least one parameterized layer"):
+            deserialize_model(struct.pack("<4sHBBI", MAGIC, 1, 1, 0, 0))
 
     def test_shape_metadata_is_fixed_size(self):
         a, _ = small_dense_model(1)

@@ -3,6 +3,9 @@ evaluation views."""
 
 from __future__ import annotations
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,10 +22,12 @@ from fedsim import (
     evaluate_global,
     evaluate_personalization,
     forward,
+    generate_synthetic,
     init_model,
     run_experiment,
     score_bundle,
 )
+from fedsim.data import concat_window_sets
 from fedsim.fabric import LayerWeights
 from fedsim.metrics import score_model, spread
 from fedsim.nn import Batch
@@ -120,7 +125,7 @@ def perfect_two_class_setup():
 class TestEvaluateGlobal:
     def test_perfect_toy_model_scores_one(self):
         model, arch, ws = perfect_two_class_setup()
-        bundle = evaluate_global(model, arch, ws)
+        bundle = evaluate_global(model, arch, [ws])
         assert bundle.accuracy == bundle.macro_f1 == 1.0
 
     def test_majority_predictor_accuracy_vs_macro_f1(self):
@@ -135,7 +140,7 @@ class TestEvaluateGlobal:
         ))
         x = np.zeros((10, 1, 1))
         labels = np.array([0] * 9 + [1])
-        bundle = evaluate_global(model, arch, Batch(x, labels))
+        bundle = evaluate_global(model, arch, [Batch(x, labels)])
         assert bundle.accuracy == pytest.approx(0.9)
         # majority share 0.9 but class 1 contributes F1 = 0
         assert bundle.macro_f1 == pytest.approx((2 * 0.9 / 1.9) / 2)
@@ -145,7 +150,7 @@ class TestEvaluateGlobal:
         arch = dense_arch(4, 6, 3)
         model = init_model(arch, 1)
         ws = Batch(rng.normal(size=(40, 4, 1)), rng.integers(0, 3, 40))
-        bundle = evaluate_global(model, arch, ws)
+        bundle = evaluate_global(model, arch, [ws])
         preds = evaluate(model, arch, ws.inputs)
         counts = confusion(ws.labels, preds, 3)
         assert bundle.macro_f1 == score_bundle(counts).macro_f1
@@ -154,7 +159,7 @@ class TestEvaluateGlobal:
         model, arch, _ = perfect_two_class_setup()
         empty = Batch(np.zeros((0, 1, 1)), np.zeros(0, dtype=int))
         with pytest.raises(ValueError, match="empty"):
-            evaluate_global(model, arch, empty)
+            evaluate_global(model, arch, [empty])
 
 
 class TestPersonalizationAndGeneralization:
@@ -177,7 +182,7 @@ class TestPersonalizationAndGeneralization:
             ws = Batch(rng.normal(size=(30, 4, 1)), rng.integers(0, 3, 30))
             entries.append((model, ws))
         scores = evaluate_personalization(entries, arch)
-        expected = [score_model(m, arch, w).macro_f1 for m, w in entries]
+        expected = [score_model(m, arch, [w]).macro_f1 for m, w in entries]
         assert scores == expected
         mean, std = spread(scores)
         assert mean == pytest.approx(float(np.mean(expected)))
@@ -187,8 +192,65 @@ class TestPersonalizationAndGeneralization:
         arch = dense_arch(4, 6, 3)
         ws = Batch(rng.normal(size=(30, 4, 1)), rng.integers(0, 3, 30))
         models = [init_model(arch, 1), init_model(arch, 2)]
-        assert evaluate_generalization(models, arch, ws) == [
-            score_model(m, arch, ws).macro_f1 for m in models]
+        assert evaluate_generalization(models, arch, [ws]) == [
+            score_model(m, arch, [ws]).macro_f1 for m in models]
+
+
+DESK_CONV = ModelArch(128, 6, (
+    LayerSpec("conv1d", width=16, kernel=16, activation="relu"),
+    LayerSpec("maxpool1d", kernel=4),
+    LayerSpec("dense", width=64, activation="relu"),
+    LayerSpec("softmax-output", width=8),
+))
+DENSE_ONLY = ModelArch(128, 6, (
+    LayerSpec("dense", width=12, activation="relu"),
+    LayerSpec("softmax-output", width=8),
+))
+
+
+class TestScoresAddAcrossTestSets:
+    """A confusion matrix over a concatenation is the sum of its parts', so
+    scoring a list of test sets must equal scoring their pooled copy."""
+
+    @pytest.mark.parametrize("arch", [DESK_CONV, DENSE_ONLY], ids=["desk-conv", "dense-only"])
+    def test_views_equal_scoring_the_pooled_copy(self, arch, rng):
+        # 0, 1, 31, 33 and 70 windows: an empty set and both sides of
+        # forward's 32-window slices
+        sets = [Batch(rng.normal(size=(n, 128, 6)), rng.integers(0, 8, n))
+                for n in (0, 1, 31, 33, 70)]
+        pooled = [concat_window_sets(sets)]
+        models = [init_model(arch, seed) for seed in (1, 2, 3)]
+        assert len(np.unique(evaluate(models[0], arch, pooled[0].inputs))) > 1
+        for model in models:
+            assert evaluate_global(model, arch, sets) == score_model(model, arch, pooled)
+        assert evaluate_generalization(models, arch, sets) == [
+            score_model(m, arch, pooled).macro_f1 for m in models]
+
+    def test_sets_without_windows_rejected(self):
+        model = init_model(DENSE_ONLY, 1)
+        empty = Batch(np.zeros((0, 128, 6)), np.zeros(0, dtype=np.intp))
+        for tests in ([], [empty], [empty, empty]):
+            with pytest.raises(ValueError, match="empty test set"):
+                evaluate_global(model, DENSE_ONLY, tests)
+            with pytest.raises(ValueError, match="empty test set"):
+                evaluate_generalization([model], DENSE_ONLY, tests)
+
+    def test_scoring_many_clients_builds_no_pooled_set(self):
+        # fedprox-wide-eval's clients: 32 of 18,000 samples, 11 MB of test windows
+        spec = SyntheticSpec(clients=32, classes=8, dirichlet_alpha=0.1,
+                             samples_per_client=(18000, 18000), seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # singleton classes
+            tests = [test for _train, test in generate_synthetic(spec)]
+        model = init_model(DESK_CONV, 1)
+        tracemalloc.start()
+        try:
+            evaluate_global(model, DESK_CONV, tests)
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(test.inputs.nbytes for test in tests) > 10e6
+        assert allocated < 1e6
 
 
 class TestSnapshotTracking:
@@ -228,10 +290,11 @@ class TestSnapshotTracking:
         # the one the tracker kept
         arch, res = self._tiny_run(seed=8)
         final = res.reports[-1]
+        pooled = [concat_window_sets(st.test for st in res.states)]
         for st in res.states:
             history = [r.per_client_personalization[st.id] for r in res.reports]
             assert st.best_score == max(history)
-            expected = score_model(st.best_model, arch, res.global_test).macro_f1
+            expected = score_model(st.best_model, arch, pooled).macro_f1
             assert final.per_client_generalization[st.id] == pytest.approx(expected)
 
 

@@ -10,11 +10,10 @@ clients, 6 rounds.  Every algorithm runs at `--threads` 1 and 2 and at
 `eval_every` 1 and 3.  The same model also runs fedavg, feddist and
 centralized from three small CSV exports (seeded values at 50 Hz, labels in
 [0, 4) in 200-row segments) at `--threads` 1 and `eval_every` 1, which
-covers the CSV source and the copy that pools its clients' training sets
-(synthetic clients pool as a view).  A dense-only model, dense(12) ->
-softmax(4), runs fedavg and feddist on the synthetic clients at `--threads`
-1 and `eval_every` 1, which covers scoring without a leading conv and
-dense-to-dense growth.
+covers the CSV source and the copy that pools a centralized run's training
+sets.  A dense-only model, dense(12) -> softmax(4), runs fedavg and feddist
+on the synthetic clients at `--threads` 1 and `eval_every` 1, which covers
+scoring without a leading conv and dense-to-dense growth.
 Each run's rounds.csv, rounds.jsonl, model.bin and shape.txt are
 compared byte for byte (local-only writes no model), and the
 `resolved_config` of both sides' manifest.json is compared parsed as JSON,
