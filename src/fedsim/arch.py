@@ -3,8 +3,7 @@
 An architecture is the fixed skeleton of a network (layer kinds, kernels,
 activations, input window geometry).  Layer widths recorded here are the
 *initial* widths; actual widths live in the weight containers and may grow,
-so everything downstream reads dimensions from the weights and only kinds,
-kernels and activations from the architecture.
+so the shapes a grown model's weights must have are the trace at its widths.
 """
 
 from __future__ import annotations
@@ -16,8 +15,16 @@ CONV1D = "conv1d"
 MAXPOOL1D = "maxpool1d"
 SOFTMAX_OUTPUT = "softmax-output"
 
-LAYER_KINDS = (DENSE, CONV1D, MAXPOOL1D, SOFTMAX_OUTPUT)
-PARAM_KINDS = (DENSE, CONV1D, SOFTMAX_OUTPUT)
+# The fields each layer kind takes; a spec that sets any other is rejected.
+# A relu after a max pool equals one before it (relu commutes with max), so
+# the pool takes no activation; softmax-output applies its own.
+LAYER_FIELDS = {
+    DENSE: ("width", "activation"),
+    CONV1D: ("width", "kernel", "activation"),
+    MAXPOOL1D: ("kernel",),
+    SOFTMAX_OUTPUT: ("width",),
+}
+PARAM_KINDS = tuple(kind for kind, fields in LAYER_FIELDS.items() if "width" in fields)
 ACTIVATIONS = ("relu", "none")
 
 
@@ -40,19 +47,18 @@ class LayerSpec:
     activation: str = "none"
 
     def __post_init__(self) -> None:
-        if self.kind not in LAYER_KINDS:
+        fields = LAYER_FIELDS.get(self.kind)
+        if fields is None:
             raise ArchError(f"unknown layer kind {self.kind!r}")
-        if self.kind in PARAM_KINDS:
-            if self.width is None or self.width < 1:
-                raise ArchError(f"{self.kind} layer needs width >= 1")
-        if self.kind in (CONV1D, MAXPOOL1D):
-            if self.kernel is None or self.kernel < 1:
-                raise ArchError(f"{self.kind} layer needs kernel >= 1")
+        for name in ("width", "kernel"):
+            value = getattr(self, name)
+            if name not in fields and value is not None:
+                raise ArchError(f"{self.kind} layer takes no {name}")
+            if name in fields and (value is None or value < 1):
+                raise ArchError(f"{self.kind} layer needs {name} >= 1")
         if self.activation not in ACTIVATIONS:
             raise ArchError(f"unknown activation {self.activation!r}")
-        # A relu after a max pool equals one before it (relu commutes with
-        # max), so the pool takes none; softmax-output applies its own.
-        if self.kind in (MAXPOOL1D, SOFTMAX_OUTPUT) and self.activation != "none":
+        if "activation" not in fields and self.activation != "none":
             raise ArchError(f"{self.kind} layer takes no activation")
 
 
@@ -95,8 +101,10 @@ class ModelArch:
         assert w is not None
         return w
 
-    def trace(self) -> list[ParamShape]:
-        """Walk the stack and return per-parameterized-layer shapes.
+    def trace(self, widths: tuple[int, ...] | None = None) -> list[ParamShape]:
+        """Walk the stack and return per-parameterized-layer shapes, at
+        `widths` (one per parameterized layer; the specs' own by default):
+        the one statement of the shape each layer's weights must have.
 
         Spatial state is tracked as (time, channels); the first dense layer
         flattens it channel-major (unit c occupies rows [c*T, (c+1)*T) of the
@@ -107,37 +115,29 @@ class ModelArch:
         channels = self.input_channels
         flat: int | None = None
         out: list[ParamShape] = []
+        widths = iter(widths or [s.width for s in self.layers if s.kind in PARAM_KINDS])
         for i, spec in enumerate(self.layers):
+            if spec.kernel is not None:  # conv1d or maxpool1d
+                if time is None:
+                    raise ArchError(f"layer {i}: {spec.kind} after flatten")
+                if time < spec.kernel:
+                    raise ArchError(f"layer {i}: {spec.kind} kernel {spec.kernel} "
+                                    f"exceeds length {time}")
             if spec.kind == CONV1D:
-                if time is None:
-                    raise ArchError(f"layer {i}: conv1d after flatten")
-                assert spec.kernel is not None and spec.width is not None
-                if time < spec.kernel:
-                    raise ArchError(
-                        f"layer {i}: conv kernel {spec.kernel} exceeds length {time}"
-                    )
-                out.append(ParamShape((spec.kernel, channels, spec.width),
-                                      spec.width, spec.activation))
+                channels_in, channels = channels, next(widths)
+                out.append(ParamShape((spec.kernel, channels_in, channels),
+                                      channels, spec.activation))
                 time = time - spec.kernel + 1
-                channels = spec.width
             elif spec.kind == MAXPOOL1D:
-                if time is None:
-                    raise ArchError(f"layer {i}: maxpool1d after flatten")
-                assert spec.kernel is not None
-                if time < spec.kernel:
-                    raise ArchError(
-                        f"layer {i}: pool kernel {spec.kernel} exceeds length {time}"
-                    )
                 time = time // spec.kernel
             else:  # dense or softmax-output
                 if flat is None:
                     assert time is not None
                     flat = time * channels
                     time = None
-                assert spec.width is not None
-                out.append(ParamShape((flat, spec.width), spec.width,
-                                      spec.activation))
-                flat = spec.width
+                width = next(widths)
+                out.append(ParamShape((flat, width), width, spec.activation))
+                flat = width
         return out
 
     def param_indices(self) -> list[int]:

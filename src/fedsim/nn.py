@@ -106,18 +106,34 @@ def balanced_class_weights(labels: np.ndarray, classes: int) -> np.ndarray:
     return weights
 
 
-def _as_batch_array(inputs: np.ndarray, arch: ModelArch, dtype) -> np.ndarray:
-    x = np.asarray(inputs, dtype=dtype)
-    if x.ndim == 2:
-        if arch.input_channels != 1:
-            raise ShapeError(
-                f"flat input needs input_channels == 1, arch has {arch.input_channels}"
-            )
+def _checked_input(model: ModelWeights, arch: ModelArch, inputs: np.ndarray,
+                   labels: np.ndarray | None = None) -> np.ndarray:
+    """inputs as a [n, T, C] array of the model's dtype, once model and
+    inputs are checked against arch: the one check on the way into nn, so
+    the layer kernels below check nothing.  Each layer's weights must have
+    the shape arch traces at the model's widths, the inputs must meet the
+    input contract, and labels, when given, must name a class of the
+    model's output."""
+    params = arch.param_indices()
+    if len(model.layers) != len(params):
+        raise ShapeError(f"model has {len(model.layers)} parameterized layers, "
+                         f"architecture has {len(params)}")
+    for i, layer, shape in zip(params, model.layers, arch.trace(model.shape_signature)):
+        if layer.incoming.shape != shape.incoming_shape:
+            raise ShapeError(f"layer {i} ({arch.layers[i].kind}): weights "
+                             f"{layer.incoming.shape}, expected {shape.incoming_shape}")
+    x = np.asarray(inputs, dtype=model.dtype)
+    if x.ndim == 2 and arch.input_channels == 1:  # flat inputs
         x = x[:, :, None]
     if x.ndim != 3 or x.shape[1] != arch.input_length or x.shape[2] != arch.input_channels:
         raise ShapeError(
             f"input shape {tuple(np.shape(inputs))[1:]} does not match the "
             f"model contract ({arch.input_length}, {arch.input_channels})"
+        )
+    classes = model.layers[-1].out_width
+    if labels is not None and len(labels) and (labels.min() < 0 or labels.max() >= classes):
+        raise ValueError(
+            f"labels must lie in [0, {classes}), got [{labels.min()}, {labels.max()}]"
         )
     return x
 
@@ -141,14 +157,10 @@ def _activate(spec, z, backward):
     return z, lambda da, need_dx: backward(da * (z > 0), need_dx)
 
 
-def _maxpool1d(spec, layer, a, where, keep):
-    if a.ndim != 3:
-        raise ShapeError(f"{where}: needs spatial input")
+def _maxpool1d(spec, layer, a, keep):
     k = spec.kernel
     n, t, c = a.shape
     t_out = t // k
-    if t_out < 1:
-        raise ShapeError(f"{where}: pool kernel {k} exceeds length {t}")
     # slots[i] is slot i of every block, [N, T_out, C].  Training copies
     # them once into contiguous planes: elementwise ops on the strided
     # views run inner loops of only C elements.
@@ -187,21 +199,6 @@ def _maxpool1d(spec, layer, a, where, keep):
     return out, backward
 
 
-def _conv_shape(layer, a, where) -> tuple[int, int, int]:
-    """(kernel, input channels, filters) of conv weights `layer` applied to
-    the spatial input a; a ShapeError when they do not fit."""
-    if a.ndim != 3:
-        raise ShapeError(f"{where}: needs spatial input")
-    if layer.kind != CONV1D:
-        raise ShapeError(f"{where}: weights are {layer.kind}")
-    k, c_in, c_out = layer.incoming.shape
-    if a.shape[2] != c_in:
-        raise ShapeError(f"{where}: {a.shape[2]} input channels, weights expect {c_in}")
-    if a.shape[1] < k:
-        raise ShapeError(f"{where}: kernel {k} exceeds length {a.shape[1]}")
-    return k, c_in, c_out
-
-
 def _im2col(a: np.ndarray, k: int) -> np.ndarray:
     """im2col view [N, T-k+1, k*C] of a [N, T, C]: row t of window i is
     a[i, t:t+k, :] flattened.  The rows overlap, so it is read-only.  It
@@ -218,8 +215,8 @@ def _im2col(a: np.ndarray, k: int) -> np.ndarray:
                                            (step, c * size, size), writeable=False)
 
 
-def _conv1d(spec, layer, a, where, keep):
-    k, c_in, c_out = _conv_shape(layer, a, where)
+def _conv1d(spec, layer, a, keep):
+    k, c_in, c_out = layer.incoming.shape
     n, t, _ = a.shape
     t_out = t - k + 1
     cols = _im2col(a, k)
@@ -252,20 +249,13 @@ def _conv1d(spec, layer, a, where, keep):
     return _activate(spec, z, backward)
 
 
-def _dense(spec, layer, a, where, keep):
+def _dense(spec, layer, a, keep):
     # Also the softmax-output layer: its activation is "none", and callers
     # of _walk apply the softmax to the logits this returns.
     spatial = a.ndim == 3
     if spatial:  # channel-major flatten: [N, T, C] -> [N, C*T]
         n, t, c = a.shape
         a = a.transpose(0, 2, 1).reshape(n, c * t)
-    if layer.kind != DENSE:
-        raise ShapeError(f"{where}: weights are {layer.kind}")
-    if a.shape[1] != layer.incoming.shape[0]:
-        raise ShapeError(
-            f"{where}: {a.shape[1]} inputs, weights expect "
-            f"{layer.incoming.shape[0]}"
-        )
     z = a @ layer.incoming + layer.bias
     if not keep:
         return _activate(spec, z, None)
@@ -282,7 +272,7 @@ def _dense(spec, layer, a, where, keep):
     return _activate(spec, z, backward)
 
 
-# The one dispatch on layer kind: forward(spec, layer, a, where, keep) returns
+# The one dispatch on layer kind: forward(spec, layer, a, keep) returns
 # the layer output and, when keep is true, a closure backward(d, need_dx)
 # mapping the gradient of that output to (gradient of the input, or None
 # when need_dx is false; (dW, db), or None for a layer without parameters).
@@ -317,8 +307,7 @@ def _walk(model: ModelWeights, arch: ModelArch, a: np.ndarray, first: int = 0,
             layer = model.layers[li]
             li += 1
         keep = lowest is not None and i >= lowest
-        a, backward = _FORWARD[spec.kind](spec, layer, a,
-                                          f"layer {i} ({spec.kind})", keep)
+        a, backward = _FORWARD[spec.kind](spec, layer, a, keep)
         if keep:
             backwards.append(backward)
     return a, backwards
@@ -361,18 +350,17 @@ def forward(model: ModelWeights, arch: ModelArch, inputs: np.ndarray) -> np.ndar
     buffer that the bias, relu, pool and dense steps read.  So the
     probabilities may differ in the last bit from the per-window path
     training runs (_walk)."""
-    x = _as_batch_array(inputs, arch, model.dtype)
+    x = _checked_input(model, arch, inputs)
     probs = np.empty((len(x), model.layers[-1].out_width), dtype=x.dtype)
     conv = arch.layers[0].kind == CONV1D
     if conv:
         spec, layer = arch.layers[0], model.layers[0]
-        k, c_in, c_out = _conv_shape(layer, x, f"layer 0 ({CONV1D})")
+        k, c_in, c_out = layer.incoming.shape
         rows = _im2col(x, k).transpose(1, 0, 2)  # rows[t, i]: row t of window i
         w = layer.incoming.reshape(k * c_in, c_out)
         bias = np.tile(layer.bias, len(rows))
         z_buf = np.empty((_SLICE, len(rows), c_out), dtype=x.dtype)
-    # An empty x still makes one (empty) slice, which checks the shapes.
-    for lo in range(0, max(len(x), 1), _SLICE):
+    for lo in range(0, len(x), _SLICE):
         xs = x[lo:lo + _SLICE]
         if conv:
             z = z_buf[:len(xs)]
@@ -426,11 +414,6 @@ def _objective(model: ModelWeights, arch: ModelArch, x: np.ndarray,
     logits, backwards = _walk(model, arch, x, first, lowest=lowest)
     probs = _softmax(logits)
     n = len(labels)
-    if n and (labels.min() < 0 or labels.max() >= probs.shape[1]):
-        raise ValueError(
-            f"labels must lie in [0, {probs.shape[1]}), got "
-            f"[{labels.min()}, {labels.max()}]"
-        )
     value = loss(probs, labels, cfg.class_weights)
     start, mu, ref = cfg.frozen_prefix, cfg.proximal_coefficient, cfg.reference_weights
     trainable = model.layers[start:]
@@ -489,6 +472,8 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
     trainable parameters.  A non-finite objective value raises
     DivergenceError at its minibatch, as do non-finite trained weights.
     """
+    labels = np.asarray(batch.labels, dtype=np.intp)
+    x = _checked_input(model, arch, batch.inputs, labels)
     if cfg.frozen_prefix > len(model.layers):
         raise ValueError(
             f"frozen_prefix {cfg.frozen_prefix} exceeds {len(model.layers)} layers"
@@ -499,8 +484,6 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
     if ref is not None and ref.layer_shapes() != model.layer_shapes():
         raise ShapeError("reference_weights shape does not match the model")
 
-    x = _as_batch_array(batch.inputs, arch, model.dtype)
-    labels = np.asarray(batch.labels, dtype=np.intp)
     start = cfg.frozen_prefix
     work = _working_copy(model, start)
     params = [(layer.incoming, layer.bias) for layer in work.layers[start:]]
@@ -559,8 +542,8 @@ def gradient_check(model: ModelWeights, arch: ModelArch, batch: Batch,
     """
     if not 1e-7 < epsilon < 1e-3:
         raise ValueError("epsilon must lie in (1e-7, 1e-3)")
-    x = _as_batch_array(batch.inputs, arch, model.dtype)
     labels = np.asarray(batch.labels, dtype=np.intp)
+    x = _checked_input(model, arch, batch.inputs, labels)
     start = cfg.frozen_prefix
     work = _working_copy(model, start)
     _, grads = _objective(work, arch, x, labels, cfg, keep=True)

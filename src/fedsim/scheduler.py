@@ -258,28 +258,40 @@ def _snapshot(state: ClientState, score: float, round_index: int) -> None:
 
 
 @functools.cache
-def openblas_threading() -> tuple:
-    """(get, set) thread-count functions of each loaded OpenBLAS, found once."""
+def _openblas(name: str, restype=ctypes.c_int) -> tuple:
+    """Function openblas_<name> of each loaded OpenBLAS, under the prefix
+    and suffix its build exports it with, found once."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
     except OSError:
         return ()
-    names = [f"{prefix}openblas_%s_num_threads{suffix}"
-             for prefix in ("", "scipy_") for suffix in ("", "64_")]
-    return tuple((getattr(lib, name % "get"), getattr(lib, name % "set"))
-                 for lib in map(ctypes.CDLL, paths) for name in names
-                 if hasattr(lib, name % "set"))
+    symbols = [f"{prefix}openblas_{name}{suffix}"
+               for prefix in ("", "scipy_") for suffix in ("", "64_")]
+    found = tuple(getattr(lib, symbol) for lib in map(ctypes.CDLL, paths)
+                  for symbol in symbols if hasattr(lib, symbol))
+    for function in found:
+        function.restype = restype
+    return found
+
+
+def openblas_threading() -> tuple:
+    """(get, set) thread-count functions of each loaded OpenBLAS."""
+    return tuple(zip(_openblas("get_num_threads"), _openblas("set_num_threads")))
 
 
 def host_facts() -> dict:
-    """What a run's bits depend on besides its config and seed."""
+    """What a run's bits depend on besides its config and seed: blas_core is
+    the kernel OpenBLAS picked for this CPU at load time (OPENBLAS_CORETYPE
+    overrides it), None without OpenBLAS or the symbol."""
     sources = sorted(Path(__file__).parent.glob("*.py"))
     digest = hashlib.sha256(b"".join(path.read_bytes() for path in sources))
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = _openblas("get_corename", ctypes.c_char_p)
     return {"source_sha256": digest.hexdigest(), "numpy": np.__version__,
             "blas": f"{blas['name']} {blas['version']}",
-            "blas_threads": 1 if openblas_threading() else None}
+            "blas_threads": 1 if openblas_threading() else None,
+            "blas_core": core[0]().decode() if core else None}
 
 
 def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:

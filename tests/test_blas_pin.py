@@ -1,10 +1,12 @@
 """A run's bits do not depend on the BLAS thread count: run_experiment
 pins every loaded OpenBLAS to one thread, and gives the old count back
-when it returns or raises."""
+when it returns or raises.  They do depend on the kernel OpenBLAS picks
+for the CPU, which host_facts names."""
 
 from __future__ import annotations
 
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +77,18 @@ def test_blas_thread_count_does_not_change_outputs(tmp_path):
         assert one == two, output
     shape = (tmp_path / "blas1" / "shape.txt").read_text().splitlines()
     assert shape[0] == "conv1d 16x6 20"
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64")
+                    or scheduler.host_facts()["blas_core"] is None,
+                    reason="OpenBLAS names no x86-64 kernel here")
+def test_blas_core_names_the_kernel_openblas_picked():
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_CORETYPE": "Haswell"}
+    proc = subprocess.run([sys.executable, "-c", "from fedsim.scheduler import "
+                           "host_facts; print(host_facts()['blas_core'])"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "Haswell\n"
 
 
 def tiny_config(**training) -> ExperimentConfig:

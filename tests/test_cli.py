@@ -19,7 +19,7 @@ from fedsim.cli import main, summarize_run, _load_run
 from fedsim.config import ConfigError, config_to_dict, parse_config, parse_config_dict
 from fedsim.container import deserialize_model
 from fedsim.metrics import CSV_COLUMNS
-from fedsim.scheduler import CsvDataSpec, openblas_threading
+from fedsim.scheduler import CsvDataSpec, host_facts, openblas_threading
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -338,12 +338,27 @@ class TestRunCommand:
         assert numpy_line == (f"warning: host numpy was '0.0.0' in the manifest, "
                               f"is '{np.__version__}' here; outputs may differ")
 
+    def test_replay_names_a_different_blas_kernel(self, tmp_path, capsys):
+        # the kernel OpenBLAS picks at load time changes a run's bits
+        cfg = write(tmp_path, TINY_RUN % "fedavg")
+        first = tmp_path / "first"
+        assert main(["run", "--config", str(cfg), "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["host"]["blas_core"] = "Prescott"
+        replay = write(tmp_path, json.dumps(manifest), name="replay.json")
+        capsys.readouterr()
+        assert main(["run", "--config", str(replay), "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: host blas_core was 'Prescott' in the manifest, "
+            f"is {host_facts()['blas_core']!r} here; outputs may differ"]
+
     def test_manifest_records_what_the_bits_depend_on(self, tmp_path):
         cfg = write(tmp_path, TINY_RUN % "fedavg")
         out = tmp_path / "run"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         host = json.loads((out / "manifest.json").read_text())["host"]
-        assert set(host) == {"source_sha256", "numpy", "blas", "blas_threads"}
+        assert set(host) == {"source_sha256", "numpy", "blas", "blas_threads",
+                             "blas_core"}
         sources = sorted((REPO / "src" / "fedsim").glob("*.py"))
         digest = hashlib.sha256(b"".join(p.read_bytes() for p in sources))
         assert host["source_sha256"] == digest.hexdigest()
@@ -351,6 +366,7 @@ class TestRunCommand:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert host["blas"] == f"{blas['name']} {blas['version']}"
         assert host["blas_threads"] == (1 if openblas_threading() else None)
+        assert host["blas_core"] == host_facts()["blas_core"]
         # The synthetic source draws from data.synthetic.seed, which defaults
         # to the experiment seed, through its own spawn-key domains.
         derivation = json.loads((out / "manifest.json").read_text())["seeds"]["derivation"]
@@ -473,6 +489,22 @@ class TestValidateCommand:
         cfg = write(tmp_path, MINIMAL + f"    {key}: {value}\n")
         assert main(["validate", "--config", str(cfg)]) == 2
         assert f"data.synthetic: {key} {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("    - {kind: dense", "    - {kind: maxpool1d, width: 99, kernel: 4}\n"
+         "    - {kind: dense", "model.layers[0]: maxpool1d layer takes no width"),
+        ("{kind: dense, width: 8,", "{kind: dense, width: 8, kernel: 5,",
+         "model.layers[0]: dense layer takes no kernel"),
+        ("{kind: softmax-output, width: 4}", "{kind: softmax-output, width: 4, kernel: 3}",
+         "model.layers[1]: softmax-output layer takes no kernel"),
+    ], ids=["maxpool1d-width", "dense-kernel", "softmax-output-kernel"])
+    def test_layer_field_its_kind_ignores_rejected(self, tmp_path, capsys, old, new,
+                                                   where):
+        # the manifest would record the field as if it shaped the model
+        text = MINIMAL.replace(old, new)
+        assert text != MINIMAL
+        assert main(["validate", "--config", str(write(tmp_path, text))]) == 2
+        assert capsys.readouterr().err == f"error: {where}\n"
 
     @pytest.mark.parametrize("text, line", [
         (MINIMAL + "seed: -1\n", "error: seed must be >= 0, got -1"),

@@ -22,11 +22,12 @@ from fedsim import (
     loss,
     train_local,
 )
+from fedsim import nn
 from fedsim.fabric import LayerWeights, ShapeError
 from fedsim.nn import (
     Batch,
     DivergenceError,
-    _as_batch_array,
+    _checked_input,
     _conv1d,
     _maxpool1d,
     _objective,
@@ -104,6 +105,74 @@ class TestForward:
         broken = ModelWeights(tuple(layers))
         with pytest.raises(ShapeError, match=r"layer 2 \(dense\)"):
             forward(broken, arch, np.zeros((1, 20, 2)))
+
+
+def _mismatched(case: str):
+    """(model, arch, the ShapeError message expected) for a model whose
+    weights do not fit arch: conv_arch's stack, input 20 x 2, pool 2."""
+    arch = conv_arch(kernel=4)
+    model = init_model(arch, 40)
+    layers = list(model.layers)
+    if case == "extra-layer":
+        extra = LayerWeights(np.zeros((4, 4)), np.zeros(4))
+        return ModelWeights((*layers, extra)), arch, "4 parameterized layers, architecture has 3"
+    if case == "missing-layer":
+        return ModelWeights(tuple(layers[:-1])), arch, "2 parameterized layers, architecture has 3"
+    if case == "conv-kernel":
+        # kernel 5 pools to length 8, as the declared kernel 4 does
+        return init_model(conv_arch(kernel=5), 41), arch, r"layer 0 \(conv1d\)"
+    if case == "conv-channels":
+        wide = init_model(conv_arch(kernel=4, channels=3), 42)
+        return ModelWeights((wide.layers[0], *layers[1:])), arch, r"layer 0 \(conv1d\)"
+    inc = layers[1].incoming  # "dense-fan-in": one row more than the pool gives
+    layers[1] = LayerWeights(np.vstack([inc, inc[:1]]), layers[1].bias)
+    return ModelWeights(tuple(layers)), arch, r"layer 2 \(dense\): weights \(49, 10\)"
+
+
+class TestEntryCheck:
+    """forward, train_local and gradient_check check the model against the
+    architecture once, on the way in; the layer kernels check nothing."""
+
+    @pytest.mark.parametrize("entry", ["forward", "train_local", "gradient_check"])
+    @pytest.mark.parametrize("case", ["extra-layer", "missing-layer", "conv-kernel",
+                                      "conv-channels", "dense-fan-in"])
+    def test_mismatch_is_named_at_the_entry(self, case, entry):
+        model, arch, message = _mismatched(case)
+        rng = np.random.default_rng(43)
+        batch = Batch(rng.normal(size=(6, 20, 2)), rng.integers(0, 4, 6))
+        cfg = TrainingConfig(local_epochs=1, batch_size=4)
+        call = {"forward": lambda: forward(model, arch, batch.inputs),
+                "train_local": lambda: train_local(model, arch, batch, cfg, 0),
+                "gradient_check": lambda: gradient_check(model, arch, batch, cfg)}
+        with pytest.raises(ShapeError, match=message):
+            call[entry]()
+
+    @pytest.mark.parametrize("widths", [(6, 10, 4), (9, 10, 4), (6, 13, 4), (8, 12, 4)])
+    def test_grown_model_passes(self, widths):
+        # FedDist's models outgrow the architecture's widths
+        arch = conv_arch()
+        assert arch.trace(widths) == arch.with_widths(widths).trace()
+        model = init_model(arch.with_widths(widths), 46)
+        assert forward(model, arch, np.zeros((2, 20, 2))).shape == (2, 4)
+
+    def test_label_range_is_checked_before_the_first_minibatch(self, monkeypatch):
+        arch = conv_arch()
+        model = init_model(arch, 44)
+        rng = np.random.default_rng(45)
+        labels = np.arange(12) % 4
+        labels[-1] = 4  # only the last window names a class the model lacks
+        batch = Batch(rng.normal(size=(12, 20, 2)), labels)
+        cfg = TrainingConfig(local_epochs=1, batch_size=4)
+        assert 11 not in np.random.default_rng(0).permutation(12)[:4]  # seed 0's shuffle
+        calls = []
+        objective = nn._objective
+        monkeypatch.setattr(nn, "_objective",
+                            lambda *args, **kw: calls.append(1) or objective(*args, **kw))
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\), got \[0, 4\]"):
+            train_local(model, arch, batch, cfg, 0)
+        with pytest.raises(ValueError, match="labels must lie in"):
+            gradient_check(model, arch, batch, cfg)
+        assert calls == []
 
 
 class TestLoss:
@@ -265,7 +334,7 @@ class TestTrainLocal:
                              reference_weights=ref)
         out, _ = train_local(model, arch, batch, cfg, 13)
         order = np.random.default_rng(13).permutation(6)  # train_local's shuffle
-        x = _as_batch_array(batch.inputs, arch, model.dtype)[order]
+        x = _checked_input(model, arch, batch.inputs)[order]
         _, grads = _objective(model, arch, x, batch.labels[order], cfg, keep=True)
         assert np.array_equal(out.layers[0].incoming, model.layers[0].incoming)
         assert np.array_equal(out.layers[0].bias, model.layers[0].bias)
@@ -386,7 +455,7 @@ class TestFrozenPrefixShortcuts:
         a = rng.normal(size=(n, t, c))
         dz = rng.normal(size=(n, t_out, o))
         _, backward = _conv1d(LayerSpec("conv1d", width=o, kernel=k), layer, a,
-                              "conv", keep=True)
+                              keep=True)
         dx, (dw, db) = backward(dz, False)
         cols = np.stack([a[:, i:i + t_out, :] for i in range(k)], axis=2)
         ref = np.einsum("ntf,nto->fo", cols.reshape(n, t_out, k * c), dz)
@@ -439,8 +508,8 @@ class TestMaxPool:
         n, t, c = a.shape
         da = -rng.uniform(0.5, 2.0, size=(n, t // k, c))  # negative: -0.0 would show
         spec = LayerSpec("maxpool1d", kernel=k)
-        out, backward = _maxpool1d(spec, None, a, "pool", keep=True)
-        plain, none = _maxpool1d(spec, None, a, "pool", keep=False)
+        out, backward = _maxpool1d(spec, None, a, keep=True)
+        plain, none = _maxpool1d(spec, None, a, keep=False)
         ref_out, ref_dx = pool_by_blocks(a, k, da)
         dx, grad = backward(da, True)
         assert none is None and grad is None
@@ -459,8 +528,8 @@ class TestConvKeep:
         layer = LayerWeights(rng.normal(size=(16, 6, 16)), rng.normal(size=16))
         for n in (16, 5):
             a = rng.normal(size=(n, 128, 6))
-            kept, _ = _conv1d(spec, layer, a, "conv", keep=True)
-            plain, _ = _conv1d(spec, layer, a, "conv", keep=False)
+            kept, _ = _conv1d(spec, layer, a, keep=True)
+            plain, _ = _conv1d(spec, layer, a, keep=False)
             assert kept.tobytes() == plain.tobytes()
 
     def test_non_finite_conv_weight_names_conv_layer(self):
@@ -560,7 +629,7 @@ def assert_scores_one_path(model, arch, x):
     measured 1.1e-15, at desk shapes with conv widths 16 to 20."""
     probs = forward(model, arch, x)
     assert np.array_equal(evaluate(model, arch, x), np.argmax(probs, axis=1))
-    logits, _ = _walk(model, arch, _as_batch_array(x, arch, model.dtype))
+    logits, _ = _walk(model, arch, _checked_input(model, arch, x))
     assert np.abs(probs - _softmax(logits)).max() <= 1e-12
 
 

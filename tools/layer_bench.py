@@ -71,11 +71,10 @@ def layer_rows(batch: int, repeats: int):
     rows = []
     for i, spec in enumerate(DESK_ARCH.layers):
         layer = next(params) if spec.kind in PARAM_KINDS else None
-        where = f"layer {i} ({spec.kind})"
         layer_forward = _FORWARD[spec.kind]
-        train = median_us(lambda: layer_forward(spec, layer, a, where, True), repeats)
-        infer = median_us(lambda: layer_forward(spec, layer, a, where, False), repeats)
-        out, backward = layer_forward(spec, layer, a, where, True)
+        train = median_us(lambda: layer_forward(spec, layer, a, True), repeats)
+        infer = median_us(lambda: layer_forward(spec, layer, a, False), repeats)
+        out, backward = layer_forward(spec, layer, a, True)
         upstream = rng.normal(size=out.shape)
         need_dx = i > 0
         back = median_us(lambda: backward(upstream, need_dx), repeats)
