@@ -258,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the experiment seed (an explicit data seed stays)")
     run_p.add_argument("--threads", type=int, default=None,
-                       help="client-update worker threads")
+                       help="client-update worker threads (2 slows a small model: "
+                            "dense-32 FedAvg on 10 clients took 4.6-5.0 s "
+                            "against 2.7-3.3 s at 1)")
     run_p.set_defaults(func=cmd_run)
 
     val_p = sub.add_parser("validate", help="check a config without running")

@@ -3,6 +3,9 @@ z-normalization, sliding-window framing, stratified splits, a generic CSV
 ingester for 6-channel IMU exports, and the two client-data sources
 (SyntheticSpec, CsvDataSpec).  A raw series, inputs [samples, channels],
 and its framed windows, [count, length, channels], are both nn.Batch.
+The windows are a read-only view of the normalized series, and the two
+sides of a split are that view plus their rows, so a client holds each
+sample once.
 
 The synthetic generator stands in for real multi-user recordings at desk
 scale.  Statistical heterogeneity comes from per-client Dirichlet class
@@ -36,11 +39,11 @@ class CsvFormatError(ValueError):
 
 
 def concat_window_sets(sets) -> Batch:
-    """The non-empty sets' windows in order, copied into one Batch."""
+    """The non-empty sets' windows in order, gathered into one Batch."""
     sets = [s for s in sets if len(s)]
     if not sets:
         raise ValueError("nothing to concatenate")
-    return Batch(np.concatenate([s.inputs for s in sets]),
+    return Batch(np.concatenate([s.take() for s in sets]),
                  np.concatenate([s.labels for s in sets]))
 
 
@@ -178,8 +181,9 @@ def stratified_split(batch: Batch, train_fraction: float = 0.8,
                      seed=0) -> tuple[Batch, Batch]:
     """Per-class split: round(n_c * fraction) windows to train, clamped so
     both sides keep at least one window when a class has >= 2.  Singleton
-    classes go to train with a warning.  Each side is gathered once, in
-    window order, into its own arrays."""
+    classes go to train with a warning.  Each side is a read-only view of
+    batch's inputs plus its sorted rows and their labels; no window is
+    copied."""
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -199,7 +203,11 @@ def stratified_split(batch: Batch, train_fraction: float = 0.8,
     none = [np.zeros(0, dtype=np.intp)]
     sides = (np.sort(np.concatenate(train_idx or none)),
              np.sort(np.concatenate(test_idx or none)))
-    return tuple(Batch(batch.inputs[idx], batch.labels[idx]) for idx in sides)
+    inputs = batch.inputs.view()
+    inputs.flags.writeable = False
+    return tuple(Batch(inputs, batch.labels[idx],
+                       idx if batch.rows is None else batch.rows[idx])
+                 for idx in sides)
 
 
 def _class_signatures(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -251,8 +259,8 @@ def generate_synthetic(spec: SyntheticSpec) -> list[tuple[Batch, Batch]]:
     generate -> normalize -> window -> split.
 
     Normalization statistics are computed per client over its own series;
-    nothing crosses clients.  Each client holds its own two arrays, and
-    each window is written once, straight from the normalized series.
+    nothing crosses clients.  Each client holds its normalized series once:
+    both sides index its window view.
     """
     offsets, amps, freqs = _class_signatures(spec)
     out = []

@@ -88,7 +88,7 @@ def score_model(model: ModelWeights, arch: ModelArch, tests) -> ScoreBundle:
     counts = np.zeros((arch.classes, arch.classes), dtype=np.int64)
     for test in tests:
         if len(test):
-            counts += confusion(test.labels, nn.evaluate(model, arch, test.inputs),
+            counts += confusion(test.labels, nn.evaluate(model, arch, test),
                                 arch.classes)
     if not counts.any():
         raise ValueError("empty test set")

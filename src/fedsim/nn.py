@@ -42,19 +42,38 @@ def diverged_in(where: str):
 class Batch:
     """A stack of examples, inputs [n, window, channels] (or [n, features])
     plus one class label each: the one client-data record, from
-    data.window() through ClientRuntime.data to train_local."""
+    data.window() through ClientRuntime.data to train_local.
+
+    rows, when set, selects the batch's examples from inputs, in order: a
+    split side is its client's window view plus the rows it holds, so both
+    sides share the view.  Without rows every input is an example.  Read
+    the examples' inputs through take(), which gathers only the rows asked
+    for."""
 
     inputs: np.ndarray
     labels: np.ndarray
+    rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.inputs.ndim not in (2, 3):
             raise ShapeError(f"inputs must be 2-D or 3-D, got {self.inputs.ndim}-D")
-        if self.labels.ndim != 1 or len(self.labels) != len(self.inputs):
-            raise ShapeError("labels must be a vector matching the input count")
+        count = len(self.inputs)
+        if self.rows is not None:
+            rows = self.rows
+            if rows.ndim != 1 or len(rows) and not 0 <= rows.min() <= rows.max() < count:
+                raise ShapeError(f"rows must be a vector of indices in [0, {count})")
+            count = len(rows)
+        if self.labels.ndim != 1 or len(self.labels) != count:
+            raise ShapeError("labels must be a vector matching the example count")
 
     def __len__(self) -> int:
-        return len(self.inputs)
+        return len(self.labels)
+
+    def take(self, sel=slice(None)) -> np.ndarray:
+        """The inputs of the examples at positions sel (a slice or an index
+        array): a view of inputs for a slice of a batch without rows, else
+        a gather of those rows alone."""
+        return self.inputs[sel] if self.rows is None else self.inputs[self.rows[sel]]
 
 
 @dataclass(frozen=True)
@@ -106,14 +125,13 @@ def balanced_class_weights(labels: np.ndarray, classes: int) -> np.ndarray:
     return weights
 
 
-def _checked_input(model: ModelWeights, arch: ModelArch, inputs: np.ndarray,
-                   labels: np.ndarray | None = None) -> np.ndarray:
-    """inputs as a [n, T, C] array of the model's dtype, once model and
-    inputs are checked against arch: the one check on the way into nn, so
-    the layer kernels below check nothing.  Each layer's weights must have
-    the shape arch traces at the model's widths, the inputs must meet the
-    input contract, and labels, when given, must name a class of the
-    model's output."""
+def _check_entry(model: ModelWeights, arch: ModelArch, inputs,
+                 labels: np.ndarray | None = None) -> None:
+    """Check model and inputs, a Batch or an array, against arch: the one
+    check on the way into nn, so the layer kernels below check nothing.
+    Each layer's weights must have the shape arch traces at the model's
+    widths, the inputs must meet the input contract, and labels, when
+    given, must name a class of the model's output."""
     params = arch.param_indices()
     if len(model.layers) != len(params):
         raise ShapeError(f"model has {len(model.layers)} parameterized layers, "
@@ -122,12 +140,11 @@ def _checked_input(model: ModelWeights, arch: ModelArch, inputs: np.ndarray,
         if layer.incoming.shape != shape.incoming_shape:
             raise ShapeError(f"layer {i} ({arch.layers[i].kind}): weights "
                              f"{layer.incoming.shape}, expected {shape.incoming_shape}")
-    x = np.asarray(inputs, dtype=model.dtype)
-    if x.ndim == 2 and arch.input_channels == 1:  # flat inputs
-        x = x[:, :, None]
-    if x.ndim != 3 or x.shape[1] != arch.input_length or x.shape[2] != arch.input_channels:
+    shape = np.shape(inputs.inputs if isinstance(inputs, Batch) else inputs)[1:]
+    flat = arch.input_channels == 1 and shape == (arch.input_length,)
+    if shape != (arch.input_length, arch.input_channels) and not flat:
         raise ShapeError(
-            f"input shape {tuple(np.shape(inputs))[1:]} does not match the "
+            f"input shape {shape} does not match the "
             f"model contract ({arch.input_length}, {arch.input_channels})"
         )
     classes = model.layers[-1].out_width
@@ -135,7 +152,16 @@ def _checked_input(model: ModelWeights, arch: ModelArch, inputs: np.ndarray,
         raise ValueError(
             f"labels must lie in [0, {classes}), got [{labels.min()}, {labels.max()}]"
         )
-    return x
+
+
+def _gather(inputs, dtype, sel=slice(None)) -> np.ndarray:
+    """The examples at positions sel of inputs, a Batch or an array that
+    passed _check_entry, as a [m, T, C] array of dtype: the one read of
+    input windows in nn.  Only the rows gathered are converted, never a
+    Batch's whole window view."""
+    x = np.asarray(inputs.take(sel) if isinstance(inputs, Batch) else inputs[sel],
+                   dtype=dtype)
+    return x[:, :, None] if x.ndim == 2 else x
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -202,17 +228,17 @@ def _maxpool1d(spec, layer, a, keep):
 def _im2col(a: np.ndarray, k: int) -> np.ndarray:
     """im2col view [N, T-k+1, k*C] of a [N, T, C]: row t of window i is
     a[i, t:t+k, :] flattened.  The rows overlap, so it is read-only.  It
-    copies a only when a window's [T, C] block is not contiguous.  The
-    strides within a window come from the shape: numpy calls a block
-    contiguous whatever the stride of a size-1 axis, such as the 0 of
-    x[:, :, None]."""
-    if not a[:1].flags.c_contiguous:
-        a = np.ascontiguousarray(a)
+    copies a only when a is not contiguous, and the strides come from the
+    shape: numpy calls an array contiguous whatever the stride of a size-1
+    axis, such as the 0 of x[:, :, None].  Built by the ndarray
+    constructor, which costs a quarter of as_strided: forward builds one
+    per slice and training one per minibatch."""
+    a = np.ascontiguousarray(a)
     n, t, c = a.shape
     size = a.itemsize
-    step = a.strides[0] if n > 1 else t * c * size
-    return np.lib.stride_tricks.as_strided(a, (n, t - k + 1, k * c),
-                                           (step, c * size, size), writeable=False)
+    cols = np.ndarray((n, t - k + 1, k * c), a.dtype, a, 0, (t * c * size, c * size, size))
+    cols.flags.writeable = False
+    return cols
 
 
 def _conv1d(spec, layer, a, keep):
@@ -226,11 +252,9 @@ def _conv1d(spec, layer, a, keep):
         cols = np.ascontiguousarray(cols)
     # A 3-D matmul runs one gemm per window, so a window's output does not
     # depend on the other windows in the call: training and _window_prefix
-    # rely on it.  The bias is added in place as one row tiled over the
-    # output positions.
+    # rely on it.  The bias is added in place, broadcast over the last axis.
     z = cols @ layer.incoming.reshape(k * c_in, c_out)
-    rows = z.reshape(n, t_out * c_out)
-    rows += np.tile(layer.bias, t_out)
+    z += layer.bias
     if not keep:
         return _activate(spec, z, None)
 
@@ -313,60 +337,64 @@ def _walk(model: ModelWeights, arch: ModelArch, a: np.ndarray, first: int = 0,
     return a, backwards
 
 
-def _window_prefix(model: ModelWeights, arch: ModelArch, x: np.ndarray,
-                   below: int) -> tuple[np.ndarray, int]:
+def _window_prefix(model: ModelWeights, arch: ModelArch, inputs,
+                   below: int) -> tuple[Batch | np.ndarray, int]:
     """Run the leading conv1d/maxpool1d layers of the stack that lie below
-    arch layer `below` on x, _SLICE windows at a time, so that the conv's
-    im2col rows and output exist for one slice only.  Returns (their
-    output, the index of the first layer not run); x itself and 0 when
-    there are none.  Bit-identical to running them over x at once: the
-    conv is one gemm per window (_conv1d), and these outputs are
-    train_local's frozen-prefix features."""
+    arch layer `below` on inputs (checked by _check_entry), _SLICE windows
+    at a time, so that the gathered windows, the conv's im2col rows and
+    its output exist for one slice only.  Returns (their output, the index
+    of the first layer not run); inputs itself and 0 when there are none.
+    Bit-identical to running them over every window at once: the conv is
+    one gemm per window (_conv1d), and these outputs are train_local's
+    frozen-prefix features."""
     first = 0
     while first < below and arch.layers[first].kind in _PER_WINDOW_KINDS:
         first += 1
     if first == 0:
-        return x, 0
+        return inputs, 0
     features = None
-    # An empty x still makes one (empty) slice, which carries the shape.
-    for lo in range(0, max(len(x), 1), _SLICE):
-        out, _ = _walk(model, arch, x[lo:lo + _SLICE], 0, first)
+    # Empty inputs still make one (empty) slice, which carries the shape.
+    for lo in range(0, max(len(inputs), 1), _SLICE):
+        out, _ = _walk(model, arch, _gather(inputs, model.dtype, slice(lo, lo + _SLICE)),
+                       0, first)
         if features is None:
-            features = np.empty((len(x),) + out.shape[1:], dtype=out.dtype)
+            features = np.empty((len(inputs),) + out.shape[1:], dtype=out.dtype)
         features[lo:lo + len(out)] = out
     return features, first
 
 
-def forward(model: ModelWeights, arch: ModelArch, inputs: np.ndarray) -> np.ndarray:
-    """Class-probability matrix [examples, classes]; rows sum to 1.
+def forward(model: ModelWeights, arch: ModelArch, inputs) -> np.ndarray:
+    """Class-probability matrix [examples, classes] of inputs, a Batch or
+    an array of windows; rows sum to 1.
 
-    The whole stack runs on _SLICE-window slices, which bounds the memory
-    of scoring a large test set.  A leading conv runs as one gemm per
-    output position t over the slice's m windows: item t of the transposed
-    im2col view is an [m, k*C] matrix whose leading dimension is the window
+    The whole stack runs on _SLICE-window slices, each gathered and
+    converted to the model's dtype on its own, which bounds the memory of
+    scoring a large test set.  A leading conv runs as one gemm per output
+    position t over the slice's m windows: item t of the transposed im2col
+    view is an [m, k*C] matrix whose leading dimension is the window
     stride, which BLAS reads in place, so no im2col row is copied (the
     per-window gemm's rows overlap with a stride of C elements, below k*C,
     so numpy copies them).  The gemm writes one reused [m, T_out, C_out]
     buffer that the bias, relu, pool and dense steps read.  So the
     probabilities may differ in the last bit from the per-window path
     training runs (_walk)."""
-    x = _checked_input(model, arch, inputs)
-    probs = np.empty((len(x), model.layers[-1].out_width), dtype=x.dtype)
+    if not isinstance(inputs, Batch):
+        inputs = np.asarray(inputs)
+    _check_entry(model, arch, inputs)
+    probs = np.empty((len(inputs), model.layers[-1].out_width), dtype=model.dtype)
     conv = arch.layers[0].kind == CONV1D
     if conv:
         spec, layer = arch.layers[0], model.layers[0]
         k, c_in, c_out = layer.incoming.shape
-        rows = _im2col(x, k).transpose(1, 0, 2)  # rows[t, i]: row t of window i
         w = layer.incoming.reshape(k * c_in, c_out)
-        bias = np.tile(layer.bias, len(rows))
-        z_buf = np.empty((_SLICE, len(rows), c_out), dtype=x.dtype)
-    for lo in range(0, len(x), _SLICE):
-        xs = x[lo:lo + _SLICE]
+        z_buf = np.empty((_SLICE, arch.input_length - k + 1, c_out), dtype=model.dtype)
+    for lo in range(0, len(inputs), _SLICE):
+        xs = _gather(inputs, model.dtype, slice(lo, lo + _SLICE))
         if conv:
             z = z_buf[:len(xs)]
-            np.matmul(rows[:, lo:lo + _SLICE], w, out=z.transpose(1, 0, 2))
-            flat = z.reshape(len(z), bias.size)
-            flat += bias
+            cols = _im2col(xs, k).transpose(1, 0, 2)  # cols[t, i]: row t of window i
+            np.matmul(cols, w, out=z.transpose(1, 0, 2))
+            z += layer.bias
             logits, _ = _walk(model, arch, _activate(spec, z, None)[0], 1)
         else:
             logits, _ = _walk(model, arch, xs)
@@ -397,20 +425,21 @@ def _working_copy(model: ModelWeights, start: int) -> ModelWeights:
 
 
 def _objective(model: ModelWeights, arch: ModelArch, x: np.ndarray,
-               labels: np.ndarray, cfg: TrainingConfig, keep: bool,
+               labels: np.ndarray, cfg: TrainingConfig, lowest: int | None,
                first: int = 0):
     """The training objective on one batch: the weighted cross-entropy plus,
     when cfg.reference_weights is set, the proximal term over the trainable
     layers (model.layers[cfg.frozen_prefix:]).  x is the input of arch
-    layer first: the batch itself, or train_local's cached features.
+    layer first: the gathered windows, or train_local's cached features.
+    lowest is _lowest_trainable(arch, cfg.frozen_prefix), which callers
+    compute once per call, or None for the value alone.
 
-    Returns (value, grads): grads is None unless keep, else the (dW, db) of
-    each trainable layer in order, the proximal gradient included.  Frozen
-    layers get no backward pass: they run forward-only, the backward walk
-    stops at the lowest trainable layer, and that layer computes no input
-    gradient.
+    Returns (value, grads): grads is None when lowest is None, else the
+    (dW, db) of each trainable layer in order, the proximal gradient
+    included.  Frozen layers get no backward pass: they run forward-only,
+    the backward walk stops at the lowest trainable layer, and that layer
+    computes no input gradient.
     """
-    lowest = _lowest_trainable(arch, cfg.frozen_prefix) if keep else None
     logits, backwards = _walk(model, arch, x, first, lowest=lowest)
     probs = _softmax(logits)
     n = len(labels)
@@ -423,7 +452,7 @@ def _objective(model: ModelWeights, arch: ModelArch, x: np.ndarray,
             acc += (float(np.sum((layer.incoming - r.incoming) ** 2))
                     + float(np.sum((layer.bias - r.bias) ** 2)))
         value += 0.5 * mu * acc
-    if not keep:
+    if lowest is None:
         return value, None
 
     if cfg.class_weights is not None:
@@ -466,14 +495,15 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
     and get no backward pass.  The leading frozen conv1d/maxpool1d layers
     run once per call over every window of the batch, not once per
     minibatch; each minibatch starts from those cached features, with the
-    same bits as running them per minibatch.  An empty dataset is an
+    same bits as running them per minibatch.  Otherwise each minibatch
+    gathers its own windows from the batch.  An empty dataset is an
     explicit no-op: (input model, []).  With cfg.reference_weights set the
     optimized objective is loss + (mu/2)*||w - reference||^2 over the
     trainable parameters.  A non-finite objective value raises
     DivergenceError at its minibatch, as do non-finite trained weights.
     """
     labels = np.asarray(batch.labels, dtype=np.intp)
-    x = _checked_input(model, arch, batch.inputs, labels)
+    _check_entry(model, arch, batch, labels)
     if cfg.frozen_prefix > len(model.layers):
         raise ValueError(
             f"frozen_prefix {cfg.frozen_prefix} exceeds {len(model.layers)} layers"
@@ -488,7 +518,8 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
     work = _working_copy(model, start)
     params = [(layer.incoming, layer.bias) for layer in work.layers[start:]]
 
-    features, first = _window_prefix(work, arch, x, _lowest_trainable(arch, start))
+    lowest = _lowest_trainable(arch, start)
+    features, first = _window_prefix(work, arch, batch, lowest)
 
     rng = np.random.default_rng(seed)
     lr = cfg.learning_rate
@@ -498,14 +529,14 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
         batch_losses = []
         for lo in range(0, len(order), cfg.batch_size):
             sel = order[lo:lo + cfg.batch_size]
-            value, grads = _objective(work, arch, features[sel], labels[sel], cfg,
-                                      keep=True, first=first)
+            value, grads = _objective(work, arch, _gather(features, work.dtype, sel),
+                                      labels[sel], cfg, lowest, first)
             if not math.isfinite(value):
                 raise DivergenceError(
                     f"diverged, layer parameters must be finite: objective "
                     f"{value} at epoch {epoch}, minibatch "
                     f"{lo // cfg.batch_size + 1}; "
-                    f"{_divergence_site(work, arch, x[sel])}")
+                    f"{_divergence_site(work, arch, _gather(batch, work.dtype, sel))}")
             batch_losses.append(value)
             if lr != 0:
                 for (w, b), (dw, db) in zip(params, grads):
@@ -524,9 +555,10 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
     return ModelWeights(work.layers[:start] + tuple(trained)), epoch_losses
 
 
-def evaluate(model: ModelWeights, arch: ModelArch, inputs: np.ndarray) -> np.ndarray:
-    """Predicted class per example: argmax of forward's probabilities,
-    ties broken toward the lowest class index."""
+def evaluate(model: ModelWeights, arch: ModelArch, inputs) -> np.ndarray:
+    """Predicted class per example of inputs, a Batch or an array of
+    windows: argmax of forward's probabilities, ties broken toward the
+    lowest class index."""
     return np.argmax(forward(model, arch, inputs), axis=1)
 
 
@@ -543,10 +575,11 @@ def gradient_check(model: ModelWeights, arch: ModelArch, batch: Batch,
     if not 1e-7 < epsilon < 1e-3:
         raise ValueError("epsilon must lie in (1e-7, 1e-3)")
     labels = np.asarray(batch.labels, dtype=np.intp)
-    x = _checked_input(model, arch, batch.inputs, labels)
+    _check_entry(model, arch, batch, labels)
+    x = _gather(batch, model.dtype)
     start = cfg.frozen_prefix
     work = _working_copy(model, start)
-    _, grads = _objective(work, arch, x, labels, cfg, keep=True)
+    _, grads = _objective(work, arch, x, labels, cfg, _lowest_trainable(arch, start))
 
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -567,9 +600,9 @@ def gradient_check(model: ModelWeights, arch: ModelArch, batch: Batch,
             for j in flat_idx:
                 orig = view[j]
                 view[j] = orig + epsilon
-                hi, _ = _objective(work, arch, x, labels, cfg, keep=False)
+                hi, _ = _objective(work, arch, x, labels, cfg, None)
                 view[j] = orig - epsilon
-                lo, _ = _objective(work, arch, x, labels, cfg, keep=False)
+                lo, _ = _objective(work, arch, x, labels, cfg, None)
                 view[j] = orig
                 numeric = (hi - lo) / (2 * epsilon)
                 err = abs(float(a_flat[j]) - numeric) / max(scale, abs(numeric))

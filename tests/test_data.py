@@ -19,6 +19,7 @@ from fedsim.data import (
     concat_window_sets,
     ingest_csv,
 )
+from fedsim.fabric import ShapeError
 from fedsim.nn import Batch
 
 
@@ -106,6 +107,19 @@ def window_set(labels) -> Batch:
     return Batch(np.zeros((len(labels), 4, 1)), labels)
 
 
+def test_batch_rows_select_the_examples():
+    inputs = np.arange(24.0).reshape(4, 3, 2)
+    batch = Batch(inputs, np.array([1, 0]), np.array([3, 1]))
+    assert len(batch) == 2
+    assert np.array_equal(batch.take(), inputs[[3, 1]])
+    assert np.array_equal(batch.take(slice(1, 2)), inputs[[1]])
+    for rows in (np.array([0, 4]), np.array([-1, 0]), np.array([[0, 1]])):
+        with pytest.raises(ShapeError, match=r"rows must be a vector of indices in \[0, 4\)"):
+            Batch(inputs, np.array([0, 0]), rows)
+    with pytest.raises(ShapeError, match="labels must be a vector matching the example count"):
+        Batch(inputs, np.zeros(4, dtype=np.intp), np.array([0, 1]))
+
+
 class TestStratifiedSplit:
     def test_exact_ratio_when_divisible(self):
         train, test = stratified_split(window_set([0] * 10 + [1] * 10), 0.8, 0)
@@ -117,7 +131,8 @@ class TestStratifiedSplit:
         a = stratified_split(ws, 0.8, 42)
         b = stratified_split(ws, 0.8, 42)
         assert np.array_equal(a[0].labels, b[0].labels)
-        assert np.array_equal(a[0].inputs, b[0].inputs)
+        assert np.array_equal(a[0].rows, b[0].rows)
+        assert np.array_equal(a[0].take(), b[0].take())
 
     def test_rounding_rule_vs_enumerating_oracle(self):
         train, test = stratified_split(window_set([0] * 7 + [1] * 13), 0.8, 1)
@@ -132,7 +147,7 @@ class TestStratifiedSplit:
         ws = Batch(rng.normal(size=(60, 4, 1)), labels)
         train, test = stratified_split(ws, 0.7, 3)
         assert len(train) + len(test) == 60
-        stacked = np.concatenate([train.inputs, test.inputs]).reshape(60, -1)
+        stacked = np.concatenate([train.take(), test.take()]).reshape(60, -1)
         original = ws.inputs.reshape(60, -1)
         assert {tuple(r) for r in stacked} == {tuple(r) for r in original}
 
@@ -148,20 +163,94 @@ class TestStratifiedSplit:
         assert (train.labels == 1).sum() == 1
         assert (test.labels == 1).sum() == 0
 
-    def test_split_of_windows_writes_each_window_once(self, rng):
-        # window() is a view of the series, so the split's two gathers are
-        # the only copies of the windows
-        series = series_from(rng.normal(size=(2000, 6)), rng.integers(0, 4, 2000))
-        stratified_split(window(series), 0.8, 0)  # the first call imports numpy.ma
+    def test_split_allocates_only_rows_and_labels(self, rng):
+        # Both sides index window()'s view of the series, so the split keeps
+        # one row index and one label per window and copies no window (the
+        # 3,124 windows would take 19 MB)
+        series = series_from(rng.normal(size=(200_000, 6)), rng.integers(0, 4, 200_000))
+        ws = window(series)
+        stratified_split(ws, 0.8, 0)  # the first call imports numpy.ma
         tracemalloc.start()
         try:
-            sides = stratified_split(window(series), 0.8, 0)
-            allocated = tracemalloc.get_traced_memory()[1]
+            sides = stratified_split(ws, 0.8, 0)
+            retained, allocated = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        kept = sum(side.inputs.nbytes + side.labels.nbytes for side in sides)
-        assert sum(len(side) for side in sides) == 30
-        assert allocated <= 1.1 * kept
+        kept = sum(side.rows.nbytes + side.labels.nbytes for side in sides)
+        assert sum(len(side) for side in sides) == len(ws) == 3124
+        assert kept == 2 * len(ws) * np.dtype(np.intp).itemsize
+        assert all(np.shares_memory(side.inputs, series.inputs) for side in sides)
+        assert retained <= 1.1 * kept
+        # the per-class indices and their sorted copies pass through
+        assert allocated <= 2 * kept
+
+    @given(n=st.integers(0, 100) | st.just(16), step=st.sampled_from([5, 15, 16, 17, 40]),
+           fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_row_indexed_sides_equal_the_copying_split(self, n, step, fraction, seed):
+        # 16-sample windows: the series is shorter than, exactly or longer
+        # than one window, stepped below, at and above the window length.
+        # Each side's gathered windows are those the split used to copy.
+        rng = np.random.default_rng(seed)
+        series = series_from(rng.normal(size=(n, 3)), rng.integers(0, 3, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a short series, singleton classes
+            ws = window(series, 16, step)
+            sides = stratified_split(ws, fraction, seed)
+        for side in sides:
+            copied = ws.inputs[side.rows]
+            assert side.take().shape == copied.shape
+            assert side.take().tobytes() == copied.tobytes()
+            assert np.array_equal(side.labels, ws.labels[side.rows])
+            assert np.all(np.diff(side.rows) > 0)  # sorted, no repeats
+            assert not side.inputs.flags.writeable
+        both = np.concatenate([side.rows for side in sides])
+        assert np.array_equal(np.sort(both), np.arange(len(ws)))  # disjoint, complete
+
+
+class TestClientsHoldEachSampleOnce:
+    """A client keeps its normalized series, one label and one row index per
+    window, and nothing else: its windows are a view of the series, shared
+    by both sides of its split.  Copying the windows would keep about twice
+    the series, since windows overlap by half."""
+
+    @staticmethod
+    def retained(make):
+        make()  # a first call fills import caches, which hold no client data
+        tracemalloc.start()
+        try:
+            datasets = make()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        windows = sum(len(side) for sides in datasets for side in sides)
+        return kept, windows * 2 * np.dtype(np.intp).itemsize  # labels, rows
+
+    def test_synthetic_clients(self):
+        spec = SyntheticSpec(clients=4, classes=4, dirichlet_alpha=1.0,
+                             samples_per_client=(6000, 6000), seed=2)
+        kept, indices = self.retained(lambda: generate_synthetic(spec))
+        assert kept <= 1.1 * 4 * 6000 * 6 * 8 + indices
+
+    def test_csv_clients(self, tmp_path):
+        from fedsim import ExperimentConfig, LayerSpec, ModelArch
+        from fedsim.scheduler import CsvDataSpec, client_datasets
+
+        rng = np.random.default_rng(3)
+        paths = []
+        for k in range(2):
+            labels = np.arange(6000) // 500 % 4
+            rows = [f"{i / 50:.2f}," + ",".join(f"{v:.5f}" for v in values) + f",{label}"
+                    for i, (values, label) in enumerate(zip(rng.normal(size=(6000, 6)),
+                                                            labels))]
+            write_csv(tmp_path / f"client{k}.csv", rows)
+            paths.append(str(tmp_path / f"client{k}.csv"))
+        arch = ModelArch(128, 6, (LayerSpec("dense", width=8, activation="relu"),
+                                  LayerSpec("softmax-output", width=4)))
+        cfg = ExperimentConfig(algorithm="fedavg", model=arch,
+                               data=CsvDataSpec(paths=tuple(paths), classes=4))
+        kept, indices = self.retained(lambda: client_datasets(cfg))
+        assert kept <= 1.1 * 2 * 6000 * 6 * 8 + indices
 
 
 class TestGenerateSynthetic:
@@ -172,6 +261,7 @@ class TestGenerateSynthetic:
         b = generate_synthetic(spec)
         for (ta, va), (tb, vb) in zip(a, b):
             assert np.array_equal(ta.inputs, tb.inputs)
+            assert np.array_equal(ta.take(), tb.take())
             assert np.array_equal(va.labels, vb.labels)
 
     def test_large_alpha_gives_uniform_segment_draws(self):
@@ -239,15 +329,15 @@ class TestConcatWindowSets:
     @pytest.mark.parametrize("pick", [
         lambda sets: sets[::-1],
         lambda sets: sets[:1] + sets[2:],
-        lambda sets: [Batch(s.inputs.copy(), s.labels.copy()) for s in sets],
-        lambda sets: [Batch(s.inputs[1:], s.labels[1:]) for s in sets],
+        lambda sets: [Batch(s.take().copy(), s.labels.copy()) for s in sets],
+        lambda sets: [Batch(s.inputs, s.labels[1:], s.rows[1:]) for s in sets],
     ], ids=["out-of-order", "gap", "separate-arrays", "subsets"])
     def test_other_sets_are_copied(self, pick):
         spec = SyntheticSpec(clients=3, classes=3, dirichlet_alpha=1.0,
                              samples_per_client=(1200, 1200), seed=5)
         sets = pick([test for _train, test in generate_synthetic(spec)])
         pooled = concat_window_sets(sets)
-        assert np.array_equal(pooled.inputs, np.concatenate([s.inputs for s in sets]))
+        assert np.array_equal(pooled.inputs, np.concatenate([s.take() for s in sets]))
         assert np.array_equal(pooled.labels, np.concatenate([s.labels for s in sets]))
         assert not any(np.shares_memory(pooled.inputs, s.inputs) for s in sets)
         assert not any(np.shares_memory(pooled.labels, s.labels) for s in sets)

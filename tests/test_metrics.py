@@ -249,7 +249,7 @@ class TestScoresAddAcrossTestSets:
             allocated = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(test.inputs.nbytes for test in tests) > 10e6
+        assert sum(len(test) for test in tests) * 128 * 6 * 8 > 10e6
         assert allocated < 1e6
 
 

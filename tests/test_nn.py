@@ -20,15 +20,18 @@ from fedsim import (
     gradient_check,
     init_model,
     loss,
+    stratified_split,
     train_local,
+    window,
 )
 from fedsim import nn
 from fedsim.fabric import LayerWeights, ShapeError
 from fedsim.nn import (
     Batch,
     DivergenceError,
-    _checked_input,
     _conv1d,
+    _gather,
+    _lowest_trainable,
     _maxpool1d,
     _objective,
     _softmax,
@@ -334,8 +337,9 @@ class TestTrainLocal:
                              reference_weights=ref)
         out, _ = train_local(model, arch, batch, cfg, 13)
         order = np.random.default_rng(13).permutation(6)  # train_local's shuffle
-        x = _checked_input(model, arch, batch.inputs)[order]
-        _, grads = _objective(model, arch, x, batch.labels[order], cfg, keep=True)
+        x = _gather(batch, model.dtype)[order]
+        _, grads = _objective(model, arch, x, batch.labels[order], cfg,
+                              _lowest_trainable(arch, 1))
         assert np.array_equal(out.layers[0].incoming, model.layers[0].incoming)
         assert np.array_equal(out.layers[0].bias, model.layers[0].bias)
         assert len(grads) == len(model.layers) - 1
@@ -411,7 +415,8 @@ class TestFrozenPrefixShortcuts:
                 for lo in range(0, n, size):
                     sel = order[lo:lo + size]
                     value, grads = _objective(work, arch, batch.inputs[sel],
-                                              batch.labels[sel], cfg, keep=True,
+                                              batch.labels[sel], cfg,
+                                              _lowest_trainable(arch, frozen),
                                               first=0)
                     values.append(value)
                     for (w, b), (dw, db) in zip(params, grads):
@@ -591,7 +596,7 @@ class TestGradientCheck:
         batch = Batch(np.zeros((2, 20, 2)), np.array([0, 1]))
         eps, cfg = 1e-5, TrainingConfig()
         base, grads = _objective(model, arch, batch.inputs, batch.labels, cfg,
-                                 keep=True)
+                                 _lowest_trainable(arch, 0))
         assert np.all(grads[0][0] == 0)  # conv weights see only zeros
         # central differences agree: perturbing a conv weight changes nothing
         for idx in [(0, 0, 0), (2, 1, 3), (4, 1, 5)]:
@@ -600,7 +605,7 @@ class TestGradientCheck:
             bumped = ModelWeights((LayerWeights(inc, model.layers[0].bias),)
                                   + model.layers[1:])
             value, _ = _objective(bumped, arch, batch.inputs, batch.labels, cfg,
-                                  keep=False)
+                                  None)
             assert value == base
 
     def test_epsilon_range_enforced(self):
@@ -629,7 +634,7 @@ def assert_scores_one_path(model, arch, x):
     measured 1.1e-15, at desk shapes with conv widths 16 to 20."""
     probs = forward(model, arch, x)
     assert np.array_equal(evaluate(model, arch, x), np.argmax(probs, axis=1))
-    logits, _ = _walk(model, arch, _checked_input(model, arch, x))
+    logits, _ = _walk(model, arch, _gather(x, model.dtype))
     assert np.abs(probs - _softmax(logits)).max() <= 1e-12
 
 
@@ -656,8 +661,8 @@ class TestEvaluate:
     def test_conv_widths_match_forward_per_slice(self, width):
         # conv widths 16 to 20, as FedDist growth makes them, reach the
         # gemm's edge tiles; 70 windows are two full 32-window slices and a
-        # partial one, 33 a full one and a single window, and 1 window
-        # takes _im2col's single-window stride
+        # partial one, 33 a full one and a single window, and 1 window is
+        # one slice of one
         arch = replace(DESK_ARCH, layers=(
             replace(DESK_ARCH.layers[0], width=width),) + DESK_ARCH.layers[1:])
         model = init_model(arch, 30 + width)
@@ -722,6 +727,47 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("frozen", [0, 1])
+    def test_row_indexed_batch_trains_and_scores_like_its_gathered_copy(self, dtype,
+                                                                       frozen):
+        # a split side reads its client's window view through its rows; every
+        # gemm sees the rows of the copy the split used to gather, in order
+        rng = np.random.default_rng(26)
+        series = Batch(rng.normal(size=(3000, 6)), np.arange(3000) // 375)
+        for side in stratified_split(window(series), 0.8, 0):
+            copy = Batch(side.take(), side.labels)
+            model = init_model(DESK_ARCH, 27, dtype)
+            cfg = TrainingConfig(local_epochs=2, batch_size=16, frozen_prefix=frozen)
+            a, la = train_local(model, DESK_ARCH, side, cfg, 28)
+            b, lb = train_local(model, DESK_ARCH, copy, cfg, 28)
+            assert models_bit_equal(a, b) and la == lb
+            assert forward(a, DESK_ARCH, side).tobytes() == forward(a, DESK_ARCH,
+                                                                    copy.inputs).tobytes()
+
+    def test_float32_model_converts_only_the_rows_it_gathers(self):
+        # 3,124 float64 windows of a 200,000-sample series; converting the
+        # whole view to float32 would copy every window (9.6 MB) on each
+        # call.  Gathered 16-window minibatches peak near 1.6 MB, gathered
+        # 32-window scoring slices near 0.7 MB
+        rng = np.random.default_rng(29)
+        series = Batch(rng.normal(size=(200_000, 6)), np.arange(200_000) // 1000 % 8)
+        windows = window(series)
+        train, test = stratified_split(windows, 0.8, 0)
+        model = init_model(DESK_ARCH, 30, np.float32)
+        cfg = TrainingConfig(local_epochs=1, batch_size=16)
+        assert len(windows) * 128 * 6 * 4 > 9e6
+        for call in (lambda: train_local(model, DESK_ARCH, train, cfg, 31),
+                     lambda: evaluate(model, DESK_ARCH, train),
+                     lambda: evaluate(model, DESK_ARCH, test)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3e6
 
 
 def test_balanced_class_weights():

@@ -11,9 +11,12 @@ clients, 6 rounds.  Every algorithm runs at `--threads` 1 and 2 and at
 centralized from three small CSV exports (seeded values at 50 Hz, labels in
 [0, 4) in 200-row segments) at `--threads` 1 and `eval_every` 1, which
 covers the CSV source and the copy that pools a centralized run's training
-sets.  A dense-only model, dense(12) -> softmax(4), runs fedavg and feddist
-on the synthetic clients at `--threads` 1 and `eval_every` 1, which covers
-scoring without a leading conv and dense-to-dense growth.
+sets; feddist also runs on them at window steps 32 and 96, more and less
+overlap than the default 64, which covers the split sides' view of the
+series at other overlaps.  A dense-only model, dense(12) -> softmax(4),
+runs fedavg and feddist on the synthetic clients at `--threads` 1 and
+`eval_every` 1, which covers scoring without a leading conv and
+dense-to-dense growth.
 Each run's rounds.csv, rounds.jsonl, model.bin and shape.txt are
 compared byte for byte (local-only writes no model), and the
 `resolved_config` of both sides' manifest.json is compared parsed as JSON,
@@ -50,6 +53,7 @@ CADENCES = (1, 3)
 OUTPUTS = ("rounds.csv", "rounds.jsonl", "model.bin", "shape.txt")
 CSV_ALGORITHMS = ("fedavg", "feddist", "centralized")
 CSV_CLIENTS, CSV_ROWS, CSV_SEGMENT = 3, 2000, 200
+CSV_STEPS = (32, 96)  # window steps besides the default 64
 DENSE_ALGORITHMS = ("fedavg", "feddist")
 
 CONFIG = """\
@@ -153,6 +157,8 @@ def main(argv=None) -> int:
                  for threads in THREADS]
         cases += [(f"csv-{algorithm}-e1-t1", algorithm, 1, 1, CONV_LAYERS, csv_data)
                   for algorithm in CSV_ALGORITHMS]
+        cases += [(f"csv-step{step}-feddist-e1-t1", "feddist", 1, 1, CONV_LAYERS,
+                   csv_data + f"    window_step: {step}\n") for step in CSV_STEPS]
         cases += [(f"dense-{algorithm}-e1-t1", algorithm, 1, 1, DENSE_LAYERS, SYNTHETIC)
                   for algorithm in DENSE_ALGORITHMS]
         same, configs, differ = 0, 0, []
