@@ -39,7 +39,8 @@ from .metrics import CSV_COLUMNS
 from .scheduler import client_datasets, host_facts, run_experiment
 
 SEED_DERIVATION = ("SeedSequence(seed, spawn_key=domain): (0,variant) init, "
-                   "(1,k) csv splits, (2,t,k) training, (3,t) scenario; "
+                   "(1,k) csv splits, (2,t,k) training, (3,t) scenario; feddist "
+                   "sub-round of layer l: SeedSequence(<(2,t,k) seed>, spawn_key=(l+1,)); "
                    "synthetic data: SeedSequence(data.synthetic.seed (default: seed), "
                    "spawn_key=domain): (101) class signatures, (102,k) client series, "
                    "(103,k) client split")

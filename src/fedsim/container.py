@@ -17,9 +17,9 @@ Layout (little-endian):
         incoming floats, C order
         bias     floats
 
-The same container is used for the final-model artifact on disk, for
-personalization snapshots, and for communication-cost accounting: uploading
-a subset of layers costs one header plus the included records.
+The same container is used for the final-model artifact on disk and for
+communication-cost accounting: uploading a subset of layers costs one
+header plus the included records.
 """
 
 from __future__ import annotations

@@ -255,14 +255,12 @@ def append_neuron(model: ModelWeights, layer: int, source: np.ndarray,
 
 
 def conform_to_shape(client: ModelWeights, server: ModelWeights,
-                     upto_layer: int | None = None) -> ModelWeights:
+                     upto_layer: int) -> ModelWeights:
     """Make a client dimension-compatible with a (possibly grown) server.
 
     Layers up to and including `upto_layer` are replaced by the server's;
     the next layer's incoming matrix is widened with the server's appended
-    tail rows; everything above keeps the client's own weights.  When
-    `upto_layer` is None it defaults to the highest layer whose width
-    differs (identity when shapes already match).
+    tail rows; everything above keeps the client's own weights.
 
     Idempotent: conforming twice with the same arguments equals once.
     """
@@ -271,11 +269,6 @@ def conform_to_shape(client: ModelWeights, server: ModelWeights,
     sig_c, sig_s = client.shape_signature, server.shape_signature
     if any(s < c for c, s in zip(sig_c, sig_s)):
         raise ShapeError("server layers may only be wider than the client's")
-    if upto_layer is None:
-        differing = [i for i, (c, s) in enumerate(zip(sig_c, sig_s)) if c != s]
-        if not differing:
-            return client
-        upto_layer = max(differing)
     if not 0 <= upto_layer < len(client.layers) - 1:
         raise ShapeError(f"cannot conform up to layer {upto_layer}")
     if sig_c[upto_layer + 1:] != sig_s[upto_layer + 1:]:

@@ -8,7 +8,9 @@ np.random.SeedSequence spawn keys, namespaced by domain:
 
     (0, variant)      model initialization
     (1, k)            per-client data splits for CSV sources
-    (2, t, k)         client k's training stream in round t
+    (2, t, k)         client k's training stream in round t; in FedDist's
+                      sub-round of layer l, SeedSequence(<that stream's
+                      seed>, spawn_key=(l + 1,))
     (3, t)            round t scenario sampling
 
 and the synthetic source's domains hang off data.synthetic.seed (default:
@@ -39,6 +41,8 @@ from .aggregation import (
     train_clients,
 )
 from .arch import ModelArch
+# Nothing here calls serialize_model or conform_to_shape: perfbench/tracer.py's
+# CALL_SITES resolves both in this module (ROADMAP items 5 and 7 end that).
 from .container import serialize_model
 from .data import (
     CsvDataSpec,
@@ -180,7 +184,6 @@ class ClientState:
     best_score: float | None = None
     best_round: int | None = None
     best_model: ModelWeights | None = None
-    best_hash: str | None = None
     # best_model's macro F1 on every client's test set, scored with the snapshot.
     best_generalization: float | None = None
 
@@ -230,9 +233,6 @@ def client_datasets(cfg: ExperimentConfig) -> list[tuple[Batch, Batch]]:
             datasets.append(stratified_split(
                 window(z_normalize(series), spec.window_length, spec.window_step),
                 spec.train_fraction, _seq(cfg.seed, 1, k)))
-    if len(datasets) != cfg.data.clients:
-        raise ValueError(f"{len(datasets)} client datasets for a pool of "
-                         f"{cfg.data.clients}")
     for k, (train, test) in enumerate(datasets):
         if len(train) == 0:
             raise ValueError(f"client {k} has no training windows")
@@ -250,11 +250,9 @@ def _class_weighted(cfg: ExperimentConfig, data: Batch) -> TrainingConfig:
 
 
 def _snapshot(state: ClientState, score: float, round_index: int) -> None:
-    blob = serialize_model(state.model)
     state.best_score = score
     state.best_round = round_index
     state.best_model = state.model
-    state.best_hash = hashlib.sha256(blob).hexdigest()
 
 
 @functools.cache
@@ -415,14 +413,7 @@ def _round(cfg, t, states, server, pooled, executor):
 
     rng = np.random.default_rng(_seq(cfg.seed, 3, t))
     active = active_clients(cfg.scenario, t, len(states), rng)
-    clients = []
-    for k in active:
-        st = states[k]
-        if (cfg.algorithm == "feddist"
-                and st.model.shape_signature != server.shape_signature):
-            # Lazy conform: idle clients catch up with server growth on rejoin.
-            st.model = conform_to_shape(st.model, server)
-        clients.append(_runtime(cfg, st, t))
+    clients = [_runtime(cfg, states[k], t) for k in active]
     if cfg.algorithm == "feddist":
         outcome = feddist_round(server, arch, clients, cfg.feddist, t, executor=executor)
     elif cfg.algorithm == "fedprox":

@@ -368,10 +368,13 @@ class TestRunCommand:
         assert host["blas_threads"] == (1 if openblas_threading() else None)
         assert host["blas_core"] == host_facts()["blas_core"]
         # The synthetic source draws from data.synthetic.seed, which defaults
-        # to the experiment seed, through its own spawn-key domains.
+        # to the experiment seed, through its own spawn-key domains; FedDist's
+        # sub-rounds spawn from each client's round training seed.
         derivation = json.loads((out / "manifest.json").read_text())["seeds"]["derivation"]
         for domain in ("data.synthetic.seed", "(101) class signatures",
-                       "(102,k) client series", "(103,k) client split"):
+                       "(102,k) client series", "(103,k) client split",
+                       "feddist sub-round of layer l: SeedSequence(<(2,t,k) seed>, "
+                       "spawn_key=(l+1,))"):
             assert domain in derivation
 
     @pytest.mark.parametrize("rounds, eval_every", [(6, 1), (6, 3), (7, 3)],

@@ -273,13 +273,6 @@ class TestConformToShape:
         twice = conform_to_shape(once, server, upto_layer=0)
         assert models_bit_equal(once, twice)
 
-    def test_inferred_layer_and_identity_when_equal(self):
-        client, _ = small_dense_model(9)
-        assert conform_to_shape(client, client) is client
-        server, _, _ = _grow_dense(init_model(dense_arch(2, 2, 2), 10), 0, seed=4)
-        out = conform_to_shape(client, server)  # layer inferred from widths
-        assert out.shape_signature == server.shape_signature
-
     def test_conformed_forward_matches_oracle(self, rng):
         client, arch = small_dense_model(11)
         server, _, _ = _grow_dense(init_model(dense_arch(2, 2, 2), 12), 0, seed=5)
@@ -294,7 +287,7 @@ class TestConformToShape:
         grown, _, _ = _grow_dense(init_model(dense_arch(2, 2, 2), 13), 0, seed=6)
         narrow = init_model(dense_arch(2, 2, 2), 14)
         with pytest.raises(ShapeError):
-            conform_to_shape(grown, narrow)
+            conform_to_shape(grown, narrow, upto_layer=0)
 
 
 class TestContainer:

@@ -274,16 +274,12 @@ class TestSnapshotTracking:
             assert st.best_round == 1
             assert st.best_model is st.model
 
-    def test_best_is_running_max_and_hash_stable(self):
-        from fedsim.container import serialize_model
-        import hashlib
+    def test_best_is_running_max(self):
         arch, res = self._tiny_run()
         for st in res.states:
             history = [r.per_client_personalization[st.id] for r in res.reports]
             assert st.best_score == pytest.approx(max(history))
             assert st.best_round == history.index(max(history)) + 1
-            blob = serialize_model(st.best_model)
-            assert hashlib.sha256(blob).hexdigest() == st.best_hash
 
     def test_generalization_matches_exhaustive_rescoring_oracle(self):
         # oracle: re-score every historical snapshot; best per client must be

@@ -498,3 +498,42 @@ class TestGrowthEvents:
         for led in res.ledgers:
             assert {e.client_id for e in led.growth} <= set(active[led.round_index])
         assert sum(r.units_added for r in res.reports) == len(events)
+
+
+class TestRejoinStartsFromServer:
+    """A FedDist client that sat out while the server grew rejoins with a
+    stored model narrower than the server; its main-phase update starts from
+    the round's server all the same, so nothing reads the stored model."""
+
+    def test_every_main_phase_update_starts_from_the_rounds_server(self, monkeypatch):
+        cfg = tiny_config(algorithm="feddist", rounds=6, clients=7,
+                          scenario=ScenarioSpec(kind="interchanging", sample_size=3),
+                          feddist=FedDistConfig(base_sigma_multiplier=1.0))
+        servers, active, starts, narrow_rejoins = {}, {}, {}, []
+        stored = {}  # client id -> shape of the model the scheduler keeps for it
+        round_fn, update = scheduler.feddist_round, aggregation._default_client_update
+
+        def recording_round(server, arch, clients, fcfg, round_index, **kw):
+            servers[round_index] = server
+            active[round_index] = {c.id for c in clients}
+            narrow_rejoins.extend(
+                (round_index, c.id) for c in clients if c.id in stored
+                and any(h < s for h, s in zip(stored[c.id], server.shape_signature)))
+            outcome = round_fn(server, arch, clients, fcfg, round_index, **kw)
+            stored.update((k, m.shape_signature)
+                          for k, m in outcome.client_models.items())
+            return outcome
+
+        def recording_update(client, model, arch, phase):
+            if phase == "main phase":
+                starts[len(servers), client.id] = model
+            return update(client, model, arch, phase)
+
+        monkeypatch.setattr(scheduler, "feddist_round", recording_round)
+        monkeypatch.setattr(aggregation, "_default_client_update", recording_update)
+        run_experiment(cfg)
+
+        assert narrow_rejoins
+        assert starts.keys() == {(t, k) for t, ids in active.items() for k in ids}
+        for (t, k), model in starts.items():
+            assert models_bit_equal(model, servers[t]), (t, k)

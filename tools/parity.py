@@ -16,7 +16,10 @@ overlap than the default 64, which covers the split sides' view of the
 series at other overlaps.  A dense-only model, dense(12) -> softmax(4),
 runs fedavg and feddist on the synthetic clients at `--threads` 1 and
 `eval_every` 1, which covers scoring without a leading conv and
-dense-to-dense growth.
+dense-to-dense growth.  The conv model also runs at `precision: float32`
+on the synthetic clients, feddist at `--threads` 1 and fedavg at 2, both
+at `eval_every` 1, which covers the float32 row gather and the float32
+model container.
 Each run's rounds.csv, rounds.jsonl, model.bin and shape.txt are
 compared byte for byte (local-only writes no model), and the
 `resolved_config` of both sides' manifest.json is compared parsed as JSON,
@@ -55,6 +58,7 @@ CSV_ALGORITHMS = ("fedavg", "feddist", "centralized")
 CSV_CLIENTS, CSV_ROWS, CSV_SEGMENT = 3, 2000, 200
 CSV_STEPS = (32, 96)  # window steps besides the default 64
 DENSE_ALGORITHMS = ("fedavg", "feddist")
+F32_CASES = (("feddist", 1), ("fedavg", 2))  # (algorithm, threads)
 
 CONFIG = """\
 algorithm: {algorithm}
@@ -161,6 +165,9 @@ def main(argv=None) -> int:
                    csv_data + f"    window_step: {step}\n") for step in CSV_STEPS]
         cases += [(f"dense-{algorithm}-e1-t1", algorithm, 1, 1, DENSE_LAYERS, SYNTHETIC)
                   for algorithm in DENSE_ALGORITHMS]
+        cases += [(f"f32-{algorithm}-e1-t{threads}", algorithm, 1, threads, CONV_LAYERS,
+                   SYNTHETIC + "precision: float32\n")
+                  for algorithm, threads in F32_CASES]
         same, configs, differ = 0, 0, []
         for name, algorithm, eval_every, threads, layers, data in cases:
             config = work / f"{name}.yaml"
