@@ -29,7 +29,6 @@ from .arch import LayerSpec, ModelArch
 from .container import byte_size, deserialize_model, serialize_model
 from .data import (
     CsvDataSpec,
-    DeviceTransform,
     SyntheticSpec,
     generate_synthetic,
     ingest_csv,

@@ -8,9 +8,9 @@ sides of a split are that view plus their rows, so a client holds each
 sample once.
 
 The synthetic generator stands in for real multi-user recordings at desk
-scale.  Statistical heterogeneity comes from per-client Dirichlet class
-priors; system heterogeneity from a per-client device transform (channel
-scale/offset plus an orthogonal mixing of each 3-axis sensor block).  Class
+scale.  Two per-client differences reach the model: label skew from
+Dirichlet class priors and an orthogonal rotation of each 3-axis sensor
+block (z-normalization removes any per-channel gain and offset).  Class
 signatures (per-channel offset, amplitude, frequency) are shared across
 clients so collaboration is actually useful.
 
@@ -48,27 +48,19 @@ def concat_window_sets(sets) -> Batch:
 
 
 @dataclass(frozen=True)
-class DeviceTransform:
-    """Per-client channel distortion ranges (system heterogeneity)."""
-
-    scale_range: tuple[float, float] = (0.8, 1.2)
-    offset_range: tuple[float, float] = (-0.3, 0.3)
-    rotation: bool = True
-
-
-@dataclass(frozen=True)
 class SyntheticSpec:
     """Knobs for the synthetic non-IID corpus.
 
-    dirichlet_alpha drives statistical heterogeneity (small alpha: clients
-    concentrate on few classes); device drives system heterogeneity.
+    dirichlet_alpha (small alpha: clients concentrate on few classes) and
+    rotation (a per-client orthogonal mixing of each 3-axis channel block)
+    are the only knobs that make clients differ in what the model sees.
     """
 
     clients: int
     classes: int
     dirichlet_alpha: float
     samples_per_client: tuple[int, int] = (3000, 6000)
-    device: DeviceTransform = DeviceTransform()
+    rotation: bool = True
     channels: int = 6
     sample_rate: float = 50.0
     segment_range: tuple[int, int] = (160, 320)
@@ -97,6 +89,9 @@ class SyntheticSpec:
             raise ValueError(f"noise must be >= 0, got {self.noise}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.rotation and self.channels % 3:
+            raise ValueError(f"rotation mixes 3-axis blocks, but channels is "
+                             f"{self.channels}; set rotation: false")
 
     @property
     def window_shape(self) -> tuple[int, int]:
@@ -153,7 +148,10 @@ def z_normalize(series: Batch) -> Batch:
     data = _samples(series)
     std = data.std(axis=0)
     safe = np.where(std == 0, 1.0, std)
-    return Batch((data - data.mean(axis=0)) / safe, series.labels)
+    # A constant channel's mean can round off its value, and the std of a
+    # few ulps left would scale it to +-1: center it on its value instead.
+    mean = np.where((data == data[:1]).all(axis=0), data[:1], data.mean(axis=0))
+    return Batch((data - mean) / safe, series.labels)
 
 
 def window(series: Batch, length: int = DEFAULT_WINDOW,
@@ -242,15 +240,16 @@ def _client_series(spec: SyntheticSpec, offsets, amps, freqs,
         labels[pos:pos + seg] = cls
         pos += seg
 
-    # Device transform: orthogonal mixing per 3-axis block, then scale/offset.
-    dev = spec.device
-    if dev.rotation and spec.channels % 3 == 0:
+    if spec.rotation:
         for block in range(spec.channels // 3):
             q = _orthogonal(rng, 3)
             sl = slice(3 * block, 3 * block + 3)
             data[:, sl] = data[:, sl] @ q.T
-    scale = rng.uniform(*dev.scale_range, size=spec.channels)
-    offset = rng.uniform(*dev.offset_range, size=spec.channels)
+    # z_normalize undoes a per-channel gain and offset, so these draws move
+    # no window beyond rounding.  They stay only so that every window keeps
+    # the bits perfbench/reference.json was recorded on.
+    scale = rng.uniform(0.8, 1.2, size=spec.channels)
+    offset = rng.uniform(-0.3, 0.3, size=spec.channels)
     return Batch(data * scale + offset, labels)
 
 

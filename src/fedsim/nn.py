@@ -447,10 +447,11 @@ def _objective(model: ModelWeights, arch: ModelArch, x: np.ndarray,
     start, mu, ref = cfg.frozen_prefix, cfg.proximal_coefficient, cfg.reference_weights
     trainable = model.layers[start:]
     if ref is not None:
+        drift = [(layer.incoming - r.incoming, layer.bias - r.bias)
+                 for layer, r in zip(trainable, ref.layers[start:])]
         acc = 0.0
-        for layer, r in zip(trainable, ref.layers[start:]):
-            acc += (float(np.sum((layer.incoming - r.incoming) ** 2))
-                    + float(np.sum((layer.bias - r.bias) ** 2)))
+        for rw, rb in drift:
+            acc += float(np.sum(rw ** 2)) + float(np.sum(rb ** 2))
         value += 0.5 * mu * acc
     if lowest is None:
         return value, None
@@ -470,8 +471,7 @@ def _objective(model: ModelWeights, arch: ModelArch, x: np.ndarray,
             grads.append(grad)
     grads.reverse()
     if ref is not None:
-        grads = [(dw + mu * (layer.incoming - r.incoming), db + mu * (layer.bias - r.bias))
-                 for (dw, db), layer, r in zip(grads, trainable, ref.layers[start:])]
+        grads = [(dw + mu * rw, db + mu * rb) for (dw, db), (rw, rb) in zip(grads, drift)]
     return value, grads
 
 

@@ -156,8 +156,8 @@ class TestParseConfig:
         ("[128, 6]", "[abc, 6]", "model.input[0] must be int, got str"),
         ("alpha: 0.5\n", "alpha: 0.5\n    samples_per_client: [1500.7, 2000.2]\n",
          "data.synthetic.samples_per_client[0] must be int, got float"),
-        ("alpha: 0.5\n", "alpha: 0.5\n    device:\n      scale_range: [x, 1]\n",
-         "data.synthetic.device.scale_range[0] must be float, got str"),
+        ("alpha: 0.5\n", "alpha: 0.5\n    segment_range: [x, 320]\n",
+         "data.synthetic.segment_range[0] must be int, got str"),
         ("fedavg\n", "fedavg\nrounds: abc\n", "rounds must be int, got str"),
     ])
     def test_elements_typed_strictly(self, tmp_path, capsys, old, new, message):
@@ -240,10 +240,8 @@ EVERY_KEY = {
                  "sample_size": 2},
     "data": {"synthetic": {
         "clients": 4, "classes": 3, "dirichlet_alpha": 2.0,
-        "samples_per_client": [100, 200],
-        "device": {"scale_range": [0.5, 2.0], "offset_range": [-1.0, 1.5],
-                   "rotation": False},
-        "channels": 3, "sample_rate": 25.0, "segment_range": [10, 20],
+        "samples_per_client": [100, 200], "rotation": False, "channels": 3,
+        "sample_rate": 25.0, "segment_range": [10, 20],
         "noise": 0.1, "train_fraction": 0.7, "seed": 42,
     }},
 }
@@ -492,6 +490,19 @@ class TestValidateCommand:
         cfg = write(tmp_path, MINIMAL + f"    {key}: {value}\n")
         assert main(["validate", "--config", str(cfg)]) == 2
         assert f"data.synthetic: {key} {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, line", [
+        ("    device:\n      scale_range: [0.8, 1.2]\n",
+         "error: unknown key 'device' at data.synthetic.device"),
+        ("    channels: 4\n    rotation: true\n",
+         "error: data.synthetic: rotation mixes 3-axis blocks, but channels is 4; "
+         "set rotation: false"),
+    ], ids=["device-section", "rotation-without-3-axis-blocks"])
+    def test_device_key_that_changes_nothing_rejected(self, tmp_path, capsys, extra, line):
+        # z_normalize undoes a per-channel gain and offset, and rotation
+        # mixes 3-axis blocks: the manifest would record keys the run ignores
+        assert main(["validate", "--config", str(write(tmp_path, MINIMAL + extra))]) == 2
+        assert capsys.readouterr().err == line + "\n"
 
     @pytest.mark.parametrize("old, new, where", [
         ("    - {kind: dense", "    - {kind: maxpool1d, width: 99, kernel: 4}\n"

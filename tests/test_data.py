@@ -48,6 +48,29 @@ class TestZNormalize:
         data = np.column_stack([np.full(10, 7.0), np.arange(10, dtype=float)])
         out = z_normalize(series_from(data))
         assert np.all(out.inputs[:, 0] == 0)
+        # the mean of three 0.1s rounds off 0.1, leaving a std of 1e-17
+        out = z_normalize(series_from(np.full((3, 1), 0.1)))
+        assert np.all(out.inputs == 0)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_undoes_any_channel_gain_and_offset(self, seed, n, data):
+        # Why a device gain or offset is no client heterogeneity: each
+        # client's series is normalized on its own statistics.
+        channels = data.draw(st.integers(1, 6))
+
+        def per_channel(values):
+            return np.array(data.draw(st.lists(values, min_size=channels,
+                                               max_size=channels)))
+
+        gain, offset = per_channel(st.floats(0.5, 2.0)), per_channel(st.floats(-1.0, 1.0))
+        constant = per_channel(st.booleans())
+        rng = np.random.default_rng(seed)
+        x = rng.normal(rng.uniform(-3, 3, channels), rng.uniform(0.1, 3, channels),
+                       size=(n, channels))
+        x[:, constant] = x[0, constant]
+        moved = z_normalize(series_from(x * gain + offset)).inputs
+        assert np.abs(moved - z_normalize(series_from(x)).inputs).max() <= 1e-12
 
     def test_every_channel_normalized(self, rng):
         out = z_normalize(series_from(rng.normal(5, 2, size=(400, 6)) *
