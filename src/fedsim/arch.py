@@ -16,8 +16,10 @@ MAXPOOL1D = "maxpool1d"
 SOFTMAX_OUTPUT = "softmax-output"
 
 # The fields each layer kind takes; a spec that sets any other is rejected.
-# A relu after a max pool equals one before it (relu commutes with max), so
-# the pool takes no activation; softmax-output applies its own.
+# A relu after a max pool equals one before it (relu commutes with max, and
+# so does adding a bias, since rounding is monotone), so the pool takes no
+# activation, and nn.forward adds a conv's bias and relu after its pool;
+# softmax-output applies its own.
 LAYER_FIELDS = {
     DENSE: ("width", "activation"),
     CONV1D: ("width", "kernel", "activation"),

@@ -176,12 +176,12 @@ def window(series: Batch, length: int = DEFAULT_WINDOW,
 
 
 def stratified_split(batch: Batch, train_fraction: float = 0.8,
-                     seed=0) -> tuple[Batch, Batch]:
+                     seed=0, client: int | None = None) -> tuple[Batch, Batch]:
     """Per-class split: round(n_c * fraction) windows to train, clamped so
     both sides keep at least one window when a class has >= 2.  Singleton
-    classes go to train with a warning.  Each side is a read-only view of
-    batch's inputs plus its sorted rows and their labels; no window is
-    copied."""
+    classes go to train with a warning, which names `client` when given.
+    Each side is a read-only view of batch's inputs plus its sorted rows
+    and their labels; no window is copied."""
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -190,7 +190,8 @@ def stratified_split(batch: Batch, train_fraction: float = 0.8,
     for cls in np.unique(batch.labels):
         idx = np.flatnonzero(batch.labels == cls)
         if len(idx) == 1:
-            warnings.warn(f"class {cls} has a single window; kept in train")
+            where = "" if client is None else f"client {client}: "
+            warnings.warn(f"{where}class {cls} has a single window; kept in train")
             train_idx.append(idx)
             continue
         perm = rng.permutation(idx)
@@ -268,7 +269,8 @@ def generate_synthetic(spec: SyntheticSpec) -> list[tuple[Batch, Batch]]:
         priors = rng.dirichlet(np.full(spec.classes, spec.dirichlet_alpha))
         series = _client_series(spec, offsets, amps, freqs, priors, rng)
         out.append(stratified_split(window(z_normalize(series)), spec.train_fraction,
-                                    np.random.SeedSequence(spec.seed, spawn_key=(103, k))))
+                                    np.random.SeedSequence(spec.seed, spawn_key=(103, k)),
+                                    client=k))
     return out
 
 

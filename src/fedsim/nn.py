@@ -174,13 +174,14 @@ def _activate(spec, z, backward):
     """Apply the layer's activation to the pre-activation z, in place; the
     backward closure (None in forward-only mode) gains the activation's
     derivative.  Its relu mask reads the activation: relu(z) > 0 exactly
-    where z > 0."""
+    where z > 0.  The mask multiplies the incoming gradient in place: every
+    layer's backward returns an input gradient that it allocated."""
     if spec.activation != "relu":
         return z, backward
     np.maximum(z, 0, out=z)
     if backward is None:
         return z, None
-    return z, lambda da, need_dx: backward(da * (z > 0), need_dx)
+    return z, lambda da, need_dx: backward(np.multiply(da, z > 0, out=da), need_dx)
 
 
 def _maxpool1d(spec, layer, a, keep):
@@ -374,9 +375,16 @@ def forward(model: ModelWeights, arch: ModelArch, inputs) -> np.ndarray:
     view is an [m, k*C] matrix whose leading dimension is the window
     stride, which BLAS reads in place, so no im2col row is copied (the
     per-window gemm's rows overlap with a stride of C elements, below k*C,
-    so numpy copies them).  The gemm writes one reused [m, T_out, C_out]
-    buffer that the bias, relu, pool and dense steps read.  So the
-    probabilities may differ in the last bit from the per-window path
+    so numpy copies them).  The gemms write one reused position-major
+    [T, m, C_out] buffer.  When a maxpool1d follows the conv, the gemms
+    skip the trailing positions the pool never reads, the pool takes the
+    max over whole [m, C_out] planes of the raw gemm output, and only the
+    pooled quarter gets the bias and the activation.  That is exact, bit
+    for bit: rounding z + b is monotone in z, and so is relu, so
+    max_i relu(z_i + b) == relu(max_i z_i + b); relu maps -0.0 to +0.0,
+    and the pool keeps the first slot of a tie, as _maxpool1d does.  A
+    conv with no pool after it adds the bias and activates every position.
+    The probabilities may differ in the last bit from the per-window path
     training runs (_walk)."""
     if not isinstance(inputs, Batch):
         inputs = np.asarray(inputs)
@@ -387,15 +395,31 @@ def forward(model: ModelWeights, arch: ModelArch, inputs) -> np.ndarray:
         spec, layer = arch.layers[0], model.layers[0]
         k, c_in, c_out = layer.incoming.shape
         w = layer.incoming.reshape(k * c_in, c_out)
-        z_buf = np.empty((_SLICE, arch.input_length - k + 1, c_out), dtype=model.dtype)
+        # softmax-output comes last, so a conv always has a layer above it
+        pool = arch.layers[1].kernel if arch.layers[1].kind == MAXPOOL1D else 0
+        t_run = arch.input_length - k + 1
+        if pool:
+            t_run -= t_run % pool  # the rows the pool reads
+        z_buf = np.empty(t_run * _SLICE * c_out, dtype=model.dtype)
     for lo in range(0, len(inputs), _SLICE):
         xs = _gather(inputs, model.dtype, slice(lo, lo + _SLICE))
         if conv:
-            z = z_buf[:len(xs)]
-            cols = _im2col(xs, k).transpose(1, 0, 2)  # cols[t, i]: row t of window i
-            np.matmul(cols, w, out=z.transpose(1, 0, 2))
-            z += layer.bias
-            logits, _ = _walk(model, arch, _activate(spec, z, None)[0], 1)
+            m = len(xs)
+            z = z_buf[:t_run * m * c_out].reshape(t_run, m, c_out)
+            # cols[t, i]: row t of window i
+            cols = _im2col(xs, k).transpose(1, 0, 2)[:t_run]
+            np.matmul(cols, w, out=z)
+            if pool:
+                # The reduction steps acc = maximum(acc, next), which keeps
+                # next on a tie, so over the slots in reverse order the
+                # first slot of a tied block wins, as in _maxpool1d.
+                slots = z.reshape(t_run // pool, pool, m, c_out)
+                a = np.maximum.reduce(slots[:, ::-1], axis=1)
+            else:
+                a = z
+            a += layer.bias
+            a = _activate(spec, a, None)[0].transpose(1, 0, 2)
+            logits, _ = _walk(model, arch, a, 2 if pool else 1)
         else:
             logits, _ = _walk(model, arch, xs)
         probs[lo:lo + len(xs)] = _softmax(logits)
@@ -471,7 +495,10 @@ def _objective(model: ModelWeights, arch: ModelArch, x: np.ndarray,
             grads.append(grad)
     grads.reverse()
     if ref is not None:
-        grads = [(dw + mu * rw, db + mu * rb) for (dw, db), (rw, rb) in zip(grads, drift)]
+        # in place: dw, db, rw and rb are all arrays this call allocated
+        for (dw, db), (rw, rb) in zip(grads, drift):
+            dw += np.multiply(rw, mu, out=rw)
+            db += np.multiply(rb, mu, out=rb)
     return value, grads
 
 
@@ -539,9 +566,10 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
                     f"{_divergence_site(work, arch, _gather(batch, work.dtype, sel))}")
             batch_losses.append(value)
             if lr != 0:
+                # the gradients are this step's own arrays: scaled in place
                 for (w, b), (dw, db) in zip(params, grads):
-                    w -= lr * dw
-                    b -= lr * db
+                    w -= np.multiply(dw, lr, out=dw)
+                    b -= np.multiply(db, lr, out=db)
         epoch_losses.append(float(np.mean(batch_losses)))
     # Rebuilt so that LayerWeights checks the trained values are finite.
     trained = []

@@ -232,7 +232,7 @@ def client_datasets(cfg: ExperimentConfig) -> list[tuple[Batch, Batch]]:
                 raise ValueError(f"{path}: label {top} is outside [0, {spec.classes})")
             datasets.append(stratified_split(
                 window(z_normalize(series), spec.window_length, spec.window_step),
-                spec.train_fraction, _seq(cfg.seed, 1, k)))
+                spec.train_fraction, _seq(cfg.seed, 1, k), client=k))
     for k, (train, test) in enumerate(datasets):
         if len(train) == 0:
             raise ValueError(f"client {k} has no training windows")

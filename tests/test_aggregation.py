@@ -34,7 +34,7 @@ from fedsim.container import shape_metadata_size
 from fedsim.fabric import LayerWeights, ShapeError, neuron_vector
 from fedsim.nn import Batch, train_local
 
-from conftest import dense_arch, make_clients, models_bit_equal, write_neuron
+from conftest import conv_arch, dense_arch, make_clients, models_bit_equal, write_neuron
 
 CFG = TrainingConfig(local_epochs=1, learning_rate=0.05, batch_size=8)
 
@@ -166,6 +166,28 @@ class TestFedProxRound:
                  for c in clients]
         assert models_bit_equal(fedprox_round(server, arch, clients).server,
                                 fedavg_round(server, arch, plain).server)
+
+
+    def test_two_threads_match_one(self):
+        # Every client's reference is the one server model, shared by the
+        # threads; each step updates only arrays of its own
+        from concurrent.futures import ThreadPoolExecutor
+
+        arch = conv_arch()
+        server = init_model(arch, 16)
+        kept = [(layer.incoming.copy(), layer.bias.copy()) for layer in server.layers]
+        cfg = TrainingConfig(local_epochs=3, learning_rate=0.05, batch_size=8,
+                             proximal_coefficient=0.5)
+        clients = make_clients(arch, [40, 56, 48, 64], cfg, seed=17)
+        one = fedprox_round(server, arch, clients)
+        with ThreadPoolExecutor(2) as executor:
+            two = fedprox_round(server, arch, clients, executor=executor)
+        assert models_bit_equal(one.server, two.server)
+        assert one.client_models.keys() == two.client_models.keys()
+        assert all(models_bit_equal(one.client_models[k], two.client_models[k])
+                   for k in one.client_models)
+        assert models_bit_equal(server, ModelWeights(tuple(
+            LayerWeights(w, b) for w, b in kept)))
 
 
 class TestDistanceMatrix:

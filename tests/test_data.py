@@ -3,6 +3,7 @@ CSV ingestion."""
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 import warnings
 
@@ -185,6 +186,48 @@ class TestStratifiedSplit:
             train, test = stratified_split(window_set([0, 0, 0, 0, 1]), 0.8, 0)
         assert (train.labels == 1).sum() == 1
         assert (test.labels == 1).sum() == 0
+
+    def test_singleton_warning_names_the_client(self, tmp_path):
+        with pytest.warns(UserWarning, match=r"^client 3: class 1 has a single window"):
+            stratified_split(window_set([0, 0, 0, 0, 1]), 0.8, 0, client=3)
+        # The synthetic source names each client by its index...
+        spec = SyntheticSpec(clients=3, classes=4, dirichlet_alpha=5.0,
+                             samples_per_client=(190, 400), segment_range=(40, 80),
+                             seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sides = generate_synthetic(spec)
+        named = [str(w.message) for w in caught if "single window" in str(w.message)]
+        assert named
+        for message in named:
+            client, cls = map(int, re.fullmatch(
+                r"client (\d+): class (\d+) has a single window; kept in train",
+                message).groups())
+            train, test = sides[client]
+            assert (train.labels == cls).sum() == 1 and not (test.labels == cls).any()
+        # ... and so does the CSV source: only the second export (client 1)
+        # has a class, 1, that fills a single window (offset 256 of 64-step
+        # windows; the windows either side of it tie 64 to 64, and a tie
+        # goes to class 0).
+        from fedsim import ExperimentConfig, LayerSpec, ModelArch
+        from fedsim.scheduler import CsvDataSpec, client_datasets
+
+        paths = []
+        for k, rows in enumerate((range(0), range(256, 384))):
+            labels = [1 if i in rows else 0 for i in range(640)]
+            write_csv(tmp_path / f"client{k}.csv",
+                      [f"{i / 50:.2f},{i % 7},1,2,3,4,5,{label}"
+                       for i, label in enumerate(labels)])
+            paths.append(str(tmp_path / f"client{k}.csv"))
+        arch = ModelArch(128, 6, (LayerSpec("dense", width=8, activation="relu"),
+                                  LayerSpec("softmax-output", width=2)))
+        cfg = ExperimentConfig(algorithm="fedavg", model=arch,
+                               data=CsvDataSpec(paths=tuple(paths), classes=2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            client_datasets(cfg)
+        assert [str(w.message) for w in caught] == [
+            "client 1: class 1 has a single window; kept in train"]
 
     def test_split_allocates_only_rows_and_labels(self, rng):
         # Both sides index window()'s view of the series, so the split keeps

@@ -21,9 +21,10 @@ def test_prints_host_every_layer_and_the_objective_step():
     assert lines[7].startswith("objective step")
     figures = [float(v) for values in rows.values() for v in values]
     figures.append(float(lines[7].split()[-1]))
-    for line, width in zip(lines[8:], ("16", "18")):
+    for line, width, windows in zip(lines[8:], ("16", "18", "16"),
+                                    ("1,792", "1,792", "32 row-indexed sets of 56")):
         assert line.split()[:3] == ["scoring", "conv1d", width]
-        assert line.endswith("us per window of 1,792")
+        assert line.endswith(f"us per window of {windows}")
         figures.append(float(line.split()[3]))
     assert all(math.isfinite(v) and v > 0 for v in figures)
-    assert len(lines) == 10
+    assert len(lines) == 11

@@ -29,8 +29,10 @@ from fedsim.fabric import LayerWeights, ShapeError
 from fedsim.nn import (
     Batch,
     DivergenceError,
+    _activate,
     _conv1d,
     _gather,
+    _im2col,
     _lowest_trainable,
     _maxpool1d,
     _objective,
@@ -323,6 +325,32 @@ class TestTrainLocal:
         b, lb = train_local(model, arch, batch, unset, 3)
         assert models_bit_equal(a, b)
         assert la == lb
+
+    @pytest.mark.parametrize("frozen", [0, 1])
+    @pytest.mark.parametrize("own_reference", [False, True], ids=["other", "start"])
+    def test_in_place_steps_leave_the_inputs_alone(self, frozen, own_reference):
+        # Each step updates the arrays it allocated (relu mask, proximal
+        # gradient, learning-rate scaling); the start model, its frozen
+        # layers and the reference, which fedprox_round makes the start
+        # model itself, keep every byte
+        arch = conv_arch()
+        model = init_model(arch, 70)
+        reference = model if own_reference else init_model(arch, 71)
+        rng = np.random.default_rng(72)
+        batch = Batch(rng.normal(size=(40, 20, 2)), rng.integers(0, 4, 40))
+        cfg = TrainingConfig(local_epochs=2, learning_rate=0.1, batch_size=8,
+                             frozen_prefix=frozen, proximal_coefficient=0.5,
+                             reference_weights=reference)
+
+        def snapshot(m):
+            return [(layer.incoming.tobytes(), layer.bias.tobytes())
+                    for layer in m.layers]
+
+        before, ref_before = snapshot(model), snapshot(reference)
+        trained, _ = train_local(model, arch, batch, cfg, 73)
+        assert snapshot(model) == before and snapshot(reference) == ref_before
+        assert snapshot(trained)[:frozen] == before[:frozen]
+        assert snapshot(trained)[frozen:] != before[frozen:]
 
     def test_step_follows_objective_gradient(self):
         # one full-batch step moves each trainable tensor by exactly
@@ -768,6 +796,103 @@ class TestEvaluate:
             finally:
                 tracemalloc.stop()
             assert peak < 3e6
+
+
+def forward_in_layer_order(model, arch, inputs):
+    """forward with the leading conv run in layer order: its per-position
+    gemm over every output position into a window-major buffer, then the
+    bias and the activation on every position, and then the pool and the
+    rest of the stack through _walk."""
+    layer = model.layers[0]
+    k, c_in, c_out = layer.incoming.shape
+    probs = []
+    for lo in range(0, len(inputs), 32):
+        xs = _gather(inputs, model.dtype, slice(lo, lo + 32))
+        z = np.empty((len(xs), xs.shape[1] - k + 1, c_out), dtype=model.dtype)
+        np.matmul(_im2col(xs, k).transpose(1, 0, 2),
+                  layer.incoming.reshape(k * c_in, c_out), out=z.transpose(1, 0, 2))
+        z += layer.bias
+        z, _ = _activate(arch.layers[0], z, None)
+        logits, _ = _walk(model, arch, z, 1)
+        probs.append(_softmax(logits))
+    return np.concatenate(probs)
+
+
+def with_biases(model, rng, shift=-0.5):
+    """model with normal biases shifted by `shift`, mostly negative, so
+    that relu zeroes a good share of the conv's positions."""
+    return ModelWeights(tuple(
+        LayerWeights(layer.incoming,
+                     (rng.normal(size=layer.bias.shape) + shift).astype(layer.bias.dtype))
+        for layer in model.layers))
+
+
+class TestScoringOrder:
+    """forward pools a leading conv's raw gemm output and adds the bias and
+    the activation to the pooled positions only; that must give the bits
+    of running the layers in order."""
+
+    @staticmethod
+    def assert_same_bits(model, arch, inputs):
+        assert (forward(model, arch, inputs).tobytes()
+                == forward_in_layer_order(model, arch, inputs).tobytes())
+
+    @pytest.mark.parametrize("width", [16, 17, 18, 19, 20])
+    def test_desk_conv_widths(self, width):
+        # 70 windows: two full 32-window slices and a partial one
+        arch = replace(DESK_ARCH, layers=(
+            replace(DESK_ARCH.layers[0], width=width),) + DESK_ARCH.layers[1:])
+        rng = np.random.default_rng(40 + width)
+        model = with_biases(init_model(arch, 40 + width), rng)
+        self.assert_same_bits(model, arch, rng.normal(size=(70, 128, 6)))
+
+    @pytest.mark.parametrize("activation", ["relu", "none"])
+    @pytest.mark.parametrize("pool", [0, 1, 3, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_trailing_positions_activations_and_no_pool(self, activation, pool, dtype):
+        # input 20 and kernel 5 give 16 conv positions: a pool of 3 never
+        # reads the last one, a pool of 4 reads them all, and without a
+        # pool (0) the dense layer reads every position
+        layers = [LayerSpec("conv1d", width=6, kernel=5, activation=activation)]
+        layers += [LayerSpec("maxpool1d", kernel=pool)] if pool else []
+        arch = ModelArch(20, 2, tuple(layers) + (
+            LayerSpec("dense", width=10, activation="relu"),
+            LayerSpec("softmax-output", width=4)))
+        rng = np.random.default_rng(50 + pool)
+        for shift in (-0.5, -3.0, 0.0):
+            model = with_biases(init_model(arch, 51, dtype), rng, shift)
+            self.assert_same_bits(model, arch, rng.normal(size=(45, 20, 2)))
+
+    def test_exact_ties(self):
+        # Repeated windows tie across windows; constant windows tie every
+        # position of a pool block; zero windows give gemm outputs of
+        # exactly zero, and biases of exactly -0.0 or +0.0 leave the sign
+        # of those zeros to the order of bias, relu and pool.
+        rng = np.random.default_rng(60)
+        x = rng.normal(size=(40, 20, 2))
+        x[20:] = x[:20]
+        x[5] = 1.5
+        x[6] = 0.0
+        x[7] = -0.0
+        arch = conv_arch(pool=3)
+        model = with_biases(init_model(arch, 61), rng)
+        self.assert_same_bits(model, arch, x)
+        for zero in (-0.0, 0.0):
+            conv = model.layers[0]
+            signed = ModelWeights(
+                (LayerWeights(conv.incoming, np.full_like(conv.bias, zero)),)
+                + model.layers[1:])
+            self.assert_same_bits(signed, arch, x)
+            self.assert_same_bits(signed, replace(arch, layers=(
+                replace(arch.layers[0], activation="none"),) + arch.layers[1:]), x)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_indexed_batch(self, dtype):
+        rng = np.random.default_rng(62)
+        series = Batch(rng.normal(size=(3000, 6)), np.arange(3000) // 375)
+        model = with_biases(init_model(DESK_ARCH, 63, dtype), rng)
+        for side in stratified_split(window(series), 0.8, 0):
+            self.assert_same_bits(model, DESK_ARCH, side)
 
 
 def test_balanced_class_weights():

@@ -14,9 +14,13 @@ two rows time scoring: nn.evaluate predicting 1,792 windows (as many
 windows as the 32 client test sets of perfbench's fedprox-wide-eval hold)
 with a desk model at conv width 16, and at width 18, a width FedDist growth
 reaches where the conv's gemm runs edge tiles; in microseconds per window,
-the median over at most 20 calls.  The first line gives the host record perfbench writes (cores,
-numpy, the BLAS build and its thread count); BLAS is pinned to one thread,
-as in perfbench.
+the median over at most 20 calls.  The row after them scores the same
+number of windows the way the generalization view reads them: 32
+row-indexed test sets of 56 windows, each the rows of its own client's
+window view (18,000 samples, 280 windows), so each set is one full
+32-window slice, one partial slice and a row gather per slice.  The first
+line gives the host record perfbench writes (cores, numpy, the BLAS build
+and its thread count); BLAS is pinned to one thread, as in perfbench.
 """
 
 import argparse
@@ -35,8 +39,9 @@ from run import host_facts  # noqa: E402
 import numpy as np  # noqa: E402
 
 from fedsim.arch import PARAM_KINDS, LayerSpec, ModelArch  # noqa: E402
+from fedsim.data import window  # noqa: E402
 from fedsim.fabric import init_model  # noqa: E402
-from fedsim.nn import _FORWARD, TrainingConfig, _objective, evaluate  # noqa: E402
+from fedsim.nn import _FORWARD, Batch, TrainingConfig, _objective, evaluate  # noqa: E402
 
 DESK_ARCH = ModelArch(128, 6, (
     LayerSpec("conv1d", width=16, kernel=16, activation="relu"),
@@ -48,6 +53,9 @@ WARM = 3
 SCORED_WINDOWS = 1792
 SCORING_CALLS = 20
 SCORED_WIDTHS = (16, 18)
+SCORED_SETS = 32  # fedprox-wide-eval's clients and test-set size
+SET_WINDOWS = 56
+CLIENT_SAMPLES = 18000
 
 
 def median_us(fn, repeats: int) -> float:
@@ -107,6 +115,27 @@ def scoring_us(width: int, repeats: int) -> float:
     return median_us(lambda: evaluate(model, arch, x), repeats) / len(x)
 
 
+def row_indexed_scoring_us(repeats: int) -> float:
+    """Microseconds per window for nn.evaluate to score SCORED_SETS test
+    sets of SET_WINDOWS windows, each a Batch of rows of its own client's
+    window view, with the width-16 desk model."""
+    rng = np.random.default_rng(3)
+    sets = []
+    for _ in range(SCORED_SETS):
+        series = Batch(rng.normal(size=(CLIENT_SAMPLES, DESK_ARCH.input_channels)),
+                       rng.integers(0, DESK_ARCH.classes, CLIENT_SAMPLES))
+        view = window(series)  # 128-sample windows at a step of 64
+        rows = np.sort(rng.choice(len(view), SET_WINDOWS, replace=False))
+        sets.append(Batch(view.inputs, view.labels[rows], rows))
+    model = init_model(DESK_ARCH, 2)
+
+    def score():
+        for test in sets:
+            evaluate(model, DESK_ARCH, test)
+
+    return median_us(score, repeats) / (SCORED_SETS * SET_WINDOWS)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=200)
@@ -124,6 +153,8 @@ def main(argv=None) -> int:
     for width in SCORED_WIDTHS:
         print(f"{f'scoring conv1d {width}':<24}{scoring_us(width, calls):>10.1f}"
               f"  us per window of {SCORED_WINDOWS:,}")
+    print(f"{'scoring conv1d 16':<24}{row_indexed_scoring_us(calls):>10.1f}"
+          f"  us per window of {SCORED_SETS} row-indexed sets of {SET_WINDOWS}")
     return 0
 
 
