@@ -44,6 +44,7 @@ from .fabric import (
     weighted_average,
 )
 from .nn import Batch, TrainingConfig, diverged_in, train_local
+from .seeds import sequence
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,7 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
         # Layer-wise sub-round: freeze the grown stack, retrain what is above.
         ledger.sub_rounds += 1
         sub_round = [
-            replace(c, seed=np.random.SeedSequence(c.seed, spawn_key=(layer + 1,)),
+            replace(c, seed=sequence("feddist sub-round of layer l", c.seed, layer + 1),
                     cfg=replace(c.cfg, frozen_prefix=layer + 1,
                                 local_epochs=fcfg.layerwise_epochs or c.cfg.local_epochs))
             for c in clients]

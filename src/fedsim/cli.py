@@ -37,13 +37,7 @@ from .data import CsvDataSpec
 from .fabric import shape_lines
 from .metrics import CSV_COLUMNS
 from .scheduler import client_datasets, host_facts, run_experiment
-
-SEED_DERIVATION = ("SeedSequence(seed, spawn_key=domain): (0,variant) init, "
-                   "(1,k) csv splits, (2,t,k) training, (3,t) scenario; feddist "
-                   "sub-round of layer l: SeedSequence(<(2,t,k) seed>, spawn_key=(l+1,)); "
-                   "synthetic data: SeedSequence(data.synthetic.seed (default: seed), "
-                   "spawn_key=domain): (101) class signatures, (102,k) client series, "
-                   "(103,k) client split")
+from .seeds import derivation
 
 
 def _write_manifest(path: Path, manifest: dict) -> None:
@@ -86,7 +80,7 @@ def cmd_run(args) -> int:
 
     manifest = {
         "resolved_config": config_to_dict(cfg),
-        "seeds": {"experiment": cfg.seed, "derivation": SEED_DERIVATION},
+        "seeds": {"experiment": cfg.seed, "derivation": derivation()},
         "code_version": __version__,
         "host": host_facts(),
         "outputs": {"csv": csv_path.name, "jsonl": jsonl_path.name,

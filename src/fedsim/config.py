@@ -185,13 +185,15 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
 def read_config(path) -> dict:
     """The mapping of a YAML experiment config, or of a run manifest's
     resolved config, before parse_config_dict validates it."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             where = f" at line {mark.line + 1}" if mark else ""
             raise ConfigError(f"cannot parse {path}{where}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read {path}: not UTF-8 ({exc})") from None
     if raw is None:
         raise ConfigError(f"{path} is empty")
     raw = _require_mapping(raw, "config")

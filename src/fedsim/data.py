@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import Batch
+from .seeds import sequence
 
 DEFAULT_WINDOW = 128
 DEFAULT_STEP = 64  # 50% overlap
@@ -211,7 +212,7 @@ def stratified_split(batch: Batch, train_fraction: float = 0.8,
 
 def _class_signatures(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared per-(class, channel) signal parameters: offset, amplitude, Hz."""
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(101,)))
+    rng = np.random.default_rng(sequence("class signatures", spec.seed))
     offsets = rng.normal(0.0, 0.8, size=(spec.classes, spec.channels))
     amps = rng.uniform(0.4, 1.2, size=(spec.classes, spec.channels))
     freqs = rng.uniform(0.5, 10.0, size=(spec.classes, spec.channels))
@@ -265,11 +266,11 @@ def generate_synthetic(spec: SyntheticSpec) -> list[tuple[Batch, Batch]]:
     offsets, amps, freqs = _class_signatures(spec)
     out = []
     for k in range(spec.clients):
-        rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(102, k)))
+        rng = np.random.default_rng(sequence("client series", spec.seed, k))
         priors = rng.dirichlet(np.full(spec.classes, spec.dirichlet_alpha))
         series = _client_series(spec, offsets, amps, freqs, priors, rng)
         out.append(stratified_split(window(z_normalize(series)), spec.train_fraction,
-                                    np.random.SeedSequence(spec.seed, spawn_key=(103, k)),
+                                    sequence("client split", spec.seed, k),
                                     client=k))
     return out
 

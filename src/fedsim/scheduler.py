@@ -3,20 +3,7 @@ one of the asynchronous-availability scenarios, tracks per-client
 best-personalization snapshots, and assembles RoundReports.  All five
 algorithms run in one round loop, whose locals are the whole run state.
 
-Seed derivation: everything flows from one experiment seed through
-np.random.SeedSequence spawn keys, namespaced by domain:
-
-    (0, variant)      model initialization
-    (1, k)            per-client data splits for CSV sources
-    (2, t, k)         client k's training stream in round t; in FedDist's
-                      sub-round of layer l, SeedSequence(<that stream's
-                      seed>, spawn_key=(l + 1,))
-    (3, t)            round t scenario sampling
-
-and the synthetic source's domains hang off data.synthetic.seed (default:
-the experiment seed): (101,) class signatures, (102, k) client k's series
-and (103, k) client k's split.  So a rerun of the same config is
-bit-identical, and round output never depends on client execution order.
+Every seeded stream of a run is a row of seeds.STREAMS.
 """
 
 from __future__ import annotations
@@ -70,6 +57,7 @@ from .nn import (
     diverged_in,
     train_local,
 )
+from .seeds import sequence
 
 
 ALGORITHMS = ("fedavg", "fedprox", "feddist", "local-only", "centralized")
@@ -196,12 +184,8 @@ class ExperimentResult:
     states: tuple[ClientState, ...]
 
 
-def _seq(seed: int, *key: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(seed, spawn_key=tuple(key))
-
-
 def _train_seed(seed: int, round_index: int, client: int) -> int:
-    state = _seq(seed, 2, round_index, client).generate_state(2)
+    state = sequence("training", seed, round_index, client).generate_state(2)
     return int(state[0]) << 32 | int(state[1])
 
 
@@ -232,7 +216,7 @@ def client_datasets(cfg: ExperimentConfig) -> list[tuple[Batch, Batch]]:
                 raise ValueError(f"{path}: label {top} is outside [0, {spec.classes})")
             datasets.append(stratified_split(
                 window(z_normalize(series), spec.window_length, spec.window_step),
-                spec.train_fraction, _seq(cfg.seed, 1, k), client=k))
+                spec.train_fraction, sequence("csv splits", cfg.seed, k), client=k))
     for k, (train, test) in enumerate(datasets):
         if len(train) == 0:
             raise ValueError(f"client {k} has no training windows")
@@ -306,7 +290,7 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
     try:
         arch = cfg.model
         datasets = client_datasets(cfg)
-        server = init_model(arch, _seq(cfg.seed, 0, cfg.init_variant), cfg.dtype)
+        server = init_model(arch, sequence("init", cfg.seed, cfg.init_variant), cfg.dtype)
         states = [ClientState(id=k, train=train, test=test,
                               cfg=_class_weighted(cfg, train), model=server)
                   for k, (train, test) in enumerate(datasets)]
@@ -411,7 +395,7 @@ def _round(cfg, t, states, server, pooled, executor):
             st.model = model
         return CommLedger(t), None, tuple(range(len(states)))
 
-    rng = np.random.default_rng(_seq(cfg.seed, 3, t))
+    rng = np.random.default_rng(sequence("scenario", cfg.seed, t))
     active = active_clients(cfg.scenario, t, len(states), rng)
     clients = [_runtime(cfg, states[k], t) for k in active]
     if cfg.algorithm == "feddist":

@@ -468,6 +468,19 @@ class TestRunCommand:
         assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", [["validate"], ["run", "--out", "x"]],
+                         ids=["validate", "run"])
+def test_config_that_is_not_utf8_names_the_file(tmp_path, capsys, monkeypatch,
+                                                 command):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "latin1.yaml"
+    cfg.write_bytes(MINIMAL.encode() + "# caf\u00e9\n".encode("latin-1"))
+    assert main([*command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {cfg}: not UTF-8")
+    assert not (tmp_path / "x").exists()
+
+
 class TestValidateCommand:
     def test_ok(self, tmp_path, capsys):
         cfg = write(tmp_path, MINIMAL)

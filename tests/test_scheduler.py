@@ -537,3 +537,43 @@ class TestRejoinStartsFromServer:
         assert starts.keys() == {(t, k) for t, ids in active.items() for k in ids}
         for (t, k), model in starts.items():
             assert models_bit_equal(model, servers[t]), (t, k)
+
+
+class TestTrainingSeeds:
+    """Each client trains a round's main phase on the stream spawned at
+    (2, t, k) from the experiment seed, and FedDist's sub-round of layer l
+    on the stream spawned at (l + 1,) from that seed."""
+
+    def test_main_phase_and_sub_round_seeds_follow_their_literal_keys(self, monkeypatch):
+        cfg = tiny_config(algorithm="feddist", rounds=3,
+                          feddist=FedDistConfig(base_sigma_multiplier=0.5))
+        rounds, seen = [], []
+        round_fn, update = scheduler.feddist_round, aggregation._default_client_update
+
+        def recording_round(server, arch, clients, fcfg, round_index, **kw):
+            rounds.append(round_index)
+            return round_fn(server, arch, clients, fcfg, round_index, **kw)
+
+        def recording_update(client, model, arch, phase):
+            seen.append((rounds[-1], client.id, phase, client.seed))
+            return update(client, model, arch, phase)
+
+        monkeypatch.setattr(scheduler, "feddist_round", recording_round)
+        monkeypatch.setattr(aggregation, "_default_client_update", recording_update)
+        run_experiment(cfg)
+
+        main = {}
+        for t, k, phase, seed in seen:
+            if phase == "main phase":
+                state = np.random.SeedSequence(cfg.seed, spawn_key=(2, t, k)).generate_state(2)
+                assert seed == int(state[0]) << 32 | int(state[1]), (t, k)
+                main[t, k] = seed
+        sub_rounds = [(t, k, phase, seed) for t, k, phase, seed in seen
+                      if phase != "main phase"]
+        assert main.keys() == {(t, k) for t in range(1, 4) for k in range(3)}
+        assert sub_rounds
+        for t, k, phase, seed in sub_rounds:
+            layer = int(re.fullmatch(r"layer-wise sub-round of layer (\d+)", phase)[1])
+            expected = np.random.SeedSequence(main[t, k], spawn_key=(layer + 1,))
+            assert (seed.entropy, seed.spawn_key) == (expected.entropy, expected.spawn_key)
+            assert np.array_equal(seed.generate_state(4), expected.generate_state(4))
