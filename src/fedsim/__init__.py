@@ -15,6 +15,7 @@ from .aggregation import (
     DistanceMatrix,
     FedDistConfig,
     GrowthEvent,
+    LayerGrowth,
     RoundOutcome,
     cost_ratio,
     distance_matrix,

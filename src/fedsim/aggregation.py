@@ -7,10 +7,10 @@ A FedDist round runs in phases:
      trains locally, and the results are weight-averaged by data fraction;
   2. layer by layer (output excluded), compare each client's units against
      the averaged server units by Euclidean distance over the unit's
-     incoming weights plus bias; entries above
-     (beta * round + 3) * sigma + mu (statistics pooled over the whole
-     layer's distance matrix) mark units specialized enough to be appended
-     to the server layer, donor outgoing weights included;
+     incoming weights plus bias; entries above (beta * round + 3) * sigma
+     + mu (statistics pooled over the layer's distance matrix) mark units
+     specialized enough to be appended to the server layer, donor outgoing
+     weights included, and the layer's LayerGrowth record goes on the ledger;
   3. whenever a layer grew, phase 1's exchange runs again on the layers
      above it: clients receive the frozen stack up to that layer, retrain
      the layers above it, and only those are averaged back before the next
@@ -102,19 +102,32 @@ class GrowthEvent:
     distance: float
 
 
+@dataclass(frozen=True)
+class LayerGrowth:
+    """One layer a FedDist round examined: the number of units above the
+    threshold, and the growth events kept under the per-round cap."""
+
+    layer: int
+    candidates: int
+    events: tuple[GrowthEvent, ...]
+
+
 @dataclass
 class CommLedger:
     """Communication accounting of one round (or, from ledger_totals, of a
-    span of rounds): bytes on the wire, sub-rounds, truncated selections,
-    and the growth events in the order they were applied."""
+    span of rounds): bytes on the wire and one LayerGrowth per examined
+    layer, in examination order; growth, units_added, total_units_added,
+    sub_rounds (one per grown layer) and truncated_selections read them."""
 
     round_index: int = 0
     bytes_down: int = 0
     bytes_up: int = 0
     shape_metadata_bytes: int = 0
-    sub_rounds: int = 0
-    truncated_selections: int = 0
-    growth: list[GrowthEvent] = field(default_factory=list)
+    layer_growth: list[LayerGrowth] = field(default_factory=list)
+
+    @property
+    def growth(self) -> list[GrowthEvent]:
+        return [event for rec in self.layer_growth for event in rec.events]
 
     @property
     def units_added(self) -> dict[int, int]:
@@ -124,6 +137,14 @@ class CommLedger:
     @property
     def total_units_added(self) -> int:
         return len(self.growth)
+
+    @property
+    def sub_rounds(self) -> int:
+        return sum(1 for rec in self.layer_growth if rec.events)
+
+    @property
+    def truncated_selections(self) -> int:
+        return sum(rec.candidates - len(rec.events) for rec in self.layer_growth)
 
     @property
     def total_bytes(self) -> int:
@@ -252,6 +273,23 @@ def select_divergent(pi: DistanceMatrix, threshold: float) -> list[Selection]:
     return [Selection(int(pi.entries[d].argmax()), int(d), float(top[d])) for d in units]
 
 
+def _grow_layer(w, models, clients, layer, fcfg, round_index):
+    """Phase 2 on one layer.  Returns the grown server, the layer's LayerGrowth
+    and the bytes of the donors' successor rows, which the sub-round sends down."""
+    pi = distance_matrix(w.layers[layer], [m.layers[layer] for m in models])
+    threshold = divergence_threshold(round_index, fcfg, pi.mu, pi.sigma)
+    selections = select_divergent(pi, threshold)
+    events, widened = [], 0
+    for sel in selections[:fcfg.max_new_units_per_layer_per_round]:
+        donor = models[sel.client_pos]
+        rows = donor_successor_rows(donor, layer, sel.unit)
+        w = append_neuron(w, layer, neuron_vector(donor.layers[layer], sel.unit), rows)
+        widened += rows.nbytes
+        donor_id = clients[sel.client_pos].id
+        events.append(GrowthEvent(layer, sel.unit, donor_id, sel.distance))
+    return w, LayerGrowth(layer, len(selections), tuple(events)), widened
+
+
 def feddist_round(server: ModelWeights, arch: ModelArch,
                   clients: list[ClientRuntime], fcfg: FedDistConfig,
                   round_index: int, *, executor=None) -> RoundOutcome:
@@ -261,7 +299,6 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
                         executor=executor)
     clients = sorted(clients, key=lambda c: c.id)
     ledger = main.ledger
-    cap = fcfg.max_new_units_per_layer_per_round
 
     # Shape broadcast: a growing model's geometry is re-announced every round.
     ledger.shape_metadata_bytes = len(clients) * shape_metadata_size(server)
@@ -271,26 +308,11 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
     w = main.server
 
     for layer in range(len(w.layers) - 1):  # the output layer is never grown
-        pi = distance_matrix(w.layers[layer], [m.layers[layer] for m in models])
-        threshold = divergence_threshold(round_index, fcfg, pi.mu, pi.sigma)
-        selections = select_divergent(pi, threshold)
-        kept = selections[:cap]
-        ledger.truncated_selections += len(selections) - len(kept)
-        if not kept:
+        w, record, widened = _grow_layer(w, models, clients, layer, fcfg, round_index)
+        ledger.layer_growth.append(record)
+        if not record.events:
             continue
-
-        widened = 0  # bytes of the successor rows the grown units bring along
-        for sel in kept:
-            donor = models[sel.client_pos]
-            donor_id = clients[sel.client_pos].id
-            source = neuron_vector(donor.layers[layer], sel.unit)
-            rows = donor_successor_rows(donor, layer, sel.unit)
-            w = append_neuron(w, layer, source, rows)
-            widened += rows.nbytes
-            ledger.growth.append(GrowthEvent(layer, sel.unit, donor_id, sel.distance))
-
         # Layer-wise sub-round: freeze the grown stack, retrain what is above.
-        ledger.sub_rounds += 1
         sub_round = [
             replace(c, seed=sequence("feddist sub-round of layer l", c.seed, layer + 1),
                     cfg=replace(c.cfg, frozen_prefix=layer + 1,
@@ -307,17 +329,14 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
 
 
 def ledger_totals(ledgers) -> CommLedger:
-    """The sum of per-round ledgers: bytes, shape metadata, sub-rounds and
-    truncations added, growth events concatenated in round order.  A total
-    spans rounds, so it keeps the default round_index."""
+    """The sum of per-round ledgers, growth records concatenated in round
+    order.  A total spans rounds, so it keeps the default round_index."""
     total = CommLedger()
     for led in ledgers:
         total.bytes_down += led.bytes_down
         total.bytes_up += led.bytes_up
         total.shape_metadata_bytes += led.shape_metadata_bytes
-        total.sub_rounds += led.sub_rounds
-        total.truncated_selections += led.truncated_selections
-        total.growth += led.growth
+        total.layer_growth += led.layer_growth
     return total
 
 

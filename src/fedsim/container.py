@@ -69,15 +69,11 @@ def shape_metadata_size(model: ModelWeights) -> int:
     return 8 + 12 * len(model.layers)
 
 
-def serialize_model(model: ModelWeights, layer_indices=None) -> bytes:
-    """Serialize the given layers (default all) into container bytes."""
-    if layer_indices is None:
-        layer_indices = range(len(model.layers))
-    layer_indices = list(layer_indices)
+def serialize_model(model: ModelWeights) -> bytes:
+    """Serialize every layer of the model into container bytes."""
     out = [struct.pack("<4sHBBI", MAGIC, VERSION, _dtype_code(model.dtype), 0,
-                       len(layer_indices))]
-    for i in layer_indices:
-        layer = model.layers[i]
+                       len(model.layers))]
+    for layer in model.layers:
         shape = layer.incoming.shape
         out.append(struct.pack(f"<BB{len(shape)}II", _KIND_CODES[layer.kind],
                                len(shape), *shape, layer.bias.shape[0]))

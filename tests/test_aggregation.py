@@ -364,6 +364,8 @@ class TestFedDistRound:
         out = feddist_round(server, arch, clients, fcfg, 1)
         assert out.ledger.units_added == {0: 2}
         assert out.ledger.truncated_selections == 2
+        grown = out.ledger.layer_growth[0]
+        assert (grown.layer, grown.candidates, len(grown.events)) == (0, 4, 2)
 
     def test_growth_monotone_and_coordinates_stable(self, monkeypatch):
         arch = dense_arch(4, 8, 3)

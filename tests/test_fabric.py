@@ -319,14 +319,6 @@ class TestContainer:
         assert back.dtype == np.dtype(dtype)
         assert models_bit_equal(model, back)
 
-    def test_partial_serialization_round_trip(self):
-        arch = conv_arch()
-        model = init_model(arch, 2)
-        blob = serialize_model(model, [1, 2])
-        back = deserialize_model(blob)
-        assert len(back.layers) == 2
-        assert np.array_equal(back.layers[0].incoming, model.layers[1].incoming)
-
     def test_corrupt_blobs_rejected(self):
         model, _ = small_dense_model()
         blob = serialize_model(model)

@@ -15,6 +15,7 @@ from fedsim import (
     DivergenceError,
     ExperimentConfig,
     FedDistConfig,
+    LayerGrowth,
     LayerSpec,
     ModelArch,
     ModelWeights,
@@ -23,6 +24,7 @@ from fedsim import (
     TrainingConfig,
     active_clients,
     init_model,
+    ledger_totals,
     rerun_with_final_shape,
     run_experiment,
     train_local,
@@ -498,6 +500,44 @@ class TestGrowthEvents:
         for led in res.ledgers:
             assert {e.client_id for e in led.growth} <= set(active[led.round_index])
         assert sum(r.units_added for r in res.reports) == len(events)
+
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    def test_layer_growth_records_back_every_view(self, eval_every):
+        # Two hidden layers under a cap of 1: over five rounds some layers
+        # stay idle, some grow and one has a selection truncated.
+        arch = ModelArch(128, 6, (LayerSpec("dense", width=8, activation="relu"),
+                                  LayerSpec("dense", width=8, activation="relu"),
+                                  LayerSpec("softmax-output", width=4)))
+        fcfg = FedDistConfig(base_sigma_multiplier=2.0,
+                             max_new_units_per_layer_per_round=1)
+        res = run_experiment(tiny_config(algorithm="feddist", rounds=5, model=arch,
+                                         eval_every=eval_every, feddist=fcfg))
+
+        records = [rec for led in res.ledgers for rec in led.layer_growth]
+        assert {(len(rec.events), rec.candidates > len(rec.events))
+                for rec in records} == {(0, False), (1, False), (1, True)}
+        for led in res.ledgers:
+            recs = led.layer_growth
+            assert all(type(rec) is LayerGrowth for rec in recs)
+            assert [rec.layer for rec in recs] == [0, 1]
+            assert all(e.layer == rec.layer for rec in recs for e in rec.events)
+            assert led.growth == [e for rec in recs for e in rec.events]
+            assert list(led.units_added.items()) == [
+                (rec.layer, len(rec.events)) for rec in recs if rec.events]
+            assert led.total_units_added == sum(len(rec.events) for rec in recs)
+            assert led.sub_rounds == sum(1 for rec in recs if rec.events)
+            assert led.truncated_selections == sum(
+                rec.candidates - len(rec.events) for rec in recs)
+
+        previous = 0
+        for report in res.reports:
+            since = [rec for led in res.ledgers[previous:report.round]
+                     for rec in led.layer_growth]
+            assert report.units_added == sum(len(rec.events) for rec in since)
+            assert report.sub_rounds == sum(1 for rec in since if rec.events)
+            previous = report.round
+        assert previous == 5
+        assert ledger_totals(res.ledgers).layer_growth == records
 
 
 class TestRejoinStartsFromServer:

@@ -42,6 +42,7 @@ AVG_ROUND = {**GROWING_ROUND, "algorithm": "fedavg"}
 
 @pytest.mark.parametrize("raw, spans", [
     (GROWING_ROUND, ("aggregation.feddist_round", "nn.train_local",
+                     "aggregation.distance_matrix", "aggregation.select_divergent",
                      "fabric.append_neuron", "metrics.evaluate_generalization")),
     (PROX_ROUND, ("aggregation.fedprox_round", "nn.train_local",
                   "metrics.evaluate_generalization")),

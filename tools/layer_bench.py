@@ -10,15 +10,15 @@ forward as inference runs it, and its backward.  The lowest layer's
 backward computes no input gradient, as in training.  Then it times one full
 training objective step (loss and every layer's gradient).  Each figure is
 the median over --repeats calls, in microseconds per minibatch.  The last
-two rows time scoring: nn.evaluate predicting 1,792 windows (as many
-windows as the 32 client test sets of perfbench's fedprox-wide-eval hold)
-with a desk model at conv width 16, and at width 18, a width FedDist growth
-reaches where the conv's gemm runs edge tiles; in microseconds per window,
-the median over at most 20 calls.  The row after them scores the same
-number of windows the way the generalization view reads them: 32
-row-indexed test sets of 56 windows, each the rows of its own client's
-window view (18,000 samples, 280 windows), so each set is one full
-32-window slice, one partial slice and a row gather per slice.  The first
+three rows time scoring.  The first two time nn.evaluate predicting 1,792
+windows (as many windows as the 32 client test sets of perfbench's
+fedprox-wide-eval hold) with a desk model at conv width 16, and at width
+18, a width FedDist growth reaches where the conv's gemm runs edge tiles;
+in microseconds per window, the median over at most 20 calls.  The third
+scores the same number of windows the way the generalization view reads
+them: 32 row-indexed test sets of 56 windows, each the rows of its own
+client's window view (18,000 samples, 280 windows), so each set is one
+full 32-window slice, one partial slice and a row gather per slice.  The first
 line gives the host record perfbench writes (cores, numpy, the BLAS build
 and its thread count); BLAS is pinned to one thread, as in perfbench.
 """
