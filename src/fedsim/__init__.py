@@ -71,6 +71,7 @@ from .scheduler import (
     ExperimentConfig,
     ExperimentResult,
     ScenarioSpec,
+    Snapshot,
     active_clients,
     rerun_with_final_shape,
     run_experiment,

@@ -577,9 +577,9 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
         try:
             trained.append(LayerWeights(w, b))
         except ShapeError as exc:  # shapes are unchanged: a non-finite value
-            raise DivergenceError(
-                f"{exc}: layer {i} ({arch.layers[i].kind}) after the last step"
-            ) from exc
+            raise DivergenceError(f"diverged, {exc}: layer {i} ({arch.layers[i].kind}) "
+                                  f"after the last step (epoch {epoch}, minibatch "
+                                  f"{lo // cfg.batch_size + 1})") from exc
     return ModelWeights(work.layers[:start] + tuple(trained)), epoch_losses
 
 

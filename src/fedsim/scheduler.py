@@ -1,7 +1,8 @@
 """Experiment driver: runs T communication rounds over a client pool under
 one of the asynchronous-availability scenarios, tracks per-client
 best-personalization snapshots, and assembles RoundReports.  All five
-algorithms run in one round loop, whose locals are the whole run state.
+algorithms run in one round loop, which advances one run state, the
+ExperimentResult it returns.
 
 Every seeded stream of a run is a row of seeds.STREAMS.
 """
@@ -160,6 +161,17 @@ class ExperimentConfig:
         return np.float64 if self.precision == "float64" else np.float32
 
 
+@dataclass(frozen=True)
+class Snapshot:
+    """A client's best-personalization model: the round that took it, its
+    macro F1 on the client's own test set, and on every client's test set."""
+
+    round: int
+    model: ModelWeights
+    personalization: float
+    generalization: float
+
+
 @dataclass
 class ClientState:
     """One simulated client across the whole experiment."""
@@ -169,19 +181,19 @@ class ClientState:
     test: Batch
     cfg: TrainingConfig
     model: ModelWeights
-    best_score: float | None = None
-    best_round: int | None = None
-    best_model: ModelWeights | None = None
-    # best_model's macro F1 on every client's test set, scored with the snapshot.
-    best_generalization: float | None = None
+    best: Snapshot | None = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class ExperimentResult:
-    reports: tuple[RoundReport, ...]
-    ledgers: tuple[CommLedger, ...]
+    """The run state, which run_experiment builds before round 1 and
+    advances: every round's ledger and every evaluated round's report so
+    far, the server model (None for local-only) and the clients."""
+
+    reports: list[RoundReport]
+    ledgers: list[CommLedger]
     final_model: ModelWeights | None
-    states: tuple[ClientState, ...]
+    states: list[ClientState]
 
 
 def _train_seed(seed: int, round_index: int, client: int) -> int:
@@ -233,12 +245,6 @@ def _class_weighted(cfg: ExperimentConfig, data: Batch) -> TrainingConfig:
         data.labels, cfg.model.classes))
 
 
-def _snapshot(state: ClientState, score: float, round_index: int) -> None:
-    state.best_score = score
-    state.best_round = round_index
-    state.best_model = state.model
-
-
 @functools.cache
 def _openblas(name: str, restype=ctypes.c_int) -> tuple:
     """Function openblas_<name> of each loaded OpenBLAS, under the prefix
@@ -277,8 +283,8 @@ def host_facts() -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
-    """Execute the configured experiment and return every evaluated round,
-    with BLAS on one thread throughout, so that no core count picks the bits.
+    """Execute the configured experiment and return its run state, with
+    BLAS on one thread throughout, so that no core count picks the bits.
 
     on_report, when given, is called with each RoundReport as it is
     produced so callers can stream results to disk.
@@ -288,35 +294,28 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
         set_threads(1)
     executor = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
     try:
-        arch = cfg.model
         datasets = client_datasets(cfg)
-        server = init_model(arch, sequence("init", cfg.seed, cfg.init_variant), cfg.dtype)
-        states = [ClientState(id=k, train=train, test=test,
-                              cfg=_class_weighted(cfg, train), model=server)
-                  for k, (train, test) in enumerate(datasets)]
-        tests = [st.test for st in states]
+        server = init_model(cfg.model, sequence("init", cfg.seed, cfg.init_variant),
+                            cfg.dtype)
+        run = ExperimentResult([], [], server, [
+            ClientState(k, train, test, _class_weighted(cfg, train), server)
+            for k, (train, test) in enumerate(datasets)])
+        del server  # so the initial model is freed once no client holds it
         pooled = None
         if cfg.algorithm == "centralized":
             data = concat_window_sets(train for train, _test in datasets)
             pooled = (data, _class_weighted(cfg, data))
-        reports: list[RoundReport] = []
-        ledgers: list[CommLedger] = []
-        reported = 0  # rounds covered by the reports so far
         for t in range(1, cfg.rounds + 1):
             with diverged_in(f"round {t}"):
-                ledger, server, active = _round(cfg, t, states, server, pooled, executor)
-            ledgers.append(ledger)
+                ledger, run.final_model, active = _round(
+                    cfg, t, run.states, run.final_model, pooled, executor)
+            run.ledgers.append(ledger)
             if t % cfg.eval_every == 0 or t == cfg.rounds:
-                # Report columns total every round since the previous tick.
-                totals = ledger_totals(ledgers[reported:])
-                reported = t
-                report = _evaluate_tick(arch, states, active, server, tests,
-                                        t, totals, cfg.algorithm)
-                reports.append(report)
+                report = _evaluate_tick(cfg, run, active, t)
+                run.reports.append(report)
                 if on_report:
                     on_report(report)
-        return ExperimentResult(tuple(reports), tuple(ledgers), server,
-                                tuple(states))
+        return run
     finally:
         for set_threads, count in blas:
             set_threads(count)
@@ -324,13 +323,17 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
             executor.shutdown()
 
 
-def _evaluate_tick(arch, states, active, server, tests, t,
-                   totals: CommLedger, algorithm: str) -> RoundReport:
-    """Score round t.  The global view needs a server model; the
-    personalization and generalization views need active clients, so a
-    centralized run (no clients) reports only the global view.  Both
-    server and snapshots are scored on tests, every client's test set, and
-    a best snapshot only at the tick that takes it."""
+def _evaluate_tick(cfg, run: ExperimentResult, active, t) -> RoundReport:
+    """Score round t, the last of run.ledgers; the report totals every
+    round since the previous report.  The global view needs a server
+    model; the personalization and generalization views need active
+    clients, so a centralized run (no clients) reports only the global
+    view.  Both server and snapshots are scored on every client's test
+    set, and a best snapshot only at the tick that takes it."""
+    arch, server, states = cfg.model, run.final_model, run.states
+    tests = [st.test for st in states]
+    since = run.reports[-1].round if run.reports else 0
+    totals = ledger_totals(run.ledgers[since:])
     bundle = evaluate_global(server, arch, tests) if server is not None else None
     model = server if server is not None else states[0].model
     pers = gen = None
@@ -338,24 +341,19 @@ def _evaluate_tick(arch, states, active, server, tests, t,
         scored = [states[k] for k in active]
         pers_scores = evaluate_personalization([(st.model, st.test) for st in scored],
                                                arch)
-        taken = []
-        for st, score in zip(scored, pers_scores):
-            if st.best_score is None or score > st.best_score:
-                _snapshot(st, score, t)
-                taken.append(st)
+        taken = [(st, score) for st, score in zip(scored, pers_scores)
+                 if st.best is None or score > st.best.personalization]
         if taken:
-            fresh = evaluate_generalization([st.best_model for st in taken],
-                                            arch, tests)
-            for st, score in zip(taken, fresh):
-                st.best_generalization = score
+            fresh = evaluate_generalization([st.model for st, _ in taken], arch, tests)
+            for (st, score), generalization in zip(taken, fresh):
+                st.best = Snapshot(t, st.model, score, generalization)
         pers = {st.id: score for st, score in zip(scored, pers_scores)}
-        gen = {st.id: st.best_generalization for st in states
-               if st.best_model is not None}
+        gen = {st.id: st.best.generalization for st in states if st.best is not None}
     pers_mean, pers_std = spread(list(pers.values())) if pers else (None, None)
     gen_mean, gen_std = spread(list(gen.values())) if gen else (None, None)
     return RoundReport(
         round=t,
-        algorithm=algorithm,
+        algorithm=cfg.algorithm,
         global_f1=bundle.macro_f1 if bundle else None,
         pers_mean=pers_mean,
         pers_std=pers_std,

@@ -302,6 +302,18 @@ class TestRunCommand:
                    (out / "rounds.jsonl").read_text().splitlines()]
         assert [r["round"] for r in records] == [1, 2, 3]
 
+    def test_local_only_run_writes_no_model(self, tmp_path):
+        cfg = write(tmp_path, TINY_RUN % "local-only")
+        out = tmp_path / "local"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "completed"
+        assert manifest["rounds_evaluated"] == 3
+        assert manifest["outputs"]["model"] is None
+        assert manifest["outputs"]["shape"] is None
+        assert not (out / "model.bin").exists()
+        assert not (out / "shape.txt").exists()
+
     def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
         cfg = write(tmp_path, TINY_RUN % "feddist")
         out1, out2 = tmp_path / "a", tmp_path / "b"

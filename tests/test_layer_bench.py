@@ -16,6 +16,7 @@ def test_prints_host_every_layer_and_the_objective_step():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("host: nproc=") and " blas_build=" in lines[0]
+    assert " blas_threads=1" in lines[0]
     rows = {line.split()[1]: line.split()[-3:] for line in lines[3:7]}
     assert list(rows) == ["conv1d", "maxpool1d", "dense", "softmax-output"]
     assert lines[7].startswith("objective step")

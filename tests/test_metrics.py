@@ -271,15 +271,15 @@ class TestSnapshotTracking:
     def test_round_one_best_equals_current(self):
         arch, res = self._tiny_run(rounds=1)
         for st in res.states:
-            assert st.best_round == 1
-            assert st.best_model is st.model
+            assert st.best.round == 1
+            assert st.best.model is st.model
 
     def test_best_is_running_max(self):
         arch, res = self._tiny_run()
         for st in res.states:
             history = [r.per_client_personalization[st.id] for r in res.reports]
-            assert st.best_score == pytest.approx(max(history))
-            assert st.best_round == history.index(max(history)) + 1
+            assert st.best.personalization == pytest.approx(max(history))
+            assert st.best.round == history.index(max(history)) + 1
 
     def test_generalization_matches_exhaustive_rescoring_oracle(self):
         # oracle: re-score every historical snapshot; best per client must be
@@ -289,8 +289,8 @@ class TestSnapshotTracking:
         pooled = [concat_window_sets(st.test for st in res.states)]
         for st in res.states:
             history = [r.per_client_personalization[st.id] for r in res.reports]
-            assert st.best_score == max(history)
-            expected = score_model(st.best_model, arch, pooled).macro_f1
+            assert st.best.personalization == max(history)
+            expected = score_model(st.best.model, arch, pooled).macro_f1
             assert final.per_client_generalization[st.id] == pytest.approx(expected)
 
 

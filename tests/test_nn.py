@@ -403,6 +403,37 @@ class TestTrainLocal:
                                r"first non-finite output at layer 1 \(softmax-output\)"):
                 train_local(model, arch, batch, cfg, 0)
 
+    def test_divergence_names_a_non_finite_proximal_term(self):
+        # every layer's output is finite; the drift from reference weights
+        # 1e200 away squares to inf
+        arch = dense_arch(3, 4, 2)
+        model = init_model(arch, 1)
+        ref = ModelWeights(tuple(LayerWeights(layer.incoming + 1e200, layer.bias + 1e200)
+                                 for layer in model.layers))
+        rng = np.random.default_rng(4)
+        batch = Batch(rng.normal(size=(6, 3)), rng.integers(0, 2, 6))
+        cfg = TrainingConfig(local_epochs=1, batch_size=4, proximal_coefficient=1.0,
+                             reference_weights=ref)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError, match=r"^diverged, layer parameters "
+                               r"must be finite: objective inf at epoch 1, minibatch 1; "
+                               r"non-finite proximal term$"):
+                train_local(model, arch, batch, cfg, 0)
+
+    def test_divergence_after_the_last_step_names_its_epoch_and_minibatch(self):
+        # one minibatch: its objective is finite, and the step it takes
+        # leaves the weights non-finite with no later objective to catch it
+        arch = dense_arch(3, 4, 2)
+        model = init_model(arch, 1)
+        rng = np.random.default_rng(4)
+        batch = Batch(rng.normal(size=(6, 3)) * 1e3, rng.integers(0, 2, 6))
+        cfg = TrainingConfig(local_epochs=1, batch_size=8, learning_rate=1e308)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError, match=r"^diverged, layer parameters "
+                               r"must be finite: layer 0 \(dense\) after the last "
+                               r"step \(epoch 1, minibatch 1\)$"):
+                train_local(model, arch, batch, cfg, 0)
+
 
 DESK_ARCH = ModelArch(128, 6, (
     LayerSpec("conv1d", width=16, kernel=16, activation="relu"),
@@ -582,6 +613,15 @@ class TestConvKeep:
                 train_local(model, arch, batch, cfg, 36)
 
 
+CONV_ON_CONV = ModelArch(32, 3, (
+    LayerSpec("conv1d", width=4, kernel=5, activation="relu"),
+    LayerSpec("conv1d", width=5, kernel=3, activation="relu"),
+    LayerSpec("maxpool1d", kernel=2),
+    LayerSpec("dense", width=6, activation="relu"),
+    LayerSpec("softmax-output", width=3),
+))
+
+
 class TestGradientCheck:
     def test_small_dense_model(self):
         arch = dense_arch(3, 4, 2, activation="none")
@@ -598,14 +638,21 @@ class TestGradientCheck:
         cfg = TrainingConfig(class_weights=balanced_class_weights(batch.labels, 4))
         assert gradient_check(model, arch, batch, cfg) < 1e-4
 
-    @pytest.mark.parametrize("frozen", [1, 2])
-    def test_frozen_prefix(self, frozen):
-        # the backward walk ends at the lowest trainable layer
-        arch = conv_arch()
+    @pytest.mark.parametrize("arch, frozen", [
+        pytest.param(conv_arch(), 1, id="1"),
+        pytest.param(conv_arch(), 2, id="2"),
+        pytest.param(CONV_ON_CONV, 0, id="conv-on-conv-0"),
+        pytest.param(CONV_ON_CONV, 1, id="conv-on-conv-1"),
+    ])
+    def test_frozen_prefix(self, arch, frozen):
+        # the backward walk ends at the lowest trainable layer; at prefix 0
+        # the upper conv of CONV_ON_CONV passes an input gradient down
         model = init_model(arch, 2)
         rng = np.random.default_rng(5)
-        batch = Batch(rng.normal(size=(3, 20, 2)), rng.integers(0, 4, 3))
-        cfg = TrainingConfig(class_weights=balanced_class_weights(batch.labels, 4),
+        batch = Batch(rng.normal(size=(3, arch.input_length, arch.input_channels)),
+                      rng.integers(0, arch.classes, 3))
+        cfg = TrainingConfig(class_weights=balanced_class_weights(batch.labels,
+                                                                  arch.classes),
                              frozen_prefix=frozen)
         assert gradient_check(model, arch, batch, cfg) < 1e-4
 

@@ -184,9 +184,9 @@ class TestRunExperiment:
         init = init_model(cfg.model, np.random.SeedSequence(cfg.seed, spawn_key=(0, 0)),
                           cfg.dtype)
         assert models_bit_equal(idle.model, init)
-        assert idle.best_model is None and idle.best_score is None
+        assert idle.best is None
         # active clients were trained and snapshotted
-        assert res.states[0].best_model is not None
+        assert res.states[0].best is not None
 
     def test_fractions_recomputed_over_active_pool(self):
         # a decrementing run must keep aggregating (fractions sum to 1 per round)
@@ -303,27 +303,28 @@ class TestGeneralizationScoredOnce:
     @staticmethod
     def _ticks(monkeypatch, eval_every):
         """Per tick: (report, models scored since the previous tick, each
-        snapshotted client's (best_round, best_model) as the report left)."""
+        snapshotted client's (best.round, best.model) as the report left)."""
         # seed 6 replaces a kept snapshot at both cadences
         cfg = tiny_config(rounds=12, clients=5, seed=6, eval_every=eval_every,
                           scenario=ScenarioSpec(kind="interchanging", sample_size=3))
-        states, scored, ticks = {}, [], []
-        snapshot, score = scheduler._snapshot, scheduler.evaluate_generalization
+        runs, scored, ticks = [], [], []
+        tick, score = scheduler._evaluate_tick, scheduler.evaluate_generalization
 
-        def recording_snapshot(state, *args):
-            states[state.id] = state
-            snapshot(state, *args)
+        def recording_tick(cfg, run, *args):
+            runs.append(run)
+            return tick(cfg, run, *args)
 
         def counting_score(best_models, *args):
             scored.append(len(best_models))
             return score(best_models, *args)
 
         def on_report(report):
-            held = {k: (st.best_round, st.best_model) for k, st in states.items()}
+            held = {st.id: (st.best.round, st.best.model) for st in runs[-1].states
+                    if st.best is not None}
             ticks.append((report, sum(scored), held))
             scored.clear()
 
-        monkeypatch.setattr(scheduler, "_snapshot", recording_snapshot)
+        monkeypatch.setattr(scheduler, "_evaluate_tick", recording_tick)
         monkeypatch.setattr(scheduler, "evaluate_generalization", counting_score)
         res = run_experiment(cfg, on_report=on_report)
         return cfg, res, ticks

@@ -20,7 +20,8 @@ them: 32 row-indexed test sets of 56 windows, each the rows of its own
 client's window view (18,000 samples, 280 windows), so each set is one
 full 32-window slice, one partial slice and a row gather per slice.  The first
 line gives the host record perfbench writes (cores, numpy, the BLAS build
-and its thread count); BLAS is pinned to one thread, as in perfbench.
+and its thread count); BLAS is pinned to one thread first, through
+fedsim.scheduler.openblas_threading, as run_experiment pins it.
 """
 
 import argparse
@@ -33,7 +34,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-# perfbench's run module pins BLAS to one thread before numpy loads.
 from run import host_facts  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -42,6 +42,7 @@ from fedsim.arch import PARAM_KINDS, LayerSpec, ModelArch  # noqa: E402
 from fedsim.data import window  # noqa: E402
 from fedsim.fabric import init_model  # noqa: E402
 from fedsim.nn import _FORWARD, Batch, TrainingConfig, _objective, evaluate  # noqa: E402
+from fedsim.scheduler import openblas_threading  # noqa: E402
 
 DESK_ARCH = ModelArch(128, 6, (
     LayerSpec("conv1d", width=16, kernel=16, activation="relu"),
@@ -143,6 +144,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1 or args.batch < 1:
         parser.error("--repeats and --batch must be >= 1")
+    for _get, set_threads in openblas_threading():
+        set_threads(1)
     print("host: " + " ".join(f"{k}={v}" for k, v in host_facts(np).items()))
     print(f"batch {args.batch}, median of {args.repeats} calls, us per minibatch")
     print(f"{'layer':<24}{'forward':>10}{'inference':>11}{'backward':>10}")
