@@ -3,6 +3,10 @@ class-weighted softmax cross-entropy, plain SGD with an optional proximal
 pull toward reference weights, frozen-prefix training, and a central
 finite-difference gradient checker.
 
+Training weighs each example by balanced_class_weights of the whole batch
+train_local (or gradient_check) is given, never of a minibatch: a client's
+training windows, or a centralized run's pooled set.
+
 Everything is plain NumPy and deterministic for a fixed seed.  The dense
 flatten of spatial activations is channel-major (channel c of a [T, C] map
 occupies rows [c*T, (c+1)*T) of the flattened vector); see fabric.py for why
@@ -80,8 +84,10 @@ class Batch:
 class TrainingConfig:
     """Client-side training knobs.
 
-    frozen_prefix counts leading parameterized layers excluded from updates.
-    Setting reference_weights adds FedProx's proximal term
+    No knob sets class weights: train_local weighs each example by
+    balanced_class_weights of the batch it is given.  frozen_prefix counts
+    leading parameterized layers excluded from updates.  Setting
+    reference_weights adds FedProx's proximal term
     (mu/2)*||w - reference||^2, mu = proximal_coefficient, over the
     trainable parameters to the objective; fedprox_round sets it to the
     server model it distributes, and without it mu is unused.
@@ -90,7 +96,6 @@ class TrainingConfig:
     local_epochs: int = 5
     learning_rate: float = 0.05
     batch_size: int = 16
-    class_weights: np.ndarray | None = None
     frozen_prefix: int = 0
     proximal_coefficient: float = 0.01
     reference_weights: ModelWeights | None = None
@@ -106,8 +111,6 @@ class TrainingConfig:
             raise ValueError("frozen_prefix must be >= 0")
         if self.proximal_coefficient < 0:
             raise ValueError("proximal_coefficient must be >= 0")
-        if self.class_weights is not None and np.any(np.asarray(self.class_weights) <= 0):
-            raise ValueError("class_weights must be positive")
 
 
 def balanced_class_weights(labels: np.ndarray, classes: int) -> np.ndarray:
@@ -449,12 +452,14 @@ def _working_copy(model: ModelWeights, start: int) -> ModelWeights:
 
 
 def _objective(model: ModelWeights, arch: ModelArch, x: np.ndarray,
-               labels: np.ndarray, cfg: TrainingConfig, lowest: int | None,
-               first: int = 0):
-    """The training objective on one batch: the weighted cross-entropy plus,
-    when cfg.reference_weights is set, the proximal term over the trainable
-    layers (model.layers[cfg.frozen_prefix:]).  x is the input of arch
-    layer first: the gathered windows, or train_local's cached features.
+               labels: np.ndarray, class_weights: np.ndarray,
+               cfg: TrainingConfig, lowest: int | None, first: int = 0):
+    """The training objective on one batch: the cross-entropy weighted by
+    class_weights plus, when cfg.reference_weights is set, the proximal term
+    over the trainable layers (model.layers[cfg.frozen_prefix:]).  x is the
+    input of arch layer first: the gathered windows, or train_local's cached
+    features.  class_weights are those of the whole batch the caller
+    trains on, not of this minibatch.
     lowest is _lowest_trainable(arch, cfg.frozen_prefix), which callers
     compute once per call, or None for the value alone.
 
@@ -467,7 +472,7 @@ def _objective(model: ModelWeights, arch: ModelArch, x: np.ndarray,
     logits, backwards = _walk(model, arch, x, first, lowest=lowest)
     probs = _softmax(logits)
     n = len(labels)
-    value = loss(probs, labels, cfg.class_weights)
+    value = loss(probs, labels, class_weights)
     start, mu, ref = cfg.frozen_prefix, cfg.proximal_coefficient, cfg.reference_weights
     trainable = model.layers[start:]
     if ref is not None:
@@ -480,13 +485,9 @@ def _objective(model: ModelWeights, arch: ModelArch, x: np.ndarray,
     if lowest is None:
         return value, None
 
-    if cfg.class_weights is not None:
-        w_ex = np.asarray(cfg.class_weights, dtype=probs.dtype)[labels]
-    else:
-        w_ex = np.ones(n, dtype=probs.dtype)
     dz = probs.copy()
     dz[np.arange(n), labels] -= 1.0
-    dz *= (w_ex / n)[:, None]
+    dz *= (np.asarray(class_weights, dtype=probs.dtype)[labels] / n)[:, None]
 
     grads = []
     for j, backward in enumerate(reversed(backwards), 1):
@@ -524,7 +525,9 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
     minibatch; each minibatch starts from those cached features, with the
     same bits as running them per minibatch.  Otherwise each minibatch
     gathers its own windows from the batch.  An empty dataset is an
-    explicit no-op: (input model, []).  With cfg.reference_weights set the
+    explicit no-op: (input model, []).  Each example's cross-entropy is
+    weighted by balanced_class_weights of the labels of the whole batch,
+    computed once per call.  With cfg.reference_weights set the
     optimized objective is loss + (mu/2)*||w - reference||^2 over the
     trainable parameters.  A non-finite objective value raises
     DivergenceError at its minibatch, as do non-finite trained weights.
@@ -541,6 +544,7 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
     if ref is not None and ref.layer_shapes() != model.layer_shapes():
         raise ShapeError("reference_weights shape does not match the model")
 
+    weights = balanced_class_weights(labels, arch.classes)
     start = cfg.frozen_prefix
     work = _working_copy(model, start)
     params = [(layer.incoming, layer.bias) for layer in work.layers[start:]]
@@ -557,7 +561,7 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
         for lo in range(0, len(order), cfg.batch_size):
             sel = order[lo:lo + cfg.batch_size]
             value, grads = _objective(work, arch, _gather(features, work.dtype, sel),
-                                      labels[sel], cfg, lowest, first)
+                                      labels[sel], weights, cfg, lowest, first)
             if not math.isfinite(value):
                 raise DivergenceError(
                     f"diverged, layer parameters must be finite: objective "
@@ -594,7 +598,8 @@ def gradient_check(model: ModelWeights, arch: ModelArch, batch: Batch,
                    cfg: TrainingConfig, epsilon: float = 1e-5,
                    max_params_per_tensor: int | None = None) -> float:
     """Max guarded relative error between the gradients train_local steps
-    along and central finite differences of the same training objective.
+    along and central finite differences of the same training objective,
+    class-weighted over the whole batch.
 
     Error per coordinate is |a - n| / max(1, max|a|, max|n|) within its
     tensor.  Checks trainable tensors only; set max_params_per_tensor to
@@ -605,9 +610,11 @@ def gradient_check(model: ModelWeights, arch: ModelArch, batch: Batch,
     labels = np.asarray(batch.labels, dtype=np.intp)
     _check_entry(model, arch, batch, labels)
     x = _gather(batch, model.dtype)
+    weights = balanced_class_weights(labels, arch.classes)
     start = cfg.frozen_prefix
     work = _working_copy(model, start)
-    _, grads = _objective(work, arch, x, labels, cfg, _lowest_trainable(arch, start))
+    _, grads = _objective(work, arch, x, labels, weights, cfg,
+                          _lowest_trainable(arch, start))
 
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -628,9 +635,9 @@ def gradient_check(model: ModelWeights, arch: ModelArch, batch: Batch,
             for j in flat_idx:
                 orig = view[j]
                 view[j] = orig + epsilon
-                hi, _ = _objective(work, arch, x, labels, cfg, None)
+                hi, _ = _objective(work, arch, x, labels, weights, cfg, None)
                 view[j] = orig - epsilon
-                lo, _ = _objective(work, arch, x, labels, cfg, None)
+                lo, _ = _objective(work, arch, x, labels, weights, cfg, None)
                 view[j] = orig
                 numeric = (hi - lo) / (2 * epsilon)
                 err = abs(float(a_flat[j]) - numeric) / max(scale, abs(numeric))

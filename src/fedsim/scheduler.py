@@ -51,13 +51,7 @@ from .metrics import (
     evaluate_personalization,
     spread,
 )
-from .nn import (
-    Batch,
-    TrainingConfig,
-    balanced_class_weights,
-    diverged_in,
-    train_local,
-)
+from .nn import Batch, TrainingConfig, diverged_in, train_local
 from .seeds import sequence
 
 
@@ -179,7 +173,6 @@ class ClientState:
     id: int
     train: Batch
     test: Batch
-    cfg: TrainingConfig
     model: ModelWeights
     best: Snapshot | None = None
 
@@ -202,8 +195,9 @@ def _train_seed(seed: int, round_index: int, client: int) -> int:
 
 
 def _runtime(cfg, st: ClientState, t: int) -> ClientRuntime:
-    """Client st's view of round t: its training data, config and seed."""
-    return ClientRuntime(id=st.id, data=st.train, cfg=st.cfg,
+    """Client st's view of round t: its training data, the run's training
+    config and the client's seed."""
+    return ClientRuntime(id=st.id, data=st.train, cfg=cfg.training,
                          seed=_train_seed(cfg.seed, t, st.id))
 
 
@@ -237,12 +231,6 @@ def client_datasets(cfg: ExperimentConfig) -> list[tuple[Batch, Batch]]:
     if not any(len(test) for _train, test in datasets):
         raise ValueError("no client has test windows")
     return datasets
-
-
-def _class_weighted(cfg: ExperimentConfig, data: Batch) -> TrainingConfig:
-    """The run's training config, with class weights balanced over data."""
-    return replace(cfg.training, class_weights=balanced_class_weights(
-        data.labels, cfg.model.classes))
 
 
 @functools.cache
@@ -298,13 +286,12 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
         server = init_model(cfg.model, sequence("init", cfg.seed, cfg.init_variant),
                             cfg.dtype)
         run = ExperimentResult([], [], server, [
-            ClientState(k, train, test, _class_weighted(cfg, train), server)
+            ClientState(k, train, test, server)
             for k, (train, test) in enumerate(datasets)])
         del server  # so the initial model is freed once no client holds it
         pooled = None
         if cfg.algorithm == "centralized":
-            data = concat_window_sets(train for train, _test in datasets)
-            pooled = (data, _class_weighted(cfg, data))
+            pooled = concat_window_sets(train for train, _test in datasets)
         for t in range(1, cfg.rounds + 1):
             with diverged_in(f"round {t}"):
                 ledger, run.final_model, active = _round(
@@ -373,16 +360,15 @@ def _evaluate_tick(cfg, run: ExperimentResult, active, t) -> RoundReport:
 
 def _round(cfg, t, states, server, pooled, executor):
     """Run round t and return (ledger, server model or None, ids of the
-    clients to score).  Centralized trains the server on pooled, the
-    (training data, training config) of every client's windows together,
-    and scores no client.  Local-only trains every client's own model for E
-    epochs a round (T*E in total, the gradient budget of FL), draws no
-    scenario and scores every client."""
+    clients to score).  Centralized trains the server on pooled, every
+    client's training windows together, and scores no client.  Local-only
+    trains every client's own model for E epochs a round (T*E in total, the
+    gradient budget of FL), draws no scenario and scores every client.
+    Every client, and the pooled set, trains with cfg.training."""
     arch = cfg.model
     if cfg.algorithm == "centralized":
-        data, central_cfg = pooled
         with diverged_in("every client pooled, centralized training"):
-            server, _ = train_local(server, arch, data, central_cfg,
+            server, _ = train_local(server, arch, pooled, cfg.training,
                                     _train_seed(cfg.seed, t, 0))
         return CommLedger(t), server, ()
     if cfg.algorithm == "local-only":

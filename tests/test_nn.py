@@ -267,6 +267,24 @@ class TestTrainLocal:
         assert (preds == batch.labels).mean() >= 0.95
         assert losses[-1] < losses[0]
 
+    def test_default_config_trains_the_balanced_objective(self):
+        # one full-batch epoch at learning rate 0: the epoch loss is the
+        # objective at the start model, weighted over the whole batch.  The
+        # start model favours the majority class, so that the weighted and
+        # the plain mean cross-entropy differ (1.56 against 0.73)
+        arch = dense_arch(3, 4, 3)
+        start = init_model(arch, 74)
+        model = ModelWeights(start.layers[:-1] + (
+            LayerWeights(start.layers[-1].incoming, np.array([2.0, 0.0, 0.0])),))
+        labels = np.array([0] * 9 + [1] * 2 + [2])
+        batch = Batch(np.random.default_rng(75).normal(size=(12, 3)), labels)
+        cfg = replace(TrainingConfig(), local_epochs=1, learning_rate=0.0,
+                      batch_size=12)
+        _, losses = train_local(model, arch, batch, cfg, 0)
+        expected = loss(forward(model, arch, batch.inputs), labels,
+                        balanced_class_weights(labels, 3))
+        assert losses == [pytest.approx(expected, abs=1e-12)]
+
     def test_empty_dataset_is_noop(self):
         arch = dense_arch(3, 4, 2)
         model = init_model(arch, 3)
@@ -366,7 +384,8 @@ class TestTrainLocal:
         out, _ = train_local(model, arch, batch, cfg, 13)
         order = np.random.default_rng(13).permutation(6)  # train_local's shuffle
         x = _gather(batch, model.dtype)[order]
-        _, grads = _objective(model, arch, x, batch.labels[order], cfg,
+        _, grads = _objective(model, arch, x, batch.labels[order],
+                              balanced_class_weights(batch.labels, 4), cfg,
                               _lowest_trainable(arch, 1))
         assert np.array_equal(out.layers[0].incoming, model.layers[0].incoming)
         assert np.array_equal(out.layers[0].bias, model.layers[0].bias)
@@ -461,6 +480,7 @@ class TestFrozenPrefixShortcuts:
         for n in (23, 70):
             batch = Batch(rng.normal(size=(n, 20, 2)), rng.integers(0, 4, n))
             out, losses = train_local(model, arch, batch, cfg, 16)
+            weights = balanced_class_weights(batch.labels, 4)  # the whole batch's
 
             work = ModelWeights(tuple(
                 LayerWeights(layer.incoming.copy(), layer.bias.copy())
@@ -474,7 +494,7 @@ class TestFrozenPrefixShortcuts:
                 for lo in range(0, n, size):
                     sel = order[lo:lo + size]
                     value, grads = _objective(work, arch, batch.inputs[sel],
-                                              batch.labels[sel], cfg,
+                                              batch.labels[sel], weights, cfg,
                                               _lowest_trainable(arch, frozen),
                                               first=0)
                     values.append(value)
@@ -635,8 +655,7 @@ class TestGradientCheck:
         model = init_model(arch, 2)
         rng = np.random.default_rng(5)
         batch = Batch(rng.normal(size=(3, 20, 2)), rng.integers(0, 4, 3))
-        cfg = TrainingConfig(class_weights=balanced_class_weights(batch.labels, 4))
-        assert gradient_check(model, arch, batch, cfg) < 1e-4
+        assert gradient_check(model, arch, batch, TrainingConfig()) < 1e-4
 
     @pytest.mark.parametrize("arch, frozen", [
         pytest.param(conv_arch(), 1, id="1"),
@@ -651,9 +670,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(5)
         batch = Batch(rng.normal(size=(3, arch.input_length, arch.input_channels)),
                       rng.integers(0, arch.classes, 3))
-        cfg = TrainingConfig(class_weights=balanced_class_weights(batch.labels,
-                                                                  arch.classes),
-                             frozen_prefix=frozen)
+        cfg = TrainingConfig(frozen_prefix=frozen)
         assert gradient_check(model, arch, batch, cfg) < 1e-4
 
     def test_with_proximal_term(self):
@@ -670,8 +687,9 @@ class TestGradientCheck:
         model = init_model(arch, 7)
         batch = Batch(np.zeros((2, 20, 2)), np.array([0, 1]))
         eps, cfg = 1e-5, TrainingConfig()
-        base, grads = _objective(model, arch, batch.inputs, batch.labels, cfg,
-                                 _lowest_trainable(arch, 0))
+        weights = balanced_class_weights(batch.labels, 4)
+        base, grads = _objective(model, arch, batch.inputs, batch.labels, weights,
+                                 cfg, _lowest_trainable(arch, 0))
         assert np.all(grads[0][0] == 0)  # conv weights see only zeros
         # central differences agree: perturbing a conv weight changes nothing
         for idx in [(0, 0, 0), (2, 1, 3), (4, 1, 5)]:
@@ -679,8 +697,8 @@ class TestGradientCheck:
             inc[idx] += eps
             bumped = ModelWeights((LayerWeights(inc, model.layers[0].bias),)
                                   + model.layers[1:])
-            value, _ = _objective(bumped, arch, batch.inputs, batch.labels, cfg,
-                                  None)
+            value, _ = _objective(bumped, arch, batch.inputs, batch.labels, weights,
+                                  cfg, None)
             assert value == base
 
     def test_epsilon_range_enforced(self):

@@ -128,7 +128,18 @@ class TestRunExperiment:
         from fedsim.scheduler import _train_seed
         expected, _ = train_local(init, cfg.model,
                                   st.train,
-                                  st.cfg, _train_seed(cfg.seed, 1, 0))
+                                  cfg.training, _train_seed(cfg.seed, 1, 0))
+        assert models_bit_equal(res.final_model, expected)
+
+    def test_centralized_round_trains_the_pooled_set_with_the_run_config(self):
+        # the pooled set is weighed as one batch, under the run's own config
+        cfg = tiny_config(algorithm="centralized", rounds=1)
+        res = run_experiment(cfg)
+        init = init_model(cfg.model, np.random.SeedSequence(cfg.seed, spawn_key=(0, 0)),
+                          cfg.dtype)
+        pooled = concat_window_sets(st.train for st in res.states)
+        expected, _ = train_local(init, cfg.model, pooled, cfg.training,
+                                  scheduler._train_seed(cfg.seed, 1, 0))
         assert models_bit_equal(res.final_model, expected)
 
     def test_fedprox_default_training_is_not_fedavg(self):

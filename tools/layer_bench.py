@@ -8,7 +8,7 @@ maxpool1d 4, dense 64, softmax-output 8) and times, on one minibatch, each
 layer's forward as training runs it (keeping what its backward needs), its
 forward as inference runs it, and its backward.  The lowest layer's
 backward computes no input gradient, as in training.  Then it times one full
-training objective step (loss and every layer's gradient).  Each figure is
+training objective step (the class-weighted loss and every layer's gradient).  Each figure is
 the median over --repeats calls, in microseconds per minibatch.  The last
 three rows time scoring.  The first two time nn.evaluate predicting 1,792
 windows (as many windows as the 32 client test sets of perfbench's
@@ -41,7 +41,14 @@ import numpy as np  # noqa: E402
 from fedsim.arch import PARAM_KINDS, LayerSpec, ModelArch  # noqa: E402
 from fedsim.data import window  # noqa: E402
 from fedsim.fabric import init_model  # noqa: E402
-from fedsim.nn import _FORWARD, Batch, TrainingConfig, _objective, evaluate  # noqa: E402
+from fedsim.nn import (  # noqa: E402
+    _FORWARD,
+    Batch,
+    TrainingConfig,
+    _objective,
+    balanced_class_weights,
+    evaluate,
+)
 from fedsim.scheduler import openblas_threading  # noqa: E402
 
 DESK_ARCH = ModelArch(128, 6, (
@@ -99,9 +106,10 @@ def objective_us(batch: int, repeats: int) -> float:
     model = init_model(DESK_ARCH, 1)
     x = rng.normal(size=(batch, DESK_ARCH.input_length, DESK_ARCH.input_channels))
     labels = rng.integers(0, DESK_ARCH.classes, size=batch)
+    weights = balanced_class_weights(labels, DESK_ARCH.classes)
     cfg = TrainingConfig(batch_size=batch)
-    return median_us(lambda: _objective(model, DESK_ARCH, x, labels, cfg, lowest=0),
-                     repeats)
+    return median_us(lambda: _objective(model, DESK_ARCH, x, labels, weights, cfg,
+                                        lowest=0), repeats)
 
 
 def scoring_us(width: int, repeats: int) -> float:
