@@ -74,6 +74,11 @@ class SyntheticSpec:
             raise ValueError("clients must be >= 1")
         if self.classes < 2:
             raise ValueError("classes must be >= 2")
+        if self.channels < 1:
+            raise ValueError(f"channels must be >= 1, got {self.channels}")
+        for name in ("dirichlet_alpha", "sample_rate", "noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dirichlet_alpha <= 0:
             raise ValueError("dirichlet_alpha must be positive")
         for name in ("samples_per_client", "segment_range"):
@@ -147,12 +152,22 @@ def z_normalize(series: Batch) -> Batch:
     """Channel-wise z-normalization of a raw series with the population
     standard deviation.  Constant channels are centered only."""
     data = _samples(series)
-    std = data.std(axis=0)
+    n = len(data)
+    # The mean and the variance are the reductions ndarray.mean and .std run,
+    # in their order, so every bit is theirs; the centred array is squared
+    # for the variance, then centred again as the output.
+    mean = np.add.reduce(data, axis=0) / n
+    out = data - mean
+    np.square(out, out=out)
+    std = np.sqrt(np.add.reduce(out, axis=0) / n)
     safe = np.where(std == 0, 1.0, std)
     # A constant channel's mean can round off its value, and the std of a
     # few ulps left would scale it to +-1: center it on its value instead.
-    mean = np.where((data == data[:1]).all(axis=0), data[:1], data.mean(axis=0))
-    return Batch((data - mean) / safe, series.labels)
+    # The check reads a channel-major copy: all() along the series is fast.
+    constant = np.ascontiguousarray((data == data[:1]).T).all(axis=1)
+    np.subtract(data, np.where(constant, data[:1], mean), out=out)
+    out /= safe
+    return Batch(out, series.labels)
 
 
 def window(series: Batch, length: int = DEFAULT_WINDOW,
@@ -224,23 +239,52 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def _segment_class(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One class drawn as rng.choice(len(priors), p=priors) draws it, given
+    cdf = priors.cumsum() / its last entry: Generator.choice's own algorithm
+    for one draw with replacement, from the same single double of rng, without
+    the checks of p it repeats on every call."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _client_series(spec: SyntheticSpec, offsets, amps, freqs,
                    priors: np.ndarray, rng: np.random.Generator) -> Batch:
     lo, hi = spec.samples_per_client
     total = int(rng.integers(lo, hi + 1))
     data = np.empty((total, spec.channels))
-    labels = np.empty(total, dtype=np.intp)
+    cdf = priors.cumsum()
+    cdf /= cdf[-1]
+    classes, lengths, phases = [], [], []
     pos = 0
     while pos < total:
+        # A segment's draws, in stream order: length, class, phase, noise.
+        # The noise lands in the series as standard normals, scaled below:
+        # rng.normal(0, noise) but for the sign of a zero, which adding the
+        # signal drops.
         seg = int(rng.integers(spec.segment_range[0], spec.segment_range[1] + 1))
         seg = min(seg, total - pos)
-        cls = int(rng.choice(spec.classes, p=priors))
-        t = (np.arange(pos, pos + seg) / spec.sample_rate)[:, None]
-        phase = rng.uniform(0, 2 * np.pi, size=spec.channels)
-        clean = offsets[cls] + amps[cls] * np.sin(2 * np.pi * freqs[cls] * t + phase)
-        data[pos:pos + seg] = clean + rng.normal(0.0, spec.noise, size=(seg, spec.channels))
-        labels[pos:pos + seg] = cls
+        classes.append(_segment_class(cdf, rng))
+        phases.append(rng.uniform(0, 2 * np.pi, size=spec.channels))
+        rng.standard_normal(out=data[pos:pos + seg])
+        lengths.append(seg)
         pos += seg
+    labels = np.repeat(np.array(classes, dtype=np.intp), lengths)
+
+    # The clean signal offsets + amps * sin(2 pi freqs t + phase), each
+    # sample at its segment's class and phase, in one pass over the series
+    # with two scratch buffers.  Each elementwise step is the one a single
+    # segment would take, so every rounding is the same.
+    # take() buffers `out` unless mode is "clip"; every label is in range.
+    signal = np.take(2 * np.pi * freqs, labels, axis=0)
+    signal *= (np.arange(total) / spec.sample_rate)[:, None]
+    scratch = np.repeat(phases, lengths, axis=0)
+    signal += scratch
+    np.sin(signal, out=signal)
+    signal *= np.take(amps, labels, axis=0, out=scratch, mode="clip")
+    signal += np.take(offsets, labels, axis=0, out=scratch, mode="clip")
+    data *= spec.noise
+    data += signal
+    del signal, scratch  # before the rotation's temporaries
 
     if spec.rotation:
         for block in range(spec.channels // 3):
@@ -250,9 +294,9 @@ def _client_series(spec: SyntheticSpec, offsets, amps, freqs,
     # z_normalize undoes a per-channel gain and offset, so these draws move
     # no window beyond rounding.  They stay only so that every window keeps
     # the bits perfbench/reference.json was recorded on.
-    scale = rng.uniform(0.8, 1.2, size=spec.channels)
-    offset = rng.uniform(-0.3, 0.3, size=spec.channels)
-    return Batch(data * scale + offset, labels)
+    data *= rng.uniform(0.8, 1.2, size=spec.channels)
+    data += rng.uniform(-0.3, 0.3, size=spec.channels)
+    return Batch(data, labels)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[tuple[Batch, Batch]]:

@@ -3,6 +3,7 @@ CSV ingestion."""
 
 from __future__ import annotations
 
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -17,11 +18,13 @@ from fedsim import SyntheticSpec, generate_synthetic, stratified_split, window, 
 from fedsim.data import (
     CSV_HEADER,
     CsvFormatError,
+    _orthogonal,
     concat_window_sets,
     ingest_csv,
 )
 from fedsim.fabric import ShapeError
 from fedsim.nn import Batch
+from fedsim.seeds import sequence
 
 
 def series_from(channels: np.ndarray, labels=None) -> Batch:
@@ -78,6 +81,45 @@ class TestZNormalize:
                                       np.arange(1, 7)))
         assert np.abs(out.inputs.mean(axis=0)).max() < 1e-9
         assert np.abs(out.inputs.std(axis=0) - 1).max() < 1e-9
+
+
+def numpy_z_normalize(data: np.ndarray) -> np.ndarray:
+    """z_normalize written with ndarray.mean and ndarray.std: the reference
+    it equals bit for bit."""
+    std = data.std(axis=0)
+    safe = np.where(std == 0, 1.0, std)
+    mean = np.where((data == data[:1]).all(axis=0), data[:1], data.mean(axis=0))
+    return (data - mean) / safe
+
+
+class TestZNormalizeBits:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_three_tenths_and_constant_channels(self, dtype):
+        # the mean of three 0.1s rounds off 0.1; a channel of one value and
+        # a constant channel of both signed zeros are centered only
+        data = np.array([[0.1, 7.0, 0.0, 1.0],
+                         [0.1, 7.0, -0.0, 2.0],
+                         [0.1, 7.0, 0.0, 4.0]], dtype=dtype)
+        out = z_normalize(Batch(data, np.zeros(3, dtype=np.intp)))
+        assert out.inputs.dtype == dtype
+        assert out.inputs.tobytes() == numpy_z_normalize(data).tobytes()
+        assert np.all(out.inputs[:, :3] == 0)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400),
+           dtype=st.sampled_from([np.float64, np.float32]), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_numpys_mean_and_std(self, seed, n, dtype, data):
+        channels = data.draw(st.integers(1, 7))
+        constant = np.array(data.draw(st.lists(st.booleans(), min_size=channels,
+                                                max_size=channels)))
+        rng = np.random.default_rng(seed)
+        x = rng.normal(rng.uniform(-1e3, 1e3, channels),
+                       10.0 ** rng.uniform(-8, 3, channels), size=(n, channels))
+        x[:, constant] = x[0, constant]
+        x = x.astype(dtype)
+        out = z_normalize(Batch(x, np.zeros(n, dtype=np.intp))).inputs
+        assert out.dtype == dtype and out.shape == x.shape
+        assert out.tobytes() == numpy_z_normalize(x).tobytes()
 
 
 class TestWindow:
@@ -298,6 +340,19 @@ class TestClientsHoldEachSampleOnce:
         kept, indices = self.retained(lambda: generate_synthetic(spec))
         assert kept <= 1.1 * 4 * 6000 * 6 * 8 + indices
 
+    def test_one_client_peaks_below_three_and_a_half_series(self):
+        # the series, its labels and two scratch buffers for the signal
+        spec = SyntheticSpec(clients=1, classes=8, dirichlet_alpha=0.1,
+                             samples_per_client=(18000, 18000), seed=48)
+        generate_synthetic(spec)  # a first call fills import caches
+        tracemalloc.start()
+        try:
+            generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 18000 * 6 * 8
+
     def test_csv_clients(self, tmp_path):
         from fedsim import ExperimentConfig, LayerSpec, ModelArch
         from fedsim.scheduler import CsvDataSpec, client_datasets
@@ -330,23 +385,21 @@ class TestGenerateSynthetic:
             assert np.array_equal(ta.take(), tb.take())
             assert np.array_equal(va.labels, vb.labels)
 
-    def test_large_alpha_gives_uniform_segment_draws(self):
+    def test_large_alpha_gives_uniform_segment_draws(self, monkeypatch):
         # chi-square fit on pooled segment class draws; verified to hold on
         # every one of these 20 frozen seeds.  The draws are the classes
-        # rng.choice returns, recorded by a proxy that forwards every call.
+        # data._segment_class returns, recorded by a wrapper that forwards
+        # every call.
+        from fedsim import data
         from fedsim.data import _class_signatures, _client_series
 
-        class RecordingChoices:
-            def __init__(self, rng):
-                self.rng, self.choices = rng, []
+        draws = []
 
-            def choice(self, *args, **kwargs):
-                self.choices.append(self.rng.choice(*args, **kwargs))
-                return self.choices[-1]
+        def recording(cdf, rng, draw=data._segment_class):
+            draws.append(draw(cdf, rng))
+            return draws[-1]
 
-            def __getattr__(self, name):
-                return getattr(self.rng, name)
-
+        monkeypatch.setattr(data, "_segment_class", recording)
         for seed in range(20):
             spec = SyntheticSpec(clients=5, classes=8, dirichlet_alpha=1e6,
                                  samples_per_client=(4000, 6000), seed=seed)
@@ -356,9 +409,9 @@ class TestGenerateSynthetic:
                 rng = np.random.default_rng(
                     np.random.SeedSequence(seed, spawn_key=(102, k)))
                 priors = rng.dirichlet(np.full(8, 1e6))
-                recorder = RecordingChoices(rng)
-                _client_series(spec, offsets, amps, freqs, priors, recorder)
-                counts += np.bincount(recorder.choices, minlength=8)
+                draws.clear()
+                _client_series(spec, offsets, amps, freqs, priors, rng)
+                counts += np.bincount(draws, minlength=8)
             assert stats.chisquare(counts).pvalue > 0.01
 
     def test_small_alpha_concentrates_clients(self):
@@ -389,6 +442,105 @@ class TestGenerateSynthetic:
         data = generate_synthetic(spec)
         pooled = concat_window_sets(test for _train, test in data)
         assert len(pooled) == sum(len(test) for _train, test in data)
+
+
+class TestSyntheticSpecValidation:
+    @pytest.mark.parametrize("field, value, message", [
+        ("channels", 0, "channels must be >= 1, got 0"),
+        ("channels", -3, "channels must be >= 1, got -3"),
+        ("noise", float("nan"), "noise must be finite, got nan"),
+        ("noise", float("inf"), "noise must be finite, got inf"),
+        ("dirichlet_alpha", float("inf"), "dirichlet_alpha must be finite, got inf"),
+        ("dirichlet_alpha", float("nan"), "dirichlet_alpha must be finite, got nan"),
+        ("sample_rate", float("nan"), "sample_rate must be finite, got nan"),
+        ("sample_rate", float("inf"), "sample_rate must be finite, got inf"),
+    ])
+    def test_rejected_naming_the_field(self, field, value, message):
+        # a NaN noise gave all-NaN windows, channels=0 zero-channel windows;
+        # the class draw has no check of its priors
+        kwargs = dict(clients=2, classes=3, dirichlet_alpha=1.0, rotation=False)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SyntheticSpec(**{**kwargs, field: value})
+
+
+def segment_by_segment_series(spec, offsets, amps, freqs, priors, rng) -> Batch:
+    """The generator as it drew and computed one segment at a time, with
+    Generator.choice: the reference data._client_series equals bit for bit."""
+    lo, hi = spec.samples_per_client
+    total = int(rng.integers(lo, hi + 1))
+    data = np.empty((total, spec.channels))
+    labels = np.empty(total, dtype=np.intp)
+    pos = 0
+    while pos < total:
+        seg = int(rng.integers(spec.segment_range[0], spec.segment_range[1] + 1))
+        seg = min(seg, total - pos)
+        cls = int(rng.choice(spec.classes, p=priors))
+        t = (np.arange(pos, pos + seg) / spec.sample_rate)[:, None]
+        phase = rng.uniform(0, 2 * np.pi, size=spec.channels)
+        clean = offsets[cls] + amps[cls] * np.sin(2 * np.pi * freqs[cls] * t + phase)
+        data[pos:pos + seg] = clean + rng.normal(0.0, spec.noise, size=(seg, spec.channels))
+        labels[pos:pos + seg] = cls
+        pos += seg
+    if spec.rotation:
+        for block in range(spec.channels // 3):
+            q = _orthogonal(rng, 3)
+            sl = slice(3 * block, 3 * block + 3)
+            data[:, sl] = data[:, sl] @ q.T
+    scale = rng.uniform(0.8, 1.2, size=spec.channels)
+    offset = rng.uniform(-0.3, 0.3, size=spec.channels)
+    return Batch(data * scale + offset, labels)
+
+
+class TestGeneratorBitIdentity:
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("rotation, channels", [(True, 3), (True, 6), (False, 3),
+                                                    (False, 6)])
+    def test_client_series_equals_segment_by_segment(self, rotation, channels, noise):
+        # segments of one sample and segments longer than the series;
+        # priors from near one-hot (alpha 1e-3) to near uniform (1e6)
+        from fedsim.data import _class_signatures, _client_series
+
+        for seed, samples, segments, alpha in itertools.product(
+                (48, 3, 7), ((1, 1), (128, 128), (300, 500)),
+                ((1, 1), (160, 320), (600, 900)), (1e-3, 0.1, 1e6)):
+            spec = SyntheticSpec(clients=1, classes=5, dirichlet_alpha=alpha,
+                                 samples_per_client=samples, rotation=rotation,
+                                 channels=channels, segment_range=segments,
+                                 noise=noise, seed=seed)
+            signatures = _class_signatures(spec)
+            ours, reference = (np.random.default_rng(sequence("client series", seed, 0))
+                               for _ in range(2))
+            priors = ours.dirichlet(np.full(5, alpha))
+            assert priors.tobytes() == reference.dirichlet(np.full(5, alpha)).tobytes()
+            got = _client_series(spec, *signatures, priors, ours)
+            want = segment_by_segment_series(spec, *signatures, priors, reference)
+            assert got.inputs.dtype == want.inputs.dtype
+            assert got.inputs.shape == want.inputs.shape
+            assert got.inputs.tobytes() == want.inputs.tobytes()
+            assert got.labels.dtype == want.labels.dtype
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert ours.bit_generator.state == reference.bit_generator.state
+            normalized = z_normalize(got).inputs
+            assert normalized.tobytes() == numpy_z_normalize(want.inputs).tobytes()
+
+    @given(weights=st.lists(st.just(0.0) | st.floats(1e-12, 1.0), min_size=1,
+                            max_size=12).filter(any),
+           seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_class_draw_is_generator_choice(self, weights, seed):
+        # Generator.choice's algorithm, restated: a numpy that changed it
+        # would change every synthetic series
+        from fedsim.data import _segment_class
+
+        priors = np.array(weights) / sum(weights)
+        cdf = priors.cumsum()
+        cdf /= cdf[-1]
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(64):
+            cls = _segment_class(cdf, ours)
+            assert cls == numpys.choice(len(priors), p=priors)
+            assert priors[cls] > 0
+        assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 class TestConcatWindowSets:

@@ -27,5 +27,8 @@ def test_prints_host_every_layer_and_the_objective_step():
         assert line.split()[:3] == ["scoring", "conv1d", width]
         assert line.endswith(f"us per window of {windows}")
         figures.append(float(line.split()[3]))
+    assert lines[11].startswith("set-up")
+    assert lines[11].endswith("ms for generate_synthetic, fedprox-wide-eval")
+    figures.append(float(lines[11].split()[1]))
     assert all(math.isfinite(v) and v > 0 for v in figures)
-    assert len(lines) == 11
+    assert len(lines) == 12

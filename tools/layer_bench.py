@@ -9,7 +9,7 @@ layer's forward as training runs it (keeping what its backward needs), its
 forward as inference runs it, and its backward.  The lowest layer's
 backward computes no input gradient, as in training.  Then it times one full
 training objective step (the class-weighted loss and every layer's gradient).  Each figure is
-the median over --repeats calls, in microseconds per minibatch.  The last
+the median over --repeats calls, in microseconds per minibatch.  The next
 three rows time scoring.  The first two time nn.evaluate predicting 1,792
 windows (as many windows as the 32 client test sets of perfbench's
 fedprox-wide-eval hold) with a desk model at conv width 16, and at width
@@ -18,7 +18,10 @@ in microseconds per window, the median over at most 20 calls.  The third
 scores the same number of windows the way the generalization view reads
 them: 32 row-indexed test sets of 56 windows, each the rows of its own
 client's window view (18,000 samples, 280 windows), so each set is one
-full 32-window slice, one partial slice and a row gather per slice.  The first
+full 32-window slice, one partial slice and a row gather per slice.  The last
+row times set-up: generate_synthetic on the data spec of perfbench's
+fedprox-wide-eval (32 clients of 18,000 samples), in milliseconds, the
+median over at most 5 calls.  The first
 line gives the host record perfbench writes (cores, numpy, the BLAS build
 and its thread count); BLAS is pinned to one thread first, through
 fedsim.scheduler.openblas_threading, as run_experiment pins it.
@@ -35,11 +38,13 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from run import host_facts  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from fedsim.arch import PARAM_KINDS, LayerSpec, ModelArch  # noqa: E402
-from fedsim.data import window  # noqa: E402
+from fedsim.config import parse_config_dict  # noqa: E402
+from fedsim.data import generate_synthetic, window  # noqa: E402
 from fedsim.fabric import init_model  # noqa: E402
 from fedsim.nn import (  # noqa: E402
     _FORWARD,
@@ -64,6 +69,7 @@ SCORED_WIDTHS = (16, 18)
 SCORED_SETS = 32  # fedprox-wide-eval's clients and test-set size
 SET_WINDOWS = 56
 CLIENT_SAMPLES = 18000
+SETUP_CALLS = 5
 
 
 def median_us(fn, repeats: int) -> float:
@@ -145,6 +151,13 @@ def row_indexed_scoring_us(repeats: int) -> float:
     return median_us(score, repeats) / (SCORED_SETS * SET_WINDOWS)
 
 
+def setup_ms(repeats: int) -> float:
+    """Milliseconds for generate_synthetic to build fedprox-wide-eval's
+    clients, as the benchmark's config seed 0 sets them."""
+    spec = parse_config_dict(WORKLOADS["fedprox-wide-eval"].render(0)).data
+    return median_us(lambda: generate_synthetic(spec), repeats) / 1e3
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=200)
@@ -166,6 +179,8 @@ def main(argv=None) -> int:
               f"  us per window of {SCORED_WINDOWS:,}")
     print(f"{'scoring conv1d 16':<24}{row_indexed_scoring_us(calls):>10.1f}"
           f"  us per window of {SCORED_SETS} row-indexed sets of {SET_WINDOWS}")
+    print(f"{'set-up':<24}{setup_ms(min(args.repeats, SETUP_CALLS)):>10.1f}"
+          f"  ms for generate_synthetic, fedprox-wide-eval")
     return 0
 
 
