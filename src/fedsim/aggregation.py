@@ -14,7 +14,10 @@ A FedDist round runs in phases:
   3. whenever a layer grew, phase 1's exchange runs again on the layers
      above it: clients receive the frozen stack up to that layer, retrain
      the layers above it, and only those are averaged back before the next
-     layer is examined.
+     layer is examined.  Each client's start is its previous model conformed
+     to the grown server just before that client trains, and the previous
+     model goes at that moment, so on one thread a sub-round holds the
+     models it has trained and one start.
 
 With identical clients (or an unreachable threshold) no unit ever crosses
 the bar and the round collapses to FedAvg exactly, including bit-identical
@@ -190,8 +193,10 @@ def _exchange(server, arch, clients, starts, phase, ledger, *, down, first=0,
               executor):
     """Send `down` bytes to every client, train each from its start model,
     and average the uploaded layers `first` and above by data fraction on
-    top of the server's own lower layers.  Returns the new server model and
-    the trained client models in client order."""
+    top of the server's own lower layers.  `starts` may be an iterator: it
+    is drawn from as each client begins training (all at once through an
+    executor).  Returns the new server model and the trained client models
+    in client order."""
     fractions = _fractions(clients)
     ledger.bytes_down += down * len(clients)
     models = train_clients(clients, starts, arch, phase, executor=executor)
@@ -290,6 +295,15 @@ def _grow_layer(w, models, clients, layer, fcfg, round_index):
     return w, LayerGrowth(layer, len(selections), tuple(events)), widened
 
 
+def _conformed(models: list[ModelWeights], w: ModelWeights, layer: int):
+    """Each of `models` in order, conformed to `w` up to `layer` when it is
+    asked for.  The list is emptied as it goes, so a model is released as
+    soon as its start exists."""
+    models.reverse()
+    while models:
+        yield conform_to_shape(models.pop(), w, upto_layer=layer)
+
+
 def feddist_round(server: ModelWeights, arch: ModelArch,
                   clients: list[ClientRuntime], fcfg: FedDistConfig,
                   round_index: int, *, executor=None) -> RoundOutcome:
@@ -298,14 +312,12 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
     main = fedavg_round(server, arch, clients, round_index=round_index,
                         executor=executor)
     clients = sorted(clients, key=lambda c: c.id)
-    ledger = main.ledger
+    ledger, w, models = main.ledger, main.server, list(main.client_models.values())
+    del main  # its client_models would keep every main-phase model to the end
 
     # Shape broadcast: a growing model's geometry is re-announced every round.
     ledger.shape_metadata_bytes = len(clients) * shape_metadata_size(server)
     ledger.bytes_down += ledger.shape_metadata_bytes
-
-    models = list(main.client_models.values())
-    w = main.server
 
     for layer in range(len(w.layers) - 1):  # the output layer is never grown
         w, record, widened = _grow_layer(w, models, clients, layer, fcfg, round_index)
@@ -318,9 +330,9 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
                     cfg=replace(c.cfg, frozen_prefix=layer + 1,
                                 local_epochs=fcfg.layerwise_epochs or c.cfg.local_epochs))
             for c in clients]
-        starts = [conform_to_shape(m, w, upto_layer=layer) for m in models]
         w, models = _exchange(
-            w, arch, sub_round, starts, f"layer-wise sub-round of layer {layer}", ledger,
+            w, arch, sub_round, _conformed(models, w, layer),
+            f"layer-wise sub-round of layer {layer}", ledger,
             down=byte_size(w, range(layer + 1)) + widened, first=layer + 1,
             executor=executor)
 

@@ -257,11 +257,15 @@ def openblas_threading() -> tuple:
 
 
 def host_facts() -> dict:
-    """What a run's bits depend on besides its config and seed: blas_core is
+    """What a run's bits depend on besides its config and seed: source_sha256
+    hashes each of the package's modules in name order as its file name and
+    its bytes, each framed by its length as 8 big-endian bytes; blas_core is
     the kernel OpenBLAS picked for this CPU at load time (OPENBLAS_CORETYPE
     overrides it), None without OpenBLAS or the symbol."""
-    sources = sorted(Path(__file__).parent.glob("*.py"))
-    digest = hashlib.sha256(b"".join(path.read_bytes() for path in sources))
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for part in (path.name.encode(), path.read_bytes()):
+            digest.update(len(part).to_bytes(8, "big") + part)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     core = _openblas("get_corename", ctypes.c_char_p)
     return {"source_sha256": digest.hexdigest(), "numpy": np.__version__,

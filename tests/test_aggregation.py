@@ -4,6 +4,7 @@ divergent-unit selection, and communication accounting."""
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -403,6 +404,64 @@ class TestFedDistRound:
         expected_extra_up = 2 * byte_size(grown, [1])
         assert out.ledger.bytes_up - fa.ledger.bytes_up == pytest.approx(
             expected_extra_up, abs=0)
+
+
+class TestFedDistLifetimes:
+    """On one thread, a sub-round conforms each client's start just before
+    that client trains, and the model it was conformed from is gone then."""
+
+    @staticmethod
+    def grow_two_layers(monkeypatch, before, after=lambda phase, client_id, trained: None):
+        """A round on a conv model where client 2's main phase displaces one
+        unit of both growable layers; every client update calls
+        before(phase, client_id) first and after(phase, client_id, trained)
+        once it has trained."""
+        arch = conv_arch()
+        server = init_model(arch, 36)
+        cfg = TrainingConfig(local_epochs=1, learning_rate=0.05, batch_size=64)
+        clients = make_clients(arch, [40, 30, 6], cfg, seed=37)
+        displaced = displacement_hook(2, (0, 1))
+
+        def update(client, model, arch_, phase):
+            before(phase, client.id)
+            trained = displaced(client, model, arch_, phase)
+            after(phase, client.id, trained)
+            return trained
+
+        monkeypatch.setattr(aggregation, "_default_client_update", update)
+        out = feddist_round(server, arch, clients, FedDistConfig(beta=0.0), 1)
+        assert out.ledger.units_added == {0: 1, 1: 1}
+
+    def test_each_start_is_conformed_as_its_client_trains(self, monkeypatch):
+        order = []
+        conform = aggregation.conform_to_shape
+
+        def conform_logged(client, server, upto_layer):
+            order.append(("conform", upto_layer))
+            return conform(client, server, upto_layer)
+
+        monkeypatch.setattr(aggregation, "conform_to_shape", conform_logged)
+        self.grow_two_layers(monkeypatch,
+                             lambda phase, client_id: order.append((phase, client_id)))
+        expected = [("main phase", k) for k in range(3)]
+        for layer in (0, 1):
+            for k in range(3):
+                expected += [("conform", layer),
+                             (f"layer-wise sub-round of layer {layer}", k)]
+        assert order == expected
+
+    def test_previous_model_is_released_before_its_client_trains(self, monkeypatch):
+        latest, alive = {}, []
+
+        def before(phase, client_id):
+            if phase != "main phase":
+                alive.append(latest[client_id]() is not None)
+
+        def after(phase, client_id, trained):
+            latest[client_id] = weakref.ref(trained)
+
+        self.grow_two_layers(monkeypatch, before, after)
+        assert alive == [False] * 6
 
 
 class TestLedgers:

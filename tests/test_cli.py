@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
+import fedsim.scheduler as scheduler
 from fedsim.arch import ArchError, LayerSpec
 from fedsim.cli import main, summarize_run, _load_run
 from fedsim.config import ConfigError, config_to_dict, parse_config, parse_config_dict
@@ -369,8 +370,10 @@ class TestRunCommand:
         host = json.loads((out / "manifest.json").read_text())["host"]
         assert set(host) == {"source_sha256", "numpy", "blas", "blas_threads",
                              "blas_core"}
-        sources = sorted((REPO / "src" / "fedsim").glob("*.py"))
-        digest = hashlib.sha256(b"".join(p.read_bytes() for p in sources))
+        digest = hashlib.sha256()
+        for path in sorted((REPO / "src" / "fedsim").glob("*.py")):
+            for part in (path.name.encode(), path.read_bytes()):
+                digest.update(len(part).to_bytes(8, "big") + part)
         assert host["source_sha256"] == digest.hexdigest()
         assert host["numpy"] == np.__version__
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -386,6 +389,29 @@ class TestRunCommand:
                        "feddist sub-round of layer l: SeedSequence(<(2,t,k) seed>, "
                        "spawn_key=(l+1,))"):
             assert domain in derivation
+
+    def test_source_hash_sees_where_each_byte_lives(self, tmp_path, monkeypatch):
+        # Moving a line across a module boundary or adding an empty module
+        # leaves the sources' concatenated bytes as they were.
+        sources = sorted((REPO / "src" / "fedsim").glob("*.py"))
+        original = {p.name: p.read_bytes() for p in sources}
+        first, second = sources[1].name, sources[2].name
+        body, last = original[first].rstrip(b"\n").rsplit(b"\n", 1)
+        moved = {**original, first: body + b"\n", second: last + b"\n" + original[second]}
+        added = {**original, "zz_empty.py": b""}
+
+        def digest(name, files):
+            package = tmp_path / name / "fedsim"
+            package.mkdir(parents=True)
+            for file, data in files.items():
+                (package / file).write_bytes(data)
+            monkeypatch.setattr(scheduler, "__file__", str(package / "scheduler.py"))
+            return host_facts()["source_sha256"]
+
+        assert b"".join(moved.values()) == b"".join(original.values())
+        hashes = {digest(name, files) for name, files in
+                  [("original", original), ("moved", moved), ("added", added)]}
+        assert len(hashes) == 3
 
     @pytest.mark.parametrize("rounds, eval_every", [(6, 1), (6, 3), (7, 3)],
                              ids=["1", "3", "3-rounds-7"])

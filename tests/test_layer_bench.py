@@ -30,5 +30,9 @@ def test_prints_host_every_layer_and_the_objective_step():
     assert lines[11].startswith("set-up")
     assert lines[11].endswith("ms for generate_synthetic, fedprox-wide-eval")
     figures.append(float(lines[11].split()[1]))
+    assert lines[12].startswith("memory")
+    assert lines[12].endswith("MB tracemalloc peak of one feddist-desk experiment "
+                              "(config seed 48)")
+    figures.append(float(lines[12].split()[1]))
     assert all(math.isfinite(v) and v > 0 for v in figures)
-    assert len(lines) == 12
+    assert len(lines) == 13

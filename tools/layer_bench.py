@@ -18,10 +18,13 @@ in microseconds per window, the median over at most 20 calls.  The third
 scores the same number of windows the way the generalization view reads
 them: 32 row-indexed test sets of 56 windows, each the rows of its own
 client's window view (18,000 samples, 280 windows), so each set is one
-full 32-window slice, one partial slice and a row gather per slice.  The last
+full 32-window slice, one partial slice and a row gather per slice.  The next
 row times set-up: generate_synthetic on the data spec of perfbench's
 fedprox-wide-eval (32 clients of 18,000 samples), in milliseconds, the
-median over at most 5 calls.  The first
+median over at most 5 calls.  The last row is the tracemalloc peak, in
+megabytes, of run_experiment on one feddist-desk experiment as perfbench
+renders it for config seed 48: unlike a run's peak RSS, it moves only with
+what the program allocates, not with the order it allocates it in.  The first
 line gives the host record perfbench writes (cores, numpy, the BLAS build
 and its thread count); BLAS is pinned to one thread first, through
 fedsim.scheduler.openblas_threading, as run_experiment pins it.
@@ -31,6 +34,7 @@ import argparse
 import statistics
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -54,7 +58,7 @@ from fedsim.nn import (  # noqa: E402
     balanced_class_weights,
     evaluate,
 )
-from fedsim.scheduler import openblas_threading  # noqa: E402
+from fedsim.scheduler import openblas_threading, run_experiment  # noqa: E402
 
 DESK_ARCH = ModelArch(128, 6, (
     LayerSpec("conv1d", width=16, kernel=16, activation="relu"),
@@ -70,6 +74,7 @@ SCORED_SETS = 32  # fedprox-wide-eval's clients and test-set size
 SET_WINDOWS = 56
 CLIENT_SAMPLES = 18000
 SETUP_CALLS = 5
+MEMORY_SEED = 48
 
 
 def median_us(fn, repeats: int) -> float:
@@ -158,6 +163,18 @@ def setup_ms(repeats: int) -> float:
     return median_us(lambda: generate_synthetic(spec), repeats) / 1e3
 
 
+def memory_mb() -> float:
+    """Tracemalloc peak, in megabytes, of one feddist-desk experiment at
+    config seed MEMORY_SEED."""
+    cfg = parse_config_dict(WORKLOADS["feddist-desk"].render(MEMORY_SEED))
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=200)
@@ -181,6 +198,8 @@ def main(argv=None) -> int:
           f"  us per window of {SCORED_SETS} row-indexed sets of {SET_WINDOWS}")
     print(f"{'set-up':<24}{setup_ms(min(args.repeats, SETUP_CALLS)):>10.1f}"
           f"  ms for generate_synthetic, fedprox-wide-eval")
+    print(f"{'memory':<24}{memory_mb():>10.1f}  MB tracemalloc peak of one "
+          f"feddist-desk experiment (config seed {MEMORY_SEED})")
     return 0
 
 
