@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .aggregation import (
     ClientRuntime,
     CommLedger,
-    DistanceMatrix,
     FedDistConfig,
     GrowthEvent,
     LayerGrowth,

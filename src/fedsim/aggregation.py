@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,22 +80,6 @@ class ClientRuntime:
     data: Batch
     cfg: TrainingConfig
     seed: int | np.random.SeedSequence
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Per-layer unit-by-client Euclidean distances with pooled statistics."""
-
-    entries: np.ndarray  # [units, clients]
-    mu: float
-    sigma: float
-
-
-@dataclass(frozen=True)
-class Selection:
-    client_pos: int
-    unit: int
-    distance: float
 
 
 @dataclass(frozen=True)
@@ -154,11 +139,15 @@ class CommLedger:
         return self.bytes_down + self.bytes_up
 
 
-@dataclass(frozen=True)
-class RoundOutcome:
+class RoundOutcome(NamedTuple):
+    """What a round returns, unpacked as (server, ledger, client models):
+    the new server model, the round's ledger, and the model each active
+    client trained in the round's last phase, in client-id order (a FedDist
+    round's last phase is its last sub-round, if a layer grew)."""
+
     server: ModelWeights
     ledger: CommLedger
-    client_models: dict[int, ModelWeights]
+    client_models: list[ModelWeights]
 
 
 def _default_client_update(client: ClientRuntime, model: ModelWeights,
@@ -217,8 +206,7 @@ def fedavg_round(server: ModelWeights, arch: ModelArch,
     new_server, models = _exchange(server, arch, clients, [server] * len(clients),
                                    "main phase", ledger, down=byte_size(server),
                                    executor=executor)
-    return RoundOutcome(server=new_server, ledger=ledger,
-                        client_models={c.id: m for c, m in zip(clients, models)})
+    return RoundOutcome(new_server, ledger, models)
 
 
 def fedprox_round(server: ModelWeights, arch: ModelArch,
@@ -237,10 +225,10 @@ def _unit_matrix(layer: LayerWeights) -> np.ndarray:
     return np.vstack([flat, layer.bias[None, :]]).T.astype(np.float64)
 
 
-def distance_matrix(server_layer: LayerWeights, client_layers) -> DistanceMatrix:
-    """Entry (d, k): Euclidean distance between server unit d and client k's
-    unit d (incoming weights plus bias).  mu/sigma are pooled over every
-    entry of the matrix (population std)."""
+def distance_matrix(server_layer: LayerWeights, client_layers) -> np.ndarray:
+    """The [units, clients] matrix whose entry (d, k) is the Euclidean
+    distance between server unit d and client k's unit d (incoming weights
+    plus bias)."""
     client_layers = list(client_layers)
     if not client_layers:
         raise ValueError("no client layers")
@@ -254,9 +242,7 @@ def distance_matrix(server_layer: LayerWeights, client_layers) -> DistanceMatrix
             )
         diff = server_units - _unit_matrix(layer)
         columns.append(np.linalg.norm(diff, axis=1))
-    entries = np.stack(columns, axis=1)
-    return DistanceMatrix(entries=entries, mu=float(entries.mean()),
-                          sigma=float(entries.std()))
+    return np.stack(columns, axis=1)
 
 
 def divergence_threshold(round_index: int, fcfg: FedDistConfig,
@@ -268,30 +254,31 @@ def divergence_threshold(round_index: int, fcfg: FedDistConfig,
     return (fcfg.beta * round_index + fcfg.base_sigma_multiplier) * sigma + mu
 
 
-def select_divergent(pi: DistanceMatrix, threshold: float) -> list[Selection]:
-    """Units whose largest entry is strictly above the threshold, most distant
-    first, each with its most distant client (the lowest position on a tie)."""
+def select_divergent(pi: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
+    """(client position, unit, distance) for each unit of the [units,
+    clients] matrix pi whose largest entry is strictly above the threshold,
+    most distant first, each with its most distant client (the lowest
+    position on a tie)."""
     if not np.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    top = pi.entries.max(axis=1)
+    top = pi.max(axis=1)
     units = sorted(np.flatnonzero(top > threshold), key=lambda d: -top[d])
-    return [Selection(int(pi.entries[d].argmax()), int(d), float(top[d])) for d in units]
+    return [(int(pi[d].argmax()), int(d), float(top[d])) for d in units]
 
 
 def _grow_layer(w, models, clients, layer, fcfg, round_index):
     """Phase 2 on one layer.  Returns the grown server, the layer's LayerGrowth
     and the bytes of the donors' successor rows, which the sub-round sends down."""
     pi = distance_matrix(w.layers[layer], [m.layers[layer] for m in models])
-    threshold = divergence_threshold(round_index, fcfg, pi.mu, pi.sigma)
+    threshold = divergence_threshold(round_index, fcfg, float(pi.mean()), float(pi.std()))
     selections = select_divergent(pi, threshold)
     events, widened = [], 0
-    for sel in selections[:fcfg.max_new_units_per_layer_per_round]:
-        donor = models[sel.client_pos]
-        rows = donor_successor_rows(donor, layer, sel.unit)
-        w = append_neuron(w, layer, neuron_vector(donor.layers[layer], sel.unit), rows)
+    for pos, unit, distance in selections[:fcfg.max_new_units_per_layer_per_round]:
+        donor = models[pos]
+        rows = donor_successor_rows(donor, layer, unit)
+        w = append_neuron(w, layer, neuron_vector(donor.layers[layer], unit), rows)
         widened += rows.nbytes
-        donor_id = clients[sel.client_pos].id
-        events.append(GrowthEvent(layer, sel.unit, donor_id, sel.distance))
+        events.append(GrowthEvent(layer, unit, clients[pos].id, distance))
     return w, LayerGrowth(layer, len(selections), tuple(events)), widened
 
 
@@ -309,11 +296,9 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
                   round_index: int, *, executor=None) -> RoundOutcome:
     """One full FedDist round (main phase, per-layer growth, layer-wise
     retraining sub-rounds).  See the module docstring for the phases."""
-    main = fedavg_round(server, arch, clients, round_index=round_index,
-                        executor=executor)
+    w, ledger, models = fedavg_round(server, arch, clients, round_index=round_index,
+                                     executor=executor)
     clients = sorted(clients, key=lambda c: c.id)
-    ledger, w, models = main.ledger, main.server, list(main.client_models.values())
-    del main  # its client_models would keep every main-phase model to the end
 
     # Shape broadcast: a growing model's geometry is re-announced every round.
     ledger.shape_metadata_bytes = len(clients) * shape_metadata_size(server)
@@ -336,8 +321,7 @@ def feddist_round(server: ModelWeights, arch: ModelArch,
             down=byte_size(w, range(layer + 1)) + widened, first=layer + 1,
             executor=executor)
 
-    return RoundOutcome(server=w, ledger=ledger,
-                        client_models={c.id: m for c, m in zip(clients, models)})
+    return RoundOutcome(w, ledger, models)
 
 
 def ledger_totals(ledgers) -> CommLedger:

@@ -11,10 +11,11 @@
                     before round 1, finalized with status and wall-clock)
     rounds.csv      one row per evaluated round, fixed column order
     rounds.jsonl    structured per-round records with per-client scores
-    model.bin       final server model container (absent for local-only)
-    shape.txt       final model shape dump
+    model.bin       final server model (absent for local-only or a failed run)
+    shape.txt       final model shape dump (likewise)
 
-A run is reproducible from its manifest: `fedsim run --config manifest.json`
+A run first deletes an earlier run's model.bin and shape.txt.  It is
+reproducible from its manifest: `fedsim run --config manifest.json`
 replays the embedded resolved config and produces byte-identical CSV.  The
 replay warns on stderr for each `host` fact that differs on this host.
 """
@@ -90,6 +91,8 @@ def cmd_run(args) -> int:
     }
     _write_manifest(manifest_path, manifest)
     _warn_host_changes(args.config, manifest["host"])
+    model_path.unlink(missing_ok=True)
+    shape_path.unlink(missing_ok=True)
 
     start = time.monotonic()
     try:
@@ -107,6 +110,7 @@ def cmd_run(args) -> int:
         manifest["status"] = "failed"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         manifest["duration_sec"] = time.monotonic() - start
+        manifest["outputs"].update(model=None, shape=None)
         _write_manifest(manifest_path, manifest)
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -115,8 +119,7 @@ def cmd_run(args) -> int:
         model_path.write_bytes(serialize_model(result.final_model))
         shape_path.write_text("\n".join(shape_lines(result.final_model)) + "\n")
     else:
-        manifest["outputs"]["model"] = None
-        manifest["outputs"]["shape"] = None
+        manifest["outputs"].update(model=None, shape=None)
 
     manifest["status"] = "completed"
     manifest["duration_sec"] = time.monotonic() - start

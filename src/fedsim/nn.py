@@ -129,12 +129,15 @@ def balanced_class_weights(labels: np.ndarray, classes: int) -> np.ndarray:
 
 
 def _check_entry(model: ModelWeights, arch: ModelArch, inputs,
-                 labels: np.ndarray | None = None) -> None:
+                 labels: np.ndarray | None = None,
+                 cfg: TrainingConfig | None = None) -> None:
     """Check model and inputs, a Batch or an array, against arch: the one
     check on the way into nn, so the layer kernels below check nothing.
     Each layer's weights must have the shape arch traces at the model's
-    widths, the inputs must meet the input contract, and labels, when
-    given, must name a class of the model's output."""
+    widths, the inputs must meet the input contract, labels, when given,
+    must name a class of the model's output, and cfg, when given, must
+    freeze at most every layer and hold reference_weights, if any, of the
+    model's shape."""
     params = arch.param_indices()
     if len(model.layers) != len(params):
         raise ShapeError(f"model has {len(model.layers)} parameterized layers, "
@@ -155,6 +158,12 @@ def _check_entry(model: ModelWeights, arch: ModelArch, inputs,
         raise ValueError(
             f"labels must lie in [0, {classes}), got [{labels.min()}, {labels.max()}]"
         )
+    if cfg is not None and cfg.frozen_prefix > len(model.layers):
+        raise ValueError(f"frozen_prefix {cfg.frozen_prefix} exceeds "
+                         f"{len(model.layers)} layers")
+    ref = cfg.reference_weights if cfg is not None else None
+    if ref is not None and ref.layer_shapes() != model.layer_shapes():
+        raise ShapeError("reference_weights shape does not match the model")
 
 
 def _gather(inputs, dtype, sel=slice(None)) -> np.ndarray:
@@ -533,17 +542,9 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
     DivergenceError at its minibatch, as do non-finite trained weights.
     """
     labels = np.asarray(batch.labels, dtype=np.intp)
-    _check_entry(model, arch, batch, labels)
-    if cfg.frozen_prefix > len(model.layers):
-        raise ValueError(
-            f"frozen_prefix {cfg.frozen_prefix} exceeds {len(model.layers)} layers"
-        )
+    _check_entry(model, arch, batch, labels, cfg)
     if len(batch) == 0:
         return model, []
-    ref = cfg.reference_weights
-    if ref is not None and ref.layer_shapes() != model.layer_shapes():
-        raise ShapeError("reference_weights shape does not match the model")
-
     weights = balanced_class_weights(labels, arch.classes)
     start = cfg.frozen_prefix
     work = _working_copy(model, start)
@@ -603,15 +604,23 @@ def gradient_check(model: ModelWeights, arch: ModelArch, batch: Batch,
 
     Error per coordinate is |a - n| / max(1, max|a|, max|n|) within its
     tensor.  Checks trainable tensors only; set max_params_per_tensor to
-    probe a fixed pseudo-random subsample on large models.
+    probe a fixed pseudo-random subsample on large models.  A check of
+    nothing (an empty batch, every layer frozen, max_params_per_tensor < 1)
+    raises ValueError, and a non-finite gradient or central difference
+    raises FloatingPointError naming its layer and tensor.
     """
     if not 1e-7 < epsilon < 1e-3:
         raise ValueError("epsilon must lie in (1e-7, 1e-3)")
+    if max_params_per_tensor is not None and max_params_per_tensor < 1:
+        raise ValueError("max_params_per_tensor must be >= 1")
     labels = np.asarray(batch.labels, dtype=np.intp)
-    _check_entry(model, arch, batch, labels)
+    _check_entry(model, arch, batch, labels, cfg)
+    start = cfg.frozen_prefix
+    if len(batch) == 0 or start == len(model.layers):
+        raise ValueError(f"nothing to check: {len(batch)} examples, "
+                         f"{len(model.layers) - start} trainable layers")
     x = _gather(batch, model.dtype)
     weights = balanced_class_weights(labels, arch.classes)
-    start = cfg.frozen_prefix
     work = _working_copy(model, start)
     _, grads = _objective(work, arch, x, labels, weights, cfg,
                           _lowest_trainable(arch, start))
@@ -640,6 +649,9 @@ def gradient_check(model: ModelWeights, arch: ModelArch, batch: Batch,
                 lo, _ = _objective(work, arch, x, labels, weights, cfg, None)
                 view[j] = orig
                 numeric = (hi - lo) / (2 * epsilon)
+                if not math.isfinite(numeric):
+                    raise FloatingPointError(
+                        f"non-finite central difference in layer {li} {name}")
                 err = abs(float(a_flat[j]) - numeric) / max(scale, abs(numeric))
                 worst = max(worst, err)
     return worst

@@ -392,7 +392,7 @@ def _round(cfg, t, states, server, pooled, executor):
         outcome = fedprox_round(server, arch, clients, round_index=t, executor=executor)
     else:
         outcome = fedavg_round(server, arch, clients, round_index=t, executor=executor)
-    for k, model in outcome.client_models.items():
+    for k, model in zip(active, outcome.client_models):
         states[k].model = model
     return outcome.ledger, outcome.server, active
 

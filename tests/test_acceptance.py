@@ -136,7 +136,7 @@ def test_criterion_02_distance_oracle():
                 for a, b in zip(s_flat.tolist(), c_flat.tolist()):
                     acc += (a - b) ** 2
                 acc += (server.bias[d] - clients[k].bias[d]) ** 2
-                worst = max(worst, abs(pi.entries[d, k] - math.sqrt(acc)))
+                worst = max(worst, abs(pi[d, k] - math.sqrt(acc)))
     assert worst < 1e-12
     assert time.monotonic() - started < 10.0
     report(2, "distance_matrix matches scalar-loop Euclidean oracle", started,
@@ -341,7 +341,7 @@ def test_criterion_08_fedprox_reductions():
     # mu = 10 strictly shrinks mean client drift at every measured round
     def mean_drift(outcome, reference):
         drifts = []
-        for model in outcome.client_models.values():
+        for model in outcome.client_models:
             acc = 0.0
             for la, lb in zip(model.layers, reference.layers):
                 acc += float(np.sum((la.incoming - lb.incoming) ** 2))

@@ -27,7 +27,6 @@ from fedsim import (
 )
 from fedsim.aggregation import (
     ClientRuntime,
-    DistanceMatrix,
     _default_client_update,
     cost_ratio,
 )
@@ -144,7 +143,7 @@ class TestFedProxRound:
 
         def drift(outcome, reference):
             total = 0.0
-            for model in outcome.client_models.values():
+            for model in outcome.client_models:
                 for la, lb in zip(model.layers, reference.layers):
                     total += np.sum((la.incoming - lb.incoming) ** 2)
                     total += np.sum((la.bias - lb.bias) ** 2)
@@ -184,9 +183,9 @@ class TestFedProxRound:
         with ThreadPoolExecutor(2) as executor:
             two = fedprox_round(server, arch, clients, executor=executor)
         assert models_bit_equal(one.server, two.server)
-        assert one.client_models.keys() == two.client_models.keys()
-        assert all(models_bit_equal(one.client_models[k], two.client_models[k])
-                   for k in one.client_models)
+        assert len(one.client_models) == len(two.client_models) == 4
+        assert all(models_bit_equal(a, b)
+                   for a, b in zip(one.client_models, two.client_models))
         assert models_bit_equal(server, ModelWeights(tuple(
             LayerWeights(w, b) for w, b in kept)))
 
@@ -196,14 +195,15 @@ class TestDistanceMatrix:
         layer = LayerWeights(np.arange(6, dtype=float).reshape(2, 3),
                              np.array([1.0, 2.0, 3.0]))
         pi = distance_matrix(layer, [layer, layer])
-        assert np.all(pi.entries == 0)
-        assert pi.mu == 0 and pi.sigma == 0
+        assert pi.shape == (3, 2)
+        assert np.all(pi == 0)
+        assert pi.mean() == 0 and pi.std() == 0
 
     def test_3_4_5_triangle(self):
         server = LayerWeights(np.array([[0.0]]), np.array([0.0]))
         client = LayerWeights(np.array([[3.0]]), np.array([4.0]))
         pi = distance_matrix(server, [client])
-        assert pi.entries[0, 0] == pytest.approx(5.0, abs=1e-15)
+        assert pi[0, 0] == pytest.approx(5.0, abs=1e-15)
 
     def test_matches_scalar_loop_oracle(self, rng):
         server = LayerWeights(rng.normal(size=(12, 8)), rng.normal(size=8))
@@ -218,7 +218,7 @@ class TestDistanceMatrix:
                     acc += diff * diff
                 diff = server.bias[d] - clients[k].bias[d]
                 acc += diff * diff
-                assert abs(pi.entries[d, k] - math.sqrt(acc)) < 1e-12
+                assert abs(pi[d, k] - math.sqrt(acc)) < 1e-12
 
     def test_conv_filters_flattened(self, rng):
         server = LayerWeights(rng.normal(size=(3, 2, 4)), rng.normal(size=4))
@@ -228,7 +228,7 @@ class TestDistanceMatrix:
             expected = math.sqrt(
                 np.sum((server.incoming[:, :, d] - client.incoming[:, :, d]) ** 2)
                 + (server.bias[d] - client.bias[d]) ** 2)
-            assert abs(pi.entries[d, 0] - expected) < 1e-12
+            assert abs(pi[d, 0] - expected) < 1e-12
 
     def test_shape_mismatch_rejected(self):
         a = LayerWeights(np.zeros((2, 2)), np.zeros(2))
@@ -244,9 +244,8 @@ class TestDistanceMatrix:
         clients = [LayerWeights(rng.normal(size=(4, 6)), rng.normal(size=6))
                    for _ in range(3)]
         pi = distance_matrix(server, clients)
-        assert np.all(pi.entries >= 0)
-        assert pi.mu == pytest.approx(float(pi.entries.mean()))
-        assert pi.sigma == pytest.approx(float(pi.entries.std()))
+        assert pi.shape == (6, 3)
+        assert np.all(pi >= 0)
 
 
 class TestThresholdAndSelection:
@@ -264,21 +263,17 @@ class TestThresholdAndSelection:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_select_empty_when_all_below(self):
-        pi = DistanceMatrix(np.full((4, 3), 0.5), 0.5, 0.0)
-        assert select_divergent(pi, 1.0) == []
+        assert select_divergent(np.full((4, 3), 0.5), 1.0) == []
 
     def test_select_single_entry(self):
         entries = np.full((4, 3), 0.1)
         entries[2, 1] = 9.0
-        pi = DistanceMatrix(entries, entries.mean(), entries.std())
-        picked = select_divergent(pi, 5.0)
-        assert [(s.client_pos, s.unit) for s in picked] == [(1, 2)]
+        assert select_divergent(entries, 5.0) == [(1, 2, 9.0)]
 
     def test_matches_sort_and_truncate_oracle(self, rng):
         entries = rng.uniform(0, 10, size=(6, 4))
-        pi = DistanceMatrix(entries, entries.mean(), entries.std())
         threshold, cap = 5.0, 3
-        picked = select_divergent(pi, threshold)[:cap]
+        picked = select_divergent(entries, threshold)[:cap]
 
         # oracle: gather, de-duplicate per unit keeping the farthest client,
         # sort descending, truncate
@@ -291,14 +286,12 @@ class TestThresholdAndSelection:
                     best_per_unit[d] = (k, v)
         expected = sorted(((k, d, v) for d, (k, v) in best_per_unit.items()),
                           key=lambda t: -t[2])[:cap]
-        assert [(s.client_pos, s.unit, s.distance) for s in picked] == expected
+        assert picked == expected
 
     def test_one_selection_per_unit_most_distant_wins(self):
         entries = np.zeros((2, 3))
         entries[0] = [7.0, 9.0, 8.0]
-        pi = DistanceMatrix(entries, entries.mean(), entries.std())
-        picked = select_divergent(pi, 1.0)
-        assert [(s.client_pos, s.unit) for s in picked] == [(1, 0)]
+        assert select_divergent(entries, 1.0) == [(1, 0, 9.0)]
 
 
 class TestFedDistRound:
@@ -340,7 +333,7 @@ class TestFedDistRound:
         assert out.ledger.sub_rounds == 1
         assert out.ledger.units_added == {0: 1}
         # every client came back conformed to the grown shape
-        for model in out.client_models.values():
+        for model in out.client_models:
             assert model.shape_signature == (9, 3)
 
     def test_growth_cap_truncates_silently_into_ledger(self, monkeypatch):
@@ -387,6 +380,59 @@ class TestFedDistRound:
             assert w_new.shape[1] >= before.layers[0].incoming.shape[1]
         widths = [s[0] for s in signatures]
         assert all(b >= a for a, b in zip(widths, widths[1:]))
+
+    def test_threshold_reads_the_pooled_statistics_of_the_matrix(self, monkeypatch):
+        # the threshold gets the population mean and std of every entry of
+        # the layer's distance matrix, as Python floats
+        matrices, stats = [], []
+        distances = aggregation.distance_matrix
+        threshold = aggregation.divergence_threshold
+
+        def distances_kept(server_layer, client_layers):
+            matrices.append(distances(server_layer, client_layers))
+            return matrices[-1]
+
+        def threshold_seen(round_index, fcfg, mu, sigma):
+            stats.append((mu, sigma))
+            return threshold(round_index, fcfg, mu, sigma)
+
+        arch = dense_arch(4, 8, 3)
+        server = init_model(arch, 24)
+        cfg = TrainingConfig(local_epochs=1, learning_rate=0.05, batch_size=64)
+        clients = make_clients(arch, [54, 6], cfg, seed=25)
+        monkeypatch.setattr(aggregation, "distance_matrix", distances_kept)
+        monkeypatch.setattr(aggregation, "divergence_threshold", threshold_seen)
+        monkeypatch.setattr(aggregation, "_default_client_update",
+                            displacement_hook(1, (0,)))
+        out = feddist_round(server, arch, clients, FedDistConfig(beta=0.0), 1)
+        assert out.ledger.units_added == {0: 1}
+        assert len(matrices) == len(stats) == 1
+        (pi,), ((mu, sigma),) = matrices, stats
+        assert pi.shape == (8, 2)
+        assert type(mu) is float and type(sigma) is float
+        assert mu == float(pi.mean()) and sigma == float(pi.std())
+
+    @pytest.mark.parametrize("layerwise, sub_round_epochs", [(2, 2), (None, 3)])
+    def test_sub_rounds_train_layerwise_epochs(self, monkeypatch, layerwise,
+                                               sub_round_epochs):
+        epochs = {}
+        displaced = displacement_hook(2, (0, 1))
+
+        def update(client, model, arch_, phase):
+            epochs.setdefault(phase, set()).add(client.cfg.local_epochs)
+            return displaced(client, model, arch_, phase)
+
+        arch = conv_arch()
+        server = init_model(arch, 36)
+        cfg = TrainingConfig(local_epochs=3, learning_rate=0.05, batch_size=64)
+        clients = make_clients(arch, [40, 30, 6], cfg, seed=37)
+        monkeypatch.setattr(aggregation, "_default_client_update", update)
+        fcfg = FedDistConfig(beta=0.0, layerwise_epochs=layerwise)
+        out = feddist_round(server, arch, clients, fcfg, 1)
+        assert out.ledger.units_added == {0: 1, 1: 1}
+        assert epochs == {"main phase": {3},
+                          "layer-wise sub-round of layer 0": {sub_round_epochs},
+                          "layer-wise sub-round of layer 1": {sub_round_epochs}}
 
     def test_sub_round_uploads_cover_unfrozen_layers_only(self, monkeypatch):
         arch = dense_arch(4, 8, 3)

@@ -487,6 +487,27 @@ class TestRunCommand:
         assert "dataset vanished" in manifest["error"]
         assert (out / "rounds.csv").exists()  # partial output flushed
 
+    @pytest.mark.parametrize("second", ["local-only", "failed"])
+    def test_a_run_clears_an_earlier_runs_model(self, tmp_path, capsys, second):
+        out = tmp_path / "reused"
+        grown = (TINY_RUN % "feddist").replace("rounds: 3\n", "rounds: 1\n")
+        assert main(["run", "--config", str(write(tmp_path, grown)),
+                     "--out", str(out)]) == 0
+        assert (out / "model.bin").exists() and (out / "shape.txt").exists()
+        if second == "local-only":
+            text, code, status = TINY_RUN % "local-only", 0, "completed"
+        else:
+            missing = json.dumps(str(tmp_path / "missing.csv"))
+            text, code, status = CSV_CONFIG.replace("[a.csv]", f"[{missing}]"), 1, "failed"
+        assert main(["run", "--config", str(write(tmp_path, text, name="second.yaml")),
+                     "--out", str(out)]) == code
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == status
+        assert manifest["outputs"]["model"] is None
+        assert manifest["outputs"]["shape"] is None
+        assert not (out / "model.bin").exists()
+        assert not (out / "shape.txt").exists()
+
     def test_config_error_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path, MINIMAL + "foo: 1\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2

@@ -720,6 +720,59 @@ class TestGradientCheck:
             with pytest.raises(FloatingPointError, match="layer"):
                 gradient_check(model, arch, batch, TrainingConfig())
 
+    # A check that checks nothing raises; it never reports a pass of 0.0.
+    @staticmethod
+    def small_case(examples=5):
+        arch = dense_arch(3, 4, 3)
+        rng = np.random.default_rng(8)
+        batch = Batch(rng.normal(size=(examples, 3)), rng.integers(0, 3, examples))
+        return init_model(arch, 8), arch, batch
+
+    def test_frozen_prefix_past_the_model_is_train_locals_error(self):
+        model, arch, batch = self.small_case()
+        cfg = TrainingConfig(frozen_prefix=5)
+        for check in (gradient_check, lambda *a: train_local(*a, seed=0)):
+            with pytest.raises(ValueError, match="frozen_prefix 5 exceeds 2 layers"):
+                check(model, arch, batch, cfg)
+
+    def test_every_layer_frozen_raises(self):
+        model, arch, batch = self.small_case()
+        with pytest.raises(ValueError, match="0 trainable layers"):
+            gradient_check(model, arch, batch, TrainingConfig(frozen_prefix=2))
+
+    def test_no_parameter_per_tensor_raises(self):
+        model, arch, batch = self.small_case()
+        with pytest.raises(ValueError, match="max_params_per_tensor must be >= 1"):
+            gradient_check(model, arch, batch, TrainingConfig(), max_params_per_tensor=0)
+
+    def test_empty_batch_raises(self):
+        model, arch, batch = self.small_case(examples=0)
+        with pytest.raises(ValueError, match="0 examples"):
+            gradient_check(model, arch, batch, TrainingConfig())
+
+    def test_reference_of_another_shape_is_train_locals_error(self):
+        model, arch, batch = self.small_case()
+        cfg = TrainingConfig(proximal_coefficient=0.5,
+                             reference_weights=init_model(dense_arch(3, 5, 3), 9))
+        for check in (gradient_check, lambda *a: train_local(*a, seed=0)):
+            with pytest.raises(ShapeError, match="reference_weights shape"):
+                check(model, arch, batch, cfg)
+
+    def test_nonfinite_central_difference_raises_with_parameter_name(self, monkeypatch):
+        # max(worst, nan) keeps worst, so a nan difference must raise itself
+        model, arch, batch = self.small_case()
+        objective = nn._objective
+
+        def value_nan(model, arch, x, labels, class_weights, cfg, lowest, first=0):
+            value, grads = objective(model, arch, x, labels, class_weights, cfg,
+                                     lowest, first)
+            return (math.nan if lowest is None else value), grads
+
+        monkeypatch.setattr(nn, "_objective", value_nan)
+        with pytest.raises(FloatingPointError,
+                           match="non-finite central difference in layer 0 weights"):
+            gradient_check(model, arch, batch, TrainingConfig())
+
 
 def assert_scores_one_path(model, arch, x):
     """evaluate is forward's argmax, and forward's probabilities stay

@@ -605,8 +605,9 @@ class TestRejoinStartsFromServer:
                 (round_index, c.id) for c in clients if c.id in stored
                 and any(h < s for h, s in zip(stored[c.id], server.shape_signature)))
             outcome = round_fn(server, arch, clients, fcfg, round_index, **kw)
-            stored.update((k, m.shape_signature)
-                          for k, m in outcome.client_models.items())
+            stored.update((c.id, m.shape_signature)
+                          for c, m in zip(sorted(clients, key=lambda c: c.id),
+                                          outcome.client_models))
             return outcome
 
         def recording_update(client, model, arch, phase):

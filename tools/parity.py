@@ -25,6 +25,8 @@ compared byte for byte (local-only writes no model), and the
 `resolved_config` of both sides' manifest.json is compared parsed as JSON,
 so a refactor that adds, drops or changes a config key fails here too.
 Exits 1 naming every file and config that differs, 0 when all are equal.
+The summary line also gives both trees' `src/fedsim` line counts, as
+`wc -l src/fedsim/*.py` counts them.
 
 Every child runs with `OPENBLAS_NUM_THREADS=1`.  `run_experiment` pins BLAS
 to one thread itself, but a revision from before that pin takes its BLAS
@@ -117,6 +119,12 @@ def export(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
+def line_count(src: Path) -> int:
+    """Newlines in the fedsim package's *.py files, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (src / "fedsim").glob("*.py"))
+
+
 def write_csv_exports(dest: Path) -> list[Path]:
     """CSV_CLIENTS deterministic 6-channel exports at 50 Hz: Gaussian noise
     around a per-label offset, labels drawn per CSV_SEGMENT-row segment."""
@@ -153,6 +161,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="fedsim-parity-") as tmp:
         work = Path(tmp)
         trees = {"base": export(args.rev, work / "rev"), "work": REPO / "src"}
+        lines = {side: line_count(src) for side, src in trees.items()}
         csv_data = CSV.format(paths=", ".join(
             json.dumps(str(p)) for p in write_csv_exports(work)))
         cases = [(f"{algorithm}-e{eval_every}-t{threads}", algorithm, eval_every,
@@ -200,7 +209,8 @@ def main(argv=None) -> int:
     for path in differ:
         print(f"DIFFERS: {path}")
     print(f"{same} files byte-identical, {configs} resolved configs equal, "
-          f"{len(differ)} differ (against {args.rev})")
+          f"{len(differ)} differ (against {args.rev}); src/fedsim {lines['base']} "
+          f"-> {lines['work']} lines ({lines['work'] - lines['base']:+d})")
     return 1 if differ else 0
 
 
