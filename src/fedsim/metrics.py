@@ -8,7 +8,9 @@
 
 A confusion matrix over a concatenation is the sum of the matrices of its
 parts, so every view scores a list of test sets, one at a time, and adds
-their counts: the pooled test set is never built.
+their counts: the pooled test set is never built.  A view that scores
+several models on a set scores them together (score_models): one pass over
+the set's slices, which runs the layers the models share once.
 
 Means and spreads across clients use the population standard deviation.
 Macro (unweighted) F1 is the headline score; weighted F1 rides along in the
@@ -41,9 +43,13 @@ def confusion(truth, predictions, classes: int) -> np.ndarray:
     if len(truth) and (min(truth.min(), predictions.min()) < 0
                        or max(truth.max(), predictions.max()) >= classes):
         raise ValueError(f"labels must lie in [0, class count {classes})")
-    counts = np.zeros((classes, classes), dtype=np.int64)
-    np.add.at(counts, (truth, predictions), 1)
-    return counts
+    return _pair_counts(truth, predictions, classes).reshape(classes, classes)
+
+
+def _pair_counts(truth: np.ndarray, predictions: np.ndarray, classes: int) -> np.ndarray:
+    """The count matrix of (truth, prediction) pairs, flattened."""
+    return np.bincount(truth * classes + predictions,
+                       minlength=classes * classes).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -82,17 +88,30 @@ def score_bundle(counts: np.ndarray) -> ScoreBundle:
     )
 
 
-def score_model(model: ModelWeights, arch: ModelArch, tests) -> ScoreBundle:
-    """Scores of model on the concatenation of a list of test sets, from
-    the sum of their confusion matrices."""
-    counts = np.zeros((arch.classes, arch.classes), dtype=np.int64)
+def score_models(models, arch: ModelArch, tests) -> list[ScoreBundle]:
+    """Scores of each model on the concatenation of a list of test sets,
+    from the sum of their confusion matrices.  Every model is scored on a
+    set in one nn.evaluate pass, which gathers each slice of the set once
+    and runs the leading layers the models share once on it."""
+    if not models:
+        return []
+    classes = arch.classes
+    counts = np.zeros((len(models), classes * classes), dtype=np.int64)
     for test in tests:
         if len(test):
-            counts += confusion(test.labels, nn.evaluate(model, arch, test),
-                                arch.classes)
+            truth = np.asarray(test.labels, dtype=np.intp)
+            if truth.min() < 0 or truth.max() >= classes:
+                raise ValueError(f"labels must lie in [0, class count {classes})")
+            for row, predictions in zip(counts, nn.evaluate(models, arch, test)):
+                row += _pair_counts(truth, predictions, classes)
     if not counts.any():
         raise ValueError("empty test set")
-    return score_bundle(counts)
+    return [score_bundle(row.reshape(classes, classes)) for row in counts]
+
+
+def score_model(model: ModelWeights, arch: ModelArch, tests) -> ScoreBundle:
+    """Scores of model on the concatenation of a list of test sets."""
+    return score_models([model], arch, tests)[0]
 
 
 def evaluate_global(server: ModelWeights, arch: ModelArch, tests) -> ScoreBundle:
@@ -114,7 +133,7 @@ def evaluate_personalization(entries, arch: ModelArch) -> list[float]:
 def evaluate_generalization(best_models, arch: ModelArch, tests) -> list[float]:
     """Macro F1 of each best-personalization snapshot on every client's
     test set together, in order."""
-    return [score_model(model, arch, tests).macro_f1 for model in best_models]
+    return [bundle.macro_f1 for bundle in score_models(best_models, arch, tests)]
 
 
 @dataclass(frozen=True)

@@ -177,9 +177,12 @@ def _gather(inputs, dtype, sel=slice(None)) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax of the logits z, computed in place in z, which it
+    returns: every caller passes logits that a layer has just allocated."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _activate(spec, z, backward):
@@ -196,36 +199,54 @@ def _activate(spec, z, backward):
     return z, lambda da, need_dx: backward(np.multiply(da, z > 0, out=da), need_dx)
 
 
-def _maxpool1d(spec, layer, a, keep):
-    k = spec.kernel
+def _slots(a: np.ndarray, k: int) -> np.ndarray:
+    """The max-pool blocks of a [N, T, C] as slots [k, N, T // k, C]:
+    slots[i] is slot i of every block, a strided view."""
     n, t, c = a.shape
-    t_out = t // k
-    # slots[i] is slot i of every block, [N, T_out, C].  Training copies
-    # them once into contiguous planes: elementwise ops on the strided
-    # views run inner loops of only C elements.
-    slots = a[:, :t_out * k, :].reshape(n, t_out, k, c).transpose(2, 0, 1, 3)
-    if keep:
-        slots = np.ascontiguousarray(slots)
-    # np.maximum returns its second operand on a tie, so out holds the bits
-    # of the first slot with the block max, the one argmax picks (a signed
-    # zero included); a NaN passes on.
+    return a[:, :t // k * k, :].reshape(n, t // k, k, c).transpose(2, 0, 1, 3)
+
+
+def _block_max(slots: np.ndarray) -> np.ndarray:
+    """Each block's max.  np.maximum returns its second operand on a tie,
+    so it holds the bits of the first slot with the block max, the one
+    argmax picks (a signed zero included); a NaN passes on."""
     out = slots[0].copy()
     for plane in slots[1:]:
         np.maximum(plane, out, out=out)
-    if not keep:
-        return out, None
-    # The winner's slot is the number of leading slots below the max (so
-    # the first tied slot wins).  A block holding a NaN routes to slot 0;
-    # its objective is NaN, so that gradient is never applied.
+    return out
+
+
+def _winners(slots: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each block's winning slot, the first holding its max out: the number
+    of leading slots below the max.  A block holding a NaN routes to slot
+    0; its objective is NaN, so that gradient is never applied."""
     miss = slots[0] < out
     winner = miss.astype(np.intp)
     for plane in slots[1:-1]:
         miss &= plane < out
         winner += miss
-    # flat index in `a` of each winner: its block's first row plus the slot
+    return winner
+
+
+def _flat_index(winner: np.ndarray, k: int, t: int) -> np.ndarray:
+    """Flat index of each winning slot in the [N, t, C] array the blocks of
+    kernel k were cut from: its block's first row plus the slot."""
+    n, t_out, c = winner.shape
     winner *= c
     winner += np.arange(n * t * c).reshape(n, t, c)[:, :t_out * k:k, :]
-    flat = winner.ravel()
+    return winner.ravel()
+
+
+def _maxpool1d(spec, layer, a, keep):
+    n, t, c = a.shape
+    slots = _slots(a, spec.kernel)
+    if not keep:
+        return _block_max(slots), None
+    # Training copies the slots once into contiguous planes: elementwise
+    # ops on the strided views run inner loops of only C elements.
+    slots = np.ascontiguousarray(slots)
+    out = _block_max(slots)
+    flat = _flat_index(_winners(slots, out), spec.kernel, t)
 
     def backward(da, need_dx):
         # A pool is never the lowest trainable layer: its input gradient
@@ -256,8 +277,6 @@ def _im2col(a: np.ndarray, k: int) -> np.ndarray:
 
 def _conv1d(spec, layer, a, keep):
     k, c_in, c_out = layer.incoming.shape
-    n, t, _ = a.shape
-    t_out = t - k + 1
     cols = _im2col(a, k)
     if keep:
         # A training minibatch copies its im2col rows once: the forward
@@ -270,20 +289,71 @@ def _conv1d(spec, layer, a, keep):
     z += layer.bias
     if not keep:
         return _activate(spec, z, None)
+    return _activate(spec, z, lambda dzl, need_dx: _conv_backward(
+        layer, cols, dzl, dzl.sum(axis=(0, 1)), need_dx))
 
-    def backward(dzl, need_dx):
-        dw = cols.reshape(-1, k * c_in).T @ dzl.reshape(-1, c_out)
-        grad = (dw.reshape(k, c_in, c_out), dzl.sum(axis=(0, 1)))
-        if not need_dx:
-            return None, grad
-        dcols = dzl @ layer.incoming.reshape(k * c_in, c_out).T
-        dcols = dcols.reshape(n, t_out, k, c_in)
-        dx = np.zeros((n, t, c_in), dtype=dcols.dtype)
-        for i in range(k):
-            dx[:, i:i + t_out, :] += dcols[:, :, i, :]
-        return dx, grad
 
-    return _activate(spec, z, backward)
+def _conv_backward(layer, cols, dzl, db, need_dx):
+    """(input gradient or None, (dW, db)) of a conv whose kept im2col rows
+    are cols [N, T_out, k*C_in], from the gradient dzl [N, T_out, C_out] of
+    its pre-activation and the bias gradient db."""
+    k, c_in, c_out = layer.incoming.shape
+    n, t_out, _ = dzl.shape
+    dw = cols.reshape(-1, k * c_in).T @ dzl.reshape(-1, c_out)
+    grad = (dw.reshape(k, c_in, c_out), db)
+    if not need_dx:
+        return None, grad
+    dcols = dzl @ layer.incoming.reshape(k * c_in, c_out).T
+    dcols = dcols.reshape(n, t_out, k, c_in)
+    dx = np.zeros((n, t_out + k - 1, c_in), dtype=dcols.dtype)
+    for i in range(k):
+        dx[:, i:i + t_out, :] += dcols[:, :, i, :]
+    return dx, grad
+
+
+def _conv_pool(spec, layer, pool, a):
+    """Training's conv1d followed by a maxpool1d of kernel `pool`, as one
+    block at pooled resolution, with every bit of running the two layers
+    (keep=True) in order: the output, and dW, db and the input gradient.
+
+    The conv's gemm runs as _conv1d runs it, and the bias is added to the
+    positions the pool reads.  Each block's winner is the first slot with
+    the max of z + b, as the pool after a plain activation picks it; with
+    relu, a block whose max is <= 0 relus to a tie of zeros, so it routes
+    to slot 0.  Relu and its backward mask then run on the pooled output
+    alone.  The backward scatters the pooled gradient into the conv's
+    full-size gradient, the matrix the dW gemm reads in _conv1d.  db adds
+    the pooled gradient rows in (window, block) order: the nonzero terms
+    _conv1d's sum over every row adds, in the same order, and both numpy
+    reductions start from +0.0, so the +0.0 rows that lost change no
+    bit."""
+    k, c_in, c_out = layer.incoming.shape
+    n, t, _ = a.shape
+    t_out = t - k + 1
+    cols = np.ascontiguousarray(_im2col(a, k))
+    z = cols @ layer.incoming.reshape(k * c_in, c_out)
+    # z + b for every slot the pool reads, copied once into contiguous planes
+    slots = _slots(z, pool)
+    slots = np.add(slots, layer.bias, out=np.empty(slots.shape, z.dtype))
+    out = _block_max(slots)
+    winner = _winners(slots, out)
+    relu = spec.activation == "relu"
+    if relu:
+        alive = out > 0
+        winner *= alive
+        np.maximum(out, 0, out=out)
+    flat = _flat_index(winner, pool, t_out)
+
+    def backward(da, need_dx):
+        # the pooled gradient, C-contiguous: its rows in (window, block) order
+        dp = (np.multiply(da, alive, out=np.empty(alive.shape, da.dtype)) if relu
+              else np.ascontiguousarray(da)).reshape(-1, c_out)
+        dzl = np.zeros(n * t_out * c_out, dtype=dp.dtype)
+        dzl[flat] = dp.ravel()
+        return _conv_backward(layer, cols, dzl.reshape(n, t_out, c_out),
+                              np.add.reduce(dp, axis=0), need_dx)
+
+    return out, backward
 
 
 def _dense(spec, layer, a, keep):
@@ -333,20 +403,29 @@ def _walk(model: ModelWeights, arch: ModelArch, a: np.ndarray, first: int = 0,
     """Run layers [first, last) of the stack (to the end by default) on a,
     the input of layer first; returns (output of the last layer run, the
     backward closures of layers lowest.. in layer order).  Layers below
-    lowest, and all of them when it is None, run forward-only."""
+    lowest, and all of them when it is None, run forward-only.  A kept
+    conv1d directly followed by a maxpool1d runs with it as one block
+    (_conv_pool), which leaves one closure for the two."""
     last = len(arch.layers) if last is None else last
     li = sum(spec.kind in PARAM_KINDS for spec in arch.layers[:first])
     backwards = []
-    for i in range(first, last):
+    i = first
+    while i < last:
         spec = arch.layers[i]
         layer = None
         if spec.kind in PARAM_KINDS:
             layer = model.layers[li]
             li += 1
         keep = lowest is not None and i >= lowest
-        a, backward = _FORWARD[spec.kind](spec, layer, a, keep)
+        if keep and spec.kind == CONV1D and i + 1 < last \
+                and arch.layers[i + 1].kind == MAXPOOL1D:
+            i += 1
+            a, backward = _conv_pool(spec, layer, arch.layers[i].kernel, a)
+        else:
+            a, backward = _FORWARD[spec.kind](spec, layer, a, keep)
         if keep:
             backwards.append(backward)
+        i += 1
     return a, backwards
 
 
@@ -376,65 +455,120 @@ def _window_prefix(model: ModelWeights, arch: ModelArch, inputs,
     return features, first
 
 
-def forward(model: ModelWeights, arch: ModelArch, inputs) -> np.ndarray:
-    """Class-probability matrix [examples, classes] of inputs, a Batch or
-    an array of windows; rows sum to 1.
-
-    The whole stack runs on _SLICE-window slices, each gathered and
-    converted to the model's dtype on its own, which bounds the memory of
-    scoring a large test set.  A leading conv runs as one gemm per output
-    position t over the slice's m windows: item t of the transposed im2col
-    view is an [m, k*C] matrix whose leading dimension is the window
-    stride, which BLAS reads in place, so no im2col row is copied (the
-    per-window gemm's rows overlap with a stride of C elements, below k*C,
-    so numpy copies them).  The gemms write one reused position-major
-    [T, m, C_out] buffer.  When a maxpool1d follows the conv, the gemms
-    skip the trailing positions the pool never reads, the pool takes the
-    max over whole [m, C_out] planes of the raw gemm output, and only the
-    pooled quarter gets the bias and the activation.  That is exact, bit
-    for bit: rounding z + b is monotone in z, and so is relu, so
-    max_i relu(z_i + b) == relu(max_i z_i + b); relu maps -0.0 to +0.0,
-    and the pool keeps the first slot of a tie, as _maxpool1d does.  A
-    conv with no pool after it adds the bias and activates every position.
-    The probabilities may differ in the last bit from the per-window path
-    training runs (_walk)."""
+def _checked(models: list[ModelWeights], arch: ModelArch, inputs):
+    """inputs as scoring reads them, an array or a Batch, after the entry
+    check of each model; the models must share one dtype, the dtype each
+    slice is gathered in."""
     if not isinstance(inputs, Batch):
         inputs = np.asarray(inputs)
-    _check_entry(model, arch, inputs)
-    probs = np.empty((len(inputs), model.layers[-1].out_width), dtype=model.dtype)
-    conv = arch.layers[0].kind == CONV1D
-    if conv:
-        spec, layer = arch.layers[0], model.layers[0]
-        k, c_in, c_out = layer.incoming.shape
-        w = layer.incoming.reshape(k * c_in, c_out)
-        # softmax-output comes last, so a conv always has a layer above it
-        pool = arch.layers[1].kernel if arch.layers[1].kind == MAXPOOL1D else 0
-        t_run = arch.input_length - k + 1
-        if pool:
-            t_run -= t_run % pool  # the rows the pool reads
-        z_buf = np.empty(t_run * _SLICE * c_out, dtype=model.dtype)
+    if not models:
+        raise ValueError("no model to score")
+    for model in models:
+        _check_entry(model, arch, inputs)
+        if model.dtype != models[0].dtype:
+            raise ValueError(f"models scored together must share one dtype, got "
+                             f"{models[0].dtype} and {model.dtype}")
+    return inputs
+
+
+def _shared_cut(models: list[ModelWeights], arch: ModelArch) -> int:
+    """The arch index of the first layer each scored model runs on its own:
+    the parameterized layers below it are the same LayerWeights objects in
+    every model, and so is everything they compute.  The output layer is
+    never shared, so every model computes its own logits.  A lone model,
+    and models that share nothing, give the index of the first
+    parameterized layer."""
+    params = arch.param_indices()
+    lead = models[0].layers
+    shared = 0
+    while len(models) > 1 and shared < len(params) - 1 and all(
+            model.layers[shared] is lead[shared] for model in models[1:]):
+        shared += 1
+    return params[shared]
+
+
+def _infer(model: ModelWeights, arch: ModelArch, xs: np.ndarray, last: int | None,
+           z_buf: np.ndarray | None) -> np.ndarray:
+    """Layers [0, last) of the stack (to the end when last is None) on a
+    gathered slice xs, forward-only, as scoring runs them.
+
+    A leading conv runs as one gemm per output position t over the slice's
+    m windows: item t of the transposed im2col view is an [m, k*C] matrix
+    whose leading dimension is the window stride, which BLAS reads in
+    place, so no im2col row is copied (the per-window gemm's rows overlap
+    with a stride of C elements, below k*C, so numpy copies them).  The
+    gemms write the reused buffer z_buf, position-major [T, m, C_out].
+    When a maxpool1d follows the conv, the gemms skip the trailing
+    positions the pool never reads, the pool takes the max over whole
+    [m, C_out] planes of the raw gemm output, and only the pooled quarter
+    gets the bias and the activation.  That is exact, bit for bit: rounding
+    z + b is monotone in z, and so is relu, so
+    max_i relu(z_i + b) == relu(max_i z_i + b); relu maps -0.0 to +0.0, and
+    the pool keeps the first slot of a tie, as _maxpool1d does.  A conv
+    with no pool after it adds the bias and activates every position.  The
+    output may differ in the last bit from the per-window path training
+    runs (_walk)."""
+    if arch.layers[0].kind != CONV1D:
+        return _walk(model, arch, xs, 0, last)[0]
+    spec, layer = arch.layers[0], model.layers[0]
+    k, c_in, c_out = layer.incoming.shape
+    # softmax-output comes last, so a conv always has a layer above it
+    pool = arch.layers[1].kernel if arch.layers[1].kind == MAXPOOL1D else 0
+    t_run = arch.input_length - k + 1
+    if pool:
+        t_run -= t_run % pool  # the rows the pool reads
+    m = len(xs)
+    z = z_buf[:t_run * m * c_out].reshape(t_run, m, c_out)
+    # cols[t, i]: row t of window i
+    cols = _im2col(xs, k).transpose(1, 0, 2)[:t_run]
+    np.matmul(cols, layer.incoming.reshape(k * c_in, c_out), out=z)
+    if pool:
+        # The reduction steps acc = maximum(acc, next), which keeps next on
+        # a tie, so over the slots in reverse order the first slot of a
+        # tied block wins, as in _maxpool1d.
+        a = np.maximum.reduce(z.reshape(t_run // pool, pool, m, c_out)[:, ::-1], axis=1)
+    else:
+        a = z
+    a += layer.bias
+    a = _activate(spec, a, None)[0].transpose(1, 0, 2)
+    return _walk(model, arch, a, 2 if pool else 1, last)[0]
+
+
+def _slice_logits(models: list[ModelWeights], arch: ModelArch, inputs):
+    """The one scoring path: yields (lo, the logits of each model) for each
+    _SLICE-window slice of inputs, checked by _checked.  Each slice is
+    gathered once, in the models' dtype, which bounds the memory of scoring
+    a large test set.  The layers below _shared_cut run once on it, and
+    each model runs the rest of its own stack on their output.  Each
+    model's logits are those of scoring it alone, bit for bit: the same
+    operations on the same values, and the same slices, so every gemm
+    keeps its row count."""
+    cut = _shared_cut(models, arch)
+    heads = models[:1] if cut else models  # the models that run layer 0
+    dtype = models[0].dtype
+    z_buf = None
+    if arch.layers[0].kind == CONV1D:
+        t = arch.input_length - arch.layers[0].kernel + 1
+        z_buf = np.empty(t * _SLICE * max(model.layers[0].out_width for model in heads),
+                         dtype=dtype)
     for lo in range(0, len(inputs), _SLICE):
-        xs = _gather(inputs, model.dtype, slice(lo, lo + _SLICE))
-        if conv:
-            m = len(xs)
-            z = z_buf[:t_run * m * c_out].reshape(t_run, m, c_out)
-            # cols[t, i]: row t of window i
-            cols = _im2col(xs, k).transpose(1, 0, 2)[:t_run]
-            np.matmul(cols, w, out=z)
-            if pool:
-                # The reduction steps acc = maximum(acc, next), which keeps
-                # next on a tie, so over the slots in reverse order the
-                # first slot of a tied block wins, as in _maxpool1d.
-                slots = z.reshape(t_run // pool, pool, m, c_out)
-                a = np.maximum.reduce(slots[:, ::-1], axis=1)
-            else:
-                a = z
-            a += layer.bias
-            a = _activate(spec, a, None)[0].transpose(1, 0, 2)
-            logits, _ = _walk(model, arch, a, 2 if pool else 1)
+        xs = _gather(inputs, dtype, slice(lo, lo + _SLICE))
+        if cut:
+            a = _infer(models[0], arch, xs, cut, z_buf)
+            yield lo, [_walk(model, arch, a, cut)[0] for model in models]
         else:
-            logits, _ = _walk(model, arch, xs)
-        probs[lo:lo + len(xs)] = _softmax(logits)
+            yield lo, [_infer(model, arch, xs, None, z_buf) for model in models]
+
+
+def forward(model: ModelWeights, arch: ModelArch, inputs) -> np.ndarray:
+    """Class-probability matrix [examples, classes] of inputs, a Batch or
+    an array of windows; rows sum to 1.  The stack runs on _SLICE-window
+    slices (_slice_logits), a leading conv and its pool as _infer runs
+    them."""
+    inputs = _checked([model], arch, inputs)
+    probs = np.empty((len(inputs), model.layers[-1].out_width), dtype=model.dtype)
+    for lo, (logits,) in _slice_logits([model], arch, inputs):
+        probs[lo:lo + len(logits)] = _softmax(logits)
     return probs
 
 
@@ -446,10 +580,17 @@ def loss(probs: np.ndarray, labels: np.ndarray,
     an error.
     """
     labels = np.asarray(labels, dtype=np.intp)
-    p_true = probs[np.arange(len(labels)), labels]
+    weight = (None if class_weights is None
+              else np.asarray(class_weights, dtype=probs.dtype)[labels])
+    return _cross_entropy(probs[np.arange(len(labels)), labels], weight)
+
+
+def _cross_entropy(p_true: np.ndarray, weight: np.ndarray | None) -> float:
+    """loss from each example's probability of its true class and, when
+    given, its class weight."""
     ce = -np.log(np.maximum(p_true, LOG_CLAMP))
-    if class_weights is not None:
-        ce = ce * np.asarray(class_weights, dtype=probs.dtype)[labels]
+    if weight is not None:
+        ce = ce * weight
     return float(ce.mean())
 
 
@@ -480,8 +621,9 @@ def _objective(model: ModelWeights, arch: ModelArch, x: np.ndarray,
     """
     logits, backwards = _walk(model, arch, x, first, lowest=lowest)
     probs = _softmax(logits)
-    n = len(labels)
-    value = loss(probs, labels, class_weights)
+    rows = np.arange(len(labels))
+    weight = np.asarray(class_weights, dtype=probs.dtype)[labels]
+    value = _cross_entropy(probs[rows, labels], weight)
     start, mu, ref = cfg.frozen_prefix, cfg.proximal_coefficient, cfg.reference_weights
     trainable = model.layers[start:]
     if ref is not None:
@@ -494,9 +636,10 @@ def _objective(model: ModelWeights, arch: ModelArch, x: np.ndarray,
     if lowest is None:
         return value, None
 
-    dz = probs.copy()
-    dz[np.arange(n), labels] -= 1.0
-    dz *= (np.asarray(class_weights, dtype=probs.dtype)[labels] / n)[:, None]
+    # dz is written into the probabilities, this step's own array
+    dz = probs
+    dz[rows, labels] -= 1.0
+    dz *= (weight / len(labels))[:, None]
 
     grads = []
     for j, backward in enumerate(reversed(backwards), 1):
@@ -588,11 +731,22 @@ def train_local(model: ModelWeights, arch: ModelArch, batch: Batch,
     return ModelWeights(work.layers[:start] + tuple(trained)), epoch_losses
 
 
-def evaluate(model: ModelWeights, arch: ModelArch, inputs) -> np.ndarray:
+def evaluate(models, arch: ModelArch, inputs) -> np.ndarray:
     """Predicted class per example of inputs, a Batch or an array of
-    windows: argmax of forward's probabilities, ties broken toward the
-    lowest class index."""
-    return np.argmax(forward(model, arch, inputs), axis=1)
+    windows, for one model ([examples]) or for each of a list of models of
+    one dtype ([models, examples]): argmax of forward's probabilities, ties
+    broken toward the lowest class index.  A list is scored in one pass
+    (_slice_logits): each slice is gathered once, and the leading layers
+    every model holds as the same objects run once on it; each model's
+    predictions are those of scoring it alone."""
+    one = isinstance(models, ModelWeights)
+    models = [models] if one else list(models)
+    inputs = _checked(models, arch, inputs)
+    preds = np.empty((len(models), len(inputs)), dtype=np.intp)
+    for lo, logits in _slice_logits(models, arch, inputs):
+        for row, z in zip(preds, logits):
+            np.argmax(_softmax(z), axis=1, out=row[lo:lo + len(z)])
+    return preds[0] if one else preds
 
 
 def gradient_check(model: ModelWeights, arch: ModelArch, batch: Batch,

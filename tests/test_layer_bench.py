@@ -22,17 +22,24 @@ def test_prints_host_every_layer_and_the_objective_step():
     assert lines[7].startswith("objective step")
     figures = [float(v) for values in rows.values() for v in values]
     figures.append(float(lines[7].split()[-1]))
-    for line, width, windows in zip(lines[8:], ("16", "18", "16"),
+    assert lines[8].startswith("conv1d+maxpool1d block")
+    assert lines[8].endswith("us per minibatch, training forward and backward")
+    figures.append(float(lines[8].split()[2]))
+    for line, width, windows in zip(lines[9:], ("16", "18", "16"),
                                     ("1,792", "1,792", "32 row-indexed sets of 56")):
         assert line.split()[:3] == ["scoring", "conv1d", width]
         assert line.endswith(f"us per window of {windows}")
         figures.append(float(line.split()[3]))
-    assert lines[11].startswith("set-up")
-    assert lines[11].endswith("ms for generate_synthetic, fedprox-wide-eval")
-    figures.append(float(lines[11].split()[1]))
-    assert lines[12].startswith("memory")
-    assert lines[12].endswith("MB tracemalloc peak of one feddist-desk experiment "
+    assert lines[12].startswith("generalization view")
+    assert lines[12].endswith("ms for 10 models sharing a grown desk stack on "
+                              "10 sets of 14")
+    figures.append(float(lines[12].split()[2]))
+    assert lines[13].startswith("set-up")
+    assert lines[13].endswith("ms for generate_synthetic, fedprox-wide-eval")
+    figures.append(float(lines[13].split()[1]))
+    assert lines[14].startswith("memory")
+    assert lines[14].endswith("MB tracemalloc peak of one feddist-desk experiment "
                               "(config seed 48)")
-    figures.append(float(lines[12].split()[1]))
+    figures.append(float(lines[14].split()[1]))
     assert all(math.isfinite(v) and v > 0 for v in figures)
-    assert len(lines) == 13
+    assert len(lines) == 15

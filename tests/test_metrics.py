@@ -29,10 +29,12 @@ from fedsim import (
 )
 from fedsim.data import concat_window_sets
 from fedsim.fabric import LayerWeights
-from fedsim.metrics import score_model, spread
+from fedsim import nn
+from fedsim.aggregation import FedDistConfig, feddist_round
+from fedsim.metrics import score_model, score_models, spread
 from fedsim.nn import Batch
 
-from conftest import dense_arch
+from conftest import conv_arch, dense_arch, make_clients
 
 
 def cm(rows) -> np.ndarray:
@@ -251,6 +253,103 @@ class TestScoresAddAcrossTestSets:
             tracemalloc.stop()
         assert sum(len(test) for test in tests) * 128 * 6 * 8 > 10e6
         assert allocated < 1e6
+
+
+class TestOnePassScoring:
+    """A view scores all of its models on a test set in one nn.evaluate
+    pass: each slice gathered once, the layers every model holds as the
+    same objects run once on it.  Its predictions and counts must equal
+    scoring each model alone, by nn.forward's argmax, exactly."""
+
+    ARCH = conv_arch()  # conv1d 6 x k5 -> maxpool1d 2 -> dense 10 -> softmax 4
+
+    @staticmethod
+    def scored_sets(rng, arch):
+        # 1, 31, 32, 33 and 56 windows: both sides of the 32-window slice,
+        # an empty set, and the rows of a window view, as a split side is
+        sets = [Batch(rng.normal(size=(n, arch.input_length, arch.input_channels)),
+                      rng.integers(0, arch.classes, n)) for n in (1, 31, 32, 0, 33)]
+        view = rng.normal(size=(90, arch.input_length, arch.input_channels))
+        rows = np.sort(rng.choice(90, 56, replace=False))
+        return sets + [Batch(view, rng.integers(0, arch.classes, 56), rows)]
+
+    @staticmethod
+    def assert_one_pass(models, arch, tests):
+        for test in tests:
+            together = evaluate(models, arch, test)
+            assert together.shape == (len(models), len(test))
+            for model, predictions in zip(models, together):
+                alone = np.argmax(forward(model, arch, test), axis=1)
+                assert np.array_equal(predictions, alone)
+        oracle = []
+        for model in models:
+            counts = np.zeros((arch.classes, arch.classes), dtype=np.int64)
+            for test in tests:
+                if len(test):
+                    predictions = np.argmax(forward(model, arch, test), axis=1)
+                    for truth, predicted in zip(test.labels, predictions):
+                        counts[truth, predicted] += 1
+            oracle.append(score_bundle(counts))
+        assert score_models(models, arch, tests) == oracle
+        assert evaluate_generalization(models, arch, tests) == [
+            bundle.macro_f1 for bundle in oracle]
+
+    def test_models_of_a_growing_feddist_round(self, rng):
+        arch = self.ARCH
+        server = init_model(arch, 70)
+        cfg = TrainingConfig(local_epochs=2, learning_rate=0.1, batch_size=8)
+        clients = make_clients(arch, [40, 24, 56, 32], cfg, seed=71)
+        grown, ledger, client_models = feddist_round(
+            server, arch, clients, FedDistConfig(beta=0.0, base_sigma_multiplier=1.0), 1)
+        assert ledger.units_added == {0: 3, 1: 3}
+        models = [grown, *client_models]
+        # the last sub-round froze the conv and the dense layer: every
+        # client holds the server's objects, so only the output layer is
+        # each model's own
+        assert nn._shared_cut(models, arch) == arch.param_indices()[-1]
+        tests = self.scored_sets(rng, arch)
+        self.assert_one_pass(models, arch, tests)
+        # with the round's starting server, of another shape, nothing is shared
+        assert nn._shared_cut([server, *models], arch) == 0
+        self.assert_one_pass([server, *models], arch, tests)
+
+    def test_unrelated_models_share_nothing(self, rng):
+        # FedAvg's and FedProx's client models hold no layer in common
+        models = [init_model(self.ARCH, seed) for seed in (72, 73, 74)]
+        assert nn._shared_cut(models, self.ARCH) == 0
+        self.assert_one_pass(models, self.ARCH, self.scored_sets(rng, self.ARCH))
+
+    def test_equal_values_in_distinct_objects_are_not_shared(self, rng, monkeypatch):
+        arch = self.ARCH
+        model = init_model(arch, 75)
+        twin = ModelWeights(tuple(LayerWeights(layer.incoming.copy(), layer.bias.copy())
+                                  for layer in model.layers))
+        assert nn._shared_cut([model, twin], arch) == 0
+        calls = []
+        infer = nn._infer
+        monkeypatch.setattr(nn, "_infer",
+                            lambda m, *args: calls.append(m) or infer(m, *args))
+        tests = self.scored_sets(rng, arch)
+        self.assert_one_pass([model, twin], arch, tests)
+        together = evaluate([model, twin], arch, tests[-1])  # 56 windows, 2 slices
+        assert np.array_equal(together[0], together[1])
+        # each model ran the whole stack on every slice
+        assert calls[-4:] == [model, twin, model, twin]
+
+    def test_float32_models_sharing_a_stack(self, rng):
+        arch = self.ARCH
+        model = init_model(arch, 76, np.float32)
+        other = init_model(arch, 77, np.float32)
+        sibling = ModelWeights(model.layers[:-1] + other.layers[-1:])
+        assert nn._shared_cut([model, sibling], arch) == arch.param_indices()[-1]
+        self.assert_one_pass([model, sibling, other], arch, self.scored_sets(rng, arch))
+        self.assert_one_pass([model, sibling], arch, self.scored_sets(rng, arch))
+
+    def test_models_of_two_dtypes_are_refused(self):
+        arch = self.ARCH
+        models = [init_model(arch, 78), init_model(arch, 78, np.float32)]
+        with pytest.raises(ValueError, match="share one dtype"):
+            evaluate(models, arch, np.zeros((2, 20, 2)))
 
 
 class TestSnapshotTracking:

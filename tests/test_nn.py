@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import (
     LayerSpec,
@@ -31,6 +33,7 @@ from fedsim.nn import (
     DivergenceError,
     _activate,
     _conv1d,
+    _conv_pool,
     _gather,
     _im2col,
     _lowest_trainable,
@@ -631,6 +634,69 @@ class TestConvKeep:
             with pytest.raises(DivergenceError, match=r"epoch 1, minibatch 2; "
                                r"first non-finite output at layer 0 \(conv1d\)"):
                 train_local(model, arch, batch, cfg, 36)
+
+
+class TestConvPoolBlock:
+    """Training runs a kept conv1d directly followed by a maxpool1d as one
+    block at pooled resolution (_conv_pool); it must give every bit of the
+    two layers run in order: the output, dW, db and the input gradient."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), width=st.sampled_from([16, 18, 66]),
+           kernel=st.integers(1, 4), pool=st.integers(1, 4), blocks=st.integers(1, 4),
+           trailing=st.integers(0, 3), channels=st.integers(1, 3),
+           windows=st.integers(1, 4), activation=st.sampled_from(["relu", "none"]),
+           dtype=st.sampled_from([np.float64, np.float32]), need_dx=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_conv_then_pool(self, seed, width, kernel, pool, blocks, trailing,
+                                    channels, windows, activation, dtype, need_dx):
+        rng = np.random.default_rng(seed)
+        # t_out % pool is nonzero whenever trailing % pool is
+        t = pool * blocks + trailing % pool + kernel - 1
+        a = rng.normal(size=(windows, t, channels))
+        # zero windows give gemm outputs of exactly zero, and -0.0 inputs
+        # signed zeros among them
+        a[rng.random(windows) < 0.3] = 0.0
+        a[rng.random(a.shape) < 0.1] = -0.0
+        # Per filter: an ordinary bias; one that kills every block (all
+        # blocks <= 0, relu's tie of zeros); one so large that slots whose
+        # z differ tie in z + b; and signed zeros.
+        huge = 2.0 ** (np.finfo(dtype).nmant + 3)
+        bias = rng.choice([0.3, -40.0, huge, -huge, -0.0, 0.0], size=width)
+        bias = np.where(bias == 0.3, rng.normal(size=width), bias)
+        layer = LayerWeights(rng.normal(size=(kernel, channels, width)).astype(dtype),
+                             bias.astype(dtype))
+        a = a.astype(dtype)
+        # mostly negative upstream gradients, so a dead winner's masked
+        # gradient is -0.0, and some exact -0.0
+        da = rng.uniform(-2.0, 0.5, size=(windows, (t - kernel + 1) // pool, width))
+        da[rng.random(da.shape) < 0.1] = -0.0
+        da = da.astype(dtype)
+        spec = LayerSpec("conv1d", width=width, kernel=kernel, activation=activation)
+
+        conv_out, conv_back = _conv1d(spec, layer, a, keep=True)
+        ref_out, pool_back = _maxpool1d(LayerSpec("maxpool1d", kernel=pool), None,
+                                        conv_out, keep=True)
+        ref_dx, (ref_dw, ref_db) = conv_back(pool_back(da.copy(), True)[0], need_dx)
+        out, back = _conv_pool(spec, layer, pool, a)
+        dx, (dw, db) = back(da.copy(), need_dx)
+
+        assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
+        assert out.tobytes() == ref_out.tobytes()
+        assert dw.dtype == ref_dw.dtype and dw.tobytes() == ref_dw.tobytes()
+        assert db.dtype == ref_db.dtype and db.tobytes() == ref_db.tobytes()
+        if need_dx:
+            assert dx.shape == a.shape and dx.tobytes() == ref_dx.tobytes()
+        else:
+            assert dx is None and ref_dx is None
+
+    def test_walk_keeps_one_closure_for_the_block(self):
+        # conv1d -> maxpool1d -> dense -> softmax-output, every layer kept
+        arch = conv_arch()
+        model = init_model(arch, 37)
+        x = np.random.default_rng(38).normal(size=(3, 20, 2))
+        out, backwards = _walk(model, arch, x, lowest=0)
+        assert len(backwards) == 3
+        assert out.tobytes() == _walk(model, arch, x)[0].tobytes()
 
 
 CONV_ON_CONV = ModelArch(32, 3, (

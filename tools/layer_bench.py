@@ -8,7 +8,9 @@ maxpool1d 4, dense 64, softmax-output 8) and times, on one minibatch, each
 layer's forward as training runs it (keeping what its backward needs), its
 forward as inference runs it, and its backward.  The lowest layer's
 backward computes no input gradient, as in training.  Then it times one full
-training objective step (the class-weighted loss and every layer's gradient).  Each figure is
+training objective step (the class-weighted loss and every layer's gradient),
+and the conv1d -> maxpool1d block as training runs it, at pooled resolution:
+its forward plus its backward.  Each figure is
 the median over --repeats calls, in microseconds per minibatch.  The next
 three rows time scoring.  The first two time nn.evaluate predicting 1,792
 windows (as many windows as the 32 client test sets of perfbench's
@@ -18,10 +20,14 @@ in microseconds per window, the median over at most 20 calls.  The third
 scores the same number of windows the way the generalization view reads
 them: 32 row-indexed test sets of 56 windows, each the rows of its own
 client's window view (18,000 samples, 280 windows), so each set is one
-full 32-window slice, one partial slice and a row gather per slice.  The next
-row times set-up: generate_synthetic on the data spec of perfbench's
-fedprox-wide-eval (32 clients of 18,000 samples), in milliseconds, the
-median over at most 5 calls.  The last row is the tracemalloc peak, in
+full 32-window slice, one partial slice and a row gather per slice.  The
+next row times the generalization view of a FedDist tick: 10 models that
+hold one grown desk stack (conv 18, dense 66) as the same objects, each
+with its own output layer, scored on ten 14-window test sets, as many as a
+feddist-desk client holds; in milliseconds per view, the median over at
+most 20 calls.  The next row times set-up: generate_synthetic on the data
+spec of perfbench's fedprox-wide-eval (32 clients of 18,000 samples), in
+milliseconds, the median over at most 5 calls.  The last row is the tracemalloc peak, in
 megabytes, of run_experiment on one feddist-desk experiment as perfbench
 renders it for config seed 48: unlike a run's peak RSS, it moves only with
 what the program allocates, not with the order it allocates it in.  The first
@@ -49,11 +55,13 @@ import numpy as np  # noqa: E402
 from fedsim.arch import PARAM_KINDS, LayerSpec, ModelArch  # noqa: E402
 from fedsim.config import parse_config_dict  # noqa: E402
 from fedsim.data import generate_synthetic, window  # noqa: E402
-from fedsim.fabric import init_model  # noqa: E402
+from fedsim.fabric import ModelWeights, init_model  # noqa: E402
+from fedsim.metrics import evaluate_generalization  # noqa: E402
 from fedsim.nn import (  # noqa: E402
     _FORWARD,
     Batch,
     TrainingConfig,
+    _conv_pool,
     _objective,
     balanced_class_weights,
     evaluate,
@@ -72,6 +80,9 @@ SCORING_CALLS = 20
 SCORED_WIDTHS = (16, 18)
 SCORED_SETS = 32  # fedprox-wide-eval's clients and test-set size
 SET_WINDOWS = 56
+VIEW_MODELS = 10  # feddist-desk's clients, each with a 14-window test set
+VIEW_WINDOWS = 14
+GROWN_WIDTHS = (18, 66, 8)
 CLIENT_SAMPLES = 18000
 SETUP_CALLS = 5
 MEMORY_SEED = 48
@@ -121,6 +132,36 @@ def objective_us(batch: int, repeats: int) -> float:
     cfg = TrainingConfig(batch_size=batch)
     return median_us(lambda: _objective(model, DESK_ARCH, x, labels, weights, cfg,
                                         lowest=0), repeats)
+
+
+def conv_pool_us(batch: int, repeats: int) -> float:
+    """Microseconds per minibatch for the conv1d -> maxpool1d training
+    block's forward and backward, with no input gradient, as the lowest
+    trainable layer computes it."""
+    rng = np.random.default_rng(4)
+    conv, pool = DESK_ARCH.layers[:2]
+    layer = init_model(DESK_ARCH, 4).layers[0]
+    a = rng.normal(size=(batch, DESK_ARCH.input_length, DESK_ARCH.input_channels))
+    out, _ = _conv_pool(conv, layer, pool.kernel, a)
+    upstream = rng.normal(size=out.shape)
+    return median_us(lambda: _conv_pool(conv, layer, pool.kernel, a)[1](upstream, False),
+                     repeats)
+
+
+def generalization_view_ms(repeats: int) -> float:
+    """Milliseconds for evaluate_generalization to score VIEW_MODELS models
+    sharing a grown desk stack on VIEW_MODELS test sets of VIEW_WINDOWS."""
+    rng = np.random.default_rng(5)
+    grown = DESK_ARCH.with_widths(GROWN_WIDTHS)
+    stack = init_model(grown, 5).layers[:-1]
+    models = [ModelWeights(stack + init_model(grown, 6 + i).layers[-1:])
+              for i in range(VIEW_MODELS)]
+    sets = [Batch(rng.normal(size=(VIEW_WINDOWS, DESK_ARCH.input_length,
+                                   DESK_ARCH.input_channels)),
+                  rng.integers(0, DESK_ARCH.classes, VIEW_WINDOWS))
+            for _ in range(VIEW_MODELS)]
+    return median_us(lambda: evaluate_generalization(models, DESK_ARCH, sets),
+                     repeats) / 1e3
 
 
 def scoring_us(width: int, repeats: int) -> float:
@@ -190,12 +231,17 @@ def main(argv=None) -> int:
     for label, train, infer, back in layer_rows(args.batch, args.repeats):
         print(f"{label:<24}{train:>10.1f}{infer:>11.1f}{back:>10.1f}")
     print(f"{'objective step':<24}{objective_us(args.batch, args.repeats):>10.1f}")
+    print(f"{'conv1d+maxpool1d block':<24}{conv_pool_us(args.batch, args.repeats):>10.1f}"
+          f"  us per minibatch, training forward and backward")
     calls = min(args.repeats, SCORING_CALLS)
     for width in SCORED_WIDTHS:
         print(f"{f'scoring conv1d {width}':<24}{scoring_us(width, calls):>10.1f}"
               f"  us per window of {SCORED_WINDOWS:,}")
     print(f"{'scoring conv1d 16':<24}{row_indexed_scoring_us(calls):>10.1f}"
           f"  us per window of {SCORED_SETS} row-indexed sets of {SET_WINDOWS}")
+    print(f"{'generalization view':<24}{generalization_view_ms(calls):>10.2f}"
+          f"  ms for {VIEW_MODELS} models sharing a grown desk stack on "
+          f"{VIEW_MODELS} sets of {VIEW_WINDOWS}")
     print(f"{'set-up':<24}{setup_ms(min(args.repeats, SETUP_CALLS)):>10.1f}"
           f"  ms for generate_synthetic, fedprox-wide-eval")
     print(f"{'memory':<24}{memory_mb():>10.1f}  MB tracemalloc peak of one "
