@@ -30,8 +30,10 @@ from .container import byte_size, deserialize_model, serialize_model
 from .data import (
     CsvDataSpec,
     SyntheticSpec,
+    client_windows,
     generate_synthetic,
     ingest_csv,
+    read_csv_clients,
     stratified_split,
     window,
     z_normalize,

@@ -29,6 +29,7 @@ round output does not depend on client execution order.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -61,6 +62,9 @@ class FedDistConfig:
     layerwise_epochs: int | None = None  # None: reuse the client's local_epochs
 
     def __post_init__(self) -> None:
+        for name in ("beta", "base_sigma_multiplier"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
         if self.base_sigma_multiplier <= 0:

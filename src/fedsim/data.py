@@ -1,8 +1,10 @@
 """Sensor-series data plane: synthetic non-IID client generation, channel
 z-normalization, sliding-window framing, stratified splits, a generic CSV
 ingester for 6-channel IMU exports, and the two client-data sources
-(SyntheticSpec, CsvDataSpec).  A raw series, inputs [samples, channels],
-and its framed windows, [count, length, channels], are both nn.Batch.
+(SyntheticSpec, CsvDataSpec), which both turn each client's raw series
+into its windows through client_windows.  A raw series, inputs [samples,
+channels], and its framed windows, [count, length, channels], are both
+nn.Batch.
 The windows are a read-only view of the normalized series, and the two
 sides of a split are that view plus their rows, so a client holds each
 sample once.
@@ -120,6 +122,10 @@ class CsvDataSpec:
     def __post_init__(self) -> None:
         if not self.paths:
             raise ValueError("paths must name at least one file")
+        for name in ("sample_rate_hz", "target_hz"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.classes < 2:
             raise ValueError("classes must be >= 2")
         if not 0.0 < self.train_fraction < 1.0:
@@ -225,6 +231,16 @@ def stratified_split(batch: Batch, train_fraction: float = 0.8,
                  for idx in sides)
 
 
+def client_windows(series: Batch, length: int, step: int, train_fraction: float,
+                   seed, client: int) -> tuple[Batch, Batch]:
+    """A client's (train, test) windows from its raw series, the one pipeline
+    every source runs: z_normalize -> window -> stratified_split.  The
+    statistics are the client's own, nothing crosses clients, and both
+    sides index one window view, so the client holds its series once."""
+    return stratified_split(window(z_normalize(series), length, step),
+                            train_fraction, seed, client=client)
+
+
 def _class_signatures(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared per-(class, channel) signal parameters: offset, amplitude, Hz."""
     rng = np.random.default_rng(sequence("class signatures", spec.seed))
@@ -300,22 +316,35 @@ def _client_series(spec: SyntheticSpec, offsets, amps, freqs,
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[tuple[Batch, Batch]]:
-    """Per-client (train, test) batches through the standard pipeline
-    generate -> normalize -> window -> split.
-
-    Normalization statistics are computed per client over its own series;
-    nothing crosses clients.  Each client holds its normalized series once:
-    both sides index its window view.
-    """
+    """Per-client (train, test) windows: each client's generated series
+    through client_windows, split on stream "client split"."""
     offsets, amps, freqs = _class_signatures(spec)
     out = []
     for k in range(spec.clients):
         rng = np.random.default_rng(sequence("client series", spec.seed, k))
         priors = rng.dirichlet(np.full(spec.classes, spec.dirichlet_alpha))
         series = _client_series(spec, offsets, amps, freqs, priors, rng)
-        out.append(stratified_split(window(z_normalize(series)), spec.train_fraction,
-                                    sequence("client split", spec.seed, k),
-                                    client=k))
+        out.append(client_windows(series, DEFAULT_WINDOW, DEFAULT_STEP, spec.train_fraction,
+                                  sequence("client split", spec.seed, k), k))
+    return out
+
+
+def read_csv_clients(spec: CsvDataSpec, seed: int) -> list[tuple[Batch, Batch]]:
+    """Per-client (train, test) windows of spec's exports, one client per
+    file, through ingest_csv and client_windows; client k splits on stream
+    "csv splits" of the run's seed.  A CsvFormatError, and a ValueError
+    for a label outside [0, classes), name the file."""
+    out = []
+    for k, path in enumerate(spec.paths):
+        try:
+            series = ingest_csv(path, spec.sample_rate_hz, spec.target_hz)
+        except CsvFormatError as exc:
+            raise CsvFormatError(f"{path}: {exc}") from exc
+        top = int(series.labels.max(initial=0))
+        if top >= spec.classes:
+            raise ValueError(f"{path}: label {top} is outside [0, {spec.classes})")
+        out.append(client_windows(series, spec.window_length, spec.window_step,
+                                  spec.train_fraction, sequence("csv splits", seed, k), k))
     return out
 
 

@@ -43,13 +43,8 @@ def confusion(truth, predictions, classes: int) -> np.ndarray:
     if len(truth) and (min(truth.min(), predictions.min()) < 0
                        or max(truth.max(), predictions.max()) >= classes):
         raise ValueError(f"labels must lie in [0, class count {classes})")
-    return _pair_counts(truth, predictions, classes).reshape(classes, classes)
-
-
-def _pair_counts(truth: np.ndarray, predictions: np.ndarray, classes: int) -> np.ndarray:
-    """The count matrix of (truth, prediction) pairs, flattened."""
-    return np.bincount(truth * classes + predictions,
-                       minlength=classes * classes).astype(np.int64, copy=False)
+    counts = np.bincount(truth * classes + predictions, minlength=classes * classes)
+    return counts.astype(np.int64, copy=False).reshape(classes, classes)
 
 
 @dataclass(frozen=True)
@@ -74,11 +69,10 @@ def score_bundle(counts: np.ndarray) -> ScoreBundle:
     if total == 0:
         raise ValueError("empty confusion matrix")
     included = (support > 0) | (predicted > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        precision = np.where(predicted > 0, tp / predicted, 0.0)
-        recall = np.where(support > 0, tp / support, 0.0)
-        pr = precision + recall
-        f1 = np.where(pr > 0, 2 * precision * recall / pr, 0.0)
+    precision = np.divide(tp, predicted, out=np.zeros_like(tp), where=predicted > 0)
+    recall = np.divide(tp, support, out=np.zeros_like(tp), where=support > 0)
+    pr = precision + recall
+    f1 = np.divide(2 * precision * recall, pr, out=np.zeros_like(tp), where=pr > 0)
     return ScoreBundle(
         accuracy=float(tp.sum() / total),
         precision=float(precision[included].mean()),
@@ -96,17 +90,14 @@ def score_models(models, arch: ModelArch, tests) -> list[ScoreBundle]:
     if not models:
         return []
     classes = arch.classes
-    counts = np.zeros((len(models), classes * classes), dtype=np.int64)
+    counts = np.zeros((len(models), classes, classes), dtype=np.int64)
     for test in tests:
         if len(test):
-            truth = np.asarray(test.labels, dtype=np.intp)
-            if truth.min() < 0 or truth.max() >= classes:
-                raise ValueError(f"labels must lie in [0, class count {classes})")
             for row, predictions in zip(counts, nn.evaluate(models, arch, test)):
-                row += _pair_counts(truth, predictions, classes)
+                row += confusion(test.labels, predictions, classes)
     if not counts.any():
         raise ValueError("empty test set")
-    return [score_bundle(row.reshape(classes, classes)) for row in counts]
+    return [score_bundle(row) for row in counts]
 
 
 def score_model(model: ModelWeights, arch: ModelArch, tests) -> ScoreBundle:

@@ -101,6 +101,9 @@ class TrainingConfig:
     reference_weights: ModelWeights | None = None
 
     def __post_init__(self) -> None:
+        for name in ("learning_rate", "proximal_coefficient"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be >= 1")
         if self.learning_rate < 0:
@@ -207,13 +210,13 @@ def _slots(a: np.ndarray, k: int) -> np.ndarray:
 
 
 def _block_max(slots: np.ndarray) -> np.ndarray:
-    """Each block's max.  np.maximum returns its second operand on a tie,
-    so it holds the bits of the first slot with the block max, the one
-    argmax picks (a signed zero included); a NaN passes on."""
-    out = slots[0].copy()
-    for plane in slots[1:]:
-        np.maximum(plane, out, out=out)
-    return out
+    """Each block's max, from slots [k, ...] (slots[i] is slot i of every
+    block): the one statement of the pooled max.  The reduction steps
+    acc = maximum(acc, next), and np.maximum returns its second operand on
+    a tie, so over the slots in reverse order the result holds the bits of
+    the first slot with the block max, the one argmax picks (a signed zero
+    included); a NaN passes on."""
+    return np.maximum.reduce(slots[::-1], axis=0)
 
 
 def _winners(slots: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -239,13 +242,12 @@ def _flat_index(winner: np.ndarray, k: int, t: int) -> np.ndarray:
 
 def _maxpool1d(spec, layer, a, keep):
     n, t, c = a.shape
-    slots = _slots(a, spec.kernel)
-    if not keep:
-        return _block_max(slots), None
-    # Training copies the slots once into contiguous planes: elementwise
-    # ops on the strided views run inner loops of only C elements.
-    slots = np.ascontiguousarray(slots)
+    # The slots are copied once into contiguous planes: a reduction or an
+    # elementwise op on the strided views runs inner loops of only C elements.
+    slots = np.ascontiguousarray(_slots(a, spec.kernel))
     out = _block_max(slots)
+    if not keep:
+        return out, None
     flat = _flat_index(_winners(slots, out), spec.kernel, t)
 
     def backward(da, need_dx):
@@ -504,10 +506,9 @@ def _infer(model: ModelWeights, arch: ModelArch, xs: np.ndarray, last: int | Non
     gets the bias and the activation.  That is exact, bit for bit: rounding
     z + b is monotone in z, and so is relu, so
     max_i relu(z_i + b) == relu(max_i z_i + b); relu maps -0.0 to +0.0, and
-    the pool keeps the first slot of a tie, as _maxpool1d does.  A conv
-    with no pool after it adds the bias and activates every position.  The
-    output may differ in the last bit from the per-window path training
-    runs (_walk)."""
+    _block_max keeps the first slot of a tie.  A conv with no pool after it
+    adds the bias and activates every position.  The output may differ in
+    the last bit from the per-window path training runs (_walk)."""
     if arch.layers[0].kind != CONV1D:
         return _walk(model, arch, xs, 0, last)[0]
     spec, layer = arch.layers[0], model.layers[0]
@@ -523,14 +524,9 @@ def _infer(model: ModelWeights, arch: ModelArch, xs: np.ndarray, last: int | Non
     cols = _im2col(xs, k).transpose(1, 0, 2)[:t_run]
     np.matmul(cols, layer.incoming.reshape(k * c_in, c_out), out=z)
     if pool:
-        # The reduction steps acc = maximum(acc, next), which keeps next on
-        # a tie, so over the slots in reverse order the first slot of a
-        # tied block wins, as in _maxpool1d.
-        a = np.maximum.reduce(z.reshape(t_run // pool, pool, m, c_out)[:, ::-1], axis=1)
-    else:
-        a = z
-    a += layer.bias
-    a = _activate(spec, a, None)[0].transpose(1, 0, 2)
+        z = _block_max(z.reshape(t_run // pool, pool, m, c_out).transpose(1, 0, 2, 3))
+    z += layer.bias
+    a = _activate(spec, z, None)[0].transpose(1, 0, 2)
     return _walk(model, arch, a, 2 if pool else 1, last)[0]
 
 

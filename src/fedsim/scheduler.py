@@ -34,14 +34,10 @@ from .arch import ModelArch
 from .container import serialize_model
 from .data import (
     CsvDataSpec,
-    CsvFormatError,
     SyntheticSpec,
     concat_window_sets,
     generate_synthetic,
-    ingest_csv,
-    stratified_split,
-    window,
-    z_normalize,
+    read_csv_clients,
 )
 from .fabric import ModelWeights, conform_to_shape, init_model
 from .metrics import (
@@ -210,19 +206,7 @@ def client_datasets(cfg: ExperimentConfig) -> list[tuple[Batch, Batch]]:
     if isinstance(cfg.data, SyntheticSpec):
         datasets = generate_synthetic(cfg.data)
     else:
-        spec = cfg.data
-        datasets = []
-        for k, path in enumerate(spec.paths):
-            try:
-                series = ingest_csv(path, spec.sample_rate_hz, spec.target_hz)
-            except CsvFormatError as exc:
-                raise CsvFormatError(f"{path}: {exc}") from exc
-            top = int(series.labels.max(initial=0))
-            if top >= spec.classes:
-                raise ValueError(f"{path}: label {top} is outside [0, {spec.classes})")
-            datasets.append(stratified_split(
-                window(z_normalize(series), spec.window_length, spec.window_step),
-                spec.train_fraction, sequence("csv splits", cfg.seed, k), client=k))
+        datasets = read_csv_clients(cfg.data, cfg.seed)
     for k, (train, test) in enumerate(datasets):
         if len(train) == 0:
             raise ValueError(f"client {k} has no training windows")

@@ -4,6 +4,7 @@ manifest reruns, compare output."""
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import re
@@ -15,11 +16,13 @@ import pytest
 import yaml
 
 import fedsim.scheduler as scheduler
+from fedsim.aggregation import FedDistConfig
 from fedsim.arch import ArchError, LayerSpec
 from fedsim.cli import main, summarize_run, _load_run
 from fedsim.config import ConfigError, config_to_dict, parse_config, parse_config_dict
 from fedsim.container import deserialize_model
 from fedsim.metrics import CSV_COLUMNS
+from fedsim.nn import TrainingConfig
 from fedsim.scheduler import CsvDataSpec, host_facts, openblas_threading
 
 REPO = Path(__file__).resolve().parents[1]
@@ -619,6 +622,19 @@ class TestValidateCommand:
         # nan passes every range check (each comparison is False)
         assert main(["validate", "--config", str(write(tmp_path, text))]) == 2
         assert capsys.readouterr().err == f"error: {path} must be finite, got {shown}\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["learning_rate", "proximal_coefficient", "beta",
+                                       "base_sigma_multiplier", "sample_rate_hz",
+                                       "target_hz"])
+    def test_non_finite_field_rejected_in_python(self, field, value):
+        # a config built in Python rejects what the file reader rejects: a
+        # nan or inf passed every range check and failed mid-run
+        make = {"learning_rate": TrainingConfig, "proximal_coefficient": TrainingConfig,
+                "beta": FedDistConfig, "base_sigma_multiplier": FedDistConfig}.get(
+            field, functools.partial(CsvDataSpec, paths=("a.csv",), classes=2))
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            make(**{field: value})
 
     @pytest.mark.parametrize("bad", ["missing.csv", "folder"])
     def test_csv_paths_must_be_files(self, tmp_path, capsys, bad):

@@ -17,10 +17,15 @@ from scipy import stats
 from fedsim import SyntheticSpec, generate_synthetic, stratified_split, window, z_normalize
 from fedsim.data import (
     CSV_HEADER,
+    DEFAULT_STEP,
+    DEFAULT_WINDOW,
+    CsvDataSpec,
     CsvFormatError,
     _orthogonal,
+    client_windows,
     concat_window_sets,
     ingest_csv,
+    read_csv_clients,
 )
 from fedsim.fabric import ShapeError
 from fedsim.nn import Batch
@@ -622,3 +627,62 @@ class TestIngestCsv:
             warnings.simplefilter("error")
             with pytest.raises(CsvFormatError, match="line 2: no data rows"):
                 z_normalize(ingest_csv(f, 50.0))
+
+
+class TestOneClientPipeline:
+    """Both sources turn a client's raw series into its windows through
+    client_windows, each splitting on its own seed stream."""
+
+    SPEC = SyntheticSpec(clients=3, classes=4, dirichlet_alpha=0.5,
+                         samples_per_client=(2500, 3500), seed=11)
+
+    @classmethod
+    def raw_series(cls) -> list[Batch]:
+        """Each synthetic client's raw series, drawn as generate_synthetic
+        draws it."""
+        from fedsim.data import _class_signatures, _client_series
+
+        signatures = _class_signatures(cls.SPEC)
+        out = []
+        for k in range(cls.SPEC.clients):
+            rng = np.random.default_rng(sequence("client series", cls.SPEC.seed, k))
+            priors = rng.dirichlet(np.full(cls.SPEC.classes, cls.SPEC.dirichlet_alpha))
+            out.append(_client_series(cls.SPEC, *signatures, priors, rng))
+        return out
+
+    @staticmethod
+    def assert_same_sides(got, want):
+        assert len(got) == len(want) == 2
+        for ours, theirs in zip(got, want):
+            assert np.array_equal(ours.rows, theirs.rows)
+            assert ours.labels.dtype == theirs.labels.dtype
+            assert ours.labels.tobytes() == theirs.labels.tobytes()
+            assert ours.take().tobytes() == theirs.take().tobytes()
+
+    def test_synthetic_clients_split_on_the_client_split_stream(self):
+        clients = generate_synthetic(self.SPEC)
+        for k, series in enumerate(self.raw_series()):
+            self.assert_same_sides(clients[k], client_windows(
+                series, DEFAULT_WINDOW, DEFAULT_STEP, self.SPEC.train_fraction,
+                sequence("client split", self.SPEC.seed, k), k))
+
+    def test_csv_clients_split_on_the_csv_splits_stream(self, tmp_path):
+        # Each export holds a synthetic client's raw series at full
+        # precision (repr round-trips a float), so the reader sees its bits.
+        paths = []
+        for k, series in enumerate(self.raw_series()):
+            write_csv(tmp_path / f"client{k}.csv",
+                      [f"{i / 50:.2f}," + ",".join(map(repr, values.tolist()))
+                       + f",{label}" for i, (values, label)
+                       in enumerate(zip(series.inputs, series.labels))])
+            assert ingest_csv(tmp_path / f"client{k}.csv", 50.0).inputs.tobytes() \
+                == series.inputs.tobytes()
+            paths.append(str(tmp_path / f"client{k}.csv"))
+        spec = CsvDataSpec(paths=tuple(paths), classes=self.SPEC.classes,
+                           window_step=32)
+        clients = read_csv_clients(spec, 5)
+        for k, path in enumerate(paths):
+            self.assert_same_sides(clients[k], client_windows(
+                ingest_csv(path, 50.0), 128, 32, spec.train_fraction,
+                sequence("csv splits", 5, k), k))
+

@@ -32,6 +32,7 @@ from fedsim.nn import (
     Batch,
     DivergenceError,
     _activate,
+    _block_max,
     _conv1d,
     _conv_pool,
     _gather,
@@ -39,6 +40,7 @@ from fedsim.nn import (
     _lowest_trainable,
     _maxpool1d,
     _objective,
+    _slots,
     _softmax,
     _walk,
     _window_prefix,
@@ -605,6 +607,53 @@ class TestMaxPool:
         assert dx.shape == a.shape and dx.tobytes() == ref_dx.tobytes()
         assert not np.signbit(dx[dx == 0]).any()
         assert np.count_nonzero(dx) == da.size
+
+
+def block_max_by_loop(a: np.ndarray, k: int) -> np.ndarray:
+    """Reference pooled max of a [N, T, C], one block at a time: the first
+    slot holding the block's max, or the block's first NaN."""
+    n, t, c = a.shape
+    out = np.empty((n, t // k, c), dtype=a.dtype)
+    for i in range(n):
+        for j in range(t // k):
+            for ch in range(c):
+                best = a[i, j * k, ch]
+                for v in a[i, j * k + 1:(j + 1) * k, ch]:
+                    if not np.isnan(best) and (np.isnan(v) or v > best):
+                        best = v
+                out[i, j, ch] = best
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n, c", [(3, 4), (2, 1), (1, 1)])
+def test_block_max_matches_per_block_loop(n, c, k, dtype):
+    # Blocks full of -0.0/+0.0 ties, other ties and NaNs, and three planted
+    # in every column: -0.0 then +0.0s, +0.0 then -0.0s, and a NaN in the
+    # last slot.  The t % k trailing rows (k > 1) hold a value above every
+    # block and are dropped.  Every layout a caller pools: the strided
+    # slots, their contiguous copy (_maxpool1d, _conv_pool) and
+    # position-major planes (_infer).
+    rng = np.random.default_rng(41 + k)
+    t = 7 * k + (k - 1)
+    values = np.array([-0.0, 0.0, 1.0, -1.0, np.nan], dtype=dtype)
+    a = rng.choice(values, p=[0.3, 0.3, 0.15, 0.15, 0.1], size=(n, t, c))
+    a[:, :2 * k] = -0.0
+    a[:, 1:k] = 0.0
+    a[:, k] = 0.0
+    a[:, 3 * k - 1] = np.nan
+    a[:, t - t % k:] = 100.0
+    want = block_max_by_loop(a, k)
+    assert np.signbit(want[:, 0]).all() and not np.signbit(want[:, 1]).any()
+    assert np.isnan(want[:, 2]).all()
+    slots = _slots(a, k)
+    planes = np.ascontiguousarray(a[:, :t - t % k].transpose(1, 0, 2))
+    for got in (_block_max(slots), _block_max(np.ascontiguousarray(slots)),
+                _block_max(planes.reshape(t // k, k, n, c).transpose(1, 0, 2, 3))
+                .transpose(1, 0, 2)):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestConvKeep:

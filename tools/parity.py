@@ -7,10 +7,10 @@ Runs `fedsim run` from revision REV (exported with `git archive`) and from
 the working tree's `src/`, on one growing desk config: conv1d(6, k16) ->
 maxpool1d(4) -> dense(12) -> softmax(4), interchanging 3 of 7 synthetic
 clients, 6 rounds.  Every algorithm runs at `--threads` 1 and 2 and at
-`eval_every` 1 and 3.  The same model also runs fedavg, feddist and
-centralized from three small CSV exports (seeded values at 50 Hz, labels in
-[0, 4) in 200-row segments) at `--threads` 1 and `eval_every` 1, which
-covers the CSV source and the copy that pools a centralized run's training
+`eval_every` 1 and 3.  The same model also runs every algorithm from three
+small CSV exports (seeded values at 50 Hz, labels in [0, 4) in 200-row
+segments) at `--threads` 1 and `eval_every` 1, which covers the CSV source
+(data.read_csv_clients) and the copy that pools a centralized run's training
 sets; feddist also runs on them at window steps 32 and 96, more and less
 overlap than the default 64, which covers the split sides' view of the
 series at other overlaps.  A dense-only model, dense(12) -> softmax(4),
@@ -56,7 +56,6 @@ ALGORITHMS = ("fedavg", "fedprox", "feddist", "local-only", "centralized")
 THREADS = (1, 2)
 CADENCES = (1, 3)
 OUTPUTS = ("rounds.csv", "rounds.jsonl", "model.bin", "shape.txt")
-CSV_ALGORITHMS = ("fedavg", "feddist", "centralized")
 CSV_CLIENTS, CSV_ROWS, CSV_SEGMENT = 3, 2000, 200
 CSV_STEPS = (32, 96)  # window steps besides the default 64
 DENSE_ALGORITHMS = ("fedavg", "feddist")
@@ -169,7 +168,7 @@ def main(argv=None) -> int:
                  for algorithm in ALGORITHMS for eval_every in CADENCES
                  for threads in THREADS]
         cases += [(f"csv-{algorithm}-e1-t1", algorithm, 1, 1, CONV_LAYERS, csv_data)
-                  for algorithm in CSV_ALGORITHMS]
+                  for algorithm in ALGORITHMS]
         cases += [(f"csv-step{step}-feddist-e1-t1", "feddist", 1, 1, CONV_LAYERS,
                    csv_data + f"    window_step: {step}\n") for step in CSV_STEPS]
         cases += [(f"dense-{algorithm}-e1-t1", algorithm, 1, 1, DENSE_LAYERS, SYNTHETIC)
