@@ -46,6 +46,7 @@ from .fabric import (
     conform_to_shape,
     donor_successor_rows,
     neuron_vector,
+    unit_vectors,
     weighted_average,
 )
 from .nn import Batch, TrainingConfig, diverged_in, train_local
@@ -224,11 +225,6 @@ def fedprox_round(server: ModelWeights, arch: ModelArch,
                         executor=executor)
 
 
-def _unit_matrix(layer: LayerWeights) -> np.ndarray:
-    flat = layer.incoming.reshape(-1, layer.out_width)
-    return np.vstack([flat, layer.bias[None, :]]).T.astype(np.float64)
-
-
 def distance_matrix(server_layer: LayerWeights, client_layers) -> np.ndarray:
     """The [units, clients] matrix whose entry (d, k) is the Euclidean
     distance between server unit d and client k's unit d (incoming weights
@@ -237,14 +233,14 @@ def distance_matrix(server_layer: LayerWeights, client_layers) -> np.ndarray:
     if not client_layers:
         raise ValueError("no client layers")
     ref = server_layer.incoming.shape
-    server_units = _unit_matrix(server_layer)
+    server_units = unit_vectors(server_layer).astype(np.float64)
     columns = []
     for k, layer in enumerate(client_layers):
         if layer.incoming.shape != ref or layer.bias.shape != server_layer.bias.shape:
             raise ShapeError(
                 f"client {k} layer shape {layer.incoming.shape} != server {ref}"
             )
-        diff = server_units - _unit_matrix(layer)
+        diff = server_units - unit_vectors(layer).astype(np.float64)
         columns.append(np.linalg.norm(diff, axis=1))
     return np.stack(columns, axis=1)
 

@@ -2,8 +2,9 @@
 
 One experiment per file.  A key is a field of the dataclass its section
 builds, with that field's type and default, so a new field is a new key
-with no edit here.  Unknown keys are rejected with their full key path so a
-misspelled option can never silently fall back to a default.  Defaults fill
+with no edit here.  Unknown keys are rejected with their full key path,
+and a key repeated in one mapping with its line, so a misspelled or
+repeated option can never silently fall back to a default.  Defaults fill
 in 200 communication rounds and 5 local epochs.
 
 A minimal config:
@@ -182,12 +183,31 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, values, "")
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that refuses a key repeated in one mapping, block or flow,
+    where plain YAML keeps the last.  Merge keys (<<) still override as
+    YAML defines them."""
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        seen = set()
+        for key, _value in node.value:
+            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                name = self.construct_object(key)
+                if name in seen:
+                    raise yaml.constructor.ConstructorError(
+                        problem=f"repeated key {name!r}", problem_mark=key.start_mark)
+                seen.add(name)
+        return node
+
+
 def read_config(path) -> dict:
     """The mapping of a YAML experiment config, or of a run manifest's
-    resolved config, before parse_config_dict validates it."""
+    resolved config, before parse_config_dict validates it.  A key repeated
+    in one mapping is an error, not an override."""
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             where = f" at line {mark.line + 1}" if mark else ""

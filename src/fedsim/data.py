@@ -116,8 +116,8 @@ class CsvDataSpec:
     sample_rate_hz: float = 50.0
     target_hz: float | None = 50.0
     train_fraction: float = 0.8
-    window_length: int = 128
-    window_step: int = 64
+    window_length: int = DEFAULT_WINDOW
+    window_step: int = DEFAULT_STEP
 
     def __post_init__(self) -> None:
         if not self.paths:

@@ -121,13 +121,18 @@ def init_model(arch: ModelArch, seed, dtype=np.float64) -> ModelWeights:
     return ModelWeights(tuple(layers))
 
 
+def unit_vectors(layer: LayerWeights) -> np.ndarray:
+    """Every unit of a layer as a row [out_width, fan_in + 1]: the unit's
+    incoming weights in storage order, then its bias."""
+    flat = layer.incoming.reshape(-1, layer.out_width)
+    return np.vstack([flat, layer.bias[None, :]]).T
+
+
 def neuron_vector(layer: LayerWeights, unit: int) -> np.ndarray:
-    """Flatten unit `unit` of a layer into a vector: its incoming weights in
-    storage order, then its bias."""
+    """Unit `unit` of a layer as one row of unit_vectors."""
     if not 0 <= unit < layer.out_width:
         raise IndexError(f"unit {unit} out of range for width {layer.out_width}")
-    return np.concatenate([layer.incoming[..., unit].ravel(),
-                           layer.bias[unit:unit + 1]])
+    return unit_vectors(layer)[unit]
 
 
 def weighted_average(models, fractions) -> ModelWeights:

@@ -33,18 +33,21 @@ CSV_COLUMNS = ["round", "algorithm", "global_f1", "pers_mean", "pers_std",
 
 
 def confusion(truth, predictions, classes: int) -> np.ndarray:
-    """int64 count matrix: [i, j] = examples with truth i predicted as j."""
+    """int64 count matrix: [i, j] = examples with truth i predicted as j;
+    stacked predictions [models, examples] give [models, classes, classes]."""
     truth = np.asarray(truth, dtype=np.intp)
     predictions = np.asarray(predictions, dtype=np.intp)
-    if truth.shape != predictions.shape:
-        raise ValueError(
-            f"{len(truth)} truth labels vs {len(predictions)} predictions"
-        )
-    if len(truth) and (min(truth.min(), predictions.min()) < 0
-                       or max(truth.max(), predictions.max()) >= classes):
+    if predictions.shape[-1:] != truth.shape or not 1 <= predictions.ndim <= 2:
+        raise ValueError(f"truth of shape {truth.shape} vs predictions of "
+                         f"shape {predictions.shape}")
+    if any(a.size and (a.min() < 0 or a.max() >= classes)
+           for a in (truth, predictions)):
         raise ValueError(f"labels must lie in [0, class count {classes})")
-    counts = np.bincount(truth * classes + predictions, minlength=classes * classes)
-    return counts.astype(np.int64, copy=False).reshape(classes, classes)
+    rows = np.atleast_2d(predictions)
+    cells = (np.arange(len(rows))[:, None] * classes + truth) * classes + rows
+    counts = np.bincount(cells.ravel(), minlength=len(rows) * classes * classes)
+    return counts.astype(np.int64, copy=False).reshape(
+        predictions.shape[:-1] + (classes, classes))
 
 
 @dataclass(frozen=True)
@@ -86,28 +89,23 @@ def score_models(models, arch: ModelArch, tests) -> list[ScoreBundle]:
     """Scores of each model on the concatenation of a list of test sets,
     from the sum of their confusion matrices.  Every model is scored on a
     set in one nn.evaluate pass, which gathers each slice of the set once
-    and runs the leading layers the models share once on it."""
+    and runs the leading layers the models share once on it, and counts
+    their predictions in one stacked confusion call."""
     if not models:
         return []
     classes = arch.classes
     counts = np.zeros((len(models), classes, classes), dtype=np.int64)
     for test in tests:
         if len(test):
-            for row, predictions in zip(counts, nn.evaluate(models, arch, test)):
-                row += confusion(test.labels, predictions, classes)
+            counts += confusion(test.labels, nn.evaluate(models, arch, test), classes)
     if not counts.any():
         raise ValueError("empty test set")
-    return [score_bundle(row) for row in counts]
-
-
-def score_model(model: ModelWeights, arch: ModelArch, tests) -> ScoreBundle:
-    """Scores of model on the concatenation of a list of test sets."""
-    return score_models([model], arch, tests)[0]
+    return list(map(score_bundle, counts))
 
 
 def evaluate_global(server: ModelWeights, arch: ModelArch, tests) -> ScoreBundle:
     """Server model scored on every client's test set together."""
-    return score_model(server, arch, tests)
+    return score_models([server], arch, tests)[0]
 
 
 def spread(scores: list[float]) -> tuple[float, float]:
@@ -118,7 +116,7 @@ def spread(scores: list[float]) -> tuple[float, float]:
 
 def evaluate_personalization(entries, arch: ModelArch) -> list[float]:
     """Macro F1 of each (model, own test set) pair, in order."""
-    return [score_model(model, arch, [test]).macro_f1 for model, test in entries]
+    return [score_models([m], arch, [test])[0].macro_f1 for m, test in entries]
 
 
 def evaluate_generalization(best_models, arch: ModelArch, tests) -> list[float]:

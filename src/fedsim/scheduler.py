@@ -153,11 +153,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """A client's best-personalization model: the round that took it, its
-    macro F1 on the client's own test set, and on every client's test set."""
+    """A client's best-personalization model, as the tick that took it scored
+    it: the round, its macro F1 on the client's own test set, and on every
+    client's test set.  The model itself is not kept."""
 
     round: int
-    model: ModelWeights
     personalization: float
     generalization: float
 
@@ -321,7 +321,7 @@ def _evaluate_tick(cfg, run: ExperimentResult, active, t) -> RoundReport:
         if taken:
             fresh = evaluate_generalization([st.model for st, _ in taken], arch, tests)
             for (st, score), generalization in zip(taken, fresh):
-                st.best = Snapshot(t, st.model, score, generalization)
+                st.best = Snapshot(t, score, generalization)
         pers = {st.id: score for st, score in zip(scored, pers_scores)}
         gen = {st.id: st.best.generalization for st in states if st.best is not None}
     pers_mean, pers_std = spread(list(pers.values())) if pers else (None, None)

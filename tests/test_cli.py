@@ -140,6 +140,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line"):
             parse_config(path)
 
+    def test_repeated_key_rejected_with_its_line(self, tmp_path, capsys):
+        # a repeated key used to override the earlier one silently: here the
+        # second training section dropped learning_rate back to its default
+        text = (MINIMAL.replace("algorithm: fedavg\n", "algorithm: fedavg\nrounds: 3\n")
+                + "training:\n  learning_rate: 0.5\n"
+                + "training:\n  batch_size: 32\nrounds: 7\n")
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigError, match="at line 16: repeated key 'training'"):
+            parse_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "repeated key 'training'" in capsys.readouterr().err
+        flow = MINIMAL.replace("width: 8,", "width: 8, width: 9,")
+        with pytest.raises(ConfigError, match="at line 6: repeated key 'width'"):
+            parse_config(write(tmp_path, flow))
+
+    def test_merge_key_still_overrides(self, tmp_path):
+        text = MINIMAL.replace("data:\n  synthetic:\n", "data:\n  synthetic:\n"
+                               "    <<: {clients: 3, seed: 4}\n")
+        cfg = parse_config(write(tmp_path, text))
+        assert (cfg.data.clients, cfg.data.seed) == (2, 4)
+
     def test_wrong_type_rejected(self, tmp_path):
         path = write(tmp_path, MINIMAL.replace("rounds: 200", "") + "rounds: soon\n")
         with pytest.raises(ConfigError, match="rounds"):

@@ -31,6 +31,7 @@ from fedsim.fabric import (
     donor_successor_rows,
     shape_lines,
     successor_rows_per_unit,
+    unit_vectors,
 )
 
 from conftest import conv_arch, dense_arch, models_bit_equal, write_neuron
@@ -67,6 +68,21 @@ class TestNeuronVector:
         layer = LayerWeights(np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(IndexError):
             neuron_vector(layer, 2)
+
+
+class TestUnitVectors:
+    @pytest.mark.parametrize("shape", [(5, 3), (4, 2, 3)], ids=["dense", "conv"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_is_incoming_then_bias(self, rng, shape, dtype):
+        layer = LayerWeights(rng.normal(size=shape).astype(dtype),
+                             rng.normal(size=shape[-1]).astype(dtype))
+        rows = unit_vectors(layer)
+        assert rows.shape == (layer.out_width, layer.fan_in + 1)
+        assert rows.dtype == dtype
+        for k in range(layer.out_width):
+            expected = np.append(layer.incoming[..., k].ravel(), layer.bias[k])
+            assert np.array_equal(rows[k], expected)
+            assert np.array_equal(neuron_vector(layer, k), expected)
 
 
 class TestWeightedAverage:

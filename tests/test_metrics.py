@@ -30,8 +30,9 @@ from fedsim import (
 from fedsim.data import concat_window_sets
 from fedsim.fabric import LayerWeights
 from fedsim import nn
+from fedsim import scheduler
 from fedsim.aggregation import FedDistConfig, feddist_round
-from fedsim.metrics import score_model, score_models, spread
+from fedsim.metrics import score_models, spread
 from fedsim.nn import Batch
 
 from conftest import conv_arch, dense_arch, make_clients
@@ -71,6 +72,25 @@ class TestConfusion:
         for truth, preds in ([0, 3], [0, 1]), ([0, -1], [0, 1]), ([0, 1], [0, -2]):
             with pytest.raises(ValueError, match="class count"):
                 confusion(truth, preds, 3)
+
+
+    def test_stacked_predictions_count_each_row(self, rng):
+        truth = rng.integers(0, 4, size=50)
+        preds = rng.integers(0, 4, size=(3, 50))
+        out = confusion(truth, preds, 4)
+        assert out.shape == (3, 4, 4) and out.dtype == np.int64
+        for row, counts in zip(preds, out):
+            assert np.array_equal(counts, confusion(truth, row, 4))
+        assert np.array_equal(confusion([], np.zeros((3, 0), dtype=int), 4),
+                              np.zeros((3, 4, 4)))
+        assert confusion(truth, preds[:0], 4).shape == (0, 4, 4)
+
+    def test_stacked_out_of_range_prediction_rejected(self):
+        for bad in (4, -1):
+            preds = np.zeros((3, 5), dtype=int)
+            preds[2, 1] = bad
+            with pytest.raises(ValueError, match="class count"):
+                confusion(np.zeros(5, dtype=int), preds, 4)
 
 
 class TestMacroF1:
@@ -184,7 +204,7 @@ class TestPersonalizationAndGeneralization:
             ws = Batch(rng.normal(size=(30, 4, 1)), rng.integers(0, 3, 30))
             entries.append((model, ws))
         scores = evaluate_personalization(entries, arch)
-        expected = [score_model(m, arch, [w]).macro_f1 for m, w in entries]
+        expected = [score_models([m], arch, [w])[0].macro_f1 for m, w in entries]
         assert scores == expected
         mean, std = spread(scores)
         assert mean == pytest.approx(float(np.mean(expected)))
@@ -195,7 +215,7 @@ class TestPersonalizationAndGeneralization:
         ws = Batch(rng.normal(size=(30, 4, 1)), rng.integers(0, 3, 30))
         models = [init_model(arch, 1), init_model(arch, 2)]
         assert evaluate_generalization(models, arch, [ws]) == [
-            score_model(m, arch, [ws]).macro_f1 for m in models]
+            score_models([m], arch, [ws])[0].macro_f1 for m in models]
 
 
 DESK_CONV = ModelArch(128, 6, (
@@ -224,9 +244,10 @@ class TestScoresAddAcrossTestSets:
         models = [init_model(arch, seed) for seed in (1, 2, 3)]
         assert len(np.unique(evaluate(models[0], arch, pooled[0].inputs))) > 1
         for model in models:
-            assert evaluate_global(model, arch, sets) == score_model(model, arch, pooled)
+            assert evaluate_global(model, arch, sets) == score_models(
+                [model], arch, pooled)[0]
         assert evaluate_generalization(models, arch, sets) == [
-            score_model(m, arch, pooled).macro_f1 for m in models]
+            score_models([m], arch, pooled)[0].macro_f1 for m in models]
 
     def test_sets_without_windows_rejected(self):
         model = init_model(DENSE_ONLY, 1)
@@ -371,7 +392,6 @@ class TestSnapshotTracking:
         arch, res = self._tiny_run(rounds=1)
         for st in res.states:
             assert st.best.round == 1
-            assert st.best.model is st.model
 
     def test_best_is_running_max(self):
         arch, res = self._tiny_run()
@@ -380,17 +400,26 @@ class TestSnapshotTracking:
             assert st.best.personalization == pytest.approx(max(history))
             assert st.best.round == history.index(max(history)) + 1
 
-    def test_generalization_matches_exhaustive_rescoring_oracle(self):
-        # oracle: re-score every historical snapshot; best per client must be
-        # the one the tracker kept
+    def test_generalization_matches_exhaustive_rescoring_oracle(self, monkeypatch):
+        # oracle: re-score every client's model of every tick; the reported
+        # generalization must be that of the model of the client's best round
+        models, tick = [], scheduler._evaluate_tick
+
+        def recording_tick(cfg, run, *args):
+            models.append({st.id: st.model for st in run.states})
+            return tick(cfg, run, *args)
+
+        monkeypatch.setattr(scheduler, "_evaluate_tick", recording_tick)
         arch, res = self._tiny_run(seed=8)
         final = res.reports[-1]
         pooled = [concat_window_sets(st.test for st in res.states)]
         for st in res.states:
             history = [r.per_client_personalization[st.id] for r in res.reports]
             assert st.best.personalization == max(history)
-            expected = score_model(st.best.model, arch, pooled).macro_f1
-            assert final.per_client_generalization[st.id] == pytest.approx(expected)
+            rescored = [score_models([held[st.id]], arch, pooled)[0].macro_f1
+                        for held in models]
+            assert final.per_client_generalization[st.id] == pytest.approx(
+                rescored[st.best.round - 1])
 
 
 def test_heterogeneity_gap_ordering():

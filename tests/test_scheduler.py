@@ -33,7 +33,7 @@ from fedsim import (
 from fedsim.config import parse_config_dict
 from fedsim.data import concat_window_sets
 from fedsim.fabric import neuron_vector
-from fedsim.metrics import score_model
+from fedsim.metrics import score_models
 from fedsim.nn import Batch
 
 from conftest import models_bit_equal, write_neuron
@@ -347,11 +347,13 @@ class TestGeneralizationScoredOnce:
     @staticmethod
     def _ticks(monkeypatch, eval_every):
         """Per tick: (report, models scored since the previous tick, each
-        snapshotted client's (best.round, best.model) as the report left)."""
+        snapshotted client's (best.round, model scored at that round) as the
+        report left).  A snapshot keeps no model, so each client's model is
+        captured at the tick that takes its snapshot."""
         # seed 6 replaces a kept snapshot at both cadences
         cfg = tiny_config(rounds=12, clients=5, seed=6, eval_every=eval_every,
                           scenario=ScenarioSpec(kind="interchanging", sample_size=3))
-        runs, scored, ticks = [], [], []
+        runs, scored, ticks, taken = [], [], [], {}
         tick, score = scheduler._evaluate_tick, scheduler.evaluate_generalization
 
         def recording_tick(cfg, run, *args):
@@ -363,8 +365,11 @@ class TestGeneralizationScoredOnce:
             return score(best_models, *args)
 
         def on_report(report):
-            held = {st.id: (st.best.round, st.best.model) for st in runs[-1].states
-                    if st.best is not None}
+            snapshotted = [st for st in runs[-1].states if st.best is not None]
+            for st in snapshotted:
+                if st.best.round == report.round:
+                    taken[st.id] = st.model
+            held = {st.id: (st.best.round, taken[st.id]) for st in snapshotted}
             ticks.append((report, sum(scored), held))
             scored.clear()
 
@@ -395,7 +400,7 @@ class TestGeneralizationScoredOnce:
         for report, _, held in ticks:
             assert report.per_client_generalization.keys() == held.keys()
             for k, (_, best_model) in held.items():
-                expected = score_model(best_model, cfg.model, pooled).macro_f1
+                expected = score_models([best_model], cfg.model, pooled)[0].macro_f1
                 assert report.per_client_generalization[k] == expected
 
 

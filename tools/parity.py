@@ -13,13 +13,21 @@ segments) at `--threads` 1 and `eval_every` 1, which covers the CSV source
 (data.read_csv_clients) and the copy that pools a centralized run's training
 sets; feddist also runs on them at window steps 32 and 96, more and less
 overlap than the default 64, which covers the split sides' view of the
-series at other overlaps.  A dense-only model, dense(12) -> softmax(4),
-runs fedavg and feddist on the synthetic clients at `--threads` 1 and
-`eval_every` 1, which covers scoring without a leading conv and
-dense-to-dense growth.  The conv model also runs at `precision: float32`
-on the synthetic clients, feddist at `--threads` 1 and fedavg at 2, both
-at `eval_every` 1, which covers the float32 row gather and the float32
-model container.
+series at other overlaps, and with the exports declared at 100 Hz
+(`sample_rate_hz: 100`, `target_hz: 50`; ingest_csv ignores the
+timestamps), which covers CSV decimation.  Every case below runs at
+`--threads` 1 and `eval_every` 1 unless it says otherwise.  Two more
+models run fedavg and feddist on the synthetic clients: a dense-only
+model, dense(12) -> softmax(4), which covers scoring without a leading
+conv and dense-to-dense growth, and conv1d(6, k8) -> conv1d(6, k5) ->
+maxpool1d(4) -> dense(12) -> softmax(4), whose first conv no pool
+follows, which covers the unfused conv in training and in scoring and
+the conv input gradient.  The conv model also runs at `precision:
+float32` on the synthetic clients, feddist at `--threads` 1 and fedavg
+at 2, which covers the float32 row gather and the float32 model
+container; feddist on a `decrementing` pool that loses a client every 2
+rounds (7, 7, 6, 6, 5, 5 active); and feddist at `base_sigma_multiplier:
+2.0`, where some examined layers do not grow.
 Each run's rounds.csv, rounds.jsonl, model.bin and shape.txt are
 compared byte for byte (local-only writes no model), and the
 `resolved_config` of both sides' manifest.json is compared parsed as JSON,
@@ -58,7 +66,7 @@ CADENCES = (1, 3)
 OUTPUTS = ("rounds.csv", "rounds.jsonl", "model.bin", "shape.txt")
 CSV_CLIENTS, CSV_ROWS, CSV_SEGMENT = 3, 2000, 200
 CSV_STEPS = (32, 96)  # window steps besides the default 64
-DENSE_ALGORITHMS = ("fedavg", "feddist")
+GROWTH_ALGORITHMS = ("fedavg", "feddist")  # with and without growth
 F32_CASES = (("feddist", 1), ("fedavg", 2))  # (algorithm, threads)
 
 CONFIG = """\
@@ -75,12 +83,19 @@ training:
   learning_rate: 0.05
   batch_size: 16
 feddist:
-  base_sigma_multiplier: 1.0
+  base_sigma_multiplier: {sigma}
 scenario:
-  kind: interchanging
-  sample_size: 3
+{scenario}
 data:
 {data}"""
+
+INTERCHANGING = """\
+  kind: interchanging
+  sample_size: 3"""
+
+DECREMENTING = """\
+  kind: decrementing
+  interval_rounds: 2"""
 
 CONV_LAYERS = """\
     - {kind: conv1d, width: 6, kernel: 16, activation: relu}
@@ -89,6 +104,13 @@ CONV_LAYERS = """\
     - {kind: softmax-output, width: 4}"""
 
 DENSE_LAYERS = """\
+    - {kind: dense, width: 12, activation: relu}
+    - {kind: softmax-output, width: 4}"""
+
+UNPOOLED_LAYERS = """\
+    - {kind: conv1d, width: 6, kernel: 8, activation: relu}
+    - {kind: conv1d, width: 6, kernel: 5, activation: relu}
+    - {kind: maxpool1d, kernel: 4}
     - {kind: dense, width: 12, activation: relu}
     - {kind: softmax-output, width: 4}"""
 
@@ -152,6 +174,14 @@ def run(src: Path, config: Path, out: Path, threads: int) -> None:
         raise SystemExit(f"fedsim run failed for {out}:\n{proc.stderr}")
 
 
+def case(name, algorithm, *, eval_every=1, threads=1, layers=CONV_LAYERS,
+         data=SYNTHETIC, sigma=1.0, scenario=INTERCHANGING):
+    """(name, algorithm, threads, config text) of one parity case."""
+    return name, algorithm, threads, CONFIG.format(
+        algorithm=algorithm, eval_every=eval_every, layers=layers, data=data,
+        sigma=sigma, scenario=scenario)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
@@ -163,24 +193,30 @@ def main(argv=None) -> int:
         lines = {side: line_count(src) for side, src in trees.items()}
         csv_data = CSV.format(paths=", ".join(
             json.dumps(str(p)) for p in write_csv_exports(work)))
-        cases = [(f"{algorithm}-e{eval_every}-t{threads}", algorithm, eval_every,
-                  threads, CONV_LAYERS, SYNTHETIC)
+        cases = [case(f"{algorithm}-e{eval_every}-t{threads}", algorithm,
+                      eval_every=eval_every, threads=threads)
                  for algorithm in ALGORITHMS for eval_every in CADENCES
                  for threads in THREADS]
-        cases += [(f"csv-{algorithm}-e1-t1", algorithm, 1, 1, CONV_LAYERS, csv_data)
+        cases += [case(f"csv-{algorithm}-e1-t1", algorithm, data=csv_data)
                   for algorithm in ALGORITHMS]
-        cases += [(f"csv-step{step}-feddist-e1-t1", "feddist", 1, 1, CONV_LAYERS,
-                   csv_data + f"    window_step: {step}\n") for step in CSV_STEPS]
-        cases += [(f"dense-{algorithm}-e1-t1", algorithm, 1, 1, DENSE_LAYERS, SYNTHETIC)
-                  for algorithm in DENSE_ALGORITHMS]
-        cases += [(f"f32-{algorithm}-e1-t{threads}", algorithm, 1, threads, CONV_LAYERS,
-                   SYNTHETIC + "precision: float32\n")
+        cases += [case(f"csv-step{step}-feddist-e1-t1", "feddist",
+                       data=csv_data + f"    window_step: {step}\n")
+                  for step in CSV_STEPS]
+        cases += [case("csv-100hz-feddist-e1-t1", "feddist", data=csv_data
+                       + "    sample_rate_hz: 100\n    target_hz: 50\n")]
+        cases += [case(f"dense-{algorithm}-e1-t1", algorithm, layers=DENSE_LAYERS)
+                  for algorithm in GROWTH_ALGORITHMS]
+        cases += [case(f"unpooled-{algorithm}-e1-t1", algorithm, layers=UNPOOLED_LAYERS)
+                  for algorithm in GROWTH_ALGORITHMS]
+        cases += [case(f"f32-{algorithm}-e1-t{threads}", algorithm, threads=threads,
+                       data=SYNTHETIC + "precision: float32\n")
                   for algorithm, threads in F32_CASES]
+        cases += [case("decrementing-feddist-e1-t1", "feddist", scenario=DECREMENTING),
+                  case("sigma2-feddist-e1-t1", "feddist", sigma=2.0)]
         same, configs, differ = 0, 0, []
-        for name, algorithm, eval_every, threads, layers, data in cases:
+        for name, algorithm, threads, text in cases:
             config = work / f"{name}.yaml"
-            config.write_text(CONFIG.format(algorithm=algorithm, eval_every=eval_every,
-                                            layers=layers, data=data))
+            config.write_text(text)
             for side, src in trees.items():
                 run(src, config, work / "out" / side / name, threads)
             for output in OUTPUTS:
