@@ -146,11 +146,12 @@ class CommLedger:
 
 class RoundOutcome(NamedTuple):
     """What a round returns, unpacked as (server, ledger, client models):
-    the new server model, the round's ledger, and the model each active
-    client trained in the round's last phase, in client-id order (a FedDist
-    round's last phase is its last sub-round, if a layer grew)."""
+    the new server model (None for local-only), the round's ledger, and the
+    model each active client trained in the round's last phase, in client-id
+    order (a FedDist round's last phase is its last sub-round, if a layer
+    grew; centralized trains no client)."""
 
-    server: ModelWeights
+    server: ModelWeights | None
     ledger: CommLedger
     client_models: list[ModelWeights]
 

@@ -45,12 +45,8 @@ def _write_manifest(path: Path, manifest: dict) -> None:
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _warn_host_changes(config_path, host: dict) -> None:
+def _warn_host_changes(recorded: dict, host: dict) -> None:
     """Warn once for each host fact that a replayed manifest recorded otherwise."""
-    try:
-        recorded = dict(json.loads(Path(config_path).read_text())["host"])
-    except (OSError, ValueError, KeyError, TypeError):  # YAML, or no host block
-        return
     for key, value in host.items():
         if recorded.get(key) != value:
             print(f"warning: host {key} was {recorded.get(key)!r} in the manifest, "
@@ -59,7 +55,7 @@ def _warn_host_changes(config_path, host: dict) -> None:
 
 def cmd_run(args) -> int:
     try:
-        raw = read_config(args.config)
+        raw, recorded = read_config(args.config)
         if args.seed is not None:
             # Set before data.synthetic.seed defaults to the seed, so an
             # explicit data seed, or the one a manifest recorded, stays.
@@ -90,7 +86,8 @@ def cmd_run(args) -> int:
         "status": "running",
     }
     _write_manifest(manifest_path, manifest)
-    _warn_host_changes(args.config, manifest["host"])
+    if recorded is not None:  # a replayed manifest
+        _warn_host_changes(recorded, manifest["host"])
     model_path.unlink(missing_ok=True)
     shape_path.unlink(missing_ok=True)
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import re
 import types
 import typing
 
@@ -201,10 +202,20 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return node
 
 
-def read_config(path) -> dict:
-    """The mapping of a YAML experiment config, or of a run manifest's
-    resolved config, before parse_config_dict validates it.  A key repeated
-    in one mapping is an error, not an override."""
+# YAML 1.1 reads a float only with a dot in its mantissa, so 1e-05, which
+# json.dumps writes for 0.00001 in a manifest, would be a string.  The
+# pattern needs an exponent, so an int such as 10 stays an int.
+_UniqueKeyLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
+def read_config(path) -> tuple[dict, dict | None]:
+    """(the mapping of a YAML experiment config, or of a run manifest's
+    resolved config, before parse_config_dict validates it; the host facts a
+    manifest recorded, None for a plain config).  A key repeated in one
+    mapping is an error, not an override."""
     with open(path, encoding="utf-8") as fh:
         try:
             raw = yaml.load(fh, Loader=_UniqueKeyLoader)
@@ -217,14 +228,16 @@ def read_config(path) -> dict:
     if raw is None:
         raise ConfigError(f"{path} is empty")
     raw = _require_mapping(raw, "config")
-    if "resolved_config" in raw:  # a manifest: rerun its embedded config
-        return _require_mapping(raw["resolved_config"], "resolved_config")
-    return raw
+    if "resolved_config" not in raw:
+        return raw, None
+    host = raw.get("host")  # a manifest; one from before host facts has none
+    return (_require_mapping(raw["resolved_config"], "resolved_config"),
+            host if isinstance(host, dict) else None)
 
 
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a YAML experiment config (or a run manifest)."""
-    return parse_config_dict(read_config(path))
+    return parse_config_dict(read_config(path)[0])
 
 
 def _dump(value):

@@ -489,17 +489,17 @@ def _shared_cut(models: list[ModelWeights], arch: ModelArch) -> int:
     return params[shared]
 
 
-def _infer(model: ModelWeights, arch: ModelArch, xs: np.ndarray, last: int | None,
-           z_buf: np.ndarray | None) -> np.ndarray:
-    """Layers [0, last) of the stack (to the end when last is None) on a
-    gathered slice xs, forward-only, as scoring runs them.
+def _infer(model: ModelWeights, arch: ModelArch, a: np.ndarray, first: int,
+           last: int | None, z_buf: np.ndarray | None) -> np.ndarray:
+    """Layers [first, last) of the stack (to the end when last is None) on
+    a, their input in a gathered slice, forward-only, as scoring runs them.
 
-    A leading conv runs as one gemm per output position t over the slice's
-    m windows: item t of the transposed im2col view is an [m, k*C] matrix
-    whose leading dimension is the window stride, which BLAS reads in
-    place, so no im2col row is copied (the per-window gemm's rows overlap
-    with a stride of C elements, below k*C, so numpy copies them).  The
-    gemms write the reused buffer z_buf, position-major [T, m, C_out].
+    Run from layer 0, a leading conv is one gemm per output position t over
+    the slice's m windows: item t of the transposed im2col view is an
+    [m, k*C] matrix whose leading dimension is the window stride, which BLAS
+    reads in place, so no im2col row is copied (the per-window gemm's rows
+    overlap with a stride of C elements, below k*C, so numpy copies them).
+    The gemms write the reused buffer z_buf, position-major [T, m, C_out].
     When a maxpool1d follows the conv, the gemms skip the trailing
     positions the pool never reads, the pool takes the max over whole
     [m, C_out] planes of the raw gemm output, and only the pooled quarter
@@ -509,8 +509,8 @@ def _infer(model: ModelWeights, arch: ModelArch, xs: np.ndarray, last: int | Non
     _block_max keeps the first slot of a tie.  A conv with no pool after it
     adds the bias and activates every position.  The output may differ in
     the last bit from the per-window path training runs (_walk)."""
-    if arch.layers[0].kind != CONV1D:
-        return _walk(model, arch, xs, 0, last)[0]
+    if first or arch.layers[0].kind != CONV1D:
+        return _walk(model, arch, a, first, last)[0]
     spec, layer = arch.layers[0], model.layers[0]
     k, c_in, c_out = layer.incoming.shape
     # softmax-output comes last, so a conv always has a layer above it
@@ -518,10 +518,10 @@ def _infer(model: ModelWeights, arch: ModelArch, xs: np.ndarray, last: int | Non
     t_run = arch.input_length - k + 1
     if pool:
         t_run -= t_run % pool  # the rows the pool reads
-    m = len(xs)
+    m = len(a)
     z = z_buf[:t_run * m * c_out].reshape(t_run, m, c_out)
     # cols[t, i]: row t of window i
-    cols = _im2col(xs, k).transpose(1, 0, 2)[:t_run]
+    cols = _im2col(a, k).transpose(1, 0, 2)[:t_run]
     np.matmul(cols, layer.incoming.reshape(k * c_in, c_out), out=z)
     if pool:
         z = _block_max(z.reshape(t_run // pool, pool, m, c_out).transpose(1, 0, 2, 3))
@@ -540,20 +540,17 @@ def _slice_logits(models: list[ModelWeights], arch: ModelArch, inputs):
     operations on the same values, and the same slices, so every gemm
     keeps its row count."""
     cut = _shared_cut(models, arch)
-    heads = models[:1] if cut else models  # the models that run layer 0
     dtype = models[0].dtype
     z_buf = None
     if arch.layers[0].kind == CONV1D:
         t = arch.input_length - arch.layers[0].kernel + 1
-        z_buf = np.empty(t * _SLICE * max(model.layers[0].out_width for model in heads),
+        z_buf = np.empty(t * _SLICE * max(model.layers[0].out_width for model in models),
                          dtype=dtype)
     for lo in range(0, len(inputs), _SLICE):
-        xs = _gather(inputs, dtype, slice(lo, lo + _SLICE))
+        a = _gather(inputs, dtype, slice(lo, lo + _SLICE))
         if cut:
-            a = _infer(models[0], arch, xs, cut, z_buf)
-            yield lo, [_walk(model, arch, a, cut)[0] for model in models]
-        else:
-            yield lo, [_infer(model, arch, xs, None, z_buf) for model in models]
+            a = _infer(models[0], arch, a, 0, cut, z_buf)
+        yield lo, [_infer(model, arch, a, cut, None, z_buf) for model in models]
 
 
 def forward(model: ModelWeights, arch: ModelArch, inputs) -> np.ndarray:

@@ -22,6 +22,7 @@ from .aggregation import (
     ClientRuntime,
     CommLedger,
     FedDistConfig,
+    RoundOutcome,
     fedavg_round,
     feddist_round,
     fedprox_round,
@@ -155,7 +156,7 @@ class ExperimentConfig:
 class Snapshot:
     """A client's best-personalization model, as the tick that took it scored
     it: the round, its macro F1 on the client's own test set, and on every
-    client's test set.  The model itself is not kept."""
+    client's test set."""
 
     round: int
     personalization: float
@@ -220,12 +221,16 @@ def client_datasets(cfg: ExperimentConfig) -> list[tuple[Batch, Batch]]:
 @functools.cache
 def _openblas(name: str, restype=ctypes.c_int) -> tuple:
     """Function openblas_<name> of each loaded OpenBLAS, under the prefix
-    and suffix its build exports it with, found once."""
+    and suffix its build exports it with, found once.  A maps line's sixth
+    field is the mapped path, which may hold spaces; a deleted file is
+    skipped."""
     try:
         with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+            paths = {line.rstrip("\n").split(maxsplit=5)[5] for line in fh
+                     if "openblas" in line.lower()}
     except OSError:
         return ()
+    paths = sorted(path for path in paths if not path.endswith(" (deleted)"))
     symbols = [f"{prefix}openblas_{name}{suffix}"
                for prefix in ("", "scipy_") for suffix in ("", "64_")]
     found = tuple(getattr(lib, symbol) for lib in map(ctypes.CDLL, paths)
@@ -282,9 +287,11 @@ def run_experiment(cfg: ExperimentConfig, on_report=None) -> ExperimentResult:
             pooled = concat_window_sets(train for train, _test in datasets)
         for t in range(1, cfg.rounds + 1):
             with diverged_in(f"round {t}"):
-                ledger, run.final_model, active = _round(
+                (run.final_model, ledger, models), active = _round(
                     cfg, t, run.states, run.final_model, pooled, executor)
             run.ledgers.append(ledger)
+            for k, model in zip(active, models):
+                run.states[k].model = model
             if t % cfg.eval_every == 0 or t == cfg.rounds:
                 report = _evaluate_tick(cfg, run, active, t)
                 run.reports.append(report)
@@ -347,25 +354,23 @@ def _evaluate_tick(cfg, run: ExperimentResult, active, t) -> RoundReport:
 
 
 def _round(cfg, t, states, server, pooled, executor):
-    """Run round t and return (ledger, server model or None, ids of the
-    clients to score).  Centralized trains the server on pooled, every
-    client's training windows together, and scores no client.  Local-only
-    trains every client's own model for E epochs a round (T*E in total, the
-    gradient budget of FL), draws no scenario and scores every client.
-    Every client, and the pooled set, trains with cfg.training."""
+    """Run round t and return (its RoundOutcome, ids of the clients it
+    trained); the run state is left to run_experiment.  Centralized trains
+    the server on pooled, every client's training windows together, and no
+    client.  Local-only trains every client's own model for E epochs a round
+    (T*E in total, the gradient budget of FL), draws no scenario and has no
+    server.  Every client, and the pooled set, trains with cfg.training."""
     arch = cfg.model
     if cfg.algorithm == "centralized":
         with diverged_in("every client pooled, centralized training"):
             server, _ = train_local(server, arch, pooled, cfg.training,
                                     _train_seed(cfg.seed, t, 0))
-        return CommLedger(t), server, ()
+        return RoundOutcome(server, CommLedger(t), []), ()
     if cfg.algorithm == "local-only":
         models = train_clients([_runtime(cfg, st, t) for st in states],
                                [st.model for st in states], arch,
                                "local training", executor=executor)
-        for st, model in zip(states, models):
-            st.model = model
-        return CommLedger(t), None, tuple(range(len(states)))
+        return RoundOutcome(None, CommLedger(t), models), tuple(range(len(states)))
 
     rng = np.random.default_rng(sequence("scenario", cfg.seed, t))
     active = active_clients(cfg.scenario, t, len(states), rng)
@@ -376,9 +381,7 @@ def _round(cfg, t, states, server, pooled, executor):
         outcome = fedprox_round(server, arch, clients, round_index=t, executor=executor)
     else:
         outcome = fedavg_round(server, arch, clients, round_index=t, executor=executor)
-    for k, model in zip(active, outcome.client_models):
-        states[k].model = model
-    return outcome.ledger, outcome.server, active
+    return outcome, active
 
 
 def rerun_with_final_shape(cfg: ExperimentConfig,

@@ -521,6 +521,8 @@ class TestLedgers:
         meta = 2 * shape_metadata_size(server)
         assert fd.ledger.shape_metadata_bytes == meta
         assert fd.ledger.total_bytes == fa.ledger.total_bytes + meta
+        fa_bytes = fa.ledger.total_bytes
+        assert cost_ratio(fd.ledger, fa.ledger) == (fa_bytes + meta) / fa_bytes > 1
 
     def test_totals_additive_and_trajectory(self, monkeypatch):
         arch = dense_arch(4, 8, 3)

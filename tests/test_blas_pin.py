@@ -5,6 +5,7 @@ for the CPU, which host_facts names."""
 
 from __future__ import annotations
 
+import io
 import os
 import platform
 import subprocess
@@ -131,3 +132,33 @@ def test_diverged_run_restores_the_count(blas):
     with pytest.raises(DivergenceError):
         run_experiment(tiny_config(learning_rate=1e150))
     assert blas() == 2
+
+
+def test_openblas_found_under_a_path_with_a_space(tmp_path, monkeypatch):
+    # A maps line's sixth field is the path, spaces and all; a mapping of a
+    # deleted file is not opened.
+    with open("/proc/self/maps") as fh:
+        loaded = sorted({line.rstrip("\n").split(maxsplit=5)[5] for line in fh
+                         if "openblas" in line.lower()})
+    if not loaded:
+        pytest.skip("no OpenBLAS is loaded")
+    (tmp_path / "sp ace").mkdir()
+    spaced = tmp_path / "sp ace" / Path(loaded[0]).name
+    spaced.symlink_to(loaded[0])
+    maps = (f"7f0000000000-7f0000001000 r-xp 00000000 08:01 1234   {spaced}\n"
+            f"7f0000001000-7f0000002000 r--p 00000000 08:01 1235   "
+            f"{tmp_path / 'old openblas.so'} (deleted)\n")
+    monkeypatch.setattr(scheduler, "open", lambda *args: io.StringIO(maps), raising=False)
+    scheduler._openblas.cache_clear()
+    try:
+        libraries = scheduler.openblas_threading()
+    finally:
+        monkeypatch.undo()
+        scheduler._openblas.cache_clear()
+    assert len(libraries) == 1
+    get, set_ = libraries[0]
+    before = get()
+    set_(1)
+    assert get() == 1
+    set_(before)
+    assert get() == before

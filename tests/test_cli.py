@@ -8,6 +8,7 @@ import functools
 import hashlib
 import json
 import re
+import struct
 import time
 from pathlib import Path
 
@@ -17,10 +18,12 @@ import yaml
 
 import fedsim.scheduler as scheduler
 from fedsim.aggregation import FedDistConfig
-from fedsim.arch import ArchError, LayerSpec
+from fedsim.arch import ArchError, LayerSpec, ModelArch
 from fedsim.cli import main, summarize_run, _load_run
-from fedsim.config import ConfigError, config_to_dict, parse_config, parse_config_dict
-from fedsim.container import deserialize_model
+from fedsim.config import (ConfigError, config_to_dict, parse_config, parse_config_dict,
+                           read_config)
+from fedsim.container import HEADER_SIZE, deserialize_model, serialize_model
+from fedsim.fabric import init_model
 from fedsim.metrics import CSV_COLUMNS
 from fedsim.nn import TrainingConfig
 from fedsim.scheduler import CsvDataSpec, host_facts, openblas_threading
@@ -161,6 +164,16 @@ class TestParseConfig:
         cfg = parse_config(write(tmp_path, text))
         assert (cfg.data.clients, cfg.data.seed) == (2, 4)
 
+    def test_exponent_floats_are_floats(self, tmp_path):
+        # YAML 1.1 reads a float only with a dot in its mantissa
+        cfg = parse_config(write(tmp_path, MINIMAL + "training:\n  learning_rate: 1e-5\n"))
+        assert cfg.training.learning_rate == 1e-5
+        raw, host = read_config(write(tmp_path, "x: [1e-5, 1e-05, 2E+3, -3e-2, 10]\n"))
+        assert raw == {"x": [1e-5, 1e-5, 2000.0, -0.03, 10]}
+        assert [type(v) for v in raw["x"]] == [float] * 4 + [int]
+        assert host is None
+        assert yaml.safe_load("x: 1e-5") == {"x": "1e-5"}  # SafeLoader is left alone
+
     def test_wrong_type_rejected(self, tmp_path):
         path = write(tmp_path, MINIMAL.replace("rounds: 200", "") + "rounds: soon\n")
         with pytest.raises(ConfigError, match="rounds"):
@@ -184,9 +197,80 @@ class TestParseConfig:
         ("alpha: 0.5\n", "alpha: 0.5\n    segment_range: [x, 320]\n",
          "data.synthetic.segment_range[0] must be int, got str"),
         ("fedavg\n", "fedavg\nrounds: abc\n", "rounds must be int, got str"),
+        *(pytest.param(old, new, message, id=name) for name, old, new, message in [
+            # the reader's shape checks
+            ("section-not-a-mapping", "fedavg\n", "fedavg\ntraining: [0.05]\n",
+             "training must be a mapping, got list"),
+            ("input-not-a-list", "[128, 6]", "128", "model.input must be a list, got int"),
+            ("input-item-count", "[128, 6]", "[128]", "model.input must hold 2 items, got 1"),
+            # each section's range checks, named under its key path
+            ("feddist-beta", "fedavg\n", "fedavg\nfeddist: {beta: -0.1}\n",
+             "feddist: beta must be non-negative"),
+            ("feddist-sigma", "fedavg\n", "fedavg\nfeddist: {base_sigma_multiplier: 0.0}\n",
+             "feddist: base_sigma_multiplier must be positive"),
+            ("feddist-cap", "fedavg\n",
+             "fedavg\nfeddist: {max_new_units_per_layer_per_round: -1}\n",
+             "feddist: growth cap must be >= 0"),
+            ("feddist-layerwise-epochs", "fedavg\n", "fedavg\nfeddist: {layerwise_epochs: 0}\n",
+             "feddist: layerwise_epochs must be >= 1"),
+            ("scenario-kind", "fedavg\n", "fedavg\nscenario: {kind: random}\n",
+             "scenario: unknown scenario kind 'random'"),
+            ("scenario-count", "fedavg\n", "fedavg\nscenario: {sample_size: 0}\n",
+             "scenario: scenario client counts must be >= 1"),
+            ("scenario-interval", "fedavg\n", "fedavg\nscenario: {interval_rounds: 0}\n",
+             "scenario: interval_rounds must be >= 1"),
+            ("scenario-start-above-pool", "fedavg\n",
+             "fedavg\nscenario: {kind: incrementing, start_count: 3}\n",
+             "start_count 3 exceeds pool 2"),
+            ("algorithm", "fedavg\n", "fedsgd\n", "unknown algorithm 'fedsgd'"),
+            ("precision", "fedavg\n", "fedavg\nprecision: float16\n",
+             "precision must be float32 or float64"),
+            ("eval-every", "fedavg\n", "fedavg\neval_every: 0\n", "eval_every must be >= 1"),
+            ("local-epochs", "fedavg\n", "fedavg\nlocal_epochs: 0\n",
+             "training: local_epochs must be >= 1"),
+            ("learning-rate", "fedavg\n", "fedavg\ntraining: {learning_rate: -0.1}\n",
+             "training: learning_rate must be non-negative"),
+            ("batch-size", "fedavg\n", "fedavg\ntraining: {batch_size: 0}\n",
+             "training: batch_size must be >= 1"),
+            ("proximal-coefficient", "fedavg\n",
+             "fedavg\ntraining: {proximal_coefficient: -0.5}\n",
+             "training: proximal_coefficient must be >= 0"),
+            ("synthetic-clients", "clients: 2", "clients: 0",
+             "data.synthetic: clients must be >= 1"),
+            ("synthetic-classes", "classes: 4", "classes: 1",
+             "data.synthetic: classes must be >= 2"),
+            ("synthetic-alpha", "alpha: 0.5", "alpha: 0.0",
+             "data.synthetic: dirichlet_alpha must be positive"),
+            ("synthetic-train-fraction", "alpha: 0.5\n",
+             "alpha: 0.5\n    train_fraction: 1.0\n",
+             "data.synthetic: train_fraction must lie in (0, 1)"),
+            ("layer-kind", "{kind: dense,", "{kind: dense2,",
+             "model.layers[0]: unknown layer kind 'dense2'"),
+            ("layer-width", "width: 8,", "width: 0,",
+             "model.layers[0]: dense layer needs width >= 1"),
+            ("layer-activation", "activation: relu", "activation: gelu",
+             "model.layers[0]: unknown activation 'gelu'"),
+            ("input-dimensions", "[128, 6]", "[0, 6]", "model: input dimensions must be >= 1"),
+            ("one-layer", "    - {kind: dense, width: 8, activation: relu}\n", "",
+             "model: a model needs at least 2 layers"),
+            ("last-layer", "{kind: softmax-output, width: 4}", "{kind: dense, width: 4}",
+             "model: final layer must be softmax-output"),
+            ("output-not-last", "{kind: dense, width: 8, activation: relu}",
+             "{kind: softmax-output, width: 8}",
+             "model: layer 0: softmax-output only allowed last"),
+            ("pool-after-flatten", "    - {kind: softmax-output",
+             "    - {kind: maxpool1d, kernel: 2}\n    - {kind: softmax-output",
+             "model: layer 1: maxpool1d after flatten"),
+            ("kernel-above-length", "    - {kind: dense",
+             "    - {kind: conv1d, width: 4, kernel: 200, activation: relu}\n"
+             "    - {kind: dense",
+             "model: layer 0: conv1d kernel 200 exceeds length 128"),
+        ]),
     ])
     def test_elements_typed_strictly(self, tmp_path, capsys, old, new, message):
-        path = write(tmp_path, MINIMAL.replace(old, new))
+        text = MINIMAL.replace(old, new)
+        assert text != MINIMAL
+        path = write(tmp_path, text)
         with pytest.raises(ConfigError, match="^" + re.escape(message)):
             parse_config(path)
         assert main(["validate", "--config", str(path)]) == 2
@@ -348,6 +432,18 @@ class TestRunCommand:
         assert (out1 / "rounds.csv").read_bytes() == (out2 / "rounds.csv").read_bytes()
         assert (out1 / "rounds.jsonl").read_bytes() == (out2 / "rounds.jsonl").read_bytes()
         assert (out1 / "model.bin").read_bytes() == (out2 / "model.bin").read_bytes()
+
+    def test_exponent_float_manifest_replays_byte_identical(self, tmp_path):
+        # json.dumps writes 0.00001 as 1e-05, which YAML 1.1 reads as a string
+        cfg = write(tmp_path, (TINY_RUN % "fedavg").replace("learning_rate: 0.05",
+                                                             "learning_rate: 0.00001"))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
+        assert '"learning_rate": 1e-05' in (out1 / "manifest.json").read_text()
+        assert main(["run", "--config", str(out1 / "manifest.json"),
+                     "--out", str(out2)]) == 0
+        for name in ("rounds.csv", "model.bin"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_replay_warns_when_the_host_differs(self, tmp_path, capsys):
         cfg = write(tmp_path, TINY_RUN % "fedavg")
@@ -573,6 +669,11 @@ class TestValidateCommand:
     def test_invalid(self, tmp_path):
         cfg = write(tmp_path, MINIMAL + "rounds: 0\n")
         assert main(["validate", "--config", str(cfg)]) == 2
+
+    def test_empty_file_is_named(self, tmp_path, capsys):
+        cfg = write(tmp_path, "# nothing here\n")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg} is empty\n"
 
     @pytest.mark.parametrize("key, value, message", [
         ("segment_range", "[0, 0]", "lower bound must be >= 1"),
@@ -800,6 +901,20 @@ class TestShapeCommand:
         bad = tmp_path / "junk.bin"
         bad.write_bytes(b"not a container")
         assert main(["shape", str(bad)]) == 2
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda blob: blob[:HEADER_SIZE - 1], "truncated header"),
+        (lambda blob: blob[:4] + struct.pack("<H", 9) + blob[6:], "unsupported version 9"),
+        (lambda blob: blob[:6] + bytes([7]) + blob[7:], "unknown dtype code 7"),
+        (lambda blob: blob[:HEADER_SIZE + 1], "layer 0: truncated record"),
+    ], ids=["header", "version", "dtype", "record"])
+    def test_damaged_container_is_named(self, tmp_path, capsys, damage, message):
+        arch = ModelArch(4, 1, (LayerSpec("dense", width=3, activation="relu"),
+                                LayerSpec("softmax-output", width=2)))
+        path = tmp_path / "model.bin"
+        path.write_bytes(damage(serialize_model(init_model(arch, 0))))
+        assert main(["shape", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_seed_override_changes_results(tmp_path):

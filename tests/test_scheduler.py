@@ -186,6 +186,33 @@ class TestRunExperiment:
             res = run_experiment(tiny_config(rounds=rounds, eval_every=2))
             assert [r.round for r in res.reports] == expected
 
+    @pytest.mark.parametrize("algorithm", scheduler.ALGORITHMS)
+    def test_a_round_returns_its_outcome_and_leaves_the_state(self, algorithm):
+        # run_experiment applies the outcome: the server, the ledger and each
+        # trained client's model, in one place
+        cfg = tiny_config(algorithm, rounds=1,
+                          scenario=ScenarioSpec(kind="incrementing", start_count=2))
+        datasets = scheduler.client_datasets(cfg)
+        server = init_model(cfg.model, scheduler.sequence("init", cfg.seed, 0), cfg.dtype)
+        states = [scheduler.ClientState(k, train, test, server)
+                  for k, (train, test) in enumerate(datasets)]
+        pooled = concat_window_sets(train for train, _test in datasets)
+        (new_server, ledger, models), trained = scheduler._round(
+            cfg, 1, states, server, pooled, None)
+        assert all(st.model is server and st.best is None for st in states)
+        assert trained == {"centralized": (), "local-only": (0, 1, 2)}.get(algorithm, (0, 1))
+        assert ledger.round_index == 1
+        applied = run_experiment(cfg)
+        assert len(models) == len(trained)
+        for k, model in zip(trained, models):
+            assert models_bit_equal(model, applied.states[k].model)
+            assert not models_bit_equal(model, server)
+        if algorithm == "local-only":
+            assert new_server is None
+        else:
+            assert models_bit_equal(new_server, applied.final_model)
+            assert not models_bit_equal(new_server, server)
+
     def test_idle_clients_untouched(self):
         # client 2 never activates in 3 rounds of slow incrementing
         cfg = tiny_config(rounds=3,

@@ -36,6 +36,11 @@ Exits 1 naming every file and config that differs, 0 when all are equal.
 The summary line also gives both trees' `src/fedsim` line counts, as
 `wc -l src/fedsim/*.py` counts them.
 
+The 72 `fedsim run` children run two at a time, or one at a time where
+the CPU affinity holds one core, and the cases print in the same order
+either way: about 17.5 s wall on a 2-core x86-64 host, against 29 s one at
+a time.
+
 Every child runs with `OPENBLAS_NUM_THREADS=1`.  `run_experiment` pins BLAS
 to one thread itself, but a revision from before that pin takes its BLAS
 thread count from the environment, and its conv gradients reduce in another
@@ -55,6 +60,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +133,9 @@ CSV = """\
     paths: [{paths}]
     classes: 4
 """
+
+# Two children at a time, or one on a one-core host.
+WORKERS = min(2, len(os.sched_getaffinity(0)))
 
 RUN = "import sys; from fedsim.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -213,33 +222,41 @@ def main(argv=None) -> int:
                   for algorithm, threads in F32_CASES]
         cases += [case("decrementing-feddist-e1-t1", "feddist", scenario=DECREMENTING),
                   case("sigma2-feddist-e1-t1", "feddist", sigma=2.0)]
-        same, configs, differ = 0, 0, []
-        for name, algorithm, threads, text in cases:
+        jobs = []
+        for name, _algorithm, threads, text in cases:
             config = work / f"{name}.yaml"
             config.write_text(text)
-            for side, src in trees.items():
-                run(src, config, work / "out" / side / name, threads)
-            for output in OUTPUTS:
-                base = work / "out" / "base" / name / output
-                ours = work / "out" / "work" / name / output
-                if not base.exists() and not ours.exists():
-                    continue
-                if (base.exists() and ours.exists()
-                        and base.read_bytes() == ours.read_bytes()):
-                    same += 1
+            jobs += [(src, config, work / "out" / side / name, threads)
+                     for side, src in trees.items()]
+        same, configs, differ = 0, 0, []
+        with ThreadPoolExecutor(WORKERS) as pool:
+            # Results come in job order.  A failed run's SystemExit leaves
+            # through next(), which cancels the runs not yet started.
+            finished = pool.map(lambda job: run(*job), jobs)
+            for name, algorithm, _threads, _text in cases:
+                for _side in trees:
+                    next(finished)
+                for output in OUTPUTS:
+                    base = work / "out" / "base" / name / output
+                    ours = work / "out" / "work" / name / output
+                    if not base.exists() and not ours.exists():
+                        continue
+                    if (base.exists() and ours.exists()
+                            and base.read_bytes() == ours.read_bytes()):
+                        same += 1
+                    else:
+                        differ.append(f"{name}/{output}")
+                resolved = [json.loads((work / "out" / side / name / "manifest.json")
+                                       .read_text())["resolved_config"] for side in trees]
+                if resolved[0] == resolved[1]:
+                    configs += 1
                 else:
-                    differ.append(f"{name}/{output}")
-            resolved = [json.loads((work / "out" / side / name / "manifest.json")
-                                   .read_text())["resolved_config"] for side in trees]
-            if resolved[0] == resolved[1]:
-                configs += 1
-            else:
-                differ.append(f"{name}/manifest.json resolved_config")
-            shape = work / "out" / "work" / name / "shape.txt"
-            grown = (" (final shape: "
-                     + "; ".join(shape.read_text().splitlines()) + ")"
-                     if algorithm == "feddist" else "")
-            print(f"{name}: compared{grown}", flush=True)
+                    differ.append(f"{name}/manifest.json resolved_config")
+                shape = work / "out" / "work" / name / "shape.txt"
+                grown = (" (final shape: "
+                         + "; ".join(shape.read_text().splitlines()) + ")"
+                         if algorithm == "feddist" else "")
+                print(f"{name}: compared{grown}", flush=True)
 
     for path in differ:
         print(f"DIFFERS: {path}")
